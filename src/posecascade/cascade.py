@@ -13,15 +13,13 @@ observed errors, and the crop is taken around the displaced point.
 
 from __future__ import annotations
 
-import json
 import logging
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import container, nn
 from .data import LoadedExample, mirror_example
 from .errors import (
     DegenerateBoxError,
@@ -96,10 +94,11 @@ class StageConfig:
             raise InvalidArgumentError("crops_per_joint must be >= 1")
 
     def build_network(self, output_dim: int) -> nn.Network:
+        """A float32 net; its weights are the float64 draws of the seed, cast."""
         layers = self.layers
         if layers is None:
             layers = default_layers(self.train.dropout_keep, output_dim, self.use_lrn)
-        return nn.init_network(layers, self.input_size, output_dim, self.seed)
+        return nn.init_network(layers, self.input_size, output_dim, self.seed, dtype=np.float32)
 
 
 @dataclass
@@ -407,7 +406,8 @@ def predict_many(model: CascadeModel, examples, threads: int = 1) -> list[Cascad
 
 
 # ---------------------------------------------------------------------------
-# serialization: header JSON + embedded network blobs
+# serialization: container header, then each stage as a length-prefixed
+# network file
 
 
 def cascade_to_bytes(model: CascadeModel) -> bytes:
@@ -434,50 +434,56 @@ def cascade_to_bytes(model: CascadeModel) -> bytes:
             for st in model.stats
         ],
     }
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = [CASCADE_MAGIC, struct.pack("<Q", len(hbytes)), hbytes]
-    for net in model.stages:
-        nb = nn.network_to_bytes(net)
-        blobs.append(struct.pack("<Q", len(nb)))
-        blobs.append(nb)
+    blobs = [container.pack_header(CASCADE_MAGIC, header)]
+    blobs += [container.pack_blob(nn.network_to_bytes(net)) for net in model.stages]
     return b"".join(blobs)
 
 
-def cascade_from_bytes(data: bytes) -> CascadeModel:
-    if data[: len(CASCADE_MAGIC)] != CASCADE_MAGIC:
-        raise InvalidArgumentError("not a cascade model file (bad magic)")
-    off = len(CASCADE_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
-    off += hlen
-    if header["format_version"] != CASCADE_FORMAT_VERSION:
-        raise InvalidArgumentError(f"unsupported format version {header['format_version']}")
-    stages = []
-    for _ in range(header["num_stages"]):
-        (blen,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        stages.append(nn.network_from_bytes(data[off : off + blen]))
-        off += blen
-    stats = [
-        None
-        if st is None
-        else DisplacementStats(
-            np.array(st["mean"]),
-            np.array(st["var"]),
-            np.array(st["present"], dtype=bool),
-            np.array(st["count"], dtype=int),
-        )
-        for st in header["stats"]
-    ]
-    t = header["tree"]
-    tree = PoseTree(
-        t["k"],
-        [tuple(p) for p in t["limbs"]],
-        [tuple(p) for p in t["torso_pairs"]],
-        [tuple(p) for p in t["left_right_swap"]],
+def _stats_from_header(st: dict | None, k: int) -> DisplacementStats | None:
+    if st is None:
+        return None
+    arrays = (
+        np.array(st["mean"], dtype=float),
+        np.array(st["var"], dtype=float),
+        np.array(st["present"], dtype=bool),
+        np.array(st["count"], dtype=int),
     )
-    return CascadeModel(stages, stats, header["sigma"], tree, tuple(header["input_size"]))
+    if [a.shape for a in arrays] != [(k, 2), (k, 2), (k,), (k,)]:
+        raise InvalidArgumentError(f"cascade header: displacement stats do not have k={k} joints")
+    return DisplacementStats(*arrays)
+
+
+def cascade_from_bytes(data: bytes) -> CascadeModel:
+    """Parse a cascade file; any malformed input raises InvalidArgumentError."""
+    r = container.Reader(data, CASCADE_MAGIC, "cascade model file")
+    header = r.header()
+    try:
+        if header["format_version"] != CASCADE_FORMAT_VERSION:
+            raise InvalidArgumentError(f"unsupported format version {header['format_version']!r}")
+        t = header["tree"]
+        tree = PoseTree(
+            int(t["k"]),
+            [tuple(p) for p in t["limbs"]],
+            [tuple(p) for p in t["torso_pairs"]],
+            [tuple(p) for p in t["left_right_swap"]],
+        )
+        stats = [_stats_from_header(st, tree.k) for st in header["stats"]]
+        sigma = header["sigma"]
+        input_size = tuple(int(v) for v in header["input_size"])
+        num_stages = int(header["num_stages"])
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as e:
+        raise InvalidArgumentError(f"malformed cascade header: {e!r}") from None
+    if not (isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0):
+        raise InvalidArgumentError(f"cascade header: sigma must be positive, got {sigma}")
+    stages = [nn.network_from_bytes(r.blob()) for _ in range(num_stages)]
+    r.finish()
+    for s, net in enumerate(stages):
+        if net.input_size != input_size or net.output_dim != 2 * tree.k:
+            raise InvalidArgumentError(
+                f"stage {s + 1} maps {net.input_size} to {net.output_dim} values, "
+                f"the cascade needs {input_size} to {2 * tree.k}"
+            )
+    return CascadeModel(stages, stats, sigma, tree, input_size)
 
 
 def save_cascade(model: CascadeModel, path) -> None:

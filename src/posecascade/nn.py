@@ -3,21 +3,22 @@
 The regressor is a stack of layers (conv / relu / cross-channel response
 normalization / max-pool / fully-connected / dropout) computing a 2k-vector of
 normalized joint coordinates from an image tensor. Everything runs on numpy in
-double precision: forward caches activations, backward produces exact
-reverse-mode gradients, and updates follow the adaptive-gradient rule (squared
-gradients accumulate per parameter and scale the step down over time).
+the dtype of the network's parameters: float32 for the cascade stages, float64
+(the `init_network` default) for gradient checks. Forward caches activations,
+backward produces exact reverse-mode gradients, and updates follow the
+adaptive-gradient rule (squared gradients accumulate per parameter and scale
+the step down over time).
 
 Array layout is (height, width, channels) per example; batches prepend N.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import container
 from .errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -25,7 +26,11 @@ from .errors import (
 )
 
 MAGIC = b"PCNET\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2 added the header's "dtype"; version-1 files are float64
+
+# compute dtypes a network may carry, with their little-endian file codes
+_DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
+_CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 # When enabled, every layer output is checked for NaN/inf during forward.
 DEBUG_CHECK_FINITE = False
@@ -175,12 +180,30 @@ def _chain_shapes(layers: list[LayerSpec], input_size: tuple[int, ...]) -> list[
     return out
 
 
-def _fan_in(spec: LayerSpec, in_shape: tuple[int, ...]) -> int:
-    if isinstance(spec, Conv):
-        return spec.size * spec.size * in_shape[2]
-    if isinstance(spec, FullyConnected):
-        return int(np.prod(in_shape))
-    raise InvalidArgumentError(f"{type(spec).__name__} has no parameters")
+def _param_shapes(
+    layers: list[LayerSpec], input_size: tuple[int, ...], output_dim: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """(weight shape, bias shape) per layer, None for parameter-free layers.
+
+    Raises if the layers do not chain or do not flatten to output_dim.
+    """
+    shapes = _chain_shapes(layers, input_size)
+    final = shapes[-1] if shapes else tuple(input_size)
+    if int(np.prod(final)) != output_dim:
+        raise ShapeError(
+            f"final layer produces {int(np.prod(final))} values, expected output_dim={output_dim}"
+        )
+    out = []
+    in_shape = tuple(int(s) for s in input_size)
+    for spec, out_shape in zip(layers, shapes):
+        if isinstance(spec, Conv):
+            out.append(((spec.size, spec.size, in_shape[2], spec.filters), (spec.filters,)))
+        elif isinstance(spec, FullyConnected):
+            out.append(((int(np.prod(in_shape)), spec.units), (spec.units,)))
+        else:
+            out.append(None)
+        in_shape = out_shape
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +217,15 @@ class Network:
     params: list[dict | None]  # per layer: {"w": ndarray, "b": ndarray} or None
     output_dim: int
     version: int = 0  # bumped on every optimizer step; guards stale caches
+    dtype: np.dtype = np.dtype(np.float64)  # of params, activations and gradients
+
+    def __post_init__(self):
+        self.dtype = np.dtype(self.dtype)
+        if self.dtype not in _DTYPE_CODES:
+            raise InvalidArgumentError(f"unsupported network dtype {self.dtype}")
+        for p in self.params:
+            if p is not None and (p["w"].dtype != self.dtype or p["b"].dtype != self.dtype):
+                raise InvalidArgumentError(f"parameters must all be {self.dtype}")
 
     def param_count(self) -> int:
         return sum(p["w"].size + p["b"].size for p in self.params if p is not None)
@@ -211,35 +243,28 @@ def init_network(
     input_size: tuple[int, ...],
     output_dim: int,
     seed: int,
+    dtype=np.float64,
 ) -> Network:
     """Build a network with Gaussian weights of std 1/sqrt(fan_in), zero biases.
 
-    Deterministic for a given seed. Raises if layer shapes do not chain or the
-    final output does not flatten to output_dim.
+    Weights are drawn in float64 and then cast to dtype, so a float32 and a
+    float64 net of one seed start from the same draws. Deterministic for a
+    given seed. Raises if layer shapes do not chain or the final output does
+    not flatten to output_dim.
     """
-    shapes = _chain_shapes(layers, input_size)
-    final = shapes[-1] if shapes else tuple(input_size)
-    if int(np.prod(final)) != output_dim:
-        raise ShapeError(
-            f"final layer produces {int(np.prod(final))} values, expected output_dim={output_dim}"
-        )
     rng = np.random.default_rng(seed)
     params: list[dict | None] = []
-    in_shape = tuple(int(s) for s in input_size)
-    for spec, out_shape in zip(layers, shapes):
-        if isinstance(spec, Conv):
-            std = 1.0 / np.sqrt(_fan_in(spec, in_shape))
-            w = rng.normal(0.0, std, size=(spec.size, spec.size, in_shape[2], spec.filters))
-            params.append({"w": w, "b": np.zeros(spec.filters)})
-        elif isinstance(spec, FullyConnected):
-            d = _fan_in(spec, in_shape)
-            std = 1.0 / np.sqrt(d)
-            w = rng.normal(0.0, std, size=(d, spec.units))
-            params.append({"w": w, "b": np.zeros(spec.units)})
-        else:
+    for shp in _param_shapes(layers, input_size, output_dim):
+        if shp is None:
             params.append(None)
-        in_shape = out_shape
-    return Network(tuple(int(s) for s in input_size), list(layers), params, int(output_dim))
+            continue
+        w_shape, b_shape = shp
+        std = 1.0 / np.sqrt(int(np.prod(w_shape[:-1])))  # fan_in
+        w = rng.normal(0.0, std, size=w_shape)
+        params.append({"w": w.astype(dtype, copy=False), "b": np.zeros(b_shape, dtype)})
+    return Network(
+        tuple(int(s) for s in input_size), list(layers), params, int(output_dim), dtype=dtype
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +275,35 @@ def init_network(
 class ForwardCache:
     net_id: int
     net_version: int
-    layer_caches: list
+    layer_caches: list  # indexed by layer
     output_shape: tuple[int, ...]
     single: bool  # input came without a batch axis
+    run_order: list[int]  # layer indices in the order forward ran them
+
+
+def _run_order(layers: list[LayerSpec]) -> list[int]:
+    """Layer indices in execution order.
+
+    A ReLU that directly feeds a MaxPool runs after it, on the pooled map,
+    which is size^2 times smaller. For finite inputs the two orders agree
+    bit for bit: max and ReLU commute, and a window whose max is <= 0 gets
+    zero gradient either way.
+    """
+    order = list(range(len(layers)))
+    i = 0
+    while i + 1 < len(layers):
+        if isinstance(layers[i], ReLU) and isinstance(layers[i + 1], MaxPool):
+            order[i], order[i + 1] = i + 1, i
+            i += 2
+        else:
+            i += 1
+    return order
 
 
 def _lrn_window_sum(s: np.ndarray, radius: int) -> np.ndarray:
     """Sum of s over the clamped channel window [c-radius, c+radius]."""
     c = s.shape[-1]
-    cs = np.concatenate([np.zeros(s.shape[:-1] + (1,)), np.cumsum(s, axis=-1)], axis=-1)
+    cs = np.concatenate([np.zeros(s.shape[:-1] + (1,), s.dtype), np.cumsum(s, axis=-1)], axis=-1)
     hi = np.minimum(np.arange(c) + radius, c - 1) + 1
     lo = np.maximum(np.arange(c) - radius, 0)
     return cs[..., hi] - cs[..., lo]
@@ -274,9 +319,10 @@ def forward(
 
     Returns (output, cache). For a single (h, w, c) input the output is a flat
     (output_dim,) vector; for a (n, h, w, c) batch it is (n, output_dim). The
-    cache feeds backward(). Dropout draws from rng only in train mode.
+    cache feeds backward(). Dropout draws from rng only in train mode. x is
+    cast to the net's dtype, and so is everything computed from it.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == len(net.input_size)
     if single:
         x = x[None]
@@ -285,8 +331,10 @@ def forward(
     if train_mode and rng is None and any(isinstance(s, Dropout) for s in net.layers):
         raise InvalidArgumentError("train-mode forward through dropout needs an rng")
 
-    caches = []
-    for spec, p in zip(net.layers, net.params):
+    order = _run_order(net.layers)
+    caches: list = [None] * len(net.layers)
+    for idx in order:
+        spec, p = net.layers[idx], net.params[idx]
         if isinstance(spec, Conv):
             # im2col: one contiguous copy of the input windows, then a GEMM;
             # (kh, kw, c) minor order matches the (kh, kw, c, f) weight layout
@@ -296,18 +344,18 @@ def forward(
             cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
             wmat = p["w"].reshape(-1, spec.filters)
             y = (cols @ wmat + p["b"]).reshape(n, oh, ow, spec.filters)
-            caches.append({"cols": cols, "in_shape": x.shape, "out_hw": (oh, ow)})
+            caches[idx] = {"cols": cols, "in_shape": x.shape, "out_hw": (oh, ow)}
             x = y
         elif isinstance(spec, ReLU):
             mask = x > 0
-            caches.append({"mask": mask})
+            caches[idx] = {"mask": mask}
             x = np.where(mask, x, 0.0)
         elif isinstance(spec, LRN):
             r = spec.depth // 2
             ssum = _lrn_window_sum(x * x, r)
             scale = spec.k_const + spec.alpha * ssum
             y = x * scale ** (-spec.beta)
-            caches.append({"x": x, "scale": scale, "radius": r})
+            caches[idx] = {"x": x, "scale": scale, "radius": r}
             x = y
         elif isinstance(spec, MaxPool):
             s = spec.effective_stride
@@ -333,26 +381,26 @@ def forward(
                 flat = windows.reshape(n, oh, ow, c, spec.size * spec.size)
                 arg = np.argmax(flat, axis=-1)  # first max in row-major window order
                 y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-            caches.append({"arg": arg, "in_shape": x.shape})
+            caches[idx] = {"arg": arg, "in_shape": x.shape}
             x = y
         elif isinstance(spec, FullyConnected):
             orig_shape = x.shape
             flat = x.reshape(x.shape[0], -1)
             y = flat @ p["w"] + p["b"]
-            caches.append({"x": flat, "orig_shape": orig_shape})
+            caches[idx] = {"x": flat, "orig_shape": orig_shape}
             x = y
         elif isinstance(spec, Dropout):
             if train_mode:
                 mask = rng.random(x.shape) < spec.keep_prob
                 x = x * mask / spec.keep_prob
-                caches.append({"mask": mask})
+                caches[idx] = {"mask": mask}
             else:
-                caches.append({"mask": None})
+                caches[idx] = {"mask": None}
         if DEBUG_CHECK_FINITE and not np.all(np.isfinite(x)):
             raise InvalidArgumentError(f"non-finite activation after {type(spec).__name__}")
 
     out = x.reshape(x.shape[0], -1)
-    cache = ForwardCache(id(net), net.version, caches, out.shape, single)
+    cache = ForwardCache(id(net), net.version, caches, out.shape, single, order)
     return (out[0] if single else out), cache
 
 
@@ -364,7 +412,8 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
     """
     if cache.net_id != id(net) or cache.net_version != net.version:
         raise ContractViolationError("forward cache does not belong to this network state")
-    g = np.asarray(output_grad, dtype=np.float64)
+    dt = net.dtype
+    g = np.asarray(output_grad, dtype=dt)
     if cache.single:
         if g.shape != (cache.output_shape[1],):
             raise ShapeError(f"output_grad shape {g.shape} does not match {cache.output_shape[1:]}")
@@ -373,7 +422,7 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
         raise ShapeError(f"output_grad shape {g.shape} does not match {cache.output_shape}")
 
     grads: list[dict | None] = [None] * len(net.layers)
-    for idx in range(len(net.layers) - 1, -1, -1):
+    for idx in reversed(cache.run_order):
         spec, p, c = net.layers[idx], net.params[idx], cache.layer_caches[idx]
         if isinstance(spec, Conv):
             cols, in_shape = c["cols"], c["in_shape"]
@@ -383,12 +432,12 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             db = gmat.sum(axis=0)
             dw = (cols.T @ gmat).reshape(spec.size, spec.size, ch, spec.filters)
             grads[idx] = {"w": dw, "b": db}
-            if idx == 0:
+            if idx == cache.run_order[0]:
                 continue  # nothing below consumes the input gradient
             # scatter the column gradients back; output tap (h, w) touched
             # input pixel (i + s*h, j + s*w)
             wmat = p["w"].reshape(-1, spec.filters)
-            dx = np.zeros(in_shape)
+            dx = np.zeros(in_shape, dt)
             s = spec.stride
             if ch <= 2:
                 # transposed GEMM: each (i, j, c) plane contiguous over (n, oh, ow)
@@ -416,9 +465,9 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             n, oh, ow, ch = arg.shape
             g = g.reshape(arg.shape)
             s = spec.effective_stride
-            dx = np.zeros(in_shape)
+            dx = np.zeros(in_shape, dt)
             if spec.size == 2 and s == 2:
-                buf = np.empty((n, oh, 2, ow, 2, ch))
+                buf = np.empty((n, oh, 2, ow, 2, ch), dt)
                 for cell in range(4):
                     buf[:, :, cell // 2, :, cell % 2, :] = np.where(arg == cell, g, 0.0)
                 dx[:, : 2 * oh, : 2 * ow, :] = buf.reshape(n, 2 * oh, 2 * ow, ch)
@@ -557,8 +606,7 @@ def train_epochs(
         total = 0.0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            xb = np.asarray(inputs[idx], dtype=np.float64)
-            out, cache = forward(net, xb, train_mode=True, rng=rng)
+            out, cache = forward(net, inputs[idx], train_mode=True, rng=rng)
             loss, grad = l2_loss_batch(out, targets[idx], masks[idx])
             grads = backward(net, cache, grad)
             adagrad_step(net, grads, state)
@@ -573,7 +621,7 @@ def evaluate_loss(net: Network, inputs, targets, masks, batch_size: int = 256) -
     n = len(inputs)
     total = 0.0
     for lo in range(0, n, batch_size):
-        xb = np.asarray(inputs[lo : lo + batch_size], dtype=np.float64)
+        xb = inputs[lo : lo + batch_size]
         out, _ = forward(net, xb)
         loss, _ = l2_loss_batch(out, targets[lo : lo + batch_size], masks[lo : lo + batch_size])
         total += loss * len(xb)
@@ -581,12 +629,15 @@ def evaluate_loss(net: Network, inputs, targets, masks, batch_size: int = 256) -
 
 
 # ---------------------------------------------------------------------------
-# serialization: magic, format version, JSON header, little-endian doubles
+# serialization: container header (format version, dtype, layers, shapes),
+# then each parameter array as raw little-endian floats of that dtype
 
 
 def network_to_bytes(net: Network) -> bytes:
+    code = _DTYPE_CODES[net.dtype]
     header = {
         "format_version": FORMAT_VERSION,
+        "dtype": code,
         "input_size": list(net.input_size),
         "output_dim": net.output_dim,
         "layers": [spec_to_dict(s) for s in net.layers],
@@ -595,41 +646,43 @@ def network_to_bytes(net: Network) -> bytes:
             for p in net.params
         ],
     }
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = [MAGIC, struct.pack("<Q", len(hbytes)), hbytes]
+    blobs = [container.pack_header(MAGIC, header)]
     for p in net.params:
         if p is not None:
-            blobs.append(np.ascontiguousarray(p["w"], dtype="<f8").tobytes())
-            blobs.append(np.ascontiguousarray(p["b"], dtype="<f8").tobytes())
+            blobs.append(np.ascontiguousarray(p["w"], dtype=code).tobytes())
+            blobs.append(np.ascontiguousarray(p["b"], dtype=code).tobytes())
     return b"".join(blobs)
 
 
 def network_from_bytes(data: bytes) -> Network:
-    if data[: len(MAGIC)] != MAGIC:
-        raise InvalidArgumentError("not a network file (bad magic)")
-    off = len(MAGIC)
-    (hlen,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
-    off += hlen
-    if header["format_version"] != FORMAT_VERSION:
-        raise InvalidArgumentError(f"unsupported format version {header['format_version']}")
-    layers = [spec_from_dict(d) for d in header["layers"]]
-    params: list[dict | None] = []
-    for shp in header["param_shapes"]:
-        if shp is None:
-            params.append(None)
-            continue
-        w_n = int(np.prod(shp["w"]))
-        b_n = int(np.prod(shp["b"]))
-        w = np.frombuffer(data, dtype="<f8", count=w_n, offset=off).reshape(shp["w"]).copy()
-        off += w_n * 8
-        b = np.frombuffer(data, dtype="<f8", count=b_n, offset=off).reshape(shp["b"]).copy()
-        off += b_n * 8
-        params.append({"w": w, "b": b})
-    return Network(
-        tuple(header["input_size"]), layers, params, int(header["output_dim"])
-    )
+    """Parse a network file; any malformed input raises InvalidArgumentError."""
+    r = container.Reader(data, MAGIC, "network file")
+    header = r.header()
+    try:
+        version = header["format_version"]
+        if version == 1:
+            code = "<f8"
+        elif version == FORMAT_VERSION:
+            code = header["dtype"]
+        else:
+            raise InvalidArgumentError(f"unsupported format version {version!r}")
+        if code not in _CODE_DTYPES:
+            raise InvalidArgumentError(f"unsupported parameter dtype {code!r}")
+        layers = [spec_from_dict(d) for d in header["layers"]]
+        input_size = tuple(int(s) for s in header["input_size"])
+        output_dim = int(header["output_dim"])
+        shapes = _param_shapes(layers, input_size, output_dim)
+        declared = header["param_shapes"]
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise InvalidArgumentError(f"malformed network header: {e!r}") from None
+    if declared != [None if s is None else {"w": list(s[0]), "b": list(s[1])} for s in shapes]:
+        raise InvalidArgumentError("network header: param_shapes do not match the layers")
+    params = [
+        None if s is None else {"w": r.array(code, s[0]), "b": r.array(code, s[1])}
+        for s in shapes
+    ]
+    r.finish()
+    return Network(input_size, layers, params, output_dim, dtype=_CODE_DTYPES[code])
 
 
 def save_network(net: Network, path) -> None:

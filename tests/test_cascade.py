@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecascade import cascade, data, nn
 from posecascade.errors import InvalidArgumentError, InvalidStateError
@@ -389,6 +391,76 @@ def test_cascade_round_trip(tmp_path):
     for pa, pb in zip(a.poses, b.poses):
         assert np.array_equal(pa.joints, pb.joints)
     assert cascade.cascade_to_bytes(model) == cascade.cascade_to_bytes(loaded)
+
+
+def test_stage_networks_are_float32():
+    net = tiny_stage_config(layers=None, input_size=(20, 20, 1)).build_network(2 * K)
+    assert net.dtype == np.float32
+    assert all(p["w"].dtype == np.float32 for p in net.params if p is not None)
+
+
+def test_float32_cascade_round_trip_keeps_dtype_and_bytes(tmp_path):
+    model = _two_stage_model(random_net(6))
+    data_ = cascade.cascade_to_bytes(model)
+    path = tmp_path / "model.bin"
+    path.write_bytes(data_)
+    loaded = cascade.load_cascade(path)
+    for a, b in zip(model.stages, loaded.stages):
+        assert a.dtype == b.dtype == np.float32
+        for pa, pb in zip(a.params, b.params):
+            if pa is not None:
+                assert pb["w"].dtype == np.float32
+                assert pa["w"].tobytes() == pb["w"].tobytes()
+                assert pa["b"].tobytes() == pb["b"].tobytes()
+    cascade.save_cascade(loaded, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == data_
+
+
+def test_cascade_stage_shape_must_match_model():
+    model = _two_stage_model(random_net(6))
+    model.input_size = (14, 14, 1)  # the stages take 12x12 crops
+    with pytest.raises(InvalidArgumentError, match="stage 1"):
+        cascade.cascade_from_bytes(cascade.cascade_to_bytes(model))
+
+
+def _fuzz_cascade_bytes():
+    """A two-stage cascade of tiny nets, so that most bits are header bits."""
+    config = cascade.StageConfig(sigma=1.0, input_size=(4, 4, 1),
+                                 layers=[nn.Conv(1, 3), nn.ReLU(), nn.FullyConnected(2 * K)])
+    nets = [config.build_network(2 * K) for _ in range(2)]
+    stats = _delta_stats((0.5, -0.25))
+    model = cascade.CascadeModel(nets, [None, stats], 1.0, TREE, (4, 4, 1))
+    return cascade.cascade_to_bytes(model)
+
+
+CASCADE_BYTES = _fuzz_cascade_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(CASCADE_BYTES) - 1))
+def test_truncated_cascade_file_rejected(cut):
+    with pytest.raises(InvalidArgumentError):
+        cascade.cascade_from_bytes(CASCADE_BYTES[:cut])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(min_size=1, max_size=32))
+def test_extended_cascade_file_rejected(extra):
+    with pytest.raises(InvalidArgumentError):
+        cascade.cascade_from_bytes(CASCADE_BYTES + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8 * len(CASCADE_BYTES) - 1))
+def test_bit_flipped_cascade_file_loads_or_is_rejected(bit):
+    data_ = bytearray(CASCADE_BYTES)
+    data_[bit // 8] ^= 1 << (bit % 8)
+    try:
+        model = cascade.cascade_from_bytes(bytes(data_))
+    except InvalidArgumentError:
+        return
+    # a flip that still parses (a parameter, a statistic) gives a consistent model
+    assert cascade.cascade_from_bytes(cascade.cascade_to_bytes(model)).num_stages == 2
 
 
 def test_cascade_requires_stats_for_refinement():

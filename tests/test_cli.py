@@ -247,3 +247,17 @@ def test_predict_bad_image_is_data_error(tmp_path, trained_dir):
     bad.write_bytes(b"garbage")
     code = run("predict", "--model", str(trained_dir / "cascade.model"), "--image", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda b: b[:10],  # cut inside the header length
+    lambda b: b[:-5],  # cut inside the last stage's parameters
+    lambda b: b + b"junk",  # trailing bytes
+])
+def test_predict_malformed_model_is_data_error(tmp_path, synth_dir, trained_dir, capsys, mangle):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(mangle((trained_dir / "cascade.model").read_bytes()))
+    m = data.load_manifest(synth_dir / "manifest.txt")
+    img = synth_dir / m.examples[0].image_path
+    assert run("predict", "--model", str(bad), "--image", str(img)) == 2
+    assert "error:" in capsys.readouterr().err

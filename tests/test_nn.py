@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecascade import nn
 from posecascade.errors import (
@@ -426,3 +430,238 @@ def test_network_round_trip(tmp_path):
 def test_network_bad_magic():
     with pytest.raises(InvalidArgumentError):
         nn.network_from_bytes(b"NOTANET\n" + b"\x00" * 32)
+
+
+@pytest.mark.parametrize("data", [
+    b"PCNET\n" + (5).to_bytes(8, "little") + b"{not}",  # bad JSON
+    b"PCNET\n" + (2).to_bytes(8, "little") + b"[]",  # header is not an object
+])
+def test_network_malformed_header_rejected(data):
+    with pytest.raises(InvalidArgumentError):
+        nn.network_from_bytes(data)
+
+
+def _header(data):
+    hlen = int.from_bytes(data[len(nn.MAGIC) : len(nn.MAGIC) + 8], "little")
+    return json.loads(data[len(nn.MAGIC) + 8 : len(nn.MAGIC) + 8 + hlen])
+
+
+def _pack(header, net, code):
+    """A network file with this header and net's parameters stored as code."""
+    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    blobs = [nn.MAGIC, len(hbytes).to_bytes(8, "little"), hbytes]
+    for p in net.params:
+        if p is not None:
+            blobs += [p["w"].astype(code).tobytes(), p["b"].astype(code).tobytes()]
+    return b"".join(blobs)
+
+
+@pytest.mark.parametrize("key", ["format_version", "dtype", "layers", "input_size",
+                                 "output_dim", "param_shapes"])
+def test_network_missing_header_key_rejected(key):
+    net = fc_net(3, 2)
+    header = _header(nn.network_to_bytes(net))
+    del header[key]
+    with pytest.raises(InvalidArgumentError):
+        nn.network_from_bytes(_pack(header, net, "<f8"))
+
+
+def test_network_param_shapes_must_match_layers():
+    net = fc_net(3, 2)
+    header = _header(nn.network_to_bytes(net))
+    header["param_shapes"][0]["w"] = [2, 3]
+    with pytest.raises(InvalidArgumentError, match="param_shapes"):
+        nn.network_from_bytes(_pack(header, net, "<f8"))
+
+
+def test_version1_float64_file_still_loads():
+    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(4)],
+                          (8, 8, 1), 4, seed=21)
+    v1 = {
+        "format_version": 1,
+        "input_size": [8, 8, 1],
+        "output_dim": 4,
+        "layers": [nn.spec_to_dict(s) for s in net.layers],
+        "param_shapes": [None if p is None else {"w": list(p["w"].shape), "b": list(p["b"].shape)}
+                         for p in net.params],
+    }
+    loaded = nn.network_from_bytes(_pack(v1, net, "<f8"))
+    assert loaded.dtype == np.float64
+    x = np.random.default_rng(2).random((3, 8, 8, 1))
+    assert np.array_equal(nn.forward(loaded, x)[0], nn.forward(net, x)[0])
+    # re-saving writes the current format, same parameters
+    assert _header(nn.network_to_bytes(loaded))["format_version"] == nn.FORMAT_VERSION
+    assert nn.network_to_bytes(loaded) == nn.network_to_bytes(net)
+
+
+def test_float32_network_round_trip_keeps_dtype():
+    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(4)], (6, 6, 1), 4,
+                          seed=5, dtype=np.float32)
+    data = nn.network_to_bytes(net)
+    assert _header(data)["dtype"] == "<f4"
+    loaded = nn.network_from_bytes(data)
+    assert loaded.dtype == np.float32
+    for pa, pb in zip(net.params, loaded.params):
+        if pa is not None:
+            assert pb["w"].dtype == np.float32 and np.array_equal(pa["w"], pb["w"])
+    assert nn.network_to_bytes(loaded) == data
+
+
+def _fuzz_net_bytes():
+    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(4)],
+                          (8, 8, 1), 4, seed=3, dtype=np.float32)
+    return nn.network_to_bytes(net)
+
+
+NET_BYTES = _fuzz_net_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(NET_BYTES) - 1))
+def test_truncated_network_file_rejected(cut):
+    with pytest.raises(InvalidArgumentError):
+        nn.network_from_bytes(NET_BYTES[:cut])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(min_size=1, max_size=32))
+def test_extended_network_file_rejected(extra):
+    with pytest.raises(InvalidArgumentError):
+        nn.network_from_bytes(NET_BYTES + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8 * len(NET_BYTES) - 1))
+def test_bit_flipped_network_file_loads_or_is_rejected(bit):
+    data = bytearray(NET_BYTES)
+    data[bit // 8] ^= 1 << (bit % 8)
+    try:
+        net = nn.network_from_bytes(bytes(data))
+    except InvalidArgumentError:
+        return
+    # a flip that still parses (a parameter, a layer constant) gives a usable net
+    nn.forward(net, np.zeros(net.input_size))
+
+
+# --- compute dtype ------------------------------------------------------------------
+
+
+DTYPE_CASES = {
+    "conv": ([nn.Conv(3, 3), nn.Conv(2, 2)], (7, 7, 2)),
+    "relu": ([nn.Conv(3, 3), nn.ReLU(), nn.FullyConnected(4)], (6, 6, 1)),
+    "lrn": ([nn.Conv(6, 2), nn.LRN(depth=5), nn.FullyConnected(4)], (5, 5, 1)),
+    "maxpool_fast": ([nn.Conv(3, 3), nn.MaxPool(2), nn.FullyConnected(4)], (8, 8, 1)),
+    "maxpool_general": ([nn.Conv(3, 3), nn.MaxPool(3, 2), nn.FullyConnected(4)], (9, 9, 1)),
+    "relu_maxpool": ([nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(4)], (8, 8, 1)),
+    "fc": ([nn.FullyConnected(5), nn.FullyConnected(4)], (6,)),
+    "dropout": ([nn.FullyConnected(5), nn.Dropout(0.6), nn.FullyConnected(4)], (6,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+def test_float32_kept_end_to_end(name):
+    layers, input_size = DTYPE_CASES[name]
+    shape = input_size
+    for s in nn._chain_shapes(layers, input_size):
+        shape = s
+    net = nn.init_network(layers, input_size, int(np.prod(shape)), seed=4, dtype=np.float32)
+    rng = np.random.default_rng(5)
+    x = rng.random((3,) + input_size)  # float64 input is cast on entry
+    out, cache = nn.forward(net, x, train_mode=True, rng=rng)
+    assert out.dtype == np.float32
+    assert all(v.dtype == np.float32 for c in cache.layer_caches if c for v in c.values()
+               if isinstance(v, np.ndarray) and v.dtype.kind == "f")
+    grads = nn.backward(net, cache, rng.standard_normal(out.shape))  # float64 grad too
+    state = nn.OptimizerState.for_network(net)
+    nn.adagrad_step(net, grads, state)
+    for g, p, a in zip(grads, net.params, state.accum):
+        if p is not None:
+            for key in ("w", "b"):
+                assert g[key].dtype == p[key].dtype == a[key].dtype == np.float32
+
+
+def test_train_epochs_float32_deterministic_and_float32():
+    x, y, m = _toy_regression()
+    nets = []
+    for _ in range(2):
+        net = nn.init_network([nn.FullyConnected(2)], (4,), 2, seed=3, dtype=np.float32)
+        nn.train_epochs(net, x.astype(np.float32), y, m,
+                        nn.TrainConfig(epochs=3, batch_size=4, learning_rate=0.05, seed=11))
+        nets.append(nn.network_to_bytes(net))
+    assert nets[0] == nets[1]
+    assert nn.network_from_bytes(nets[0]).dtype == np.float32
+
+
+def test_float32_init_is_cast_float64_draws():
+    layers = [nn.Conv(2, 3), nn.FullyConnected(4)]
+    a = nn.init_network(layers, (6, 6, 1), 4, seed=8)
+    b = nn.init_network(layers, (6, 6, 1), 4, seed=8, dtype=np.float32)
+    for pa, pb in zip(a.params, b.params):
+        if pa is not None:
+            assert np.array_equal(pa["w"].astype(np.float32), pb["w"])
+
+
+def test_network_rejects_mixed_dtypes():
+    net = fc_net(3, 2)
+    with pytest.raises(InvalidArgumentError):
+        nn.Network(net.input_size, net.layers, net.params, net.output_dim, dtype=np.float32)
+    with pytest.raises(InvalidArgumentError):
+        nn.Network(net.input_size, net.layers, net.params, net.output_dim, dtype=np.float16)
+
+
+# --- ReLU -> MaxPool run order --------------------------------------------------------
+
+
+def test_run_order_swaps_relu_feeding_maxpool():
+    layers = [nn.Conv(2, 3), nn.ReLU(), nn.MaxPool(2), nn.ReLU(), nn.ReLU(), nn.MaxPool(3, 2),
+              nn.FullyConnected(4), nn.ReLU()]
+    assert nn._run_order(layers) == [0, 2, 1, 3, 5, 4, 6, 7]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("pool", [nn.MaxPool(2), nn.MaxPool(3, 2)])
+def test_relu_after_maxpool_is_bit_identical(pool, dtype, monkeypatch):
+    # A 1x1 identity conv puts small integers straight into the pool: many
+    # tied windows and many whose max is <= 0.
+    rng = np.random.default_rng(12)
+    x = rng.integers(-3, 2, size=(4, 9, 9, 2)).astype(np.float64)
+    layers = [nn.Conv(2, 1), nn.ReLU(), pool, nn.FullyConnected(6)]
+    net = nn.init_network(layers, (9, 9, 2), 6, seed=13, dtype=dtype)
+    net.params[0]["w"][:] = np.eye(2).reshape(1, 1, 2, 2)
+    pool_net = nn.init_network([pool], (9, 9, 2), 4 * 4 * 2, seed=0, dtype=dtype)
+    assert np.any(nn.forward(pool_net, x)[0] <= 0), "test data needs windows whose max is <= 0"
+
+    # forward: the same as the four layers run as one-layer nets, in spec order
+    y = x
+    for idx, spec in enumerate(layers):
+        in_size = y.shape[1:]
+        shape = nn._chain_shapes([spec], in_size)[0]
+        one = nn.init_network([spec], in_size, int(np.prod(shape)), seed=0, dtype=dtype)
+        one.params[0] = net.params[idx]
+        y = nn.forward(one, y)[0].reshape((len(x),) + shape)
+    out, cache = nn.forward(net, x)
+    assert cache.run_order == [0, 2, 1, 3]
+    assert np.array_equal(out, y.reshape(len(x), -1))
+
+    # backward: the same parameter gradients as without the swap
+    g = rng.standard_normal(out.shape)
+    swapped = nn.backward(net, cache, g)
+    monkeypatch.setattr(nn, "_run_order", lambda layers: list(range(len(layers))))
+    out_plain, cache_plain = nn.forward(net, x)
+    assert cache_plain.run_order == [0, 1, 2, 3]
+    plain = nn.backward(net, cache_plain, g)
+    assert np.array_equal(out, out_plain)
+    for a, b in zip(swapped, plain):
+        if a is not None:
+            assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
+    assert np.any(swapped[0]["w"] != 0)
+
+
+@pytest.mark.parametrize("pool", [nn.MaxPool(2), nn.MaxPool(3, 2)])
+def test_backward_finite_difference_conv_relu_maxpool(pool):
+    rng = np.random.default_rng(14)
+    net = nn.init_network([nn.Conv(3, 3), nn.ReLU(), pool, nn.FullyConnected(4)],
+                          (11, 11, 1), 4, seed=15)
+    assert nn._run_order(net.layers) == [0, 2, 1, 3]
+    x = rng.random((11, 11, 1)) - 0.5
+    assert max_rel_error(net, x, rng.random(4), np.ones(2, dtype=bool)) < 1e-4
