@@ -42,11 +42,10 @@ from .geometry import (
     PoseVector,
     crop_resample,
     denormalize_point,
-    denormalize_pose,
     full_image_box,
     joint_box,
     normalize_point,
-    normalize_pose,
+    parse_box,
     pose_diameter,
 )
 from .metrics import EvalReport, make_report, pcp, pcp_loose, pdj, pdj_curve
@@ -58,7 +57,7 @@ from .nn import (
     backward,
     forward,
     init_network,
-    l2_loss,
+    l2_loss_batch,
     load_network,
     save_network,
     train_epochs,

@@ -14,7 +14,6 @@ observed errors, and the crop is taken around the displaced point.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,19 +226,16 @@ def predict_stage1(model: CascadeModel, image: np.ndarray, b0: BoundingBox | Non
 # displacement statistics and simulated predictions
 
 
-def fit_displacement_stats(
-    model: CascadeModel,
-    examples: list[LoadedExample],
-    threads: int = 1,
-) -> DisplacementStats:
+def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -> DisplacementStats:
     """Mean/variance per joint of (cascade prediction - truth) over the dataset.
 
-    Runs the model's current stages on every example. Joints never labeled
-    (or only seen on truncated predictions) come back flagged absent.
+    Runs the model's current stages on every example through predict_many.
+    Joints never labeled (or only seen on truncated predictions) come back
+    flagged absent.
     """
     k = model.tree.k
     disps: list[list[np.ndarray]] = [[] for _ in range(k)]
-    preds = predict_many(model, examples, threads=threads)
+    preds = predict_many(model, examples)
     for ex, pred in zip(examples, preds):
         if pred.truncated:
             continue
@@ -393,16 +389,9 @@ def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = Non
     return CascadePrediction(poses)
 
 
-def predict_many(model: CascadeModel, examples, threads: int = 1) -> list[CascadePrediction]:
-    """predict() over examples, optionally on a thread pool; order preserved."""
-
-    def one(ex):
-        return predict(model, ex.image, ex.box0)
-
-    if threads <= 1:
-        return [one(ex) for ex in examples]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, examples))
+def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
+    """predict() on each example's image and initial box, serially, in order."""
+    return [predict(model, ex.image, ex.box0) for ex in examples]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +464,12 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
         raise InvalidArgumentError(f"malformed cascade header: {e!r}") from None
     if not (isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0):
         raise InvalidArgumentError(f"cascade header: sigma must be positive, got {sigma}")
-    stages = [nn.network_from_bytes(r.blob()) for _ in range(num_stages)]
+    stages = []
+    for s in range(num_stages):
+        try:
+            stages.append(nn.network_from_bytes(r.blob()))
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"stage {s + 1}: {e}") from None
     r.finish()
     for s, net in enumerate(stages):
         if net.input_size != input_size or net.output_dim != 2 * tree.k:

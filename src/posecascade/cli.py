@@ -9,8 +9,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     ManifestParseError,
     ManifestValidationError,
 )
-from .geometry import BoundingBox, PoseVector
+from .geometry import PoseVector, parse_box
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,49 +49,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def boolean(text: str) -> bool:
+    """Strict boolean text: 1/true/yes or 0/false/no, in any case."""
+    value = text.strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
+def _opt(default, help_text: str):
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class RunConfig:
-    """Training-run settings; every key can come from a key=value config file."""
+    """Training-run settings. Each field is both a `train` flag (--field-name)
+    and a key of the key=value config file."""
 
-    train: str = ""
-    heldout: str = ""
-    out: str = ""
-    stages: int = 2
-    sigma: float = 1.0
-    crops_per_joint: int = 40
-    stage1_crops: int = 4
-    epochs: int = 10
-    refine_epochs: int = 0  # 0: same as epochs
-    batch: int = 128
-    lr: float = 0.0005
-    dropout: float = 0.6
-    seed: int = 0
-    input_size: int = 60
-    threads: int = 1
-    use_lrn: bool = False
-
-    _INT = ("stages", "crops_per_joint", "stage1_crops", "epochs", "refine_epochs",
-            "batch", "seed", "input_size", "threads")
-    _FLOAT = ("sigma", "lr", "dropout")
-    _BOOL = ("use_lrn",)
+    train: str = _opt("", "training manifest")
+    heldout: str = _opt("", "held-out manifest for the per-stage report")
+    out: str = _opt("", "output directory")
+    stages: int = _opt(2, "cascade stages, the holistic one included")
+    sigma: float = _opt(1.0, "refinement box side, in torso diameters")
+    crops_per_joint: int = _opt(40, "refinement samples per example and joint")
+    stage1_crops: int = _opt(4, "translated copies per stage-1 example")
+    epochs: int = _opt(10, "training epochs per stage")
+    refine_epochs: int = _opt(0, "epochs of each refinement stage (0: same as --epochs)")
+    batch: int = _opt(128, "mini-batch size")
+    lr: float = _opt(0.0005, "adaptive-gradient learning rate")
+    dropout: float = _opt(0.6, "dropout keep probability")
+    seed: int = _opt(0, "seed of the weights, sampling and dropout")
+    input_size: int = _opt(60, "square network input side in pixels")
+    use_lrn: bool = _opt(False, "response normalization after each conv (1/true/yes or 0/false/no)")
 
     def apply(self, key: str, value: str):
+        """Set field `key` from its text form."""
+        if key not in _CONVERTERS:
+            raise InvalidArgumentError(f"unknown config key {key!r}")
         try:
-            return self._apply(key, value)
+            setattr(self, key, _CONVERTERS[key](value))
         except ValueError:
             raise InvalidArgumentError(f"bad value {value!r} for config key {key!r}") from None
 
-    def _apply(self, key: str, value: str):
-        if key in self._INT:
-            setattr(self, key, int(value))
-        elif key in self._FLOAT:
-            setattr(self, key, float(value))
-        elif key in self._BOOL:
-            setattr(self, key, value.lower() in ("1", "true", "yes"))
-        elif key in ("train", "heldout", "out"):
-            setattr(self, key, value)
-        else:
-            raise InvalidArgumentError(f"unknown config key {key!r}")
+
+# text-to-value converter of each RunConfig field, shared by argparse and apply
+_CONVERTERS = {
+    name: {int: int, float: float, str: str, bool: boolean}[t]
+    for name, t in get_type_hints(RunConfig).items()
+}
 
 
 def load_run_config(path) -> RunConfig:
@@ -106,15 +114,14 @@ def load_run_config(path) -> RunConfig:
     return cfg
 
 
-def _parse_box(text: str) -> BoundingBox:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InvalidArgumentError(f"box must be cx,cy,w,h, got {text!r}")
-    try:
-        cx, cy, w, h = (float(p) for p in parts)
-    except ValueError:
-        raise InvalidArgumentError(f"non-numeric box {text!r}") from None
-    return BoundingBox(np.array([cx, cy]), w, h)
+def run_config(args) -> RunConfig:
+    """The `train` settings: the config file, if given, overridden by explicit flags."""
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            setattr(cfg, f.name, value)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +159,8 @@ def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
     )
 
 
-def _heldout_row(model, examples, truths, threads):
-    preds = [p.final for p in casc.predict_many(model, examples, threads=threads)]
+def _heldout_row(model, examples, truths):
+    preds = [p.final for p in casc.predict_many(model, examples)]
     rates = met.pdj(preds, truths, model.tree, 0.2)
     keep = rates.valid > 0
     mean_pdj = float(rates.rates[keep].mean()) if keep.any() else 0.0
@@ -166,20 +173,13 @@ def _heldout_row(model, examples, truths, threads):
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    for key in ("train", "heldout", "out"):
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
-    for key in ("stages", "sigma", "crops_per_joint", "stage1_crops", "epochs",
-                "refine_epochs", "batch", "lr", "dropout", "seed", "input_size", "threads"):
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
+    cfg = run_config(args)
     if not cfg.train or not cfg.out:
         print("train: error: --train and --out are required (flag or config file)",
               file=sys.stderr)
         return EXIT_USAGE
+    # every stage's settings are checked before any data is read
+    stage_configs = [_stage_config(cfg, s) for s in range(1, max(cfg.stages, 1) + 1)]
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,20 +202,19 @@ def cmd_train(args) -> int:
 
     report_lines = [f"# held-out set: {held_name}", "stage mean_pdj@0.2 mean_px_error"]
 
-    sc1 = _stage_config(cfg, 1)
+    sc1 = stage_configs[0]
     net1 = casc.train_stage1(examples, manifest.tree, sc1, progress("stage 1"))
     model = casc.CascadeModel([net1], [None], cfg.sigma, manifest.tree, sc1.input_size)
     casc.save_cascade(model, out / "cascade_stage1.model")
-    mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths, cfg.threads)
+    mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
     report_lines.append(f"1 {mean_pdj:.4f} {mean_err:.4f}")
     (out / "heldout_report.txt").write_text("\n".join(report_lines) + "\n")
 
-    for stage in range(2, cfg.stages + 1):
-        stats = casc.fit_displacement_stats(model, examples, threads=cfg.threads)
-        sc = _stage_config(cfg, stage)
+    for stage, sc in enumerate(stage_configs[1:], start=2):
+        stats = casc.fit_displacement_stats(model, examples)
         casc.train_refinement_stage(examples, model, stats, sc, progress(f"stage {stage}"))
         casc.save_cascade(model, out / f"cascade_stage{stage}.model")
-        mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths, cfg.threads)
+        mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
         report_lines.append(f"{stage} {mean_pdj:.4f} {mean_err:.4f}")
         (out / "heldout_report.txt").write_text("\n".join(report_lines) + "\n")
 
@@ -237,7 +236,7 @@ def cmd_eval(args) -> int:
         raise InvalidArgumentError(f"bad --fractions value {args.fractions!r}") from None
     examples = dat.load_examples(manifest)
     truths = [ex.pose for ex in examples]
-    preds = casc.predict_many(model, examples, threads=args.threads)
+    preds = casc.predict_many(model, examples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for s in range(model.num_stages):
@@ -284,7 +283,7 @@ def render_svg(pose: PoseVector, tree, width: int, height: int) -> str:
 def cmd_predict(args) -> int:
     model = casc.load_cascade(args.model)
     image = dat.load_image(args.image)
-    box = _parse_box(args.box) if args.box else None
+    box = parse_box(args.box) if args.box else None
     t0 = time.perf_counter()
     result = casc.predict(model, image, box)
     elapsed = time.perf_counter() - t0
@@ -316,22 +315,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the cascade")
-    p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--train", help="training manifest")
-    p.add_argument("--heldout", help="held-out manifest for the per-stage report")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--stages", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--crops-per-joint", dest="crops_per_joint", type=int)
-    p.add_argument("--stage1-crops", dest="stage1_crops", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--refine-epochs", dest="refine_epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float, help="dropout keep probability")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--input-size", dest="input_size", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--config", help="key=value file keyed by the flag names, with '_' "
+                   "for '-'; flags override it")
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=_CONVERTERS[f.name],
+                       help=f.metadata["help"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a manifest")
@@ -340,7 +328,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--pcp-threshold", dest="pcp_threshold", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict a pose for one image")

@@ -27,7 +27,7 @@ from .errors import (
     ManifestParseError,
     ManifestValidationError,
 )
-from .geometry import BoundingBox, PoseTree, PoseVector
+from .geometry import BoundingBox, PoseTree, PoseVector, parse_box
 
 
 @dataclass
@@ -35,7 +35,6 @@ class AnnotatedExample:
     image_path: str
     pose: PoseVector
     box0: BoundingBox | None = None
-    person_id: str | None = None
 
 
 @dataclass
@@ -74,20 +73,6 @@ class LoadedExample:
 
 # ---------------------------------------------------------------------------
 # manifest text format
-
-
-def _parse_box(token: str, line_no: int) -> BoundingBox:
-    parts = token.split(",")
-    if len(parts) != 4:
-        raise ManifestParseError(line_no, f"box must be cx,cy,w,h, got {token!r}")
-    try:
-        cx, cy, w, h = (float(p) for p in parts)
-    except ValueError:
-        raise ManifestParseError(line_no, f"non-numeric box {token!r}") from None
-    try:
-        return BoundingBox(np.array([cx, cy]), w, h)
-    except Exception as e:
-        raise ManifestValidationError(str(e), line_no) from None
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -146,7 +131,10 @@ def load_manifest(path) -> DatasetManifest:
                         f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}",
                         line_no,
                     )
-                box = None if tokens[1] == "-" else _parse_box(tokens[1], line_no)
+                try:
+                    box = None if tokens[1] == "-" else parse_box(tokens[1])
+                except InvalidArgumentError as e:
+                    raise ManifestParseError(line_no, str(e)) from None
                 try:
                     vals = [float(t) for t in tokens[2:]]
                 except ValueError:

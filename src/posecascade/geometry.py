@@ -83,6 +83,21 @@ class BoundingBox:
         return BoundingBox(self.center + _as_point(t), self.width, self.height)
 
 
+def parse_box(text: str) -> BoundingBox:
+    """The box written as "cx,cy,w,h"; any malformed text, a zero or negative
+    size included, raises InvalidArgumentError."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise InvalidArgumentError(f"box must be cx,cy,w,h, got {text!r}")
+    try:
+        cx, cy, w, h = (float(p) for p in parts)
+        return BoundingBox(np.array([cx, cy]), w, h)
+    except ValueError:
+        raise InvalidArgumentError(f"non-numeric box {text!r}") from None
+    except (InvalidArgumentError, DegenerateBoxError) as e:
+        raise InvalidArgumentError(f"bad box {text!r}: {e}") from None
+
+
 def full_image_box(width: int, height: int) -> BoundingBox:
     """The default box covering a width x height image."""
     return BoundingBox(np.array([width / 2.0, height / 2.0]), float(width), float(height))
@@ -138,22 +153,6 @@ def denormalize_point(v, b: BoundingBox) -> np.ndarray:
     """Inverse of normalize_point: diag(w, h) @ v + center."""
     p = _as_point(v)
     return p * np.array([b.width, b.height]) + b.center
-
-
-def normalize_pose(pose: PoseVector, b: BoundingBox) -> PoseVector:
-    """Apply normalize_point to every present joint; absent joints are zeroed."""
-    out = np.zeros_like(pose.joints)
-    scale = np.array([b.width, b.height])
-    out[pose.mask] = (pose.joints[pose.mask] - b.center) / scale
-    return PoseVector(out, pose.mask.copy())
-
-
-def denormalize_pose(pose: PoseVector, b: BoundingBox) -> PoseVector:
-    """Apply denormalize_point to every present joint; absent joints are zeroed."""
-    out = np.zeros_like(pose.joints)
-    scale = np.array([b.width, b.height])
-    out[pose.mask] = pose.joints[pose.mask] * scale + b.center
-    return PoseVector(out, pose.mask.copy())
 
 
 def pose_diameter(pose: PoseVector, tree: PoseTree) -> float:

@@ -50,6 +50,7 @@ class JointRates:
 class PdjCurve:
     fractions: list[float]
     rates: np.ndarray  # (len(fractions), k)
+    detected: np.ndarray  # (len(fractions), k) int
     valid: np.ndarray  # per joint
     excluded_examples: int
 
@@ -83,26 +84,26 @@ def _limb_rates(hit: np.ndarray, labeled: np.ndarray, zero_len: np.ndarray) -> L
     return LimbRates(rates, detected, valid, (labeled & zero_len).sum(axis=0).astype(int))
 
 
-def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> LimbRates:
-    """Strict percentage of correct parts: both endpoint errors <= threshold * limb length."""
+def _pcp(preds, truths, tree: PoseTree, limb_hit) -> LimbRates:
+    """Limb rates, where limb_hit(err_a, err_b, length) marks the detected limbs."""
     _check_aligned(preds, truths, tree.k)
     err_a, err_b, length = _endpoint_errors(preds, truths, tree)
     labeled = ~np.isnan(length)
     zero_len = labeled & (length == 0.0)
     with np.errstate(invalid="ignore"):
-        hit = (err_a <= threshold * length) & (err_b <= threshold * length)
+        hit = limb_hit(err_a, err_b, length)
     return _limb_rates(hit, labeled, zero_len)
+
+
+def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> LimbRates:
+    """Strict percentage of correct parts: both endpoint errors <= threshold * limb length."""
+    return _pcp(preds, truths, tree,
+                lambda a, b, length: (a <= threshold * length) & (b <= threshold * length))
 
 
 def pcp_loose(preds, truths, tree: PoseTree, threshold: float = 0.5) -> LimbRates:
     """Loose variant: the mean of the two endpoint errors is thresholded."""
-    _check_aligned(preds, truths, tree.k)
-    err_a, err_b, length = _endpoint_errors(preds, truths, tree)
-    labeled = ~np.isnan(length)
-    zero_len = labeled & (length == 0.0)
-    with np.errstate(invalid="ignore"):
-        hit = 0.5 * (err_a + err_b) <= threshold * length
-    return _limb_rates(hit, labeled, zero_len)
+    return _pcp(preds, truths, tree, lambda a, b, length: 0.5 * (a + b) <= threshold * length)
 
 
 def _joint_errors(preds, truths, tree):
@@ -126,33 +127,26 @@ def _joint_errors(preds, truths, tree):
 
 def pdj(preds, truths, tree: PoseTree, fraction: float) -> JointRates:
     """Percent of detected joints: error <= fraction * torso diameter, per joint."""
-    if fraction < 0:
-        raise InvalidArgumentError(f"fraction must be >= 0, got {fraction}")
-    _check_aligned(preds, truths, tree.k)
-    scaled, excluded = _joint_errors(preds, truths, tree)
-    labeled = ~np.isnan(scaled)
-    valid = labeled.sum(axis=0).astype(int)
-    with np.errstate(invalid="ignore"):
-        detected = ((scaled <= fraction) & labeled).sum(axis=0).astype(int)
-    rates = np.divide(detected, valid, out=np.zeros(tree.k), where=valid > 0)
-    return JointRates(rates, detected, valid, excluded)
+    curve = pdj_curve(preds, truths, tree, [fraction])
+    return JointRates(curve.rates[0], curve.detected[0], curve.valid, curve.excluded_examples)
 
 
 def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
     """PDJ at every fraction; rates are non-decreasing in the fraction."""
     fractions = [float(f) for f in fractions]
     if any(f < 0 for f in fractions):
-        raise InvalidArgumentError("fractions must be >= 0")
+        raise InvalidArgumentError(f"fractions must be >= 0, got {fractions}")
     _check_aligned(preds, truths, tree.k)
     scaled, excluded = _joint_errors(preds, truths, tree)
     labeled = ~np.isnan(scaled)
     valid = labeled.sum(axis=0).astype(int)
+    detected = np.zeros((len(fractions), tree.k), dtype=int)
     rates = np.zeros((len(fractions), tree.k))
     with np.errstate(invalid="ignore"):
         for fi, f in enumerate(fractions):
-            detected = ((scaled <= f) & labeled).sum(axis=0)
-            rates[fi] = np.divide(detected, valid, out=np.zeros(tree.k), where=valid > 0)
-    return PdjCurve(fractions, rates, valid, excluded)
+            detected[fi] = ((scaled <= f) & labeled).sum(axis=0)
+            rates[fi] = np.divide(detected[fi], valid, out=np.zeros(tree.k), where=valid > 0)
+    return PdjCurve(fractions, rates, detected, valid, excluded)
 
 
 @dataclass

@@ -32,9 +32,6 @@ FORMAT_VERSION = 2  # 2 added the header's "dtype"; version-1 files are float64
 _DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
-# When enabled, every layer output is checked for NaN/inf during forward.
-DEBUG_CHECK_FINITE = False
-
 
 # ---------------------------------------------------------------------------
 # layer specs
@@ -396,8 +393,6 @@ def forward(
                 caches[idx] = {"mask": mask}
             else:
                 caches[idx] = {"mask": None}
-        if DEBUG_CHECK_FINITE and not np.all(np.isfinite(x)):
-            raise InvalidArgumentError(f"non-finite activation after {type(spec).__name__}")
 
     out = x.reshape(x.shape[0], -1)
     cache = ForwardCache(id(net), net.version, caches, out.shape, single, order)
@@ -439,18 +434,10 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             wmat = p["w"].reshape(-1, spec.filters)
             dx = np.zeros(in_shape, dt)
             s = spec.stride
-            if ch <= 2:
-                # transposed GEMM: each (i, j, c) plane contiguous over (n, oh, ow)
-                dcols_t = (wmat @ gmat.T).reshape(spec.size, spec.size, ch, n, oh, ow)
-                for i in range(spec.size):
-                    for j in range(spec.size):
-                        for cidx in range(ch):
-                            dx[:, i : i + s * oh : s, j : j + s * ow : s, cidx] += dcols_t[i, j, cidx]
-            else:
-                dcols = (gmat @ wmat.T).reshape(n, oh, ow, spec.size, spec.size, ch)
-                for i in range(spec.size):
-                    for j in range(spec.size):
-                        dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += dcols[:, :, :, i, j, :]
+            dcols = (gmat @ wmat.T).reshape(n, oh, ow, spec.size, spec.size, ch)
+            for i in range(spec.size):
+                for j in range(spec.size):
+                    dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += dcols[:, :, :, i, j, :]
             g = dx
         elif isinstance(spec, ReLU):
             g = g.reshape(c["mask"].shape) * c["mask"]
@@ -497,33 +484,20 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
 # loss
 
 
-def l2_loss(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Masked squared-error loss over joint coordinates.
+def l2_loss_batch(
+    pred: np.ndarray, target: np.ndarray, mask: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Masked squared-error loss over joint coordinates, averaged over the batch.
 
-    pred and target are (2k,); mask is (k,) booleans. Joints masked out
-    contribute nothing to either the loss or the gradient.
+    pred and target are (n, 2k); mask is (n, k) booleans. The loss is the
+    mean per-example squared error, and the returned gradient already carries
+    the 1/n factor. Joints masked out contribute nothing to either.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if pred.shape != target.shape or pred.ndim != 1 or pred.shape[0] != 2 * mask.shape[0]:
-        raise ShapeError(
-            f"pred {pred.shape}, target {target.shape}, mask {mask.shape} are inconsistent"
-        )
-    cmask = np.repeat(mask, 2)
-    diff = np.where(cmask, pred - target, 0.0)
-    return float(np.dot(diff, diff)), 2.0 * diff
-
-
-def l2_loss_batch(
-    pred: np.ndarray, target: np.ndarray, mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean-over-batch variant: loss is the mean per-example masked squared
-    error, and the returned gradient already carries the 1/n factor."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if pred.shape != target.shape or pred.shape[1] != 2 * mask.shape[1]:
+    if (pred.shape != target.shape or pred.ndim != 2 or mask.ndim != 2
+            or pred.shape != (mask.shape[0], 2 * mask.shape[1])):
         raise ShapeError(
             f"pred {pred.shape}, target {target.shape}, mask {mask.shape} are inconsistent"
         )
@@ -577,6 +551,14 @@ class TrainConfig:
     learning_rate: float = 0.0005
     dropout_keep: float = 0.6  # consumed where the layer stack is built
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise InvalidArgumentError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise InvalidArgumentError(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
 
 
 def train_epochs(
@@ -682,6 +664,11 @@ def network_from_bytes(data: bytes) -> Network:
         for s in shapes
     ]
     r.finish()
+    for idx, p in enumerate(params):
+        if p is not None and not (np.isfinite(p["w"]).all() and np.isfinite(p["b"]).all()):
+            raise InvalidArgumentError(
+                f"layer {idx} ({_CLS_TO_KIND[type(layers[idx])]}) has non-finite parameters"
+            )
     return Network(input_size, layers, params, output_dim, dtype=_CODE_DTYPES[code])
 
 

@@ -13,8 +13,8 @@ def loss_and_grads(net, x, target, mask, rng_seed=None):
     """
     rng = None if rng_seed is None else np.random.default_rng(rng_seed)
     out, cache = nn.forward(net, x, train_mode=rng_seed is not None, rng=rng)
-    loss, grad = nn.l2_loss(out, target, mask)
-    return loss, nn.backward(net, cache, grad)
+    loss, grad = nn.l2_loss_batch(out[None], target[None], mask[None])
+    return loss, nn.backward(net, cache, grad[0])
 
 
 def max_rel_error(net, x, target, mask, step=1e-6, rng_seed=None):
@@ -24,7 +24,7 @@ def max_rel_error(net, x, target, mask, step=1e-6, rng_seed=None):
     def loss_only():
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
         out, _ = nn.forward(net, x, train_mode=rng_seed is not None, rng=rng)
-        loss, _ = nn.l2_loss(out, target, mask)
+        loss, _ = nn.l2_loss_batch(out[None], target[None], mask[None])
         return loss
 
     worst = 0.0

@@ -336,7 +336,7 @@ def test_cmd_train_determinism(tmp_path):
         code = cli.main([
             "train", "--train", str(synth / "manifest.txt"), "--out", str(out),
             "--stages", "2", "--epochs", "2", "--batch", "16", "--crops-per-joint", "2",
-            "--stage1-crops", "1", "--input-size", "24", "--seed", "13", "--threads", "1",
+            "--stage1-crops", "1", "--input-size", "24", "--seed", "13",
         ])
         assert code == 0
         blobs.append((out / "cascade.model").read_bytes())

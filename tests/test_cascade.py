@@ -364,15 +364,6 @@ def test_three_stage_model_returns_three_poses():
     assert len(result.poses) == 3
 
 
-def test_predict_many_thread_pool_matches_serial():
-    model = _two_stage_model(random_net(7))
-    examples = [example_with_pose(spread_pose(), size=40, seed=s) for s in range(4)]
-    serial = cascade.predict_many(model, examples, threads=1)
-    pooled = cascade.predict_many(model, examples, threads=3)
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a.final.joints, b.final.joints)
-
-
 # --- model serialization ---------------------------------------------------------------
 
 

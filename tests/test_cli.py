@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from posecascade import cli, data
-from posecascade.cascade import load_cascade
+from posecascade import cli, data, nn
+from posecascade.cascade import load_cascade, save_cascade
+from posecascade.errors import InvalidArgumentError
 
 
 def run(*argv):
@@ -34,7 +36,6 @@ def trained_dir(tmp_path_factory, synth_dir):
         "--stage1-crops", "1",
         "--input-size", "24",
         "--seed", "3",
-        "--threads", "1",
     )
     assert code == 0
     return out
@@ -104,7 +105,7 @@ def test_train_determinism_byte_identical(tmp_path, synth_dir):
         code = run(
             "train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out),
             "--stages", "2", "--epochs", "1", "--batch", "16", "--crops-per-joint", "1",
-            "--stage1-crops", "1", "--input-size", "24", "--seed", "5", "--threads", "1",
+            "--stage1-crops", "1", "--input-size", "24", "--seed", "5",
         )
         assert code == 0
         outs.append((out / "cascade.model").read_bytes())
@@ -124,6 +125,57 @@ def test_train_config_file_with_flag_override(tmp_path, synth_dir):
     # flag wins over file value
     assert run("train", "--config", str(cfg), "--out", str(tmp_path / "cfgout2")) == 0
     assert (tmp_path / "cfgout2" / "cascade.model").exists()
+
+
+def test_train_zero_batch_is_data_error(tmp_path, synth_dir, capsys):
+    code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
+               "--batch", "0")
+    assert code == 2
+    assert "batch size" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "cascade_stage1.model").exists()
+
+
+# a non-default text form per field type, and what it converts to
+_SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), str: ("some/path", "some/path"),
+            bool: ("Yes", True)}
+
+
+@pytest.mark.parametrize("f", fields(cli.RunConfig), ids=lambda f: f.name)
+def test_run_config_field_is_flag_and_config_key(tmp_path, f):
+    default = getattr(cli.RunConfig(), f.name)
+    text, value = _SAMPLES[type(default)]
+    assert value != default
+    flag = "--" + f.name.replace("_", "-")
+    by_flag = cli.run_config(cli.build_parser().parse_args(["train", flag, text]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{f.name} = {text}\n")
+    by_key = cli.load_run_config(cfg)
+    assert getattr(by_flag, f.name) == getattr(by_key, f.name) == value
+
+    cfg.write_text(f"{f.name}_typo = {text}\n")
+    with pytest.raises(InvalidArgumentError, match="unknown config key"):
+        cli.load_run_config(cfg)
+    if type(default) is str:
+        return  # every text is a valid string
+    cfg.write_text(f"{f.name} = maybe\n")
+    with pytest.raises(InvalidArgumentError, match="bad value"):
+        cli.load_run_config(cfg)
+    assert run("train", "--config", str(cfg)) == 2
+    with pytest.raises(SystemExit) as e:
+        run("train", flag, "maybe")
+    assert e.value.code == 1
+
+
+def test_train_use_lrn_flag_builds_lrn_stages(tmp_path, synth_dir):
+    out = tmp_path / "lrn"
+    code = run(
+        "train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out),
+        "--stages", "1", "--epochs", "1", "--batch", "16", "--stage1-crops", "0",
+        "--input-size", "24", "--seed", "1", "--use-lrn", "true",
+    )
+    assert code == 0
+    net = load_cascade(out / "cascade.model").stages[0]
+    assert sum(isinstance(s, nn.LRN) for s in net.layers) == 2
 
 
 def test_train_bad_manifest_is_data_error(tmp_path):
@@ -173,7 +225,7 @@ def test_eval_perfect_prediction_fixture(tmp_path, trained_dir, synth_dir, monke
 
     m = data.load_manifest(synth_dir / "manifest.txt")
 
-    def fake_predict_many(model, examples, threads=1):
+    def fake_predict_many(model, examples):
         return [casc.CascadePrediction([ex.pose, ex.pose]) for ex in examples]
 
     monkeypatch.setattr(cli.casc, "predict_many", fake_predict_many)
@@ -226,8 +278,6 @@ def test_predict_explicit_box_zero_model(tmp_path, synth_dir, trained_dir, capsy
             if p is not None:
                 p["w"][:] = 0.0
                 p["b"][:] = 0.0
-    from posecascade.cascade import save_cascade
-
     zpath = tmp_path / "zero.model"
     save_cascade(model, zpath)
     m = data.load_manifest(synth_dir / "manifest.txt")
@@ -240,6 +290,29 @@ def test_predict_explicit_box_zero_model(tmp_path, synth_dir, trained_dir, capsy
         _, _, x, y = line.split()
         assert float(x) == pytest.approx(16.0)
         assert float(y) == pytest.approx(16.0)
+
+
+@pytest.mark.parametrize("box", ["16,16,0,32", "16,x,32,32"])
+def test_predict_malformed_box_is_data_error(synth_dir, trained_dir, capsys, box):
+    m = data.load_manifest(synth_dir / "manifest.txt")
+    img = synth_dir / m.examples[0].image_path
+    code = run("predict", "--model", str(trained_dir / "cascade.model"), "--image", str(img),
+               "--box", box)
+    assert code == 2
+    assert "box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_non_finite_model_is_data_error(tmp_path, synth_dir, trained_dir, capsys, bad):
+    model = load_cascade(trained_dir / "cascade.model")
+    model.stages[1].params[0]["w"].flat[3] = bad
+    path = tmp_path / "bad.model"
+    save_cascade(model, path)
+    m = data.load_manifest(synth_dir / "manifest.txt")
+    img = synth_dir / m.examples[0].image_path
+    assert run("predict", "--model", str(path), "--image", str(img)) == 2
+    err = capsys.readouterr().err
+    assert "stage 2" in err and "layer 0 (conv)" in err and "non-finite" in err
 
 
 def test_predict_bad_image_is_data_error(tmp_path, trained_dir):

@@ -63,6 +63,14 @@ def test_load_manifest_bad_visibility(tmp_path):
         data.load_manifest(p)
 
 
+@pytest.mark.parametrize("box", ["10,12,0,24", "10,12,20,-3", "10,12,20", "10,x,20,24"])
+def test_load_manifest_malformed_box_names_its_line(tmp_path, box):
+    p = tmp_path / "m.txt"
+    p.write_text(MANIFEST.replace("10.0,12.0,20.0,24.0", box))
+    with pytest.raises(ManifestParseError, match="line 11: .*box"):
+        data.load_manifest(p)
+
+
 def test_load_manifest_missing_header(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("limb 0 1\n")

@@ -17,6 +17,7 @@ from posecascade.geometry import (
     full_image_box,
     joint_box,
     normalize_point,
+    parse_box,
     pose_diameter,
 )
 
@@ -24,6 +25,22 @@ from conftest import make_pose
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
+
+
+# --- box text -----------------------------------------------------------------
+
+
+def test_parse_box_values():
+    b = parse_box("10,12.5,20,24")
+    assert np.array_equal(b.center, [10.0, 12.5])
+    assert (b.width, b.height) == (20.0, 24.0)
+
+
+@pytest.mark.parametrize("text", ["", "1,2,3", "1,2,3,4,5", "1,2,w,4", "1,2,0,4", "1,2,4,-1",
+                                  "nan,2,3,4", "1,2,inf,4"])
+def test_parse_box_rejects_malformed_text(text):
+    with pytest.raises(InvalidArgumentError):
+        parse_box(text)
 
 
 # --- normalization -----------------------------------------------------------

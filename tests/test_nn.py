@@ -195,32 +195,18 @@ def test_forward_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
-def test_debug_finite_check_hook():
-    net = fc_net(3, 2, seed=0)
-    net.params[0]["w"][0, 0] = np.inf
-    x = np.ones(3)
-    out, _ = nn.forward(net, x)  # silent without the hook
-    assert not np.all(np.isfinite(out))
-    nn.DEBUG_CHECK_FINITE = True
-    try:
-        with pytest.raises(InvalidArgumentError, match="non-finite"):
-            nn.forward(net, x)
-    finally:
-        nn.DEBUG_CHECK_FINITE = False
-
-
 # --- loss ---------------------------------------------------------------------
 
 
 def test_l2_loss_zero_when_equal():
     pred = np.array([1.0, 2.0, 3.0, 4.0])
-    loss, grad = nn.l2_loss(pred, pred, np.array([True, True]))
+    loss, (grad,) = nn.l2_loss_batch(pred[None], pred[None], np.array([[True, True]]))
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
 
 def test_l2_loss_hand_value():
-    loss, grad = nn.l2_loss(np.array([3.0, 4.0]), np.zeros(2), np.array([True]))
+    loss, (grad,) = nn.l2_loss_batch(np.array([[3.0, 4.0]]), np.zeros((1, 2)), np.array([[True]]))
     assert loss == pytest.approx(25.0)
     assert np.allclose(grad, [6.0, 8.0])
 
@@ -228,14 +214,16 @@ def test_l2_loss_hand_value():
 def test_l2_loss_masked_joint_omitted():
     pred = np.array([3.0, 4.0, 100.0, 100.0])
     target = np.zeros(4)
-    loss, grad = nn.l2_loss(pred, target, np.array([True, False]))
+    loss, (grad,) = nn.l2_loss_batch(pred[None], target[None], np.array([[True, False]]))
     assert loss == pytest.approx(25.0)
     assert np.array_equal(grad[2:], [0.0, 0.0])
 
 
 def test_l2_loss_shape_check():
     with pytest.raises(ShapeError):
-        nn.l2_loss(np.zeros(4), np.zeros(4), np.zeros(3, dtype=bool))
+        nn.l2_loss_batch(np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 3), dtype=bool))
+    with pytest.raises(ShapeError):  # no batch axis
+        nn.l2_loss_batch(np.zeros(4), np.zeros(4), np.zeros(2, dtype=bool))
 
 
 def test_l2_loss_batch_is_mean():
@@ -472,6 +460,24 @@ def test_network_param_shapes_must_match_layers():
     header["param_shapes"][0]["w"] = [2, 3]
     with pytest.raises(InvalidArgumentError, match="param_shapes"):
         nn.network_from_bytes(_pack(header, net, "<f8"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["w", "b"])
+def test_non_finite_parameters_rejected_at_load(bad, key):
+    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(4)], (6, 6, 1), 4,
+                          seed=5, dtype=np.float32)
+    net.params[2][key].flat[1] = bad
+    with pytest.raises(InvalidArgumentError, match=r"layer 2 \(fc\) has non-finite"):
+        nn.network_from_bytes(nn.network_to_bytes(net))
+
+
+@pytest.mark.parametrize("kw", [dict(epochs=-1), dict(epochs=1, batch_size=0),
+                                dict(epochs=1, learning_rate=0.0),
+                                dict(epochs=1, learning_rate=float("nan"))])
+def test_train_config_rejects_bad_settings(kw):
+    with pytest.raises(InvalidArgumentError):
+        nn.TrainConfig(**kw)
 
 
 def test_version1_float64_file_still_loads():
