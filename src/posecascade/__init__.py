@@ -16,8 +16,6 @@ from .cascade import (
     fit_displacement_stats,
     load_cascade,
     predict,
-    predict_stage1,
-    sample_augmented_pair,
     sample_displacement,
     save_cascade,
     train_refinement_stage,

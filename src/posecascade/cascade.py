@@ -15,17 +15,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import container, nn
 from .data import LoadedExample, mirror_example
-from .errors import (
-    DegenerateBoxError,
-    InvalidArgumentError,
-    InvalidStateError,
-    MissingTorsoError,
-)
+from .errors import InvalidArgumentError, InvalidStateError, MissingTorsoError
 from .geometry import (
     BoundingBox,
     PoseTree,
@@ -145,63 +141,36 @@ class CascadeModel:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def add_refinement_stage(self, net: nn.Network, stats: DisplacementStats) -> None:
-        self.stages.append(net)
-        self.stats.append(stats)
-
 
 # ---------------------------------------------------------------------------
-# stage 1
+# stages: every stage trains on views and decodes its output by the same box
+# normalization
 
 
-def _example_box(ex: LoadedExample) -> BoundingBox:
-    if ex.box0 is not None:
-        return ex.box0
-    h, w = ex.image.shape[:2]
-    return full_image_box(w, h)
+class TrainingView(NamedTuple):
+    """One training sample before cropping: the net sees `image` cropped at
+    `box` and regresses, on the joints in `mask`, the joint offsets from the
+    box center scaled by the box size."""
+
+    image: np.ndarray
+    box: BoundingBox
+    offset: np.ndarray  # (k, 2) truth - box center, in pixels
+    mask: np.ndarray  # (k,) bool
+
+    def target(self) -> np.ndarray:
+        t = self.offset / np.array([self.box.width, self.box.height])
+        return np.where(self.mask[:, None], t, 0.0).reshape(-1)
 
 
-def build_stage1_samples(examples, tree, config, rng):
+def _train_stage(views, k: int, config: StageConfig, progress, empty_message: str) -> nn.Network:
     inputs, targets, masks = [], [], []
-    scale = np.zeros(2)
-    for ex in examples:
-        if not ex.pose.mask.any():
-            log.warning("skipping %s: no labeled joints", ex.image_path)
-            continue
-        b0 = _example_box(ex)
-        variants = [(ex.pose, ex.image, b0)]
-        variants.append(mirror_example(ex.pose, ex.image, tree, b0))
-        for pose, img, box in variants:
-            boxes = [box]
-            for _ in range(config.stage1_jitter_crops):
-                shift = rng.uniform(-config.jitter_frac, config.jitter_frac, size=2)
-                boxes.append(box.shifted(shift * np.array([box.width, box.height])))
-            for b in boxes:
-                inputs.append(net_input(img, b, config.input_size).astype(np.float32))
-                scale[:] = (b.width, b.height)
-                t = np.where(pose.mask[:, None], (pose.joints - b.center) / scale, 0.0)
-                targets.append(t.reshape(-1))
-                masks.append(pose.mask)
-    return inputs, targets, masks
-
-
-def train_stage1(
-    examples: list[LoadedExample],
-    tree: PoseTree,
-    config: StageConfig,
-    progress=None,
-) -> nn.Network:
-    """Train the holistic first-stage regressor on normalized full-box crops.
-
-    The set is augmented with left/right mirrors and randomly translated
-    copies of each initial box. Examples without any labeled joint are
-    skipped with a warning.
-    """
-    rng = np.random.default_rng(config.seed)
-    inputs, targets, masks = build_stage1_samples(examples, tree, config, rng)
+    for v in views:
+        inputs.append(net_input(v.image, v.box, config.input_size).astype(np.float32))
+        targets.append(v.target())
+        masks.append(v.mask)
     if not inputs:
-        raise InvalidStateError("no usable training examples")
-    net = config.build_network(2 * tree.k)
+        raise InvalidStateError(empty_message)
+    net = config.build_network(2 * k)
     nn.train_epochs(
         net,
         np.stack(inputs),
@@ -213,17 +182,84 @@ def train_stage1(
     return net
 
 
-def predict_stage1(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = None) -> PoseVector:
-    """Run only the holistic stage: denormalize the net output by the initial box."""
-    if b0 is None:
-        b0 = full_image_box(image.shape[1], image.shape[0])
-    out, _ = nn.forward(model.stages[0], net_input(image, b0, model.input_size))
-    joints = out.reshape(-1, 2) * np.array([b0.width, b0.height]) + b0.center
-    return PoseVector(joints, np.ones(model.tree.k, dtype=bool))
+def _with_mirror(ex: LoadedExample, tree: PoseTree):
+    """(pose, image, initial box) of the example and of its left/right mirror."""
+    b0 = ex.box0 if ex.box0 is not None else full_image_box(ex.image.shape[1], ex.image.shape[0])
+    return [(ex.pose, ex.image, b0), mirror_example(ex.pose, ex.image, tree, b0)]
 
 
-# ---------------------------------------------------------------------------
-# displacement statistics and simulated predictions
+def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.Generator):
+    """Each example and its mirror at the initial box and at
+    `stage1_jitter_crops` copies translated by up to `jitter_frac` of its size."""
+    for ex in examples:
+        if not ex.pose.mask.any():
+            log.warning("skipping %s: no labeled joints", ex.image_path)
+            continue
+        for pose, img, box in _with_mirror(ex, tree):
+            boxes = [box]
+            for _ in range(config.stage1_jitter_crops):
+                shift = rng.uniform(-config.jitter_frac, config.jitter_frac, size=2)
+                boxes.append(box.shifted(shift * np.array([box.width, box.height])))
+            for b in boxes:
+                yield TrainingView(img, b, pose.joints - b.center, pose.mask)
+
+
+def refinement_views(
+    examples, tree: PoseTree, stats: DisplacementStats, config: StageConfig, rng: np.random.Generator
+):
+    """Simulated predictions: for each example and its mirror, each labeled
+    joint i with statistics and each of `crops_per_joint` draws, the square box
+    (side sigma * diameter) at truth + delta, where delta is drawn from joint
+    i's displacement Gaussian; only joint i is unmasked."""
+    k = tree.k
+    for ex in examples:
+        for pose, img, _ in _with_mirror(ex, tree):
+            try:
+                diam = pose_diameter(pose, tree)
+            except MissingTorsoError:
+                diam = 0.0
+            if diam <= 0:
+                log.warning("skipping %s: degenerate pose diameter", ex.image_path)
+                continue
+            side = config.sigma * diam
+            for i in range(k):
+                if not (pose.mask[i] and stats.present[i]):
+                    continue
+                for _ in range(config.crops_per_joint):
+                    delta = sample_displacement(stats, i, rng)
+                    offset = np.zeros((k, 2))
+                    offset[i] = -delta
+                    yield TrainingView(img, BoundingBox(pose.joints[i] + delta, side, side),
+                                       offset, np.arange(k) == i)
+
+
+def train_stage1(
+    examples: list[LoadedExample],
+    tree: PoseTree,
+    config: StageConfig,
+    progress=None,
+) -> nn.Network:
+    """Train the holistic first-stage regressor on stage1_views.
+
+    Examples without any labeled joint are skipped with a warning.
+    """
+    views = stage1_views(examples, tree, config, np.random.default_rng(config.seed))
+    return _train_stage(views, tree.k, config, progress, "no usable training examples")
+
+
+def train_refinement_stage(
+    examples: list[LoadedExample],
+    model: CascadeModel,
+    stats: DisplacementStats,
+    config: StageConfig,
+    progress=None,
+) -> nn.Network:
+    """Train stage s >= 2 on refinement_views and append it to the model."""
+    views = refinement_views(examples, model.tree, stats, config, np.random.default_rng(config.seed))
+    net = _train_stage(views, model.tree.k, config, progress, "refinement training set is empty")
+    model.stages.append(net)
+    model.stats.append(stats)
+    return net
 
 
 def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -> DisplacementStats:
@@ -266,99 +302,6 @@ def sample_displacement(stats: DisplacementStats, i: int, rng: np.random.Generat
     return rng.normal(stats.mean[i], np.sqrt(stats.var[i]))
 
 
-def sample_augmented_pair(
-    example: LoadedExample,
-    i: int,
-    stats: DisplacementStats,
-    sigma: float,
-    tree: PoseTree,
-    rng: np.random.Generator,
-    input_size: tuple[int, int, int],
-):
-    """One refinement training sample for joint i.
-
-    Draws a displacement delta, crops the square box centered on truth+delta
-    (side sigma * diameter), and returns (crop, target, box) where the target
-    is the truth normalized by that box, i.e. -delta scaled by the box size.
-    """
-    if not example.pose.mask[i]:
-        raise InvalidArgumentError(f"joint {i} is not labeled")
-    diam = pose_diameter(example.pose, tree)
-    if diam <= 0:
-        raise DegenerateBoxError("pose diameter is zero")
-    delta = sample_displacement(stats, i, rng)
-    side = sigma * diam
-    box = BoundingBox(example.pose.joints[i] + delta, side, side)
-    crop = net_input(example.image, box, input_size)
-    target = -delta / side
-    return crop, target, box
-
-
-# ---------------------------------------------------------------------------
-# refinement stages
-
-
-def build_refinement_samples(examples, model, stats, config, rng):
-    k = model.tree.k
-    inputs, targets, masks = [], [], []
-    for ex in examples:
-        variants = [ex]
-        mpose, mimg, mbox = mirror_example(ex.pose, ex.image, model.tree, ex.box0)
-        variants.append(LoadedExample(mimg, mpose, mbox, ex.image_path))
-        for v in variants:
-            try:
-                diam = pose_diameter(v.pose, model.tree)
-            except MissingTorsoError:
-                diam = 0.0
-            if diam <= 0:
-                log.warning("skipping %s: degenerate pose diameter", ex.image_path)
-                continue
-            for i in range(k):
-                if not (v.pose.mask[i] and stats.present[i]):
-                    continue
-                for _ in range(config.crops_per_joint):
-                    crop, target, _ = sample_augmented_pair(
-                        v, i, stats, config.sigma, model.tree, rng, config.input_size
-                    )
-                    inputs.append(crop.astype(np.float32))
-                    t = np.zeros(2 * k)
-                    t[2 * i : 2 * i + 2] = target
-                    targets.append(t)
-                    m = np.zeros(k, dtype=bool)
-                    m[i] = True
-                    masks.append(m)
-    return inputs, targets, masks
-
-
-def train_refinement_stage(
-    examples: list[LoadedExample],
-    model: CascadeModel,
-    stats: DisplacementStats,
-    config: StageConfig,
-    progress=None,
-) -> nn.Network:
-    """Train stage s >= 2 on the simulated-prediction set and append it.
-
-    Builds crops_per_joint samples per (example, labeled joint), doubled by
-    mirroring; each sample unmasks only its own joint's two coordinates.
-    """
-    rng = np.random.default_rng(config.seed)
-    inputs, targets, masks = build_refinement_samples(examples, model, stats, config, rng)
-    if not inputs:
-        raise InvalidStateError("refinement training set is empty")
-    net = config.build_network(2 * model.tree.k)
-    nn.train_epochs(
-        net,
-        np.stack(inputs),
-        np.stack(targets),
-        np.stack(masks),
-        config.train,
-        progress=progress,
-    )
-    model.add_refinement_stage(net, stats)
-    return net
-
-
 # ---------------------------------------------------------------------------
 # inference
 
@@ -366,26 +309,30 @@ def train_refinement_stage(
 def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = None) -> CascadePrediction:
     """Run every stage; returns all intermediate poses for diagnostics.
 
-    A zero network output at stage s >= 2 reproduces the previous pose
-    exactly, because each joint's box is centered on its previous estimate.
+    Stage 1 reads every joint from the one initial box; a later stage reads
+    joint i from row i of its output on the box around joint i's previous
+    estimate. Either way the output v decodes as v * box size + box center,
+    so a zero output at stage s >= 2 reproduces the previous pose exactly.
     If an intermediate pose has zero diameter the cascade stops early and the
     result is flagged truncated.
     """
     k = model.tree.k
-    poses = [predict_stage1(model, image, b0)]
-    for s in range(1, model.num_stages):
-        prev = poses[-1]
-        diam = pose_diameter(prev, model.tree)
-        if diam <= 0:
-            return CascadePrediction(poses, truncated=True)
-        boxes = [joint_box(prev, i, model.sigma, model.tree) for i in range(k)]
+    if b0 is None:
+        b0 = full_image_box(image.shape[1], image.shape[0])
+    boxes, rows = [b0], np.zeros(k, dtype=int)
+    poses: list[PoseVector] = []
+    for s, net in enumerate(model.stages):
+        if s > 0:
+            if pose_diameter(poses[-1], model.tree) <= 0:
+                return CascadePrediction(poses, truncated=True)
+            boxes = [joint_box(poses[-1], i, model.sigma, model.tree) for i in range(k)]
+            rows = np.arange(k)
         crops = np.stack([net_input(image, b, model.input_size) for b in boxes])
-        outs, _ = nn.forward(model.stages[s], crops)
-        joints = np.zeros((k, 2))
-        for i, b in enumerate(boxes):
-            v = outs[i, 2 * i : 2 * i + 2]
-            joints[i] = v * np.array([b.width, b.height]) + b.center
-        poses.append(PoseVector(joints, np.ones(k, dtype=bool)))
+        outs, _ = nn.forward(net, crops)
+        v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]
+        size = np.array([[b.width, b.height] for b in boxes])[rows]
+        center = np.array([b.center for b in boxes])[rows]
+        poses.append(PoseVector(v * size + center, np.ones(k, dtype=bool)))
     return CascadePrediction(poses)
 
 

@@ -161,9 +161,7 @@ def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
 
 def _heldout_row(model, examples, truths):
     preds = [p.final for p in casc.predict_many(model, examples)]
-    rates = met.pdj(preds, truths, model.tree, 0.2)
-    keep = rates.valid > 0
-    mean_pdj = float(rates.rates[keep].mean()) if keep.any() else 0.0
+    mean_pdj = float(met.pdj_curve(preds, truths, model.tree, [0.2]).mean_rates()[0])
     errs = []
     for p, t in zip(preds, truths):
         d = np.linalg.norm(p.joints - t.joints, axis=1)
@@ -179,7 +177,9 @@ def cmd_train(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     # every stage's settings are checked before any data is read
-    stage_configs = [_stage_config(cfg, s) for s in range(1, max(cfg.stages, 1) + 1)]
+    if cfg.stages < 1:
+        raise InvalidArgumentError(f"stages must be >= 1, got {cfg.stages}")
+    stage_configs = [_stage_config(cfg, s) for s in range(1, cfg.stages + 1)]
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

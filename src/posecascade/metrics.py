@@ -55,10 +55,8 @@ class PdjCurve:
     excluded_examples: int
 
     def mean_rates(self) -> np.ndarray:
-        """Average across joints at each fraction."""
-        if len(self.fractions) == 0:
-            return np.zeros(0)
-        return self.rates.mean(axis=1)
+        """Average at each fraction over the joints some example labels (0.0 if none)."""
+        return np.array([_mean(r, self.valid) for r in self.rates])
 
 
 def _endpoint_errors(preds, truths, tree):

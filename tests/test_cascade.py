@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, data, nn
 from posecascade.errors import InvalidArgumentError, InvalidStateError
-from posecascade.geometry import full_image_box
+from posecascade.geometry import BoundingBox, denormalize_point, full_image_box
 
 from conftest import make_pose
 
@@ -68,7 +68,7 @@ def example_with_pose(pose, size=32, seed=0):
 def test_predict_stage1_zero_net_centers_everything():
     model = cascade.CascadeModel([zeroed_net()], [None], 1.0, TREE, INPUT)
     img = np.random.default_rng(0).random((20, 30, 1))
-    pose = cascade.predict_stage1(model, img)
+    pose = cascade.predict(model, img).poses[0]
     assert np.allclose(pose.joints, np.tile([15.0, 10.0], (K, 1)))
 
 
@@ -78,15 +78,15 @@ def test_predict_stage1_geometry_reuse():
     net.params[-1]["b"][:] = 0.25
     model = cascade.CascadeModel([net], [None], 1.0, TREE, INPUT)
     img = np.full((220, 220, 1), 0.3)
-    pose = cascade.predict_stage1(model, img)
+    pose = cascade.predict(model, img).poses[0]
     assert np.allclose(pose.joints, 165.0)
 
 
 def test_predict_stage1_deterministic():
     model = cascade.CascadeModel([random_net(3)], [None], 1.0, TREE, INPUT)
     img = np.random.default_rng(1).random((25, 25, 1))
-    a = cascade.predict_stage1(model, img)
-    b = cascade.predict_stage1(model, img)
+    a = cascade.predict(model, img).poses[0]
+    b = cascade.predict(model, img).poses[0]
     assert np.array_equal(a.joints, b.joints)
 
 
@@ -94,10 +94,10 @@ def test_stage1_sample_counts():
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(3)]
     cfg = tiny_stage_config(stage1_jitter_crops=2)
     rng = np.random.default_rng(0)
-    inputs, targets, masks = cascade.build_stage1_samples(examples, TREE, cfg, rng)
+    views = list(cascade.stage1_views(examples, TREE, cfg, rng))
     # 3 examples x 2 flips x (1 base + 2 jitter)
-    assert len(inputs) == 3 * 2 * 3
-    assert len(targets) == len(masks) == len(inputs)
+    assert len(views) == 3 * 2 * 3
+    assert all(v.target().shape == (2 * K,) and v.mask.shape == (K,) for v in views)
 
 
 def test_stage1_skips_fully_unlabeled(caplog):
@@ -106,8 +106,8 @@ def test_stage1_skips_fully_unlabeled(caplog):
         good.image, make_pose(np.zeros((K, 2)), mask=np.zeros(K, bool)), None, "empty"
     )
     cfg = tiny_stage_config(stage1_jitter_crops=0)
-    inputs, _, _ = cascade.build_stage1_samples([good, bad], TREE, cfg, np.random.default_rng(0))
-    assert len(inputs) == 2  # only the labeled example, flipped
+    views = list(cascade.stage1_views([good, bad], TREE, cfg, np.random.default_rng(0)))
+    assert len(views) == 2  # only the labeled example, flipped
 
 
 def test_train_stage1_constant_target_converges():
@@ -123,7 +123,7 @@ def test_train_stage1_constant_target_converges():
     )
     net = cascade.train_stage1(examples, TREE, cfg)
     model = cascade.CascadeModel([net], [None], 1.0, TREE, INPUT)
-    pose = cascade.predict_stage1(model, examples[0].image, full_image_box(16, 16))
+    pose = cascade.predict(model, examples[0].image, full_image_box(16, 16)).poses[0]
     assert np.all(np.abs(pose.joints - 8.0) < 1.0)
 
 
@@ -189,11 +189,17 @@ def _delta_stats(delta):
     return cascade.DisplacementStats(mean, np.zeros((K, 2)), np.ones(K, bool), np.full(K, 10))
 
 
+def _joint_view(ex, i, stats, sigma, rng):
+    """The first refinement view of joint i of ex (not of its mirror): its
+    target coordinates and its box."""
+    cfg = tiny_stage_config(sigma=sigma, crops_per_joint=1)
+    view = next(v for v in cascade.refinement_views([ex], TREE, stats, cfg, rng) if v.mask[i])
+    return view.target()[2 * i : 2 * i + 2], view.box
+
+
 def test_sample_pair_zero_delta_targets_origin():
     ex = example_with_pose(spread_pose())
-    crop, target, box = cascade.sample_augmented_pair(
-        ex, 0, _delta_stats((0.0, 0.0)), 1.0, TREE, np.random.default_rng(0), INPUT
-    )
+    target, box = _joint_view(ex, 0, _delta_stats((0.0, 0.0)), 1.0, np.random.default_rng(0))
     assert np.allclose(target, 0.0)
     assert np.allclose(box.center, ex.pose.joints[0])
 
@@ -209,9 +215,7 @@ def test_sample_pair_hand_value():
     joints = (joints - joints.mean(axis=0)) * scale + [60.0, 60.0]
     pose = make_pose(joints)
     ex = example_with_pose(pose, size=128)
-    crop, target, box = cascade.sample_augmented_pair(
-        ex, 3, _delta_stats((10.0, 0.0)), 1.0, TREE, np.random.default_rng(0), INPUT
-    )
+    target, box = _joint_view(ex, 3, _delta_stats((10.0, 0.0)), 1.0, np.random.default_rng(0))
     assert box.width == pytest.approx(100.0)
     assert np.allclose(target, [-0.1, 0.0], atol=1e-12)
 
@@ -226,41 +230,71 @@ def test_sample_pair_target_bound():
     for _ in range(50):
         delta = rng.uniform(-diam / 2, diam / 2, size=2)
         stats = _delta_stats(delta)
-        _, target, _ = cascade.sample_augmented_pair(ex, 1, stats, 1.0, TREE, rng, INPUT)
+        target, _ = _joint_view(ex, 1, stats, 1.0, rng)
         assert np.all(np.abs(target) <= 0.5 + 1e-12)
 
 
 def test_sample_pair_reconstructs_truth():
-    from posecascade.geometry import denormalize_point
-
     ex = example_with_pose(spread_pose())
     rng = np.random.default_rng(8)
     stats = cascade.DisplacementStats(
         np.zeros((K, 2)), np.full((K, 2), 6.0), np.ones(K, bool), np.full(K, 10)
     )
     for i in range(K):
-        _, target, box = cascade.sample_augmented_pair(ex, i, stats, 1.3, TREE, rng, INPUT)
+        target, box = _joint_view(ex, i, stats, 1.3, rng)
         rec = denormalize_point(target, box)
         assert np.all(np.abs(rec - ex.pose.joints[i]) < 1e-9)
 
 
 def test_refinement_sample_counts():
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(4)]
-    model = _constant_model()
     stats = _delta_stats((0.0, 0.0))
     cfg = tiny_stage_config(crops_per_joint=3)
-    inputs, targets, masks = cascade.build_refinement_samples(
-        examples, model, stats, cfg, np.random.default_rng(0)
-    )
-    assert len(inputs) == 4 * 2 * K * 3  # examples x flips x joints x crops
+    views = list(cascade.refinement_views(examples, TREE, stats, cfg, np.random.default_rng(0)))
+    assert len(views) == 4 * 2 * K * 3  # examples x flips x joints x crops
     # the same bookkeeping at benchmark scale: 11000 x 40 x 2 x 14 is ~12M
     assert 11000 * 40 * 2 * 14 == 12_320_000
-    for t, m in zip(targets, masks):
+    for v in views:
+        t, m = v.target(), v.mask
         assert m.sum() == 1
         (i,) = np.nonzero(m)[0].reshape(1)
         off = np.ones(2 * K, dtype=bool)
         off[2 * i : 2 * i + 2] = False
         assert np.all(t[off] == 0.0)
+
+
+def test_views_of_both_stages_denormalize_to_truth():
+    # for every view of either stage, the target denormalized by the view's
+    # box is the truth on the unmasked joints and exactly 0 on the masked ones
+    mask = np.ones(K, bool)
+    mask[0] = False  # one example leaves the head unlabeled
+    examples = [
+        example_with_pose(spread_pose(center=(15.0, 17.0)), seed=1),
+        example_with_pose(make_pose(spread_pose(center=(17.0, 15.0), scale=6.0).joints, mask), seed=2),
+    ]
+    examples[1].box0 = BoundingBox(np.array([16.0, 15.0]), 24.0, 28.0)
+    truths = []  # pose of every (example, mirror) variant, in view order
+    for ex in examples:
+        truths += [ex.pose, data.mirror_example(ex.pose, ex.image, TREE)[0]]
+    jitter, crops = 3, 4
+    cfg = tiny_stage_config(stage1_jitter_crops=jitter, crops_per_joint=crops, sigma=1.3)
+    rng = np.random.default_rng(4)
+    stats = cascade.DisplacementStats(
+        rng.normal(0.0, 2.0, (K, 2)), rng.uniform(1.0, 9.0, (K, 2)), np.ones(K, bool), np.full(K, 10)
+    )
+    stage1 = list(cascade.stage1_views(examples, TREE, cfg, rng))
+    expected1 = [(p, p.mask) for p in truths for _ in range(1 + jitter)]
+    refine = list(cascade.refinement_views(examples, TREE, stats, cfg, rng))
+    expected2 = [(p, np.arange(K) == i) for p in truths for i in range(K) if p.mask[i]
+                 for _ in range(crops)]
+    assert len(stage1) == len(expected1) and len(refine) == len(expected2)
+    assert len({tuple(v.box.center) for v in stage1}) > len(truths)  # the jitter moved boxes
+    for v, (truth, m) in zip(stage1 + refine, expected1 + expected2):
+        assert np.array_equal(v.mask, m)
+        t = v.target().reshape(K, 2)
+        assert np.all(t[~m] == 0.0)
+        for j in np.nonzero(m)[0]:
+            assert np.all(np.abs(denormalize_point(t[j], v.box) - truth.joints[j]) < 1e-9)
 
 
 def test_train_refinement_rejects_empty():

@@ -135,6 +135,27 @@ def test_train_zero_batch_is_data_error(tmp_path, synth_dir, capsys):
     assert not (tmp_path / "o" / "cascade_stage1.model").exists()
 
 
+@pytest.mark.parametrize("stages", ["0", "-3"])
+@pytest.mark.parametrize("by_key", [False, True], ids=["flag", "config_key"])
+def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch, capsys,
+                                                stages, by_key):
+    def no_data(*args, **kwargs):
+        pytest.fail("data was read before the stage count was checked")
+
+    monkeypatch.setattr(cli.dat, "load_manifest", no_data)
+    out = tmp_path / "o"
+    if by_key:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"train = {synth_dir / 'manifest.txt'}\nout = {out}\nstages = {stages}\n")
+        code = run("train", "--config", str(cfg))
+    else:
+        code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out),
+                   "--stages", stages)
+    assert code == 2
+    assert f"stages must be >= 1, got {stages}" in capsys.readouterr().err
+    assert not (out / "cascade.model").exists()
+
+
 # a non-default text form per field type, and what it converts to
 _SAMPLES = {int: ("7", 7), float: ("0.25", 0.25), str: ("some/path", "some/path"),
             bool: ("Yes", True)}
@@ -238,6 +259,32 @@ def test_eval_perfect_prediction_fixture(tmp_path, trained_dir, synth_dir, monke
     d = json.loads((out / "eval_stage2.json").read_text())
     assert all(r == 1.0 for r in d["pcp_strict"])
     assert all(r == 1.0 for row in d["pdj_rates"] for r in row)
+
+
+def test_mean_pdj_skips_joints_no_example_labels(tmp_path, synth_dir, trained_dir):
+    # no example labels the head: eval's pdj_mean, its average row and the
+    # held-out report all average the other joints
+    m = data.load_manifest(synth_dir / "manifest.txt")
+    for ex in m.examples:
+        ex.image_path = str(synth_dir / ex.image_path)
+        ex.pose.mask[0] = False
+    data.save_manifest(m, tmp_path / "headless.txt")
+    out = tmp_path / "eval"
+    code = run("eval", "--model", str(trained_dir / "cascade.model"),
+               "--manifest", str(tmp_path / "headless.txt"), "--out", str(out),
+               "--fractions", "0.1,0.2,0.3")
+    assert code == 0
+    d = json.loads((out / "eval_stage2.json").read_text())
+    rates, valid = np.array(d["pdj_rates"]), np.array(d["pdj_valid"])
+    assert valid[0] == 0 and np.all(valid[1:] > 0)
+    assert np.allclose(d["pdj_mean"], rates[:, 1:].mean(axis=1), rtol=0, atol=1e-12)
+    average = (out / "eval_stage2.txt").read_text().split("# PDJ")[1].split("\naverage ")[1]
+    assert average.split("\n")[0] == " ".join(f"{r:.4f}" for r in d["pdj_mean"])
+
+    model = load_cascade(trained_dir / "cascade.model")
+    held = data.load_examples(data.load_manifest(tmp_path / "headless.txt"))
+    mean_pdj, _ = cli._heldout_row(model, held, [ex.pose for ex in held])
+    assert mean_pdj == d["pdj_mean"][1]
 
 
 # --- predict ----------------------------------------------------------------------

@@ -122,6 +122,18 @@ def test_pdj_curve_monotone_and_empty():
     assert empty.rates.shape == (0, 4)
 
 
+def test_pdj_mean_rates_skip_joints_without_labels():
+    mask = np.array([True, True, False, True])  # no example labels joint 2
+    gt = make_pose(GT.joints, mask)
+    pred = _shift_pose(gt, [(0.15 * _diam(GT), 0)] + [(0, 0)] * 3)
+    curve = metrics.pdj_curve([pred], [gt], TREE, [0.1, 0.2])
+    assert curve.valid.tolist() == [1, 1, 0, 1]
+    assert curve.mean_rates().tolist() == [2 / 3, 1.0]
+    coincident = make_pose([(5.0, 5.0), (9.0, 0.0), (0.0, 20.0), (5.0, 5.0)])  # no joint counts
+    assert metrics.pdj_curve([coincident], [coincident], TREE, [0.1]).mean_rates().tolist() == [0.0]
+    assert metrics.pdj_curve([pred], [gt], TREE, []).mean_rates().shape == (0,)
+
+
 # --- invariants ------------------------------------------------------------------
 
 
