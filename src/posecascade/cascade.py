@@ -113,7 +113,7 @@ class DisplacementStats:
 @dataclass
 class CascadePrediction:
     poses: list[PoseVector]  # one per completed stage
-    truncated: bool = False  # a degenerate intermediate diameter stopped the cascade
+    truncated: bool = False  # a zero diameter or non-finite output stopped the cascade
 
     @property
     def final(self) -> PoseVector:
@@ -313,8 +313,10 @@ def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = Non
     joint i from row i of its output on the box around joint i's previous
     estimate. Either way the output v decodes as v * box size + box center,
     so a zero output at stage s >= 2 reproduces the previous pose exactly.
-    If an intermediate pose has zero diameter the cascade stops early and the
-    result is flagged truncated.
+    If an intermediate pose has zero diameter, or a refinement stage outputs
+    a non-finite value, the cascade stops at the previous pose and the result
+    is flagged truncated. A non-finite stage-1 output raises
+    InvalidArgumentError, since there is no earlier pose to keep.
     """
     k = model.tree.k
     if b0 is None:
@@ -328,11 +330,17 @@ def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = Non
             boxes = [joint_box(poses[-1], i, model.sigma, model.tree) for i in range(k)]
             rows = np.arange(k)
         crops = np.stack([net_input(image, b, model.input_size) for b in boxes])
-        outs, _ = nn.forward(net, crops)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            outs, _ = nn.forward(net, crops)
         v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]
         size = np.array([[b.width, b.height] for b in boxes])[rows]
         center = np.array([b.center for b in boxes])[rows]
-        poses.append(PoseVector(v * size + center, np.ones(k, dtype=bool)))
+        joints = v * size + center
+        if not np.isfinite(joints).all():
+            if s == 0:
+                raise InvalidArgumentError("stage 1 produced a non-finite output")
+            return CascadePrediction(poses, truncated=True)
+        poses.append(PoseVector(joints, np.ones(k, dtype=bool)))
     return CascadePrediction(poses)
 
 

@@ -306,6 +306,60 @@ def _lrn_window_sum(s: np.ndarray, radius: int) -> np.ndarray:
     return cs[..., hi] - cs[..., lo]
 
 
+def _cells(x6: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four (n, oh, ow, c) cell views of (n, oh, 2, ow, 2, c) 2x2 windows,
+    in row-major order."""
+    return x6[:, :, 0, :, 0], x6[:, :, 0, :, 1], x6[:, :, 1, :, 0], x6[:, :, 1, :, 1]
+
+
+def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pool with stride 2 over (n, h, w, c): returns (y, x6), where x6
+    is x without an odd last row or column as (n, oh, 2, ow, 2, c) windows,
+    a view when h and w are even. No winner is kept: _maxpool2_grad finds it
+    again from x6, so inference never computes it."""
+    n, h, w, ch = x.shape
+    oh, ow = h // 2, w // 2
+    x6 = x[:, : 2 * oh, : 2 * ow, :].reshape(n, oh, 2, ow, 2, ch)
+    a, b, cc, d = _cells(x6)
+    return np.maximum(np.maximum(a, b), np.maximum(cc, d)), x6
+
+
+def _maxpool2_grad(x6: np.ndarray, g: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
+    """Input gradient of _maxpool2: each window's g goes to its first
+    (row-major) maximal cell; a cut odd row or column gets 0."""
+    n, oh, _, ow, _, ch = x6.shape
+    g = g.reshape(n, oh, ow, ch)
+    a, b, cc, d = _cells(x6)
+    bottom = np.maximum(cc, d) > np.maximum(a, b)
+    arg = np.where(bottom, (d > cc).view(np.uint8) + np.uint8(2), (b > a).view(np.uint8))
+    buf = np.empty(x6.shape, g.dtype)
+    for cell, dst in enumerate(_cells(buf)):
+        np.multiply(g, arg == cell, out=dst)
+    dx = buf.reshape(n, 2 * oh, 2 * ow, ch)
+    if dx.shape == in_shape:
+        return dx
+    full = np.zeros(in_shape, g.dtype)
+    full[:, : 2 * oh, : 2 * ow, :] = dx
+    return full
+
+
+def _conv_input_grad(
+    gmat: np.ndarray, w: np.ndarray, in_shape: tuple[int, ...], out_hw: tuple[int, int], stride: int
+) -> np.ndarray:
+    """Input gradient of a conv from its (n*oh*ow, filters) output gradient:
+    one GEMM per kernel offset (i, j), added into the input pixels that
+    offset read (output tap (h, w) read pixel (i + stride*h, j + stride*w))."""
+    n, ch = in_shape[0], in_shape[3]
+    oh, ow = out_hw
+    s = stride
+    dx = np.zeros(in_shape, gmat.dtype)
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            part = (gmat @ w[i, j].T).reshape(n, oh, ow, ch)
+            dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += part
+    return dx
+
+
 def forward(
     net: Network,
     x: np.ndarray,
@@ -357,19 +411,8 @@ def forward(
         elif isinstance(spec, MaxPool):
             s = spec.effective_stride
             if spec.size == 2 and s == 2:
-                # fast path: tournament max over the four disjoint window cells
-                n, h, w, ch = x.shape
-                oh, ow = (h - 2) // 2 + 1, (w - 2) // 2 + 1
-                x6 = x[:, : 2 * oh, : 2 * ow, :].reshape(n, oh, 2, ow, 2, ch)
-                a, b = x6[:, :, 0, :, 0, :], x6[:, :, 0, :, 1, :]
-                cc, d = x6[:, :, 1, :, 0, :], x6[:, :, 1, :, 1, :]
-                top = a >= b
-                m1 = np.where(top, a, b)
-                bot = cc >= d
-                m2 = np.where(bot, cc, d)
-                first = m1 >= m2  # ties route to the earlier (row-major) cell
-                y = np.where(first, m1, m2)
-                arg = np.where(first, np.where(top, 0, 1), np.where(bot, 2, 3))
+                y, x6 = _maxpool2(x)  # fast path over disjoint windows
+                caches[idx] = {"x6": x6, "in_shape": x.shape}
             else:
                 windows = np.lib.stride_tricks.sliding_window_view(
                     x, (spec.size, spec.size), axis=(1, 2)
@@ -378,7 +421,7 @@ def forward(
                 flat = windows.reshape(n, oh, ow, c, spec.size * spec.size)
                 arg = np.argmax(flat, axis=-1)  # first max in row-major window order
                 y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-            caches[idx] = {"arg": arg, "in_shape": x.shape}
+                caches[idx] = {"arg": arg, "in_shape": x.shape}
             x = y
         elif isinstance(spec, FullyConnected):
             orig_shape = x.shape
@@ -429,16 +472,7 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             grads[idx] = {"w": dw, "b": db}
             if idx == cache.run_order[0]:
                 continue  # nothing below consumes the input gradient
-            # scatter the column gradients back; output tap (h, w) touched
-            # input pixel (i + s*h, j + s*w)
-            wmat = p["w"].reshape(-1, spec.filters)
-            dx = np.zeros(in_shape, dt)
-            s = spec.stride
-            dcols = (gmat @ wmat.T).reshape(n, oh, ow, spec.size, spec.size, ch)
-            for i in range(spec.size):
-                for j in range(spec.size):
-                    dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += dcols[:, :, :, i, j, :]
-            g = dx
+            g = _conv_input_grad(gmat, p["w"], in_shape, (oh, ow), spec.stride)
         elif isinstance(spec, ReLU):
             g = g.reshape(c["mask"].shape) * c["mask"]
         elif isinstance(spec, LRN):
@@ -447,27 +481,23 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             inv = scale ** (-spec.beta)
             inner = _lrn_window_sum(g * xin * scale ** (-spec.beta - 1.0), r)
             g = g * inv - 2.0 * spec.alpha * spec.beta * xin * inner
+        elif isinstance(spec, MaxPool) and "x6" in c:
+            g = _maxpool2_grad(c["x6"], g, c["in_shape"])
         elif isinstance(spec, MaxPool):
             arg, in_shape = c["arg"], c["in_shape"]
             n, oh, ow, ch = arg.shape
             g = g.reshape(arg.shape)
             s = spec.effective_stride
             dx = np.zeros(in_shape, dt)
-            if spec.size == 2 and s == 2:
-                buf = np.empty((n, oh, 2, ow, 2, ch), dt)
-                for cell in range(4):
-                    buf[:, :, cell // 2, :, cell % 2, :] = np.where(arg == cell, g, 0.0)
-                dx[:, : 2 * oh, : 2 * ow, :] = buf.reshape(n, 2 * oh, 2 * ow, ch)
+            wi, wj = np.divmod(arg, spec.size)
+            hh = np.arange(oh)[None, :, None, None] * s + wi
+            ww = np.arange(ow)[None, None, :, None] * s + wj
+            nn_idx = np.arange(n)[:, None, None, None]
+            cc = np.arange(ch)[None, None, None, :]
+            if s >= spec.size:
+                dx[nn_idx, hh, ww, cc] = g  # windows disjoint, plain scatter
             else:
-                wi, wj = np.divmod(arg, spec.size)
-                hh = np.arange(oh)[None, :, None, None] * s + wi
-                ww = np.arange(ow)[None, None, :, None] * s + wj
-                nn_idx = np.arange(n)[:, None, None, None]
-                cc = np.arange(ch)[None, None, None, :]
-                if s >= spec.size:
-                    dx[nn_idx, hh, ww, cc] = g  # windows disjoint, plain scatter
-                else:
-                    np.add.at(dx, (nn_idx, hh, ww, cc), g)
+                np.add.at(dx, (nn_idx, hh, ww, cc), g)
             g = dx
         elif isinstance(spec, FullyConnected):
             xin = c["x"]

@@ -274,6 +274,7 @@ def synthetic_experiment(tmp_path_factory):
     return rates, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_synthetic_cascade_stage1_accuracy(synthetic_experiment):
     rates, elapsed = synthetic_experiment
     report(
@@ -283,6 +284,7 @@ def test_synthetic_cascade_stage1_accuracy(synthetic_experiment):
     )
 
 
+@pytest.mark.slow
 def test_synthetic_cascade_refinement_gain(synthetic_experiment):
     rates, elapsed = synthetic_experiment
     gain = rates[(2, 0.1)] - rates[(1, 0.1)]
@@ -293,6 +295,7 @@ def test_synthetic_cascade_refinement_gain(synthetic_experiment):
     )
 
 
+@pytest.mark.slow
 def test_synthetic_cascade_runtime_budget(synthetic_experiment):
     rates, elapsed = synthetic_experiment
     report(

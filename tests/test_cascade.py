@@ -388,6 +388,40 @@ def test_truncation_on_degenerate_diameter():
     assert len(result.poses) == 1
 
 
+def overflowing_net():
+    """Finite float32 parameters whose output overflows to inf on any input:
+    the hidden units are all 3e38 and the output sums two of them."""
+    net = zeroed_net(layers=[nn.FullyConnected(2), nn.FullyConnected(2 * K)])
+    net.params[0]["b"][:] = 3e38
+    net.params[1]["w"][:] = 1.0
+    return net
+
+
+def test_non_finite_refinement_output_truncates_at_previous_pose():
+    img = np.random.default_rng(6).random((40, 40, 1))
+    stats = _delta_stats((0.0, 0.0))
+    for bad_stage in (1, 2):
+        stages = [random_net(1), zeroed_net(2), zeroed_net(3)]
+        stages[bad_stage] = overflowing_net()
+        assert all(np.isfinite(v).all() for net in stages for p in net.params if p for v in p.values())
+        model = cascade.CascadeModel(stages, [None, stats, stats], 1.0, TREE, INPUT)
+        result = cascade.predict(model, img)
+        assert result.truncated
+        assert len(result.poses) == bad_stage
+        good = cascade.predict(
+            cascade.CascadeModel(stages[:bad_stage], [None, stats][:bad_stage], 1.0, TREE, INPUT),
+            img,
+        )
+        assert not good.truncated
+        assert np.array_equal(result.final.joints, good.final.joints)
+
+
+def test_non_finite_stage1_output_is_invalid_argument():
+    model = cascade.CascadeModel([overflowing_net()], [None], 1.0, TREE, INPUT)
+    with pytest.raises(InvalidArgumentError, match="stage 1"):
+        cascade.predict(model, np.random.default_rng(7).random((40, 40, 1)))
+
+
 def test_three_stage_model_returns_three_poses():
     stats = _delta_stats((0.0, 0.0))
     model = cascade.CascadeModel(

@@ -362,6 +362,34 @@ def test_predict_non_finite_model_is_data_error(tmp_path, synth_dir, trained_dir
     assert "stage 2" in err and "layer 0 (conv)" in err and "non-finite" in err
 
 
+def _overflow(net):
+    """Make a default-stack net's output overflow float32 with finite
+    parameters: every hidden unit of the first fully connected layer is 1 and
+    each output sums them times 3e38."""
+    hidden, last = [p for spec, p in zip(net.layers, net.params)
+                    if isinstance(spec, nn.FullyConnected)]
+    hidden["w"][:] = 0.0
+    hidden["b"][:] = 1.0
+    last["w"][:] = 3e38
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_predict_non_finite_stage_output(tmp_path, synth_dir, trained_dir, capsys, stage):
+    model = load_cascade(trained_dir / "cascade.model")
+    _overflow(model.stages[stage - 1])
+    path = tmp_path / "overflow.model"
+    save_cascade(model, path)
+    m = data.load_manifest(synth_dir / "manifest.txt")
+    img = synth_dir / m.examples[0].image_path
+    code = run("predict", "--model", str(path), "--image", str(img))
+    out, err = capsys.readouterr()
+    if stage == 1:  # no earlier pose to keep: a data error naming the stage
+        assert code == 2 and "stage 1" in err and "non-finite" in err
+    else:  # the cascade stops at the stage-1 pose
+        assert code == 0 and "truncated" in err
+        assert {line.split()[0] for line in out.splitlines()} == {"1"}
+
+
 def test_predict_bad_image_is_data_error(tmp_path, trained_dir):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"garbage")

@@ -109,19 +109,66 @@ def test_forward_conv_matches_naive():
         assert np.allclose(out, want.reshape(-1), atol=1e-12)
 
 
-def test_forward_maxpool_general_and_fast_paths_agree():
-    rng = np.random.default_rng(4)
-    x = rng.random((2, 10, 10, 3))
-    fast = nn.init_network([nn.MaxPool(2)], (10, 10, 3), 75, seed=0)
-    slow = nn.init_network([nn.MaxPool(2, stride=2)], (10, 10, 3), 75, seed=0)
-    # force the general path by monkeying the spec's size check: use size 2
-    # stride 2 via the windowed branch (size != 2 not possible here), so
-    # compare against an explicit reshape-max instead
-    out, _ = nn.forward(fast, x)
-    want = x.reshape(2, 5, 2, 5, 2, 3).max(axis=(2, 4)).reshape(2, -1)
-    assert np.array_equal(out, want)
-    out2, _ = nn.forward(slow, x)
-    assert np.array_equal(out2, want)
+def _naive_maxpool(x, size, stride):
+    """Max pool by loops over (n, h, w, c): the pooled map and, per window,
+    the input pixel (row, column) of its first maximal cell in row-major order."""
+    n, h, w, c = x.shape
+    oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
+    y = np.empty((n, oh, ow, c), x.dtype)
+    winner = np.empty((n, oh, ow, c, 2), int)
+    for b, i, j, ch in np.ndindex(n, oh, ow, c):
+        window = x[b, i * stride : i * stride + size, j * stride : j * stride + size, ch]
+        wi, wj = np.unravel_index(np.argmax(window), window.shape)
+        y[b, i, j, ch] = window[wi, wj]
+        winner[b, i, j, ch] = (i * stride + wi, j * stride + wj)
+    return y, winner
+
+
+def test_forward_maxpool_fast_path_matches_naive_loops():
+    # MaxPool(2) and MaxPool(2, stride=2) both run the 2x2 fast path
+    x = np.random.default_rng(4).random((2, 10, 10, 3))
+    want, _ = _naive_maxpool(x, 2, 2)
+    for pool in (nn.MaxPool(2), nn.MaxPool(2, stride=2)):
+        net = nn.init_network([pool], (10, 10, 3), 75, seed=0)
+        out, _ = nn.forward(net, x)
+        assert np.array_equal(out, want.reshape(2, -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hw", [(8, 8), (7, 9), (9, 6)])
+def test_maxpool2_output_and_input_grad_bit_identical_to_loops(hw, dtype):
+    # small integers tie often; the gradient must follow the row-major first max
+    rng = np.random.default_rng(21)
+    x = rng.integers(-2, 3, size=(3,) + hw + (2,)).astype(dtype)
+    want_y, winner = _naive_maxpool(x, 2, 2)
+    g = rng.standard_normal(want_y.shape).astype(dtype)
+    want_dx = np.zeros_like(x)
+    for idx in np.ndindex(g.shape):
+        hh, ww = winner[idx]
+        want_dx[idx[0], hh, ww, idx[3]] += g[idx]
+
+    y, x6 = nn._maxpool2(x)
+    dx = nn._maxpool2_grad(x6, g, x.shape)
+    assert y.dtype == dx.dtype == dtype
+    assert np.array_equal(y, want_y)
+    assert dx.shape == x.shape and np.array_equal(dx, want_dx)
+    net = nn.init_network([nn.MaxPool(2)], x.shape[1:], want_y[0].size, seed=0, dtype=dtype)
+    assert np.array_equal(nn.forward(net, x)[0], want_y.reshape(len(x), -1))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_input_grad_matches_naive_scatter(stride):
+    # integer values keep every sum exact, so any summation order agrees
+    rng = np.random.default_rng(22)
+    n, h, w, c, f, k = 2, 9, 8, 3, 4, 3
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    wt = rng.integers(-3, 4, size=(k, k, c, f)).astype(float)
+    g = rng.integers(-3, 4, size=(n, oh, ow, f)).astype(float)
+    want = np.zeros((n, h, w, c))
+    for b, i, j, a, bb in np.ndindex(n, oh, ow, k, k):
+        want[b, i * stride + a, j * stride + bb] += wt[a, bb] @ g[b, i, j]
+    got = nn._conv_input_grad(g.reshape(-1, f), wt, (n, h, w, c), (oh, ow), stride)
+    assert np.array_equal(got, want)
 
 
 def test_forward_maxpool_odd_input_drops_remainder():
@@ -293,6 +340,25 @@ def test_backward_maxpool_ties_route_to_first(pool):
     assert out[0] == 3.0  # all four cells tie at 3.0
     grads = nn.backward(net, cache, np.array([1.0]))
     assert np.allclose(grads[0]["w"].reshape(-1), [0.0, 3.0])  # cell (0, 0) won
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_after_inference_forward_matches_train_mode(dtype):
+    # without dropout the two modes compute the same forward, so they must
+    # give the same gradients; the inference cache keeps no 2x2 pool winners
+    layers = [nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.Conv(4, 2, stride=2), nn.ReLU(),
+              nn.MaxPool(3, 2), nn.FullyConnected(5)]
+    net = nn.init_network(layers, (17, 17, 2), 5, seed=23, dtype=dtype)
+    rng = np.random.default_rng(24)
+    x = rng.random((4, 17, 17, 2)) - 0.5
+    g = rng.standard_normal((4, 5))
+    out_inf, cache_inf = nn.forward(net, x)
+    out_train, cache_train = nn.forward(net, x, train_mode=True, rng=rng)
+    assert np.array_equal(out_inf, out_train)
+    assert "arg" not in cache_inf.layer_caches[2]
+    for a, b in zip(nn.backward(net, cache_inf, g), nn.backward(net, cache_train, g)):
+        if a is not None:
+            assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
 
 
 # --- optimizer ----------------------------------------------------------------
