@@ -7,7 +7,7 @@ PCP/PDJ evaluation metrics, a manifest-based dataset format, and a synthetic
 stick-figure generator for desk-scale experiments.
 """
 
-from . import cascade, cli, data, geometry, metrics, nn
+from . import cascade, data, geometry, metrics, nn
 from .cascade import (
     CascadeModel,
     CascadePrediction,

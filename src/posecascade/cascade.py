@@ -38,18 +38,19 @@ CASCADE_MAGIC = b"PCCAS\n"
 CASCADE_FORMAT_VERSION = 1
 
 
-def net_input(image: np.ndarray, box: BoundingBox, input_size: tuple[int, int, int]) -> np.ndarray:
-    """Crop, resample to the net input, adapt channels, and center pixel values."""
+def net_input(image: np.ndarray, boxes, input_size: tuple[int, int, int]) -> np.ndarray:
+    """Crop image at each box, resample to the net input, adapt channels, and
+    center pixel values; returns (len(boxes), h, w, c)."""
     h, w, c = input_size
-    crop = crop_resample(image, box, (w, h))
-    if crop.shape[2] != c:
+    crops = crop_resample(image, boxes, (w, h))
+    if crops.shape[3] != c:
         if c == 1:
-            crop = crop.mean(axis=2, keepdims=True)
-        elif crop.shape[2] == 1:
-            crop = np.repeat(crop, c, axis=2)
+            crops = crops.mean(axis=3, keepdims=True)
+        elif crops.shape[3] == 1:
+            crops = np.repeat(crops, c, axis=3)
         else:
-            raise InvalidArgumentError(f"cannot adapt {crop.shape[2]} channels to {c}")
-    return crop - 0.5
+            raise InvalidArgumentError(f"cannot adapt {crops.shape[3]} channels to {c}")
+    return crops - 0.5
 
 
 def default_layers(dropout_keep: float, output_dim: int, use_lrn: bool = False) -> list[nn.LayerSpec]:
@@ -163,19 +164,25 @@ class TrainingView(NamedTuple):
 
 
 def _train_stage(views, k: int, config: StageConfig, progress, empty_message: str) -> nn.Network:
-    inputs, targets, masks = [], [], []
-    for v in views:
-        inputs.append(net_input(v.image, v.box, config.input_size).astype(np.float32))
-        targets.append(v.target())
-        masks.append(v.mask)
-    if not inputs:
+    views = list(views)
+    if not views:
         raise InvalidStateError(empty_message)
+    inputs = np.empty((len(views), *config.input_size), dtype=np.float32)
+    lo = 0
+    while lo < len(views):
+        # one crop call per run of consecutive views on one image, capped at
+        # a mini-batch so its float64 temporaries stay small
+        image, hi = views[lo].image, lo + 1
+        while hi < len(views) and hi - lo < config.train.batch_size and views[hi].image is image:
+            hi += 1
+        inputs[lo:hi] = net_input(image, [v.box for v in views[lo:hi]], config.input_size)
+        lo = hi
     net = config.build_network(2 * k)
     nn.train_epochs(
         net,
-        np.stack(inputs),
-        np.stack(targets),
-        np.stack(masks),
+        inputs,
+        np.stack([v.target() for v in views]),
+        np.stack([v.mask for v in views]),
         config.train,
         progress=progress,
     )
@@ -329,7 +336,7 @@ def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = Non
                 return CascadePrediction(poses, truncated=True)
             boxes = [joint_box(poses[-1], i, model.sigma, model.tree) for i in range(k)]
             rows = np.arange(k)
-        crops = np.stack([net_input(image, b, model.input_size) for b in boxes])
+        crops = net_input(image, boxes, model.input_size)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             outs, _ = nn.forward(net, crops)
         v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]

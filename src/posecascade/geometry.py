@@ -184,13 +184,16 @@ def joint_box(pose: PoseVector, i: int, sigma: float, tree: PoseTree) -> Boundin
     return BoundingBox(pose.joints[i].copy(), side, side)
 
 
-def crop_resample(img: np.ndarray, b: BoundingBox, out_size: tuple[int, int]) -> np.ndarray:
-    """Crop img by box b and bilinearly resample to out_size (width, height).
+def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarray:
+    """Crop img by each box in boxes and bilinearly resample to out_size
+    (width, height); returns (len(boxes), out_h, out_w, C).
 
     Sample positions are the centers of the output pixel grid mapped into the
     box span [center - size/2, center + size/2]. Taps outside the source image
     contribute CROP_FILL, so a box with empty image overlap yields a uniform
-    fill image rather than an error.
+    fill image rather than an error. A crop does not depend on the other boxes
+    of its call: every output pixel is (tap00 * wy0) * wx0 + (tap01 * wy0) *
+    wx1 + (tap10 * wy1) * wx0 + (tap11 * wy1) * wx1, summed left to right.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 2:
@@ -200,33 +203,43 @@ def crop_resample(img: np.ndarray, b: BoundingBox, out_size: tuple[int, int]) ->
     out_w, out_h = int(out_size[0]), int(out_size[1])
     if out_w <= 0 or out_h <= 0:
         raise InvalidArgumentError(f"out_size must be positive, got {out_size}")
-    h, w = img.shape[:2]
+    h, w, ch = img.shape
+    geom = np.array([(b.center[0], b.center[1], b.width, b.height) for b in boxes], dtype=np.float64)
+    if len(geom) == 0:
+        return np.empty((0, out_h, out_w, ch))
+    cx, cy, bw, bh = geom.T[:, :, None]
 
-    # output pixel centers in source pixel coordinates
-    sx = (b.center[0] - b.width / 2.0) + (np.arange(out_w) + 0.5) * (b.width / out_w) - 0.5
-    sy = (b.center[1] - b.height / 2.0) + (np.arange(out_h) + 0.5) * (b.height / out_h) - 0.5
-
+    # output pixel centers in source pixel coordinates, one row per box
+    sx = (cx - bw / 2.0) + (np.arange(out_w) + 0.5) * (bw / out_w) - 0.5
+    sy = (cy - bh / 2.0) + (np.arange(out_h) + 0.5) * (bh / out_h) - 0.5
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
 
-    def gather(yi, xi):
-        # value of pixel (yi, xi) with out-of-range taps replaced by the fill
-        yc = np.clip(yi, 0, h - 1)
-        xc = np.clip(xi, 0, w - 1)
-        vals = img[yc[:, None], xc[None, :], :]
-        ok = ((yi >= 0) & (yi < h))[:, None, None] & ((xi >= 0) & (xi < w))[None, :, None]
-        return np.where(ok, vals, CROP_FILL)
+    # Channel planes padded with a two-pixel fill border. Clipping y0 into
+    # [-2, h] changes it only where both tap rows y0 and y0 + 1 lie outside
+    # the image, and the clipped rows are fill rows (likewise x0 and columns),
+    # so one flat index per output pixel addresses all four taps: tap (dy, dx)
+    # is the plane read at offset dy * pw + dx from the top-left one.
+    pw = w + 4
+    planes = np.full((ch, h + 4, pw), CROP_FILL)
+    planes[:, 2:-2, 2:-2] = np.moveaxis(img, 2, 0)
+    planes = planes.reshape(ch, -1)
+    at = ((np.clip(y0, -2, h) + 2) * pw)[:, :, None] + (np.clip(x0, -2, w) + 2)[:, None, :]
 
-    wx0 = (1.0 - fx)[None, :, None]
-    wx1 = fx[None, :, None]
-    wy0 = (1.0 - fy)[:, None, None]
-    wy1 = fy[:, None, None]
-    out = (
-        gather(y0, x0) * wy0 * wx0
-        + gather(y0, x0 + 1) * wy0 * wx1
-        + gather(y0 + 1, x0) * wy1 * wx0
-        + gather(y0 + 1, x0 + 1) * wy1 * wx1
-    )
-    return out
+    wx = ((1.0 - fx)[:, None, :], fx[:, None, :])
+    wy = ((1.0 - fy)[:, :, None], fy[:, :, None])
+
+    def tap(dy, dx):
+        # (C, n, out_h, out_w) weighted tap, multiplied in place
+        t = np.take(planes[:, dy * pw + dx :], at, axis=1)
+        t *= wy[dy]
+        t *= wx[dx]
+        return t
+
+    out = tap(0, 0)
+    out += tap(0, 1)
+    out += tap(1, 0)
+    out += tap(1, 1)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))

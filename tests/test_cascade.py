@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, data, nn
 from posecascade.errors import InvalidArgumentError, InvalidStateError
-from posecascade.geometry import BoundingBox, denormalize_point, full_image_box
+from posecascade.geometry import BoundingBox, crop_resample, denormalize_point, full_image_box
 
 from conftest import make_pose
 
@@ -60,6 +60,59 @@ def example_with_pose(pose, size=32, seed=0):
     rng = np.random.default_rng(seed)
     img = rng.random((size, size, 1))
     return data.LoadedExample(img, pose, None, f"mem_{seed}")
+
+
+# --- net input --------------------------------------------------------------------
+
+
+def _some_boxes(w, h):
+    return [
+        full_image_box(w, h),
+        BoundingBox(np.array([3.0, h - 2.0]), 10.0, 6.0),  # straddles a corner
+        BoundingBox(np.array([-20.0, 5.0]), 4.0, 4.0),  # fully outside
+        BoundingBox(np.array([w / 2, h / 3]), 0.6, 0.8),  # sub-pixel
+    ]
+
+
+@pytest.mark.parametrize("img_ch, input_size", [
+    (1, (12, 12, 1)),
+    (3, (12, 12, 1)),  # a color image into a gray net
+    (1, (10, 14, 3)),  # a gray image into a color net
+    (3, (10, 14, 3)),
+])
+def test_net_input_of_many_boxes_stacks_per_box_inputs(img_ch, input_size):
+    img = np.random.default_rng(img_ch).random((20, 24, img_ch))
+    boxes = _some_boxes(24, 20)
+    got = cascade.net_input(img, boxes, input_size)
+    want = np.stack([cascade.net_input(img, [b], input_size)[0] for b in boxes])
+    assert got.shape == (len(boxes),) + tuple(input_size)
+    assert np.array_equal(got, want)
+    crops = crop_resample(img, boxes, input_size[1::-1])
+    if img_ch == 3 and input_size[2] == 1:
+        assert np.allclose(got[..., 0], crops.mean(axis=3) - 0.5, atol=1e-12)
+    elif img_ch == 1 and input_size[2] == 3:
+        assert all(np.array_equal(got[..., c], crops[..., 0] - 0.5) for c in range(3))
+
+
+def test_net_input_rejects_unadaptable_channels():
+    with pytest.raises(InvalidArgumentError):
+        cascade.net_input(np.zeros((8, 8, 3)), [full_image_box(8, 8)], (6, 6, 2))
+
+
+def test_training_inputs_are_the_per_view_crops(monkeypatch):
+    # views are cropped in runs that share an image and hold at most
+    # batch_size boxes; the inputs must be the per-view crops in view order
+    examples = [example_with_pose(spread_pose(), seed=s) for s in range(2)]
+    stats = _delta_stats((1.0, -0.5))
+    cfg = tiny_stage_config(crops_per_joint=3)  # 27 views per image, batch_size 8
+    seen = {}
+    monkeypatch.setattr(nn, "train_epochs", lambda net, x, y, m, *a, **kw: seen.update(x=x, y=y))
+    cascade.train_refinement_stage(examples, _constant_model(), stats, cfg)
+    views = list(cascade.refinement_views(examples, TREE, stats, cfg, np.random.default_rng(cfg.seed)))
+    want = np.stack([cascade.net_input(v.image, [v.box], INPUT)[0] for v in views]).astype(np.float32)
+    assert len({id(v.image) for v in views}) == 4 and seen["x"].dtype == np.float32
+    assert np.array_equal(seen["x"], want)
+    assert np.array_equal(seen["y"], np.stack([v.target() for v in views]))
 
 
 # --- stage 1 ----------------------------------------------------------------------
@@ -368,10 +421,8 @@ def test_refinement_locality_bound():
     diam = pose_diameter(result.poses[0], TREE)
     outs, _ = nn.forward(
         model.stages[1],
-        np.stack([
-            cascade.net_input(img, cascade.joint_box(result.poses[0], i, 1.0, TREE), INPUT)
-            for i in range(K)
-        ]),
+        cascade.net_input(img, [cascade.joint_box(result.poses[0], i, 1.0, TREE) for i in range(K)],
+                          INPUT),
     )
     bound = np.abs(outs).max() * 1.0 * diam
     moved = np.abs(result.poses[1].joints - result.poses[0].joints)

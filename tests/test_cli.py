@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,3 +413,15 @@ def test_predict_malformed_model_is_data_error(tmp_path, synth_dir, trained_dir,
     img = synth_dir / m.examples[0].image_path
     assert run("predict", "--model", str(bad), "--image", str(img)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # the package must not import cli, or `python -m posecascade.cli` warns
+    # that the module was already in sys.modules when it ran as __main__
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "posecascade.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

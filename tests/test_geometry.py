@@ -198,13 +198,13 @@ def test_joint_box_requires_present_joint(tiny_tree):
 def test_crop_identity():
     rng = np.random.default_rng(1)
     img = rng.random((12, 10, 1))
-    out = crop_resample(img, full_image_box(10, 12), (10, 12))
+    out = crop_resample(img, [full_image_box(10, 12)], (10, 12))[0]
     assert np.array_equal(out, img)
 
 
 def test_crop_checkerboard_mean():
     img = np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None]
-    out = crop_resample(img, full_image_box(2, 2), (1, 1))
+    out = crop_resample(img, [full_image_box(2, 2)], (1, 1))[0]
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == pytest.approx(0.5)
 
@@ -212,14 +212,14 @@ def test_crop_checkerboard_mean():
 def test_crop_fully_outside_is_fill():
     img = np.zeros((4, 4, 1))
     b = BoundingBox(np.array([100.0, 100.0]), 8.0, 8.0)
-    out = crop_resample(img, b, (3, 3))
+    out = crop_resample(img, [b], (3, 3))[0]
     assert np.all(out == CROP_FILL)
 
 
 def test_crop_rejects_bad_out_size():
     img = np.zeros((4, 4, 1))
     with pytest.raises(InvalidArgumentError):
-        crop_resample(img, full_image_box(4, 4), (0, 3))
+        crop_resample(img, [full_image_box(4, 4)], (0, 3))
 
 
 def _naive_crop(img, b, out_size):
@@ -252,6 +252,85 @@ def test_crop_matches_naive_oracle():
     for _ in range(8):
         b = BoundingBox(rng.uniform(-3, 13, size=2), rng.uniform(0.5, 15), rng.uniform(0.5, 15))
         out_size = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        got = crop_resample(img, b, out_size)
+        got = crop_resample(img, [b], out_size)[0]
         want = _naive_crop(img, b, out_size)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def _crop_reference(img, b, out_size):
+    """The one-box crop_resample of before batching: clip each tap, then
+    replace out-of-image taps by the fill with np.where."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim == 2:
+        img = img[:, :, None]
+    out_w, out_h = int(out_size[0]), int(out_size[1])
+    h, w = img.shape[:2]
+    sx = (b.center[0] - b.width / 2.0) + (np.arange(out_w) + 0.5) * (b.width / out_w) - 0.5
+    sy = (b.center[1] - b.height / 2.0) + (np.arange(out_h) + 0.5) * (b.height / out_h) - 0.5
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+
+    def gather(yi, xi):
+        yc = np.clip(yi, 0, h - 1)
+        xc = np.clip(xi, 0, w - 1)
+        vals = img[yc[:, None], xc[None, :], :]
+        ok = ((yi >= 0) & (yi < h))[:, None, None] & ((xi >= 0) & (xi < w))[None, :, None]
+        return np.where(ok, vals, CROP_FILL)
+
+    wx0 = (1.0 - fx)[None, :, None]
+    wx1 = fx[None, :, None]
+    wy0 = (1.0 - fy)[:, None, None]
+    wy1 = fy[:, None, None]
+    return (
+        gather(y0, x0) * wy0 * wx0
+        + gather(y0, x0 + 1) * wy0 * wx1
+        + gather(y0 + 1, x0) * wy1 * wx0
+        + gather(y0 + 1, x0 + 1) * wy1 * wx1
+    )
+
+
+def _mixed_boxes(rng, h, w):
+    """Boxes inside the image, straddling each edge, fully outside it,
+    sub-pixel, and with width != height."""
+    boxes = [
+        full_image_box(w, h),
+        BoundingBox(np.array([w / 2, h / 2]), w / 3, h / 5),  # inside, w != h
+        BoundingBox(np.array([0.0, h / 2]), 6.0, 6.0),  # straddles the left edge
+        BoundingBox(np.array([w - 0.3, h + 1.0]), 5.0, 9.0),  # straddles a corner
+        BoundingBox(np.array([w / 2, -1.5]), 3.0, 4.0),  # straddles the top edge
+        BoundingBox(np.array([-50.0, h / 2]), 8.0, 8.0),  # fully outside
+        BoundingBox(np.array([w + 30.0, h + 30.0]), 4.0, 2.0),  # fully outside
+        BoundingBox(np.array([3.3, 4.7]), 0.4, 0.25),  # sub-pixel
+        BoundingBox(np.array([w - 0.5, h - 0.5]), 0.7, 0.9),  # sub-pixel at the corner
+    ]
+    for _ in range(40):
+        boxes.append(BoundingBox(rng.uniform(-0.5 * w, 1.5 * w, size=2),
+                                 rng.uniform(0.1, 2.0 * w), rng.uniform(0.1, 2.0 * h)))
+    return boxes
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("out_size", [(6, 6), (7, 4), (1, 3)])
+def test_batched_crop_bit_identical_to_per_box_reference(channels, out_size):
+    rng = np.random.default_rng(channels * 10 + out_size[0])
+    img = rng.random((9, 13, channels))
+    boxes = _mixed_boxes(rng, 9, 13)
+    got = crop_resample(img, boxes, out_size)
+    want = np.stack([_crop_reference(img, b, out_size) for b in boxes])
+    assert got.shape == (len(boxes), out_size[1], out_size[0], channels)
+    assert np.array_equal(got, want)
+
+
+def test_batched_crop_of_2d_image_matches_reference():
+    img = np.random.default_rng(4).random((8, 8))
+    boxes = _mixed_boxes(np.random.default_rng(5), 8, 8)
+    assert np.array_equal(crop_resample(img, boxes, (5, 6)),
+                          np.stack([_crop_reference(img, b, (5, 6)) for b in boxes]))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (5, 7, 1), (5, 7, 3)])
+def test_crop_of_zero_boxes_is_empty_batch(shape):
+    out = crop_resample(np.zeros(shape), [], (4, 3))
+    assert out.shape == (0, 3, 4, shape[2] if len(shape) == 3 else 1)
