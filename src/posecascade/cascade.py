@@ -261,7 +261,16 @@ def train_refinement_stage(
     config: StageConfig,
     progress=None,
 ) -> nn.Network:
-    """Train stage s >= 2 on refinement_views and append it to the model."""
+    """Train stage s >= 2 on refinement_views and append it to the model.
+
+    config must carry the model's sigma and input_size, the box side and
+    crop size predict serves the stage with.
+    """
+    if config.sigma != model.sigma or tuple(config.input_size) != tuple(model.input_size):
+        raise InvalidArgumentError(
+            f"stage config (sigma {config.sigma}, input {tuple(config.input_size)}) does not "
+            f"match the model (sigma {model.sigma}, input {tuple(model.input_size)})"
+        )
     views = refinement_views(examples, model.tree, stats, config, np.random.default_rng(config.seed))
     net = _train_stage(views, model.tree.k, config, progress, "refinement training set is empty")
     model.stages.append(net)

@@ -309,39 +309,33 @@ def default_tree() -> PoseTree:
     )
 
 
+# The figure's fixed proportions and looks: each range is drawn uniformly
+# per figure. Lengths are fractions of the sampled torso length, the torso
+# itself a fraction of min(image dims); angles are in radians.
+TORSO_FRAC = (0.36, 0.52)
+SHOULDER_FRAC = (0.30, 0.40)
+HIP_FRAC = (0.22, 0.32)
+HEAD_FRAC = (0.24, 0.34)
+UPPER_ARM_FRAC = (0.40, 0.52)
+FOREARM_FRAC = (0.34, 0.46)
+TILT_RANGE = (-0.30, 0.30)
+SHOULDER_ANGLE_RANGE = (0.15, 1.25)  # outward from down
+ELBOW_ANGLE_RANGE = (-1.00, 1.00)  # relative to upper arm
+THICKNESS_RANGE = (1.4, 2.6)  # stroke width in pixels
+INK_RANGE = (0.05, 0.30)  # stroke intensity
+BACKGROUND = 0.85
+
+
 @dataclass
 class SynthConfig:
     count: int
     seed: int = 0
     image_size: tuple[int, int] = (64, 64)  # (width, height)
-    # proportions relative to the sampled torso length
-    torso_frac: tuple[float, float] = (0.36, 0.52)  # of min(image dims)
-    shoulder_frac: tuple[float, float] = (0.30, 0.40)
-    hip_frac: tuple[float, float] = (0.22, 0.32)
-    head_frac: tuple[float, float] = (0.24, 0.34)
-    upper_arm_frac: tuple[float, float] = (0.40, 0.52)
-    forearm_frac: tuple[float, float] = (0.34, 0.46)
-    # angle ranges (radians)
-    tilt_range: tuple[float, float] = (-0.30, 0.30)
-    shoulder_angle_range: tuple[float, float] = (0.15, 1.25)  # outward from down
-    elbow_angle_range: tuple[float, float] = (-1.00, 1.00)  # relative to upper arm
-    # rendering
-    thickness_range: tuple[float, float] = (1.4, 2.6)
-    ink_range: tuple[float, float] = (0.05, 0.30)
-    background: float = 0.85
-    noise_level: float = 0.03
+    noise_level: float = 0.03  # std of the background noise
 
     def __post_init__(self):
         if self.count < 1:
             raise InvalidArgumentError("count must be >= 1")
-        for name in (
-            "torso_frac", "shoulder_frac", "hip_frac", "head_frac", "upper_arm_frac",
-            "forearm_frac", "tilt_range", "shoulder_angle_range", "elbow_angle_range",
-            "thickness_range", "ink_range",
-        ):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise InvalidArgumentError(f"empty or invalid range {name}={lo, hi}")
 
 
 def _rot(v: np.ndarray, angle: float) -> np.ndarray:
@@ -355,26 +349,26 @@ def sample_pose(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     margin = 2.5
     u = rng.uniform
     for _ in range(100):
-        t = u(*config.torso_frac) * min(w, h)
-        tilt = u(*config.tilt_range)
+        t = u(*TORSO_FRAC) * min(w, h)
+        tilt = u(*TILT_RANGE)
         down = np.array([math.sin(tilt), math.cos(tilt)])
         perp = np.array([math.cos(tilt), -math.sin(tilt)])
         neck = np.array([u(0.30, 0.70) * w, u(0.22, 0.45) * h])
         pelvis = neck + t * down
-        sw = u(*config.shoulder_frac) * t
-        hw = u(*config.hip_frac) * t
+        sw = u(*SHOULDER_FRAC) * t
+        hw = u(*HIP_FRAC) * t
         joints = np.zeros((9, 2))
-        joints[0] = neck - u(*config.head_frac) * t * down
+        joints[0] = neck - u(*HEAD_FRAC) * t * down
         joints[1] = neck - sw * perp  # left
         joints[2] = neck + sw * perp
         joints[7] = pelvis - hw * perp
         joints[8] = pelvis + hw * perp
         for side, sh, el, wr in ((+1, 1, 3, 5), (-1, 2, 4, 6)):
-            ua = u(*config.upper_arm_frac) * t
-            fa = u(*config.forearm_frac) * t
-            upper = _rot(down, side * u(*config.shoulder_angle_range))
+            ua = u(*UPPER_ARM_FRAC) * t
+            fa = u(*FOREARM_FRAC) * t
+            upper = _rot(down, side * u(*SHOULDER_ANGLE_RANGE))
             joints[el] = joints[sh] + ua * upper
-            fore = _rot(upper, side * u(*config.elbow_angle_range))
+            fore = _rot(upper, side * u(*ELBOW_ANGLE_RANGE))
             joints[wr] = joints[el] + fa * fore
         if (
             joints[:, 0].min() >= margin
@@ -406,8 +400,8 @@ def render_figure(config: SynthConfig, joints: np.ndarray, render_rng: np.random
     so the same rng state and joints always reproduce the same image.
     """
     w, h = config.image_size
-    thickness = render_rng.uniform(*config.thickness_range)
-    ink = render_rng.uniform(*config.ink_range)
+    thickness = render_rng.uniform(*THICKNESS_RANGE)
+    ink = render_rng.uniform(*INK_RANGE)
     noise = render_rng.normal(0.0, config.noise_level, size=(h, w))
 
     px, py = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
@@ -423,7 +417,7 @@ def render_figure(config: SynthConfig, joints: np.ndarray, render_rng: np.random
     d = np.hypot(px - joints[0][0], py - joints[0][1])
     alpha = np.maximum(alpha, np.clip((head_r + aa / 2.0 - d) / aa, 0.0, 1.0))
 
-    bg = np.clip(config.background + noise, 0.0, 1.0)
+    bg = np.clip(BACKGROUND + noise, 0.0, 1.0)
     return np.clip(bg * (1.0 - alpha) + ink * alpha, 0.0, 1.0)
 
 

@@ -54,10 +54,6 @@ class PoseVector:
     def k(self) -> int:
         return self.joints.shape[0]
 
-    def flat(self) -> np.ndarray:
-        """Joints as a single (2k,) vector (x1, y1, ..., xk, yk)."""
-        return self.joints.reshape(-1).copy()
-
 
 @dataclass
 class BoundingBox:
@@ -191,9 +187,10 @@ def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarr
     Sample positions are the centers of the output pixel grid mapped into the
     box span [center - size/2, center + size/2]. Taps outside the source image
     contribute CROP_FILL, so a box with empty image overlap yields a uniform
-    fill image rather than an error. A crop does not depend on the other boxes
-    of its call: every output pixel is (tap00 * wy0) * wx0 + (tap01 * wy0) *
-    wx1 + (tap10 * wy1) * wx0 + (tap11 * wy1) * wx1, summed left to right.
+    fill image rather than an error, however far away the box lies. A crop
+    does not depend on the other boxes of its call: every output pixel is
+    (tap00 * wy0) * wx0 + (tap01 * wy0) * wx1 + (tap10 * wy1) * wx0 +
+    (tap11 * wy1) * wx1, summed left to right.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 2:
@@ -209,24 +206,30 @@ def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarr
         return np.empty((0, out_h, out_w, ch))
     cx, cy, bw, bh = geom.T[:, :, None]
 
-    # output pixel centers in source pixel coordinates, one row per box
-    sx = (cx - bw / 2.0) + (np.arange(out_w) + 0.5) * (bw / out_w) - 0.5
-    sy = (cy - bh / 2.0) + (np.arange(out_h) + 0.5) * (bh / out_h) - 0.5
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
+    # output pixel centers in source pixel coordinates, one row per box; a
+    # box near the float range can overflow them to +-inf, whose taps are
+    # fill anyway, so their weights are zeroed rather than left NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx = (cx - bw / 2.0) + (np.arange(out_w) + 0.5) * (bw / out_w) - 0.5
+        sy = (cy - bh / 2.0) + (np.arange(out_h) + 0.5) * (bh / out_h) - 0.5
+        x0, y0 = np.floor(sx), np.floor(sy)
+        fx, fy = sx - x0, sy - y0
+    fx = np.where(np.isfinite(fx), fx, 0.0)
+    fy = np.where(np.isfinite(fy), fy, 0.0)
 
-    # Channel planes padded with a two-pixel fill border. Clipping y0 into
-    # [-2, h] changes it only where both tap rows y0 and y0 + 1 lie outside
-    # the image, and the clipped rows are fill rows (likewise x0 and columns),
-    # so one flat index per output pixel addresses all four taps: tap (dy, dx)
-    # is the plane read at offset dy * pw + dx from the top-left one.
+    # Channel planes padded with a two-pixel fill border. Clipping the top
+    # tap row y0 into [-2, h] changes it only where both tap rows lie
+    # outside the image, and the clipped rows are fill rows (likewise
+    # columns); clipping before the int cast keeps far-away rows in range.
+    # So one flat index per output pixel addresses all four taps: tap
+    # (dy, dx) is the plane read at offset dy * pw + dx from the top-left one.
     pw = w + 4
     planes = np.full((ch, h + 4, pw), CROP_FILL)
     planes[:, 2:-2, 2:-2] = np.moveaxis(img, 2, 0)
     planes = planes.reshape(ch, -1)
-    at = ((np.clip(y0, -2, h) + 2) * pw)[:, :, None] + (np.clip(x0, -2, w) + 2)[:, None, :]
+    y0 = np.clip(y0, -2, h).astype(np.int64)
+    x0 = np.clip(x0, -2, w).astype(np.int64)
+    at = ((y0 + 2) * pw)[:, :, None] + (x0 + 2)[:, None, :]
 
     wx = ((1.0 - fx)[:, None, :], fx[:, None, :])
     wy = ((1.0 - fy)[:, :, None], fy[:, :, None])

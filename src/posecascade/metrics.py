@@ -39,20 +39,12 @@ class LimbRates:
 
 
 @dataclass
-class JointRates:
-    rates: np.ndarray  # per joint
-    detected: np.ndarray
-    valid: np.ndarray
-    excluded_examples: int  # no labeled torso pair or zero diameter
-
-
-@dataclass
 class PdjCurve:
     fractions: list[float]
     rates: np.ndarray  # (len(fractions), k)
     detected: np.ndarray  # (len(fractions), k) int
     valid: np.ndarray  # per joint
-    excluded_examples: int
+    excluded_examples: int  # no labeled torso pair or zero diameter
 
     def mean_rates(self) -> np.ndarray:
         """Average at each fraction over the joints some example labels (0.0 if none)."""
@@ -123,14 +115,10 @@ def _joint_errors(preds, truths, tree):
     return scaled, excluded
 
 
-def pdj(preds, truths, tree: PoseTree, fraction: float) -> JointRates:
-    """Percent of detected joints: error <= fraction * torso diameter, per joint."""
-    curve = pdj_curve(preds, truths, tree, [fraction])
-    return JointRates(curve.rates[0], curve.detected[0], curve.valid, curve.excluded_examples)
-
-
 def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
-    """PDJ at every fraction; rates are non-decreasing in the fraction."""
+    """Percent of detected joints, per joint, at every fraction: a joint is
+    detected when its error is <= fraction * torso diameter. Rates are
+    non-decreasing in the fraction."""
     fractions = [float(f) for f in fractions]
     if any(f < 0 for f in fractions):
         raise InvalidArgumentError(f"fractions must be >= 0, got {fractions}")

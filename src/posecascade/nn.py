@@ -224,9 +224,6 @@ class Network:
             if p is not None and (p["w"].dtype != self.dtype or p["b"].dtype != self.dtype):
                 raise InvalidArgumentError(f"parameters must all be {self.dtype}")
 
-    def param_count(self) -> int:
-        return sum(p["w"].size + p["b"].size for p in self.params if p is not None)
-
     def zeroed_like(self) -> list[dict | None]:
         """Gradient/accumulator buffers with the same shapes as params."""
         return [
@@ -274,7 +271,6 @@ class ForwardCache:
     net_version: int
     layer_caches: list  # indexed by layer
     output_shape: tuple[int, ...]
-    single: bool  # input came without a batch axis
     run_order: list[int]  # layer indices in the order forward ran them
 
 
@@ -366,19 +362,15 @@ def forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the net on one example or a batch.
+    """Run the net on a batch: x is (n, *input_size), one example per row.
 
-    Returns (output, cache). For a single (h, w, c) input the output is a flat
-    (output_dim,) vector; for a (n, h, w, c) batch it is (n, output_dim). The
-    cache feeds backward(). Dropout draws from rng only in train mode. x is
-    cast to the net's dtype, and so is everything computed from it.
+    Returns (output, cache), the output being (n, output_dim). The cache
+    feeds backward(). Dropout draws from rng only in train mode. x is cast
+    to the net's dtype, and so is everything computed from it.
     """
     x = np.asarray(x, dtype=net.dtype)
-    single = x.ndim == len(net.input_size)
-    if single:
-        x = x[None]
     if x.shape[1:] != tuple(net.input_size):
-        raise ShapeError(f"input shape {x.shape[1:]} does not match net input {net.input_size}")
+        raise ShapeError(f"input shape {x.shape} is not a batch of net inputs {net.input_size}")
     if train_mode and rng is None and any(isinstance(s, Dropout) for s in net.layers):
         raise InvalidArgumentError("train-mode forward through dropout needs an rng")
 
@@ -438,25 +430,20 @@ def forward(
                 caches[idx] = {"mask": None}
 
     out = x.reshape(x.shape[0], -1)
-    cache = ForwardCache(id(net), net.version, caches, out.shape, single, order)
-    return (out[0] if single else out), cache
+    return out, ForwardCache(id(net), net.version, caches, out.shape, order)
 
 
 def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list[dict | None]:
     """Reverse-mode gradients of a scalar loss w.r.t. every parameter.
 
-    output_grad is dLoss/dOutput with the same leading shape the forward
-    produced. Gradients sum over the batch axis.
+    output_grad is dLoss/dOutput, shaped like the forward's output.
+    Gradients sum over the batch axis.
     """
     if cache.net_id != id(net) or cache.net_version != net.version:
         raise ContractViolationError("forward cache does not belong to this network state")
     dt = net.dtype
     g = np.asarray(output_grad, dtype=dt)
-    if cache.single:
-        if g.shape != (cache.output_shape[1],):
-            raise ShapeError(f"output_grad shape {g.shape} does not match {cache.output_shape[1:]}")
-        g = g[None]
-    elif g.shape != cache.output_shape:
+    if g.shape != cache.output_shape:
         raise ShapeError(f"output_grad shape {g.shape} does not match {cache.output_shape}")
 
     grads: list[dict | None] = [None] * len(net.layers)
@@ -494,10 +481,7 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             ww = np.arange(ow)[None, None, :, None] * s + wj
             nn_idx = np.arange(n)[:, None, None, None]
             cc = np.arange(ch)[None, None, None, :]
-            if s >= spec.size:
-                dx[nn_idx, hh, ww, cc] = g  # windows disjoint, plain scatter
-            else:
-                np.add.at(dx, (nn_idx, hh, ww, cc), g)
+            np.add.at(dx, (nn_idx, hh, ww, cc), g)  # overlapping windows may share a winner
             g = dx
         elif isinstance(spec, FullyConnected):
             xin = c["x"]
@@ -628,18 +612,6 @@ def train_epochs(
     return net
 
 
-def evaluate_loss(net: Network, inputs, targets, masks, batch_size: int = 256) -> float:
-    """Mean per-example masked loss in inference mode (no dropout)."""
-    n = len(inputs)
-    total = 0.0
-    for lo in range(0, n, batch_size):
-        xb = inputs[lo : lo + batch_size]
-        out, _ = forward(net, xb)
-        loss, _ = l2_loss_batch(out, targets[lo : lo + batch_size], masks[lo : lo + batch_size])
-        total += loss * len(xb)
-    return total / n
-
-
 # ---------------------------------------------------------------------------
 # serialization: container header (format version, dtype, layers, shapes),
 # then each parameter array as raw little-endian floats of that dtype
@@ -701,12 +673,3 @@ def network_from_bytes(data: bytes) -> Network:
             )
     return Network(input_size, layers, params, output_dim, dtype=_CODE_DTYPES[code])
 
-
-def save_network(net: Network, path) -> None:
-    with open(path, "wb") as f:
-        f.write(network_to_bytes(net))
-
-
-def load_network(path) -> Network:
-    with open(path, "rb") as f:
-        return network_from_bytes(f.read())

@@ -6,15 +6,16 @@ from posecascade import nn
 
 
 def loss_and_grads(net, x, target, mask, rng_seed=None):
-    """Scalar masked L2 loss plus analytic parameter gradients.
+    """Scalar masked L2 loss plus analytic parameter gradients of the one
+    example x, run as a batch of one.
 
     A fresh rng per call keeps dropout masks identical across the repeated
     forwards a finite-difference sweep makes.
     """
     rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-    out, cache = nn.forward(net, x, train_mode=rng_seed is not None, rng=rng)
-    loss, grad = nn.l2_loss_batch(out[None], target[None], mask[None])
-    return loss, nn.backward(net, cache, grad[0])
+    out, cache = nn.forward(net, x[None], train_mode=rng_seed is not None, rng=rng)
+    loss, grad = nn.l2_loss_batch(out, target[None], mask[None])
+    return loss, nn.backward(net, cache, grad)
 
 
 def max_rel_error(net, x, target, mask, step=1e-6, rng_seed=None):
@@ -23,8 +24,8 @@ def max_rel_error(net, x, target, mask, step=1e-6, rng_seed=None):
 
     def loss_only():
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        out, _ = nn.forward(net, x, train_mode=rng_seed is not None, rng=rng)
-        loss, _ = nn.l2_loss_batch(out[None], target[None], mask[None])
+        out, _ = nn.forward(net, x[None], train_mode=rng_seed is not None, rng=rng)
+        loss, _ = nn.l2_loss_batch(out, target[None], mask[None])
         return loss
 
     worst = 0.0

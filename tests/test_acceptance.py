@@ -58,7 +58,8 @@ def test_gradient_correctness_per_layer_kind():
     }
     worst = {}
     for name, net in cases.items():
-        assert net.param_count() <= 1000, f"{name} net has {net.param_count()} params"
+        params = sum(p["w"].size + p["b"].size for p in net.params if p is not None)
+        assert params <= 1000, f"{name} net has {params} params"
         x = rng.random(net.input_size)
         target = rng.random(net.output_dim)
         mask = np.ones(net.output_dim // 2, dtype=bool)
@@ -189,13 +190,13 @@ def test_metric_oracles():
 
     strict = metrics.pcp(preds, gts, tree, 0.5)
     loose = metrics.pcp_loose(preds, gts, tree, 0.5)
-    joint = metrics.pdj(preds, gts, tree, 0.25)
+    joint = metrics.pdj_curve(preds, gts, tree, [0.25])
     det_s, det_l, valid, jdet, jvalid = _naive_counts(preds, gts, tree, 0.5, 0.25)
     ok = (
         strict.detected.tolist() == det_s
         and loose.detected.tolist() == det_l
         and strict.valid.tolist() == valid
-        and joint.detected.tolist() == jdet
+        and joint.detected[0].tolist() == jdet
         and joint.valid.tolist() == jvalid
         and np.all(loose.rates >= strict.rates)
         and strict.detected[0] >= 2  # boundary fixture counted
@@ -270,7 +271,7 @@ def synthetic_experiment(tmp_path_factory):
     for stage in (0, 1):
         preds = [r.poses[min(stage, len(r.poses) - 1)] for r in results]
         for f in (0.1, 0.2):
-            rates[(stage + 1, f)] = float(metrics.pdj(preds, truths, tree, f).rates.mean())
+            rates[(stage + 1, f)] = float(metrics.pdj_curve(preds, truths, tree, [f]).rates[0].mean())
     return rates, time.perf_counter() - t0
 
 
@@ -317,10 +318,10 @@ def test_overfit_sanity():
     x = rng.random((10, 10, 10, 1))
     y = rng.uniform(-0.4, 0.4, size=(10, 8))
     m = np.ones((10, 4), dtype=bool)
-    initial = nn.evaluate_loss(net, x, y, m)
+    initial = nn.l2_loss_batch(nn.forward(net, x)[0], y, m)[0]
     nn.train_epochs(net, x, y, m,
                     nn.TrainConfig(epochs=150, batch_size=10, learning_rate=0.02, seed=71))
-    final = nn.evaluate_loss(net, x, y, m)
+    final = nn.l2_loss_batch(nn.forward(net, x)[0], y, m)[0]
     report("overfit-sanity", final < 0.1 * initial,
            f"initial={initial:.4f} final={final:.4f}")
 

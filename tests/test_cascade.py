@@ -371,6 +371,17 @@ def test_train_refinement_appends_stage():
     assert model.stats[1] is stats
 
 
+@pytest.mark.parametrize("kw", [dict(sigma=1.5), dict(input_size=(10, 10, 1))])
+def test_train_refinement_rejects_config_unlike_model(kw):
+    # predict serves the stage with boxes of the model's sigma, cropped at the
+    # model's input size; a stage trained on other boxes or crops must not join
+    model = _constant_model()
+    with pytest.raises(InvalidArgumentError, match="does not match the model"):
+        cascade.train_refinement_stage([example_with_pose(spread_pose())], model,
+                                       _delta_stats((1.0, 0.5)), tiny_stage_config(**kw))
+    assert model.num_stages == 1
+
+
 # --- cascade inference ----------------------------------------------------------------
 
 

@@ -343,6 +343,16 @@ def test_predict_explicit_box_zero_model(tmp_path, synth_dir, trained_dir, capsy
         assert float(y) == pytest.approx(16.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_predict_far_away_box_runs(synth_dir, trained_dir, capsys):
+    # every crop of a box this far out is the fill image; no numeric warning
+    m = data.load_manifest(synth_dir / "manifest.txt")
+    img = synth_dir / m.examples[0].image_path
+    code = run("predict", "--model", str(trained_dir / "cascade.model"), "--image", str(img),
+               "--box", "1e300,4,4,4")
+    assert code == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("box", ["16,16,0,32", "16,x,32,32"])
 def test_predict_malformed_box_is_data_error(synth_dir, trained_dir, capsys, box):
     m = data.load_manifest(synth_dir / "manifest.txt")

@@ -253,5 +253,3 @@ def test_synth_images_have_contrast(tmp_path):
 def test_synth_rejects_bad_config():
     with pytest.raises(Exception):
         data.SynthConfig(count=0)
-    with pytest.raises(Exception):
-        data.SynthConfig(count=1, torso_frac=(0.5, 0.2))

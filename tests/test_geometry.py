@@ -216,6 +216,21 @@ def test_crop_fully_outside_is_fill():
     assert np.all(out == CROP_FILL)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center, size", [
+    ((1e300, 4.0), (4.0, 4.0)),  # sample positions past the int64 range
+    ((-1e300, 4.0), (4.0, 4.0)),
+    ((4.0, 1e300), (4.0, 4.0)),
+    ((1.5e308, 4.0), (1e308, 4.0)),  # sample positions overflow to inf
+    ((4.0, -1.5e308), (4.0, 1e308)),
+])
+def test_crop_far_outside_is_fill_without_warnings(center, size):
+    img = np.random.default_rng(2).random((6, 5, 1))
+    out = crop_resample(img, [BoundingBox(np.array(center), *size)], (4, 3))
+    assert out.shape == (1, 3, 4, 1)
+    assert np.all(out == CROP_FILL)
+
+
 def test_crop_rejects_bad_out_size():
     img = np.zeros((4, 4, 1))
     with pytest.raises(InvalidArgumentError):

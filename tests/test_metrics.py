@@ -80,25 +80,25 @@ def _diam(pose):
 def test_pdj_inside_fraction_detected():
     d = _diam(GT)
     pred = _shift_pose(GT, [(0.19 * d, 0)] + [(0, 0)] * 3)
-    r = metrics.pdj([pred], [GT], TREE, fraction=0.2)
-    assert r.rates[0] == 1.0
+    r = metrics.pdj_curve([pred], [GT], TREE, [0.2])
+    assert r.rates[0][0] == 1.0
 
 
 def test_pdj_zero_error_any_fraction():
-    r = metrics.pdj([GT], [GT], TREE, fraction=1e-9)
-    assert np.array_equal(r.rates, np.ones(4))
+    r = metrics.pdj_curve([GT], [GT], TREE, [1e-9])
+    assert np.array_equal(r.rates[0], np.ones(4))
 
 
 def test_pdj_boundary_inclusive():
     d = _diam(GT)
     pred = _shift_pose(GT, [(0.2 * d, 0)] + [(0, 0)] * 3)
-    r = metrics.pdj([pred], [GT], TREE, fraction=0.2)
-    assert r.rates[0] == 1.0
+    r = metrics.pdj_curve([pred], [GT], TREE, [0.2])
+    assert r.rates[0][0] == 1.0
 
 
 def test_pdj_zero_diameter_example_excluded():
     gt = make_pose([(5.0, 5.0), (9.0, 0.0), (0.0, 20.0), (5.0, 5.0)])  # torso pair coincident
-    r = metrics.pdj([gt], [gt], TREE, fraction=0.2)
+    r = metrics.pdj_curve([gt], [gt], TREE, [0.2])
     assert r.excluded_examples == 1
     assert r.valid.tolist() == [0, 0, 0, 0]
 
@@ -153,12 +153,12 @@ def test_scale_invariance():
     gts = [make_pose(rng.uniform(0, 40, (4, 2))) for _ in range(5)]
     preds = [make_pose(g.joints + rng.normal(0, 3, (4, 2))) for g in gts]
     base_pcp = metrics.pcp(preds, gts, TREE).rates
-    base_pdj = metrics.pdj(preds, gts, TREE, 0.25).rates
+    base_pdj = metrics.pdj_curve(preds, gts, TREE, [0.25]).rates[0]
     s = 7.3
     gts2 = [make_pose(g.joints * s) for g in gts]
     preds2 = [make_pose(p.joints * s) for p in preds]
     assert np.array_equal(metrics.pcp(preds2, gts2, TREE).rates, base_pcp)
-    assert np.array_equal(metrics.pdj(preds2, gts2, TREE, 0.25).rates, base_pdj)
+    assert np.array_equal(metrics.pdj_curve(preds2, gts2, TREE, [0.25]).rates[0], base_pdj)
 
 
 # --- brute-force recount oracle ---------------------------------------------------
@@ -212,12 +212,12 @@ def test_matches_naive_recount():
         preds.append(make_pose(gts[-1].joints + rng.normal(0, 5, (4, 2))))
     strict = metrics.pcp(preds, gts, TREE, 0.5)
     loose = metrics.pcp_loose(preds, gts, TREE, 0.5)
-    joint = metrics.pdj(preds, gts, TREE, 0.3)
+    joint = metrics.pdj_curve(preds, gts, TREE, [0.3])
     det_s, det_l, valid, jdet, jvalid = _naive_rates(preds, gts, TREE, 0.5, 0.3)
     assert strict.detected.tolist() == det_s
     assert loose.detected.tolist() == det_l
     assert strict.valid.tolist() == valid
-    assert joint.detected.tolist() == jdet
+    assert joint.detected[0].tolist() == jdet
     assert joint.valid.tolist() == jvalid
 
 

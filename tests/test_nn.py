@@ -60,23 +60,23 @@ def test_forward_identity_fc():
     net.params[0]["w"][:] = np.eye(4)
     net.params[0]["b"][:] = 0.0
     x = np.array([0.5, -1.0, 2.0, 7.0])
-    out, _ = nn.forward(net, x)
-    assert np.array_equal(out, x)
+    out, _ = nn.forward(net, x[None])
+    assert np.array_equal(out[0], x)
 
 
 def test_forward_relu():
     net = nn.init_network([nn.ReLU()], (3,), 3, seed=0)
-    out, _ = nn.forward(net, np.array([-1.0, 2.0, 0.0]))
-    assert np.array_equal(out, [0.0, 2.0, 0.0])
+    out, _ = nn.forward(net, np.array([-1.0, 2.0, 0.0])[None])
+    assert np.array_equal(out[0], [0.0, 2.0, 0.0])
 
 
 def test_forward_conv_all_ones():
     net = nn.init_network([nn.Conv(1, 3)], (3, 3, 1), 1, seed=0)
     net.params[0]["w"][:] = 1.0
     net.params[0]["b"][:] = 0.25
-    out, _ = nn.forward(net, np.ones((3, 3, 1)))
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(9.25)
+    out, _ = nn.forward(net, np.ones((3, 3, 1))[None])
+    assert out[0].shape == (1,)
+    assert out[0][0] == pytest.approx(9.25)
 
 
 def _naive_conv(x, w, b, stride):
@@ -104,9 +104,9 @@ def test_forward_conv_matches_naive():
         net = nn.init_network([nn.Conv(3, 3, stride=stride)], (7, 8, 2),
                               3 * ((7 - 3) // stride + 1) * ((8 - 3) // stride + 1), seed=5)
         x = rng.random((7, 8, 2))
-        out, _ = nn.forward(net, x)
+        out, _ = nn.forward(net, x[None])
         want = _naive_conv(x, net.params[0]["w"], net.params[0]["b"], stride)
-        assert np.allclose(out, want.reshape(-1), atol=1e-12)
+        assert np.allclose(out[0], want.reshape(-1), atol=1e-12)
 
 
 def _naive_maxpool(x, size, stride):
@@ -183,7 +183,7 @@ def test_forward_lrn_matches_naive():
     net = nn.init_network([spec], (2, 2, 7), 28, seed=0)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 2, 7))
-    out, _ = nn.forward(net, x)
+    out, _ = nn.forward(net, x[None])
     want = np.zeros_like(x)
     r = spec.depth // 2
     for i in range(2):
@@ -192,13 +192,15 @@ def test_forward_lrn_matches_naive():
                 lo, hi = max(0, c - r), min(6, c + r)
                 s = sum(x[i, j, q] ** 2 for q in range(lo, hi + 1))
                 want[i, j, c] = x[i, j, c] / (spec.k_const + spec.alpha * s) ** spec.beta
-    assert np.allclose(out, want.reshape(-1), atol=1e-12)
+    assert np.allclose(out[0], want.reshape(-1), atol=1e-12)
 
 
 def test_forward_shape_mismatch():
     net = fc_net(4, 2)
     with pytest.raises(ShapeError):
         nn.forward(net, np.ones(5))
+    with pytest.raises(ShapeError):  # one example without its batch axis
+        nn.forward(net, np.ones(4))
 
 
 def test_forward_batch_and_single_agree():
@@ -207,22 +209,22 @@ def test_forward_batch_and_single_agree():
     xs = rng.random((3, 6, 6, 1))
     batch, _ = nn.forward(net, xs)
     for i in range(3):
-        single, _ = nn.forward(net, xs[i])
-        assert np.allclose(batch[i], single, atol=1e-12)
+        single, _ = nn.forward(net, xs[i][None])
+        assert np.allclose(batch[i], single[0], atol=1e-12)
 
 
 def test_dropout_identity_at_inference():
     net = nn.init_network([nn.Dropout(0.4)], (5,), 5, seed=0)
     x = np.arange(5.0)
-    out, _ = nn.forward(net, x, train_mode=False)
-    assert np.array_equal(out, x)
+    out, _ = nn.forward(net, x[None], train_mode=False)
+    assert np.array_equal(out[0], x)
 
 
 def test_dropout_train_scales_by_keep():
     net = nn.init_network([nn.Dropout(0.5)], (1000,), 1000, seed=0)
     x = np.ones(1000)
-    out, _ = nn.forward(net, x, train_mode=True, rng=np.random.default_rng(3))
-    kept = out[out != 0]
+    out, _ = nn.forward(net, x[None], train_mode=True, rng=np.random.default_rng(3))
+    kept = out[0][out[0] != 0]
     assert np.allclose(kept, 2.0)  # inverted scaling
     assert 350 < kept.size < 650
 
@@ -230,16 +232,16 @@ def test_dropout_train_scales_by_keep():
 def test_dropout_train_requires_rng():
     net = nn.init_network([nn.Dropout(0.5)], (4,), 4, seed=0)
     with pytest.raises(InvalidArgumentError):
-        nn.forward(net, np.ones(4), train_mode=True)
+        nn.forward(net, np.ones(4)[None], train_mode=True)
 
 
 def test_forward_deterministic_given_seed():
     net = nn.init_network([nn.FullyConnected(8), nn.Dropout(0.5), nn.FullyConnected(4)],
                           (6,), 4, seed=2)
     x = np.random.default_rng(0).random(6)
-    a, _ = nn.forward(net, x, train_mode=True, rng=np.random.default_rng(77))
-    b, _ = nn.forward(net, x, train_mode=True, rng=np.random.default_rng(77))
-    assert np.array_equal(a, b)
+    a, _ = nn.forward(net, x[None], train_mode=True, rng=np.random.default_rng(77))
+    b, _ = nn.forward(net, x[None], train_mode=True, rng=np.random.default_rng(77))
+    assert np.array_equal(a[0], b[0])
 
 
 # --- loss ---------------------------------------------------------------------
@@ -287,7 +289,7 @@ def test_l2_loss_batch_is_mean():
 
 def test_backward_zero_grad_gives_zero():
     net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(3)], (5, 5, 1), 3, seed=2)
-    out, cache = nn.forward(net, np.random.default_rng(0).random((5, 5, 1)))
+    out, cache = nn.forward(net, np.random.default_rng(0).random((5, 5, 1))[None])
     grads = nn.backward(net, cache, np.zeros_like(out))
     for g in grads:
         if g is not None:
@@ -297,20 +299,20 @@ def test_backward_zero_grad_gives_zero():
 def test_backward_linear_layer_gradient():
     net = fc_net(2, 1)
     x = np.array([1.0, 2.0])
-    out, cache = nn.forward(net, x)
-    grads = nn.backward(net, cache, np.array([1.0]))  # loss = w . x + b
+    out, cache = nn.forward(net, x[None])
+    grads = nn.backward(net, cache, np.array([1.0])[None])  # loss = w . x + b
     assert np.allclose(grads[0]["w"].reshape(-1), [1.0, 2.0])
     assert np.allclose(grads[0]["b"], [1.0])
 
 
 def test_backward_stale_cache_rejected():
     net = fc_net(3, 2)
-    out, cache = nn.forward(net, np.ones(3))
+    out, cache = nn.forward(net, np.ones(3)[None])
     state = nn.OptimizerState.for_network(net)
-    grads = nn.backward(net, cache, np.ones(2))
+    grads = nn.backward(net, cache, np.ones(2)[None])
     nn.adagrad_step(net, grads, state)
     with pytest.raises(ContractViolationError):
-        nn.backward(net, cache, np.ones(2))
+        nn.backward(net, cache, np.ones(2)[None])
 
 
 def test_backward_finite_difference_small_net():
@@ -336,9 +338,9 @@ def test_backward_maxpool_ties_route_to_first(pool):
     net.params[0]["w"][:] = 1.0
     net.params[0]["b"][:] = 0.0
     x = np.array([[[0.0, 3.0], [3.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]])
-    out, cache = nn.forward(net, x)
-    assert out[0] == 3.0  # all four cells tie at 3.0
-    grads = nn.backward(net, cache, np.array([1.0]))
+    out, cache = nn.forward(net, x[None])
+    assert out[0][0] == 3.0  # all four cells tie at 3.0
+    grads = nn.backward(net, cache, np.array([1.0])[None])
     assert np.allclose(grads[0]["w"].reshape(-1), [0.0, 3.0])  # cell (0, 0) won
 
 
@@ -438,10 +440,10 @@ def test_train_epochs_rejects_empty():
 def test_train_epochs_overfits_small_set():
     x, y, m = _toy_regression(n=10, seed=5)
     net = fc_net(4, 2, seed=4)
-    initial = nn.evaluate_loss(net, x, y, m)
+    initial = nn.l2_loss_batch(nn.forward(net, x)[0], y, m)[0]
     nn.train_epochs(net, x, y, m, nn.TrainConfig(epochs=1500, batch_size=10,
                                                  learning_rate=0.3, seed=2))
-    final = nn.evaluate_loss(net, x, y, m)
+    final = nn.l2_loss_batch(nn.forward(net, x)[0], y, m)[0]
     assert final < 0.1 * initial
     assert final < 1e-3  # linearly solvable toy reaches near zero
 
@@ -459,15 +461,13 @@ def test_train_epochs_reports_progress():
 # --- serialization -------------------------------------------------------------
 
 
-def test_network_round_trip(tmp_path):
+def test_network_round_trip():
     net = nn.init_network(
         [nn.Conv(3, 3), nn.ReLU(), nn.LRN(), nn.MaxPool(2), nn.FullyConnected(5),
          nn.Dropout(0.6), nn.FullyConnected(4)],
         (8, 8, 2), 4, seed=13,
     )
-    path = tmp_path / "net.bin"
-    nn.save_network(net, path)
-    loaded = nn.load_network(path)
+    loaded = nn.network_from_bytes(nn.network_to_bytes(net))
     assert loaded.input_size == net.input_size
     assert loaded.output_dim == net.output_dim
     assert loaded.layers == net.layers
@@ -612,7 +612,7 @@ def test_bit_flipped_network_file_loads_or_is_rejected(bit):
     except InvalidArgumentError:
         return
     # a flip that still parses (a parameter, a layer constant) gives a usable net
-    nn.forward(net, np.zeros(net.input_size))
+    nn.forward(net, np.zeros(net.input_size)[None])
 
 
 # --- compute dtype ------------------------------------------------------------------
