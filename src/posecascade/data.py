@@ -336,6 +336,12 @@ class SynthConfig:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidArgumentError("count must be >= 1")
+        if min(self.image_size) < 1:
+            raise InvalidArgumentError(f"image sides must be >= 1, got {self.image_size}")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise InvalidArgumentError(
+                f"noise level must be finite and >= 0, got {self.noise_level}"
+            )
 
 
 def _rot(v: np.ndarray, angle: float) -> np.ndarray:

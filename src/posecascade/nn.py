@@ -9,7 +9,14 @@ backward produces exact reverse-mode gradients, and updates follow the
 adaptive-gradient rule (squared gradients accumulate per parameter and scale
 the step down over time).
 
-Array layout is (height, width, channels) per example; batches prepend N.
+Callers pass batches laid out (n, height, width, channels) and get (n,
+output_dim) back. Inside forward and backward, activations are channel-major,
+(channels, n, height, width): a conv's im2col matrix is then k*k contiguous
+slice copies and its GEMM output is already the next activation, and pools
+work on contiguous (channels * n, height, width) planes. For one channel the
+conversion at entry is a free view. Weights keep the callers' layout: conv
+filters are (kh, kw, c, f) and fully-connected weights read features in
+(h, w, c) order.
 """
 
 from __future__ import annotations
@@ -272,6 +279,7 @@ class ForwardCache:
     layer_caches: list  # indexed by layer
     output_shape: tuple[int, ...]
     run_order: list[int]  # layer indices in the order forward ran them
+    final_shape: tuple[int, ...]  # of the last activation, (c, n, h, w) or (n, d)
 
 
 def _run_order(layers: list[LayerSpec]) -> list[int]:
@@ -293,67 +301,115 @@ def _run_order(layers: list[LayerSpec]) -> list[int]:
     return order
 
 
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(n, features) of an activation, features in the callers' (h, w, c)
+    order, which the fully-connected weights use."""
+    return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1) if x.ndim == 4 else x
+
+
+def _unflat(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _flat: values in the callers' order back to an activation
+    of shape."""
+    if len(shape) != 4:
+        return g.reshape(shape)
+    c, n, h, w = shape
+    return np.ascontiguousarray(g.reshape(n, h, w, c).transpose(3, 0, 1, 2))
+
+
 def _lrn_window_sum(s: np.ndarray, radius: int) -> np.ndarray:
-    """Sum of s over the clamped channel window [c-radius, c+radius]."""
-    c = s.shape[-1]
-    cs = np.concatenate([np.zeros(s.shape[:-1] + (1,), s.dtype), np.cumsum(s, axis=-1)], axis=-1)
+    """Sum of s over the clamped channel window [c-radius, c+radius] of axis 0."""
+    c = s.shape[0]
+    cs = np.concatenate([np.zeros((1,) + s.shape[1:], s.dtype), np.cumsum(s, axis=0)])
     hi = np.minimum(np.arange(c) + radius, c - 1) + 1
     lo = np.maximum(np.arange(c) - radius, 0)
-    return cs[..., hi] - cs[..., lo]
+    return cs[hi] - cs[lo]
 
 
-def _cells(x6: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four (n, oh, ow, c) cell views of (n, oh, 2, ow, 2, c) 2x2 windows,
-    in row-major order."""
-    return x6[:, :, 0, :, 0], x6[:, :, 0, :, 1], x6[:, :, 1, :, 0], x6[:, :, 1, :, 1]
+def _im2col(x: np.ndarray, k: int, s: int) -> np.ndarray:
+    """(k*k*c, n*oh*ow) windows of a (c, n, h, w) input: one contiguous slice
+    copy per kernel offset, rows in the (kh, kw, c) order of the (kh, kw, c, f)
+    weight layout."""
+    c, n, h, w = x.shape
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    cols = np.empty((k, k, c, n, oh, ow), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[i, j] = x[:, :, i : i + s * oh : s, j : j + s * ow : s]
+    return cols.reshape(k * k * c, n * oh * ow)
+
+
+def _cells(x5: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four (m, oh, ow) cell views of (m, oh, 2, ow, 2) 2x2 windows, in
+    row-major order."""
+    return x5[:, :, 0, :, 0], x5[:, :, 0, :, 1], x5[:, :, 1, :, 0], x5[:, :, 1, :, 1]
 
 
 def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pool with stride 2 over (n, h, w, c): returns (y, x6), where x6
-    is x without an odd last row or column as (n, oh, 2, ow, 2, c) windows,
-    a view when h and w are even. No winner is kept: _maxpool2_grad finds it
-    again from x6, so inference never computes it."""
-    n, h, w, ch = x.shape
+    """2x2 max pool with stride 2 over (m, h, w) planes: returns (y, x5), where
+    x5 is x without an odd last row or column as (m, oh, 2, ow, 2) windows, a
+    view when h and w are even. No winner is kept: _maxpool2_grad finds it
+    again from x5, so inference never computes it."""
+    m, h, w = x.shape
     oh, ow = h // 2, w // 2
-    x6 = x[:, : 2 * oh, : 2 * ow, :].reshape(n, oh, 2, ow, 2, ch)
-    a, b, cc, d = _cells(x6)
-    return np.maximum(np.maximum(a, b), np.maximum(cc, d)), x6
+    x5 = x[:, : 2 * oh, : 2 * ow].reshape(m, oh, 2, ow, 2)
+    a, b, cc, d = _cells(x5)
+    return np.maximum(np.maximum(a, b), np.maximum(cc, d)), x5
 
 
-def _maxpool2_grad(x6: np.ndarray, g: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
+def _maxpool2_grad(x5: np.ndarray, g: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
     """Input gradient of _maxpool2: each window's g goes to its first
     (row-major) maximal cell; a cut odd row or column gets 0."""
-    n, oh, _, ow, _, ch = x6.shape
-    g = g.reshape(n, oh, ow, ch)
-    a, b, cc, d = _cells(x6)
+    m, oh, _, ow, _ = x5.shape
+    g = g.reshape(m, oh, ow)
+    a, b, cc, d = _cells(x5)
+    # the winner's row, then its column in that row; a tie keeps the top,
+    # then the left (boolean ops: np.where is several times slower here)
     bottom = np.maximum(cc, d) > np.maximum(a, b)
-    arg = np.where(bottom, (d > cc).view(np.uint8) + np.uint8(2), (b > a).view(np.uint8))
-    buf = np.empty(x6.shape, g.dtype)
+    right = d > cc
+    right &= bottom
+    right |= ~bottom & (b > a)
+    arg = right.view(np.uint8)  # the winning cell's row-major index
+    arg += 2 * bottom.view(np.uint8)
+    buf = np.empty(x5.shape, g.dtype)
     for cell, dst in enumerate(_cells(buf)):
         np.multiply(g, arg == cell, out=dst)
-    dx = buf.reshape(n, 2 * oh, 2 * ow, ch)
+    dx = buf.reshape(m, 2 * oh, 2 * ow)
     if dx.shape == in_shape:
         return dx
     full = np.zeros(in_shape, g.dtype)
-    full[:, : 2 * oh, : 2 * ow, :] = dx
+    full[:, : 2 * oh, : 2 * ow] = dx
     return full
 
 
 def _conv_input_grad(
-    gmat: np.ndarray, w: np.ndarray, in_shape: tuple[int, ...], out_hw: tuple[int, int], stride: int
+    g: np.ndarray, w: np.ndarray, in_shape: tuple[int, ...], stride: int
 ) -> np.ndarray:
-    """Input gradient of a conv from its (n*oh*ow, filters) output gradient:
-    one GEMM per kernel offset (i, j), added into the input pixels that
-    offset read (output tap (h, w) read pixel (i + stride*h, j + stride*w))."""
-    n, ch = in_shape[0], in_shape[3]
-    oh, ow = out_hw
+    """Input gradient of a conv over a (c, n, h, w) input from its (f, n, oh,
+    ow) output gradient: one GEMM per kernel offset (i, j), added into the
+    input pixels that offset read (output tap (h, w) read pixel
+    (i + stride*h, j + stride*w))."""
+    f, n, oh, ow = g.shape
     s = stride
-    dx = np.zeros(in_shape, gmat.dtype)
+    gmat = g.reshape(f, -1)
+    dx = np.zeros(in_shape, g.dtype)
     for i in range(w.shape[0]):
         for j in range(w.shape[1]):
-            part = (gmat @ w[i, j].T).reshape(n, oh, ow, ch)
-            dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += part
+            part = (w[i, j] @ gmat).reshape(in_shape[0], n, oh, ow)
+            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += part
     return dx
+
+
+def _running_row_sums(a: np.ndarray, block: int = 16384) -> np.ndarray:
+    """Row sums of a 2-D a, each added left to right one term at a time: the
+    order of a column sum over a's transpose, so a conv's bias gradient has
+    the bits it had when activations were channel-last. Overwrites a with the
+    running sums, a block of columns at a time to bound the temporaries."""
+    for lo in range(0, a.shape[1], block):
+        run = a[:, lo : lo + block]
+        if lo:
+            run[:, 0] += a[:, lo - 1]
+        np.cumsum(run, axis=1, out=run)
+    return a[:, -1].copy()
 
 
 def forward(
@@ -365,30 +421,34 @@ def forward(
     """Run the net on a batch: x is (n, *input_size), one example per row.
 
     Returns (output, cache), the output being (n, output_dim). The cache
-    feeds backward(). Dropout draws from rng only in train mode. x is cast
-    to the net's dtype, and so is everything computed from it.
+    feeds backward(); an inference-mode cache may hold views of x, so x must
+    not change before that backward. Dropout draws from rng only in train
+    mode. x is cast to the net's dtype, and so is everything computed from it.
     """
-    x = np.asarray(x, dtype=net.dtype)
+    x = np.asarray(x)
     if x.shape[1:] != tuple(net.input_size):
         raise ShapeError(f"input shape {x.shape} is not a batch of net inputs {net.input_size}")
     if train_mode and rng is None and any(isinstance(s, Dropout) for s in net.layers):
         raise InvalidArgumentError("train-mode forward through dropout needs an rng")
+    # channel-major from here on; a view when c == 1 and x has the net's dtype
+    x = np.ascontiguousarray(x.transpose(3, 0, 1, 2) if x.ndim == 4 else x, dtype=net.dtype)
 
     order = _run_order(net.layers)
     caches: list = [None] * len(net.layers)
     for idx in order:
         spec, p = net.layers[idx], net.params[idx]
         if isinstance(spec, Conv):
-            # im2col: one contiguous copy of the input windows, then a GEMM;
-            # (kh, kw, c) minor order matches the (kh, kw, c, f) weight layout
-            windows = np.lib.stride_tricks.sliding_window_view(x, (spec.size, spec.size), axis=(1, 2))
-            windows = windows[:, :: spec.stride, :: spec.stride]
-            n, oh, ow = windows.shape[:3]
-            cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
-            wmat = p["w"].reshape(-1, spec.filters)
-            y = (cols @ wmat + p["b"]).reshape(n, oh, ow, spec.filters)
-            caches[idx] = {"cols": cols, "in_shape": x.shape, "out_hw": (oh, ow)}
-            x = y
+            cols = _im2col(x, spec.size, spec.stride)
+            y = p["w"].reshape(-1, spec.filters).T @ cols
+            y += p["b"][:, None]
+            if train_mode:
+                caches[idx] = {"in_shape": x.shape, "cols": cols}
+            else:  # keep the input, not its k*k times larger im2col copy, so
+                # the next layer reuses that memory; backward rebuilds cols
+                caches[idx] = {"in_shape": x.shape, "x": x}
+            del cols
+            oh = (x.shape[2] - spec.size) // spec.stride + 1
+            x = y.reshape(spec.filters, x.shape[1], oh, -1)
         elif isinstance(spec, ReLU):
             mask = x > 0
             caches[idx] = {"mask": mask}
@@ -401,36 +461,36 @@ def forward(
             caches[idx] = {"x": x, "scale": scale, "radius": r}
             x = y
         elif isinstance(spec, MaxPool):
+            c, n, h, w = x.shape
+            planes = x.reshape(c * n, h, w)
             s = spec.effective_stride
             if spec.size == 2 and s == 2:
-                y, x6 = _maxpool2(x)  # fast path over disjoint windows
-                caches[idx] = {"x6": x6, "in_shape": x.shape}
+                y, x5 = _maxpool2(planes)  # fast path over disjoint windows
+                caches[idx] = {"x5": x5, "in_shape": x.shape}
             else:
                 windows = np.lib.stride_tricks.sliding_window_view(
-                    x, (spec.size, spec.size), axis=(1, 2)
-                )[:, ::s, ::s]  # (n, oh, ow, c, p, p)
-                n, oh, ow, c = windows.shape[:4]
-                flat = windows.reshape(n, oh, ow, c, spec.size * spec.size)
+                    planes, (spec.size, spec.size), axis=(1, 2)
+                )[:, ::s, ::s]  # (m, oh, ow, p, p)
+                flat = windows.reshape(windows.shape[:3] + (spec.size * spec.size,))
                 arg = np.argmax(flat, axis=-1)  # first max in row-major window order
                 y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
                 caches[idx] = {"arg": arg, "in_shape": x.shape}
-            x = y
+            x = y.reshape((c, n) + y.shape[1:])
         elif isinstance(spec, FullyConnected):
-            orig_shape = x.shape
-            flat = x.reshape(x.shape[0], -1)
-            y = flat @ p["w"] + p["b"]
-            caches[idx] = {"x": flat, "orig_shape": orig_shape}
-            x = y
+            flat = _flat(x)
+            caches[idx] = {"x": flat, "orig_shape": x.shape}
+            x = flat @ p["w"] + p["b"]
         elif isinstance(spec, Dropout):
             if train_mode:
-                mask = rng.random(x.shape) < spec.keep_prob
+                # drawn in the callers' layout, so the rng stream does not depend on ours
+                mask = _unflat(rng.random(x.size), x.shape) < spec.keep_prob
                 x = x * mask / spec.keep_prob
                 caches[idx] = {"mask": mask}
             else:
                 caches[idx] = {"mask": None}
 
-    out = x.reshape(x.shape[0], -1)
-    return out, ForwardCache(id(net), net.version, caches, out.shape, order)
+    out = _flat(x)
+    return out, ForwardCache(id(net), net.version, caches, out.shape, order, x.shape)
 
 
 def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list[dict | None]:
@@ -442,55 +502,56 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
     if cache.net_id != id(net) or cache.net_version != net.version:
         raise ContractViolationError("forward cache does not belong to this network state")
     dt = net.dtype
-    g = np.asarray(output_grad, dtype=dt)
+    g = np.array(output_grad, dtype=dt)  # a copy: layers may overwrite g
     if g.shape != cache.output_shape:
         raise ShapeError(f"output_grad shape {g.shape} does not match {cache.output_shape}")
+    g = _unflat(g, cache.final_shape)
 
     grads: list[dict | None] = [None] * len(net.layers)
     for idx in reversed(cache.run_order):
         spec, p, c = net.layers[idx], net.params[idx], cache.layer_caches[idx]
         if isinstance(spec, Conv):
-            cols, in_shape = c["cols"], c["in_shape"]
-            oh, ow = c["out_hw"]
-            n, ch = in_shape[0], in_shape[3]
-            gmat = g.reshape(n * oh * ow, spec.filters)
-            db = gmat.sum(axis=0)
-            dw = (cols.T @ gmat).reshape(spec.size, spec.size, ch, spec.filters)
-            grads[idx] = {"w": dw, "b": db}
-            if idx == cache.run_order[0]:
-                continue  # nothing below consumes the input gradient
-            g = _conv_input_grad(gmat, p["w"], in_shape, (oh, ow), spec.stride)
+            in_shape = c["in_shape"]
+            cols = c["cols"] if "cols" in c else _im2col(c["x"], spec.size, spec.stride)
+            gmat = g.reshape(spec.filters, -1)
+            dw = (cols @ gmat.T).reshape(spec.size, spec.size, in_shape[0], spec.filters)
+            dx = None  # nothing below the first layer run consumes its input gradient
+            if idx != cache.run_order[0]:
+                dx = _conv_input_grad(g, p["w"], in_shape, spec.stride)
+            grads[idx] = {"w": dw, "b": _running_row_sums(gmat)}  # overwrites g
+            g = dx
+            del gmat, dx  # free this layer's output gradient before the layers below run
         elif isinstance(spec, ReLU):
-            g = g.reshape(c["mask"].shape) * c["mask"]
+            g = g * c["mask"]
         elif isinstance(spec, LRN):
             xin, scale, r = c["x"], c["scale"], c["radius"]
-            g = g.reshape(xin.shape)
             inv = scale ** (-spec.beta)
             inner = _lrn_window_sum(g * xin * scale ** (-spec.beta - 1.0), r)
             g = g * inv - 2.0 * spec.alpha * spec.beta * xin * inner
-        elif isinstance(spec, MaxPool) and "x6" in c:
-            g = _maxpool2_grad(c["x6"], g, c["in_shape"])
         elif isinstance(spec, MaxPool):
-            arg, in_shape = c["arg"], c["in_shape"]
-            n, oh, ow, ch = arg.shape
-            g = g.reshape(arg.shape)
-            s = spec.effective_stride
-            dx = np.zeros(in_shape, dt)
-            wi, wj = np.divmod(arg, spec.size)
-            hh = np.arange(oh)[None, :, None, None] * s + wi
-            ww = np.arange(ow)[None, None, :, None] * s + wj
-            nn_idx = np.arange(n)[:, None, None, None]
-            cc = np.arange(ch)[None, None, None, :]
-            np.add.at(dx, (nn_idx, hh, ww, cc), g)  # overlapping windows may share a winner
-            g = dx
+            in_shape = c["in_shape"]
+            planes = (in_shape[0] * in_shape[1],) + in_shape[2:]
+            if "x5" in c:
+                g = _maxpool2_grad(c["x5"], g, planes)
+            else:
+                arg = c["arg"]
+                m, oh, ow = arg.shape
+                s = spec.effective_stride
+                dx = np.zeros(planes, dt)
+                wi, wj = np.divmod(arg, spec.size)
+                hh = np.arange(oh)[None, :, None] * s + wi
+                ww = np.arange(ow)[None, None, :] * s + wj
+                # overlapping windows may share a winner
+                np.add.at(dx, (np.arange(m)[:, None, None], hh, ww), g.reshape(arg.shape))
+                g = dx
+            g = g.reshape(in_shape)
         elif isinstance(spec, FullyConnected):
             xin = c["x"]
-            g = g.reshape(xin.shape[0], -1)
             grads[idx] = {"w": xin.T @ g, "b": g.sum(axis=0)}
-            g = (g @ p["w"].T).reshape(c["orig_shape"])
+            g = _unflat(g @ p["w"].T, c["orig_shape"])
         elif isinstance(spec, Dropout):
             if c["mask"] is not None:
-                g = g.reshape(c["mask"].shape) * c["mask"] / spec.keep_prob
+                g = g * c["mask"] / spec.keep_prob
     return grads
 
 

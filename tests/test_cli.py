@@ -63,6 +63,15 @@ def test_synth_repeat_same_digest(tmp_path, synth_dir):
     assert h1 == h2
 
 
+@pytest.mark.parametrize("flag, value", [("--noise", "-1"), ("--noise", "nan"),
+                                         ("--noise", "inf"), ("--size", "0"), ("--size", "-4")])
+def test_synth_bad_setting_is_data_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "synth"
+    assert run("synth", "--out", str(out), "--count", "2", flag, value) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_missing_out_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         run("synth", "--count", "3")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from posecascade import data
 from posecascade.errors import (
     ImageFormatError,
+    InvalidArgumentError,
     ManifestParseError,
     ManifestValidationError,
 )
@@ -251,5 +252,16 @@ def test_synth_images_have_contrast(tmp_path):
 
 
 def test_synth_rejects_bad_config():
-    with pytest.raises(Exception):
-        data.SynthConfig(count=0)
+    bad = [
+        {"count": 0},
+        {"count": 1, "noise_level": -1.0},
+        {"count": 1, "noise_level": float("nan")},
+        {"count": 1, "noise_level": float("inf")},
+        {"count": 1, "image_size": (0, 0)},
+        {"count": 1, "image_size": (-4, -4)},
+        {"count": 1, "image_size": (64, 0)},
+    ]
+    for kwargs in bad:
+        with pytest.raises(InvalidArgumentError):
+            data.SynthConfig(**kwargs)
+    data.SynthConfig(count=1, image_size=(1, 1), noise_level=0.0)  # the smallest valid settings

@@ -134,6 +134,11 @@ def test_forward_maxpool_fast_path_matches_naive_loops():
         assert np.array_equal(out, want.reshape(2, -1))
 
 
+def _planes(a):
+    """An (n, h, w, c) array as the engine's (c*n, h, w) pooling planes."""
+    return np.ascontiguousarray(a.transpose(3, 0, 1, 2)).reshape(-1, *a.shape[1:3])
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hw", [(8, 8), (7, 9), (9, 6)])
 def test_maxpool2_output_and_input_grad_bit_identical_to_loops(hw, dtype):
@@ -147,11 +152,12 @@ def test_maxpool2_output_and_input_grad_bit_identical_to_loops(hw, dtype):
         hh, ww = winner[idx]
         want_dx[idx[0], hh, ww, idx[3]] += g[idx]
 
-    y, x6 = nn._maxpool2(x)
-    dx = nn._maxpool2_grad(x6, g, x.shape)
+    planes = _planes(x)
+    y, x5 = nn._maxpool2(planes)
+    dx = nn._maxpool2_grad(x5, _planes(g), planes.shape)
     assert y.dtype == dx.dtype == dtype
-    assert np.array_equal(y, want_y)
-    assert dx.shape == x.shape and np.array_equal(dx, want_dx)
+    assert np.array_equal(y, _planes(want_y))
+    assert dx.shape == planes.shape and np.array_equal(dx, _planes(want_dx))
     net = nn.init_network([nn.MaxPool(2)], x.shape[1:], want_y[0].size, seed=0, dtype=dtype)
     assert np.array_equal(nn.forward(net, x)[0], want_y.reshape(len(x), -1))
 
@@ -167,8 +173,8 @@ def test_conv_input_grad_matches_naive_scatter(stride):
     want = np.zeros((n, h, w, c))
     for b, i, j, a, bb in np.ndindex(n, oh, ow, k, k):
         want[b, i * stride + a, j * stride + bb] += wt[a, bb] @ g[b, i, j]
-    got = nn._conv_input_grad(g.reshape(-1, f), wt, (n, h, w, c), (oh, ow), stride)
-    assert np.array_equal(got, want)
+    got = nn._conv_input_grad(g.transpose(3, 0, 1, 2).copy(), wt, (c, n, h, w), stride)
+    assert np.array_equal(got, want.transpose(3, 0, 1, 2))
 
 
 def test_forward_maxpool_odd_input_drops_remainder():
@@ -233,6 +239,15 @@ def test_dropout_train_requires_rng():
     net = nn.init_network([nn.Dropout(0.5)], (4,), 4, seed=0)
     with pytest.raises(InvalidArgumentError):
         nn.forward(net, np.ones(4)[None], train_mode=True)
+
+
+def test_spatial_dropout_draws_its_mask_in_input_layout():
+    # the engine's channel-major activations must not change the rng stream
+    net = nn.init_network([nn.Dropout(0.5)], (3, 4, 2), 24, seed=0)
+    x = np.arange(1.0, 49.0).reshape(2, 3, 4, 2)
+    out, _ = nn.forward(net, x, train_mode=True, rng=np.random.default_rng(5))
+    keep = np.random.default_rng(5).random(x.shape) < 0.5
+    assert np.array_equal(out, (x * keep / 0.5).reshape(2, -1))
 
 
 def test_forward_deterministic_given_seed():
@@ -348,6 +363,7 @@ def test_backward_maxpool_ties_route_to_first(pool):
 def test_backward_after_inference_forward_matches_train_mode(dtype):
     # without dropout the two modes compute the same forward, so they must
     # give the same gradients; the inference cache keeps no 2x2 pool winners
+    # and no im2col copy
     layers = [nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.Conv(4, 2, stride=2), nn.ReLU(),
               nn.MaxPool(3, 2), nn.FullyConnected(5)]
     net = nn.init_network(layers, (17, 17, 2), 5, seed=23, dtype=dtype)
@@ -358,9 +374,127 @@ def test_backward_after_inference_forward_matches_train_mode(dtype):
     out_train, cache_train = nn.forward(net, x, train_mode=True, rng=rng)
     assert np.array_equal(out_inf, out_train)
     assert "arg" not in cache_inf.layer_caches[2]
+    assert "cols" not in cache_inf.layer_caches[3]  # backward rebuilds it from the input
     for a, b in zip(nn.backward(net, cache_inf, g), nn.backward(net, cache_train, g)):
         if a is not None:
             assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
+
+
+@pytest.mark.parametrize("block", [1, 7, 16384])
+def test_running_row_sums_add_left_to_right(block):
+    # the conv bias gradient: its bits depend on the summation order
+    a = np.random.default_rng(32).standard_normal((3, 50)).astype(np.float32)
+    want = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        want += a[:, j]
+    got = nn._running_row_sums(a.copy(), block)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+def _ref_forward(spec, p, x):
+    """One layer's forward by loops over (n, h, w, c)."""
+    if isinstance(spec, nn.Conv):
+        return np.stack([_naive_conv(xb, p["w"], p["b"], spec.stride) for xb in x])
+    if isinstance(spec, nn.ReLU):
+        return np.maximum(x, 0)
+    if isinstance(spec, nn.MaxPool):
+        return _naive_maxpool(x, spec.size, spec.effective_stride)[0]
+    if isinstance(spec, nn.LRN):
+        scale = _ref_lrn_scale(spec, x)
+        return x * scale ** -spec.beta
+    if isinstance(spec, nn.FullyConnected):
+        return x.reshape(len(x), -1) @ p["w"] + p["b"]
+    raise AssertionError(spec)
+
+
+def _ref_lrn_scale(spec, x):
+    r, c = spec.depth // 2, x.shape[-1]
+    scale = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        ch = idx[-1]
+        window = x[idx[:-1]][max(0, ch - r) : min(c, ch + r + 1)]
+        scale[idx] = spec.k_const + spec.alpha * (window**2).sum()
+    return scale
+
+
+def _ref_backward(spec, p, x, g):
+    """One layer's (input gradient, parameter gradients) by loops."""
+    if isinstance(spec, nn.Conv):
+        kk, s = spec.size, spec.stride
+        dx, dw = np.zeros_like(x), np.zeros_like(p["w"])
+        for b, i, j, a, bb in np.ndindex(g.shape[:3] + (kk, kk)):
+            patch = x[b, i * s + a, j * s + bb]  # (c,)
+            dw[a, bb] += np.outer(patch, g[b, i, j])
+            dx[b, i * s + a, j * s + bb] += p["w"][a, bb] @ g[b, i, j]
+        return dx, {"w": dw, "b": g.sum(axis=(0, 1, 2))}
+    if isinstance(spec, nn.ReLU):
+        return g * (x > 0), None
+    if isinstance(spec, nn.MaxPool):
+        _, winner = _naive_maxpool(x, spec.size, spec.effective_stride)
+        dx = np.zeros_like(x)
+        for idx in np.ndindex(g.shape):
+            hh, ww = winner[idx]
+            dx[idx[0], hh, ww, idx[3]] += g[idx]
+        return dx, None
+    if isinstance(spec, nn.LRN):
+        r, c = spec.depth // 2, x.shape[-1]
+        scale = _ref_lrn_scale(spec, x)
+        dx = g * scale ** -spec.beta
+        for idx in np.ndindex(x.shape):
+            ch = idx[-1]
+            for q in range(max(0, ch - r), min(c, ch + r + 1)):  # outputs whose window holds ch
+                out = idx[:-1] + (q,)
+                dx[idx] -= (2 * spec.alpha * spec.beta * g[out] * x[out]
+                            * scale[out] ** (-spec.beta - 1) * x[idx])
+        return dx, None
+    if isinstance(spec, nn.FullyConnected):
+        flat = x.reshape(len(x), -1)
+        return (g @ p["w"].T).reshape(x.shape), {"w": flat.T @ g, "b": g.sum(axis=0)}
+    raise AssertionError(spec)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("layers, input_size", [
+    ([nn.Conv(3, 3), nn.Conv(2, 2, stride=2)], (9, 8, 2)),  # conv at stride 1 and 2
+    ([nn.Conv(2, 2), nn.ReLU(), nn.MaxPool(2)], (8, 10, 1)),  # 2x2 pool over 7x9
+    ([nn.Conv(2, 2), nn.MaxPool(3, 2), nn.ReLU()], (10, 9, 3)),  # 3x3/2 pool, shared winners
+    ([nn.Conv(3, 2, stride=2), nn.ReLU(), nn.FullyConnected(4)], (7, 6, 2)),  # flatten order
+    ([nn.Conv(5, 2), nn.LRN(depth=3, k_const=2.0, alpha=0.01, beta=0.75)], (5, 6, 2)),
+])
+def test_layers_match_naive_loops(layers, input_size, batch, dtype):
+    # small integers keep every conv, pool and fc sum exact in any order, so
+    # the engine must equal the loops bit for bit (LRN's powers are not exact)
+    rng = np.random.default_rng(31)
+    shapes = nn._chain_shapes(layers, input_size)
+    out_dim = int(np.prod(shapes[-1]))
+    net = nn.init_network(layers, input_size, out_dim, seed=0, dtype=dtype)
+    for p in net.params:
+        if p is not None:
+            p["w"][:] = rng.integers(-2, 3, p["w"].shape)
+            p["b"][:] = rng.integers(-2, 3, p["b"].shape)
+    x = rng.integers(-3, 4, (batch,) + input_size).astype(dtype)
+    g = rng.integers(-3, 4, (batch, out_dim)).astype(dtype)
+
+    acts = [x.astype(np.float64)]
+    for spec, p in zip(layers, net.params):
+        acts.append(_ref_forward(spec, p, acts[-1]))
+    want_grads, dy = [None] * len(layers), g.astype(np.float64).reshape(acts[-1].shape)
+    for i in reversed(range(len(layers))):
+        dy, want_grads[i] = _ref_backward(layers[i], net.params[i], acts[i], dy)
+
+    out, cache = nn.forward(net, x, train_mode=True)
+    grads = nn.backward(net, cache, g)
+    exact = not any(isinstance(spec, nn.LRN) for spec in layers)
+    rtol = 0 if exact else (1e-5 if dtype == np.float32 else 1e-12)
+    check = (lambda a, b: np.array_equal(a, b)) if exact else (
+        lambda a, b: np.allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max()))
+    assert out.dtype == dtype and check(out, acts[-1].reshape(batch, -1))
+    for got, want in zip(grads, want_grads):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got["w"].dtype == got["b"].dtype == dtype
+            assert check(got["w"], want["w"]) and check(got["b"], want["b"])
 
 
 # --- optimizer ----------------------------------------------------------------
