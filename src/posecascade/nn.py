@@ -286,9 +286,10 @@ def _run_order(layers: list[LayerSpec]) -> list[int]:
     """Layer indices in execution order.
 
     A ReLU that directly feeds a MaxPool runs after it, on the pooled map,
-    which is size^2 times smaller. For finite inputs the two orders agree
-    bit for bit: max and ReLU commute, and a window whose max is <= 0 gets
-    zero gradient either way.
+    which is size^2 times smaller. It zeroes that map in place, so a 2x2
+    pool's backward reads the map after the ReLU. For finite inputs the two
+    orders agree bit for bit: max and ReLU commute, and a window whose max is
+    <= 0 gets a +-0 gradient in every cell either way.
     """
     order = list(range(len(layers)))
     i = 0
@@ -347,8 +348,8 @@ def _cells(x5: np.ndarray) -> tuple[np.ndarray, ...]:
 def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 max pool with stride 2 over (m, h, w) planes: returns (y, x5), where
     x5 is x without an odd last row or column as (m, oh, 2, ow, 2) windows, a
-    view when h and w are even. No winner is kept: _maxpool2_grad finds it
-    again from x5, so inference never computes it."""
+    view when h and w are even. No winner is kept: _maxpool2_grad finds it by
+    comparing x5 with y, so inference never computes it."""
     m, h, w = x.shape
     oh, ow = h // 2, w // 2
     x5 = x[:, : 2 * oh, : 2 * ow].reshape(m, oh, 2, ow, 2)
@@ -356,23 +357,27 @@ def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(np.maximum(a, b), np.maximum(cc, d)), x5
 
 
-def _maxpool2_grad(x5: np.ndarray, g: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
-    """Input gradient of _maxpool2: each window's g goes to its first
-    (row-major) maximal cell; a cut odd row or column gets 0."""
+def _maxpool2_grad(
+    x5: np.ndarray, y: np.ndarray, g: np.ndarray, in_shape: tuple[int, ...]
+) -> np.ndarray:
+    """Input gradient of _maxpool2 from its windows x5 and pooled map y: each
+    window's g goes to its first (row-major) cell equal to y; a cut odd row or
+    column gets 0. y may have been zeroed in place by the ReLU run after the
+    pool: a window whose max is <= 0 then has a +-0 g, which every cell gets
+    bit for bit whichever one wins."""
     m, oh, _, ow, _ = x5.shape
     g = g.reshape(m, oh, ow)
-    a, b, cc, d = _cells(x5)
-    # the winner's row, then its column in that row; a tie keeps the top,
-    # then the left (boolean ops: np.where is several times slower here)
-    bottom = np.maximum(cc, d) > np.maximum(a, b)
-    right = d > cc
-    right &= bottom
-    right |= ~bottom & (b > a)
-    arg = right.view(np.uint8)  # the winning cell's row-major index
-    arg += 2 * bottom.view(np.uint8)
+    a, b, cc, _ = _cells(x5)
     buf = np.empty(x5.shape, g.dtype)
-    for cell, dst in enumerate(_cells(buf)):
-        np.multiply(g, arg == cell, out=dst)
+    da, db, dc, dd = _cells(buf)
+    taken = a == y
+    np.multiply(g, taken, out=da)
+    for cell, dst in ((b, db), (cc, dc)):
+        win = cell == y
+        win &= ~taken
+        taken |= win
+        np.multiply(g, win, out=dst)
+    np.multiply(g, ~taken, out=dd)
     dx = buf.reshape(m, 2 * oh, 2 * ow)
     if dx.shape == in_shape:
         return dx
@@ -399,19 +404,6 @@ def _conv_input_grad(
     return dx
 
 
-def _running_row_sums(a: np.ndarray, block: int = 16384) -> np.ndarray:
-    """Row sums of a 2-D a, each added left to right one term at a time: the
-    order of a column sum over a's transpose, so a conv's bias gradient has
-    the bits it had when activations were channel-last. Overwrites a with the
-    running sums, a block of columns at a time to bound the temporaries."""
-    for lo in range(0, a.shape[1], block):
-        run = a[:, lo : lo + block]
-        if lo:
-            run[:, 0] += a[:, lo - 1]
-        np.cumsum(run, axis=1, out=run)
-    return a[:, -1].copy()
-
-
 def forward(
     net: Network,
     x: np.ndarray,
@@ -432,6 +424,7 @@ def forward(
         raise InvalidArgumentError("train-mode forward through dropout needs an rng")
     # channel-major from here on; a view when c == 1 and x has the net's dtype
     x = np.ascontiguousarray(x.transpose(3, 0, 1, 2) if x.ndim == 4 else x, dtype=net.dtype)
+    entry = x
 
     order = _run_order(net.layers)
     caches: list = [None] * len(net.layers)
@@ -450,9 +443,12 @@ def forward(
             oh = (x.shape[2] - spec.size) // spec.stride + 1
             x = y.reshape(spec.filters, x.shape[1], oh, -1)
         elif isinstance(spec, ReLU):
-            mask = x > 0
-            caches[idx] = {"mask": mask}
-            x = np.where(mask, x, 0.0)
+            # in place, except on the callers' array: a 2x2 pool run just
+            # before shares its output with this ReLU (see _maxpool2_grad)
+            x = x.copy() if x is entry else x
+            np.fmax(x, 0.0, out=x)  # NaN to 0
+            x += 0.0  # -0 to +0
+            caches[idx] = {"y": x}
         elif isinstance(spec, LRN):
             r = spec.depth // 2
             ssum = _lrn_window_sum(x * x, r)
@@ -466,7 +462,7 @@ def forward(
             s = spec.effective_stride
             if spec.size == 2 and s == 2:
                 y, x5 = _maxpool2(planes)  # fast path over disjoint windows
-                caches[idx] = {"x5": x5, "in_shape": x.shape}
+                caches[idx] = {"x5": x5, "y": y, "in_shape": x.shape}
             else:
                 windows = np.lib.stride_tricks.sliding_window_view(
                     planes, (spec.size, spec.size), axis=(1, 2)
@@ -518,11 +514,11 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             dx = None  # nothing below the first layer run consumes its input gradient
             if idx != cache.run_order[0]:
                 dx = _conv_input_grad(g, p["w"], in_shape, spec.stride)
-            grads[idx] = {"w": dw, "b": _running_row_sums(gmat)}  # overwrites g
+            grads[idx] = {"w": dw, "b": gmat @ np.ones(gmat.shape[1], dt)}
             g = dx
             del gmat, dx  # free this layer's output gradient before the layers below run
         elif isinstance(spec, ReLU):
-            g = g * c["mask"]
+            g = g * (c["y"] > 0)
         elif isinstance(spec, LRN):
             xin, scale, r = c["x"], c["scale"], c["radius"]
             inv = scale ** (-spec.beta)
@@ -532,7 +528,7 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             in_shape = c["in_shape"]
             planes = (in_shape[0] * in_shape[1],) + in_shape[2:]
             if "x5" in c:
-                g = _maxpool2_grad(c["x5"], g, planes)
+                g = _maxpool2_grad(c["x5"], c["y"], g, planes)
             else:
                 arg = c["arg"]
                 m, oh, ow = arg.shape
@@ -666,6 +662,7 @@ def train_epochs(
             out, cache = forward(net, inputs[idx], train_mode=True, rng=rng)
             loss, grad = l2_loss_batch(out, targets[idx], masks[idx])
             grads = backward(net, cache, grad)
+            del cache  # free this batch's activations before the next forward
             adagrad_step(net, grads, state)
             total += loss * len(idx)
         if progress is not None:

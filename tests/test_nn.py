@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,9 +66,13 @@ def test_forward_identity_fc():
 
 
 def test_forward_relu():
-    net = nn.init_network([nn.ReLU()], (3,), 3, seed=0)
-    out, _ = nn.forward(net, np.array([-1.0, 2.0, 0.0])[None])
-    assert np.array_equal(out[0], [0.0, 2.0, 0.0])
+    # +0 for everything not > 0, -0 and NaN included (runs of -0 as well)
+    x = np.r_[-1.0, 2.0, 0.0, -0.0, np.nan, np.inf, -np.inf, np.full(34, -0.0)]
+    for dtype in (np.float32, np.float64):
+        net = nn.init_network([nn.ReLU()], (41,), 41, seed=0, dtype=dtype)
+        out, _ = nn.forward(net, x.astype(dtype)[None])
+        assert np.array_equal(out[0], np.r_[0.0, 2.0, 0.0, 0.0, 0.0, np.inf, np.zeros(35)])
+        assert not np.signbit(out).any()
 
 
 def test_forward_conv_all_ones():
@@ -154,7 +159,7 @@ def test_maxpool2_output_and_input_grad_bit_identical_to_loops(hw, dtype):
 
     planes = _planes(x)
     y, x5 = nn._maxpool2(planes)
-    dx = nn._maxpool2_grad(x5, _planes(g), planes.shape)
+    dx = nn._maxpool2_grad(x5, y, _planes(g), planes.shape)
     assert y.dtype == dx.dtype == dtype
     assert np.array_equal(y, _planes(want_y))
     assert dx.shape == planes.shape and np.array_equal(dx, _planes(want_dx))
@@ -380,15 +385,99 @@ def test_backward_after_inference_forward_matches_train_mode(dtype):
             assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
 
 
-@pytest.mark.parametrize("block", [1, 7, 16384])
-def test_running_row_sums_add_left_to_right(block):
-    # the conv bias gradient: its bits depend on the summation order
-    a = np.random.default_rng(32).standard_normal((3, 50)).astype(np.float32)
-    want = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        want += a[:, j]
-    got = nn._running_row_sums(a.copy(), block)
-    assert got.dtype == np.float32 and np.array_equal(got, want)
+def test_conv_bias_grad_float32_sum_is_accurate():
+    # conv1 of the default stack at batch 128 sums 128 * 56 * 56 = 401,408
+    # output-gradient terms per filter; a 1x1 conv over 56x56 has the same count
+    rng = np.random.default_rng(32)
+    net = nn.init_network([nn.Conv(8, 1)], (56, 56, 1), 56 * 56 * 8, seed=0, dtype=np.float32)
+    out, cache = nn.forward(net, rng.random((128, 56, 56, 1)), train_mode=True)
+    # off-centre terms: partial sums grow, so a term-by-term sum loses bits
+    g = (rng.random(out.shape) - 0.25).astype(np.float32)
+    b = nn.backward(net, cache, g)[0]["b"]
+    g64 = g.astype(np.float64).reshape(128, 56, 56, 8)
+    assert b.dtype == np.float32
+    err = np.abs(b - g64.sum(axis=(0, 1, 2)))
+    assert np.all(err <= 1e-6 * np.abs(g64).sum(axis=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("layers, input_size", [
+    ([nn.ReLU(), nn.FullyConnected(2)], (4,)),
+    ([nn.Dropout(0.5), nn.ReLU(), nn.Conv(1, 1)], (4, 4, 1)),  # the engine's entry is a view
+])
+def test_relu_leaves_callers_input_unchanged(layers, input_size):
+    # the ReLU zeroes its input in place, but never the callers' array
+    x = np.random.default_rng(36).standard_normal((3,) + input_size)
+    before = x.copy()
+    out_dim = int(np.prod(nn._chain_shapes(layers, input_size)[-1]))
+    net = nn.init_network(layers, input_size, out_dim, seed=0)
+    nn.forward(net, x)
+    assert np.array_equal(x, before) and (x < 0).any()
+
+
+def _winner_search_maxpool2_grad(x5, g, in_shape):
+    """The 2x2 pool input gradient as found from the windows alone (each
+    window's winner searched again): the reference for the pooled-map version."""
+    m, oh, _, ow, _ = x5.shape
+    g = g.reshape(m, oh, ow)
+    a, b, cc, d = nn._cells(x5)
+    bottom = np.maximum(cc, d) > np.maximum(a, b)
+    right = d > cc
+    right &= bottom
+    right |= ~bottom & (b > a)
+    arg = right.view(np.uint8)
+    arg += 2 * bottom.view(np.uint8)
+    buf = np.empty(x5.shape, g.dtype)
+    for cell, dst in enumerate(nn._cells(buf)):
+        np.multiply(g, arg == cell, out=dst)
+    full = np.zeros(in_shape, g.dtype)
+    full[:, : 2 * oh, : 2 * ow] = buf.reshape(m, 2 * oh, 2 * ow)
+    return full
+
+
+@pytest.mark.parametrize("batch", [9, 128])
+@pytest.mark.parametrize("hw", [(9, 9), (10, 8)])  # an even and an odd pool input
+def test_maxpool2_grad_from_pooled_map_matches_winner_search(batch, hw, monkeypatch):
+    # small integers tie often and give windows whose max is <= 0; the ReLU
+    # after the pool zeroes its map in place, which the pool backward reads
+    rng = np.random.default_rng(35)
+    layers = [nn.Conv(3, 2), nn.ReLU(), nn.MaxPool(2)]
+    in_size = hw + (2,)
+    out_dim = int(np.prod(nn._chain_shapes(layers, in_size)[-1]))
+    net = nn.init_network(layers, in_size, out_dim, seed=0, dtype=np.float32)
+    net.params[0]["w"][:] = rng.integers(-1, 2, net.params[0]["w"].shape)
+    net.params[0]["b"][:] = [0.0, -1.0, -0.0]
+    x = rng.integers(-2, 2, (batch,) + in_size).astype(np.float32)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    g = rng.standard_normal((batch, out_dim)).astype(np.float32)
+    g[rng.random(g.shape) < 0.1] = -0.0
+
+    def run(pool_grad):
+        seen = []
+
+        def record(*args):
+            seen.append(pool_grad(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(nn, "_maxpool2_grad", record)
+        out, cache = nn.forward(net, x, train_mode=True)
+        x5 = cache.layer_caches[2]["x5"]
+        return out, x5, nn.backward(net, cache, g), seen
+
+    out, x5, grads, dx = run(nn._maxpool2_grad)
+    out_ref, _, grads_ref, dx_ref = run(
+        lambda x5, y, g, shape: _winner_search_maxpool2_grad(x5, g, shape))
+    top = x5.max(axis=(2, 4), keepdims=True)
+    assert ((x5 == top).sum(axis=(2, 4)) > 1).any(), "test data needs tied windows"
+    assert (top <= 0).any() and (top > 0).any()
+
+    def same_bits(a, b):
+        return (a.dtype == b.dtype and np.array_equal(a, b)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+
+    assert same_bits(out, out_ref) and not np.signbit(out).any()  # the ReLU writes +0
+    assert len(dx) == len(dx_ref) == 1 and same_bits(dx[0], dx_ref[0])
+    assert np.any(dx[0] != 0) and np.any(np.signbit(dx[0]) & (dx[0] == 0))
+    assert all(same_bits(grads[0][k], grads_ref[0][k]) for k in ("w", "b"))
 
 
 def _ref_forward(spec, p, x):
@@ -590,6 +679,26 @@ def test_train_epochs_reports_progress():
                     progress=lambda e, loss: seen.append((e, loss)))
     assert [e for e, _ in seen] == [0, 1, 2]
     assert all(np.isfinite(loss) for _, loss in seen)
+
+
+def test_train_epochs_frees_each_batch_before_the_next():
+    # four batches must peak no higher than one: the previous batch's forward
+    # cache may not live through the next forward
+    rng = np.random.default_rng(37)
+    net = nn.init_network([nn.Conv(8, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(2)],
+                          (20, 20, 1), 2, seed=0, dtype=np.float32)
+    x = rng.random((64, 20, 20, 1)).astype(np.float32)
+    targets, masks = rng.random((64, 2)), np.ones((64, 1), dtype=bool)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            nn.train_epochs(net, x[:n], targets[:n], masks[:n], nn.TrainConfig(1, batch_size=16))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) < 1.1 * peak(16)
 
 
 # --- serialization -------------------------------------------------------------

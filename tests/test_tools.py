@@ -1,0 +1,18 @@
+"""Smoke tests of the measurement scripts in tools/."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_train_step_prints_its_medians_and_faults():
+    proc = subprocess.run([sys.executable, str(TOOLS / "train_step.py"), "--steps", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    values = dict(re.findall(r"^(\w+) ([0-9.]+)$", proc.stdout, re.MULTILINE))
+    assert set(values) == {"forward_ms", "backward_ms", "step_ms", "minor_faults_per_step"}
+    fwd, bwd, step = (float(values[k]) for k in ("forward_ms", "backward_ms", "step_ms"))
+    assert 0 < fwd + bwd <= step

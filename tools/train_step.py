@@ -1,0 +1,76 @@
+"""Time one float32 training step of the default stack at batch 128.
+
+A step is a train-mode `nn.forward`, `nn.l2_loss_batch`, `nn.backward` and
+`nn.adagrad_step` on a batch of 128 random 60x60x1 float32 crops, through the
+cascade's default layers (the stage networks' stack, 9 joints). BLAS is pinned
+to one thread before numpy loads. After one untimed warm-up step it runs
+`--steps` steps and prints the median milliseconds of forward, backward and
+the whole step, and the minor page faults per step:
+
+    python3 tools/train_step.py --steps 50
+
+It runs the `posecascade` package under `src/` next to this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BATCH = 128
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--steps", type=int, default=30, help="timed steps (default 30)")
+    args = p.parse_args(argv)
+    if args.steps < 1:
+        p.error("--steps must be >= 1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+
+    from posecascade import cascade, data, nn
+
+    k = len(data.JOINT_NAMES)
+    config = cascade.StageConfig(sigma=1.0)
+    net = config.build_network(2 * k)
+    rng = np.random.default_rng(0)
+    x = (rng.random((BATCH,) + config.input_size) - 0.5).astype(np.float32)
+    target = rng.uniform(-0.5, 0.5, (BATCH, 2 * k))
+    mask = np.ones((BATCH, k), dtype=bool)
+    state = nn.OptimizerState.for_network(net)
+
+    def step() -> tuple[float, float, float]:
+        t0 = time.perf_counter()
+        out, cache = nn.forward(net, x, train_mode=True, rng=rng)
+        t1 = time.perf_counter()
+        _, grad = nn.l2_loss_batch(out, target, mask)
+        t2 = time.perf_counter()
+        grads = nn.backward(net, cache, grad)
+        t3 = time.perf_counter()
+        nn.adagrad_step(net, grads, state)
+        t4 = time.perf_counter()
+        return t1 - t0, t3 - t2, t4 - t0
+
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    times = np.array([step() for _ in range(args.steps)]) * 1e3
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    fwd, bwd, total = np.median(times, axis=0)
+    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1")
+    print(f"forward_ms {fwd:.1f}")
+    print(f"backward_ms {bwd:.1f}")
+    print(f"step_ms {total:.1f}")
+    print(f"minor_faults_per_step {faults / args.steps:.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
