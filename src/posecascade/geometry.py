@@ -1,4 +1,4 @@
-"""Poses, boxes, and the box normalization algebra everything else builds on.
+"""Poses, boxes and the bilinear crop everything else builds on.
 
 Coordinates are pixels, x to the right and y down. Pixel (row i, col j) of an
 image array sits at continuous position (x=j, y=i).
@@ -137,18 +137,6 @@ class PoseTree:
             if a == b or a in seen or b in seen:
                 raise InvalidArgumentError(f"swap pair ({a}, {b}) overlaps another pair")
             seen.update((a, b))
-
-
-def normalize_point(y_i, b: BoundingBox) -> np.ndarray:
-    """Map a pixel point into b's unit frame: diag(1/w, 1/h) @ (y_i - center)."""
-    p = _as_point(y_i)
-    return (p - b.center) / np.array([b.width, b.height])
-
-
-def denormalize_point(v, b: BoundingBox) -> np.ndarray:
-    """Inverse of normalize_point: diag(w, h) @ v + center."""
-    p = _as_point(v)
-    return p * np.array([b.width, b.height]) + b.center
 
 
 def pose_diameter(pose: PoseVector, tree: PoseTree) -> float:

@@ -614,6 +614,12 @@ def adagrad_step(
 # ---------------------------------------------------------------------------
 # training loop
 
+# Byte budget of a training slice's largest conv im2col matrix, which sets
+# how many examples train_step runs forward and backward at once. Picked by a
+# sweep of tools/train_step.py over slice sizes: the default 60x60 float32
+# stack gets slices of 8 (a 2.4 MiB conv1 matrix, about a core's L2 cache).
+SLICE_BYTES = 5 * 2**19
+
 
 @dataclass
 class TrainConfig:
@@ -632,6 +638,71 @@ class TrainConfig:
             raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
 
 
+def _slice_size(net: Network) -> int:
+    """Examples per training slice: the most whose largest conv im2col matrix
+    (k*k*c*oh*ow values of the net's dtype per example) fits in SLICE_BYTES,
+    at least 1; 0 for a net without a conv, whose batch is one slice."""
+    per_example, in_shape = 0, net.input_size
+    for spec, out_shape in zip(net.layers, _chain_shapes(net.layers, net.input_size)):
+        if isinstance(spec, Conv):
+            cols = spec.size * spec.size * in_shape[2] * out_shape[0] * out_shape[1]
+            per_example = max(per_example, cols * net.dtype.itemsize)
+        in_shape = out_shape
+    return max(1, SLICE_BYTES // per_example) if per_example else 0
+
+
+def train_step(
+    net: Network,
+    state: OptimizerState,
+    x: np.ndarray,
+    targets: np.ndarray,
+    masks: np.ndarray,
+    rng: np.random.Generator | None,
+) -> float:
+    """One adaptive-gradient update from the mini-batch x; returns its mean loss.
+
+    targets is (n, 2k) and masks (n, k) for the n examples of x. The batch
+    runs forward, loss and backward in consecutive slices of a few examples,
+    each slice's loss gradient scaled by len(slice) / n, and one
+    adagrad_step applies the sum of the slices' parameter gradients: the
+    update of the whole batch, up to float rounding. Dropout draws its masks
+    slice by slice in batch order, which for one dropout layer is the rng
+    stream a whole-batch forward draws.
+
+    A slice holds as many examples as keep its largest conv im2col matrix
+    within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
+    get smaller slices. Its temporaries then fit in cache, and the allocator
+    reuses their memory from slice to slice; a whole batch of 128 default
+    crops allocated tens of MB afresh (conv1's im2col matrix alone is 40 MB)
+    and faulted them in from the kernel every batch.
+    """
+    n = len(x)
+    if n == 0:
+        raise InvalidArgumentError("a training step needs a non-empty batch")
+    if len(targets) != n or len(masks) != n:
+        raise ShapeError("inputs, targets and masks must have equal length")
+    step = _slice_size(net) or n
+    summed, total = None, 0.0
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        out, cache = forward(net, x[part], train_mode=True, rng=rng)
+        loss, grad = l2_loss_batch(out, targets[part], masks[part])
+        grad *= len(out) / n
+        grads = backward(net, cache, grad)
+        if summed is None:
+            summed = grads
+        else:
+            for acc, g in zip(summed, grads):
+                if acc is not None:
+                    acc["w"] += g["w"]
+                    acc["b"] += g["b"]
+        total += loss * len(out)
+        # free this slice's arrays before the next slice allocates its own
+        del out, cache, grad, grads
+    adagrad_step(net, summed, state)
+    return total / n
+
+
 def train_epochs(
     net: Network,
     inputs: np.ndarray,
@@ -643,9 +714,11 @@ def train_epochs(
     """Shuffled mini-batch SGD with adaptive-gradient updates.
 
     inputs is (n, ...) matching the net input, targets (n, 2k), masks (n, k).
-    The per-batch gradient is the mean over batch examples. progress, when
-    given, is called as progress(epoch_index, mean_epoch_loss). Deterministic
-    for a fixed seed (single-threaded).
+    Each mini-batch is one train_step: one update from the mean gradient over
+    the batch's examples, computed in slices of a few examples whose size
+    follows the SLICE_BYTES budget (see train_step). progress, when given,
+    is called as progress(epoch_index, mean_epoch_loss). Deterministic for a
+    fixed seed (single-threaded).
     """
     n = len(inputs)
     if n == 0:
@@ -659,12 +732,7 @@ def train_epochs(
         total = 0.0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            out, cache = forward(net, inputs[idx], train_mode=True, rng=rng)
-            loss, grad = l2_loss_batch(out, targets[idx], masks[idx])
-            grads = backward(net, cache, grad)
-            del cache  # free this batch's activations before the next forward
-            adagrad_step(net, grads, state)
-            total += loss * len(idx)
+            total += train_step(net, state, inputs[idx], targets[idx], masks[idx], rng) * len(idx)
         if progress is not None:
             progress(epoch, total / n)
     return net

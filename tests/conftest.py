@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from posecascade.geometry import BoundingBox, PoseTree, PoseVector
-
-
-@pytest.fixture
-def square_box():
-    return BoundingBox(np.array([110.0, 110.0]), 220.0, 220.0)
+from posecascade.geometry import PoseTree, PoseVector
 
 
 @pytest.fixture

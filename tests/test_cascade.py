@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, data, nn
 from posecascade.errors import InvalidArgumentError, InvalidStateError
-from posecascade.geometry import BoundingBox, crop_resample, denormalize_point, full_image_box
+from posecascade.geometry import BoundingBox, crop_resample, full_image_box
 
 from conftest import make_pose
 
@@ -295,7 +295,7 @@ def test_sample_pair_reconstructs_truth():
     )
     for i in range(K):
         target, box = _joint_view(ex, i, stats, 1.3, rng)
-        rec = denormalize_point(target, box)
+        rec = target * [box.width, box.height] + box.center
         assert np.all(np.abs(rec - ex.pose.joints[i]) < 1e-9)
 
 
@@ -347,7 +347,8 @@ def test_views_of_both_stages_denormalize_to_truth():
         t = v.target().reshape(K, 2)
         assert np.all(t[~m] == 0.0)
         for j in np.nonzero(m)[0]:
-            assert np.all(np.abs(denormalize_point(t[j], v.box) - truth.joints[j]) < 1e-9)
+            rec = t[j] * [v.box.width, v.box.height] + v.box.center
+            assert np.all(np.abs(rec - truth.joints[j]) < 1e-9)
 
 
 def test_train_refinement_rejects_empty():

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from posecascade.errors import (
     DegenerateBoxError,
@@ -13,18 +11,13 @@ from posecascade.geometry import (
     BoundingBox,
     PoseTree,
     crop_resample,
-    denormalize_point,
     full_image_box,
     joint_box,
-    normalize_point,
     parse_box,
     pose_diameter,
 )
 
 from conftest import make_pose
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 
 # --- box text -----------------------------------------------------------------
@@ -41,53 +34,6 @@ def test_parse_box_values():
 def test_parse_box_rejects_malformed_text(text):
     with pytest.raises(InvalidArgumentError):
         parse_box(text)
-
-
-# --- normalization -----------------------------------------------------------
-
-
-def test_normalize_center_is_origin(square_box):
-    assert np.allclose(normalize_point((110, 110), square_box), (0, 0))
-
-
-def test_normalize_hand_values(square_box):
-    assert np.allclose(normalize_point((165, 165), square_box), (0.25, 0.25))
-    assert np.allclose(normalize_point((0, 0), square_box), (-0.5, -0.5))
-
-
-def test_denormalize_hand_values(square_box):
-    assert np.allclose(denormalize_point((0, 0), square_box), (110, 110))
-    assert np.allclose(denormalize_point((0.25, 0.25), square_box), (165, 165))
-    assert np.allclose(denormalize_point((-0.5, -0.5), square_box), (0, 0))
-
-
-def test_normalize_rejects_non_finite(square_box):
-    with pytest.raises(InvalidArgumentError):
-        normalize_point((np.nan, 0), square_box)
-    with pytest.raises(InvalidArgumentError):
-        denormalize_point((np.inf, 0), square_box)
-
-
-@given(x=finite, y=finite, cx=finite, cy=finite, w=positive, h=positive)
-@settings(max_examples=200, deadline=None)
-def test_round_trip(x, y, cx, cy, w, h):
-    b = BoundingBox(np.array([cx, cy]), w, h)
-    back = denormalize_point(normalize_point((x, y), b), b)
-    assert abs(back[0] - x) < 1e-9 and abs(back[1] - y) < 1e-9
-
-
-# pixel-scale ranges: fp cancellation dominates the 1e-12 bound outside them
-pixel = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-pixel_size = st.floats(min_value=1.0, max_value=1e3, allow_nan=False)
-
-
-@given(x=pixel, y=pixel, tx=pixel, ty=pixel, w=pixel_size, h=pixel_size)
-@settings(max_examples=200, deadline=None)
-def test_translation_equivariance(x, y, tx, ty, w, h):
-    b = BoundingBox(np.array([1.0, 2.0]), w, h)
-    v0 = normalize_point((x, y), b)
-    v1 = normalize_point((x + tx, y + ty), b.shifted((tx, ty)))
-    assert np.all(np.abs(v1 - v0) < 1e-12)
 
 
 def test_box_validation():

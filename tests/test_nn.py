@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecascade import nn
+from posecascade import cascade, nn
 from posecascade.errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -699,6 +699,76 @@ def test_train_epochs_frees_each_batch_before_the_next():
             tracemalloc.stop()
 
     assert peak(64) < 1.1 * peak(16)
+
+
+def _default_stack_net(dtype=np.float32, input_size=(60, 60, 1)):
+    return nn.init_network(cascade.default_layers(0.6, 18), input_size, 18, seed=0, dtype=dtype)
+
+
+def test_slice_size_follows_the_im2col_budget():
+    # conv1's 5x5 im2col over 56x56 outputs is the largest: 313,600 float32
+    # bytes per example
+    assert nn._slice_size(_default_stack_net()) == nn.SLICE_BYTES // 313_600 == 8
+    assert nn._slice_size(_default_stack_net(np.float64)) == nn.SLICE_BYTES // 627_200
+    assert nn._slice_size(_default_stack_net(input_size=(120, 120, 1))) < 8
+    assert nn._slice_size(fc_net(4, 2)) == 0  # no conv: the batch is one slice
+
+
+def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
+    # a batch of 37 in slices of 8 ends with a short slice of 5; the update
+    # must be the whole batch's, dropout masks included
+    layers = [nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(6), nn.ReLU(),
+              nn.Dropout(0.5), nn.FullyConnected(4)]
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((37, 10, 10, 2))
+    targets = rng.uniform(-0.5, 0.5, (37, 4))
+    masks = rng.random((37, 2)) < 0.8
+
+    whole = nn.init_network(layers, (10, 10, 2), 4, seed=3)
+    whole_state = nn.OptimizerState.for_network(whole)
+    out, cache = nn.forward(whole, x, train_mode=True, rng=np.random.default_rng(5))
+    whole_loss, grad = nn.l2_loss_batch(out, targets, masks)
+    nn.adagrad_step(whole, nn.backward(whole, cache, grad), whole_state)
+
+    sliced = nn.init_network(layers, (10, 10, 2), 4, seed=3)
+    state = nn.OptimizerState.for_network(sliced)
+    monkeypatch.setattr(nn, "SLICE_BYTES", 8 * 3 * 3 * 2 * 8 * 8 * 8)  # 8 examples
+    forward, sizes = nn.forward, []
+
+    def counting_forward(net, xs, **kw):
+        sizes.append(len(xs))
+        return forward(net, xs, **kw)
+
+    monkeypatch.setattr(nn, "forward", counting_forward)
+    loss = nn.train_step(sliced, state, x, targets, masks, np.random.default_rng(5))
+
+    assert sizes == [8, 8, 8, 8, 5]
+    assert loss == pytest.approx(whole_loss, rel=1e-12)
+    for p, q, a, b in zip(sliced.params, whole.params, state.accum, whole_state.accum):
+        if p is None:
+            continue
+        for key in ("w", "b"):
+            # the accumulator holds the squared gradient, so it checks the scale
+            np.testing.assert_allclose(a[key], b[key], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(p[key], q[key], rtol=1e-12, atol=0)
+
+
+def test_train_step_memory_does_not_grow_with_the_batch():
+    # a batch of 128 runs in slices, so it peaks little above a batch of 16
+    net = _default_stack_net()
+    rng = np.random.default_rng(43)
+    x = rng.random((128, 60, 60, 1)).astype(np.float32)
+    targets, masks = rng.uniform(-0.5, 0.5, (128, 18)), np.ones((128, 9), dtype=bool)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            nn.train_epochs(net, x[:n], targets[:n], masks[:n], nn.TrainConfig(1, batch_size=n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(128) < 1.3 * peak(16)
 
 
 # --- serialization -------------------------------------------------------------

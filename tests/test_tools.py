@@ -13,6 +13,5 @@ def test_train_step_prints_its_medians_and_faults():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     values = dict(re.findall(r"^(\w+) ([0-9.]+)$", proc.stdout, re.MULTILINE))
-    assert set(values) == {"forward_ms", "backward_ms", "step_ms", "minor_faults_per_step"}
-    fwd, bwd, step = (float(values[k]) for k in ("forward_ms", "backward_ms", "step_ms"))
-    assert 0 < fwd + bwd <= step
+    assert set(values) == {"step_ms", "minor_faults_per_step"}
+    assert float(values["step_ms"]) > 0

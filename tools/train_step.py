@@ -1,11 +1,12 @@
 """Time one float32 training step of the default stack at batch 128.
 
-A step is a train-mode `nn.forward`, `nn.l2_loss_batch`, `nn.backward` and
-`nn.adagrad_step` on a batch of 128 random 60x60x1 float32 crops, through the
-cascade's default layers (the stage networks' stack, 9 joints). BLAS is pinned
-to one thread before numpy loads. After one untimed warm-up step it runs
-`--steps` steps and prints the median milliseconds of forward, backward and
-the whole step, and the minor page faults per step:
+A step is one `nn.train_step`, the call `nn.train_epochs` makes per
+mini-batch, on a batch of 128 random 60x60x1 float32 crops through the
+cascade's default layers (the stage networks' stack, 9 joints): forward, loss
+and backward in slices of the batch, then one adaptive-gradient update. BLAS
+is pinned to one thread before numpy loads. After one untimed warm-up step it
+runs `--steps` steps and prints the median milliseconds per step and the
+minor page faults per step:
 
     python3 tools/train_step.py --steps 50
 
@@ -47,27 +48,17 @@ def main(argv=None) -> int:
     mask = np.ones((BATCH, k), dtype=bool)
     state = nn.OptimizerState.for_network(net)
 
-    def step() -> tuple[float, float, float]:
+    def step() -> float:
         t0 = time.perf_counter()
-        out, cache = nn.forward(net, x, train_mode=True, rng=rng)
-        t1 = time.perf_counter()
-        _, grad = nn.l2_loss_batch(out, target, mask)
-        t2 = time.perf_counter()
-        grads = nn.backward(net, cache, grad)
-        t3 = time.perf_counter()
-        nn.adagrad_step(net, grads, state)
-        t4 = time.perf_counter()
-        return t1 - t0, t3 - t2, t4 - t0
+        nn.train_step(net, state, x, target, mask, rng)
+        return time.perf_counter() - t0
 
     step()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    times = np.array([step() for _ in range(args.steps)]) * 1e3
+    times = [step() for _ in range(args.steps)]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    fwd, bwd, total = np.median(times, axis=0)
     print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1")
-    print(f"forward_ms {fwd:.1f}")
-    print(f"backward_ms {bwd:.1f}")
-    print(f"step_ms {total:.1f}")
+    print(f"step_ms {np.median(times) * 1e3:.1f}")
     print(f"minor_faults_per_step {faults / args.steps:.0f}")
     return 0
 
