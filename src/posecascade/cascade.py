@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import container, nn
 from .data import LoadedExample, mirror_example
-from .errors import InvalidArgumentError, InvalidStateError, MissingTorsoError
+from .errors import InvalidArgumentError, InvalidStateError, MissingTorsoError, io_reason
 from .geometry import (
     BoundingBox,
     PoseTree,
@@ -35,7 +36,7 @@ from .geometry import (
 log = logging.getLogger(__name__)
 
 CASCADE_MAGIC = b"PCCAS\n"
-CASCADE_FORMAT_VERSION = 1
+CASCADE_FORMAT_VERSION = 2  # 2 put every stage into the one header
 
 
 def net_input(image: np.ndarray, boxes, input_size: tuple[int, int, int]) -> np.ndarray:
@@ -79,6 +80,7 @@ class StageConfig:
     input_size: tuple[int, int, int] = (60, 60, 1)
     layers: list[nn.LayerSpec] | None = None  # None: default_layers
     use_lrn: bool = False  # only consulted when layers is None
+    dropout_keep: float = 0.6  # only consulted when layers is None
     train: nn.TrainConfig = field(default_factory=lambda: nn.TrainConfig(epochs=10))
     seed: int = 0  # weight init and augmentation draws
     jitter_frac: float = 0.05  # stage-1 translation, fraction of box size
@@ -93,7 +95,7 @@ class StageConfig:
         """A float32 net; its weights are the float64 draws of the seed, cast."""
         layers = self.layers
         if layers is None:
-            layers = default_layers(self.train.dropout_keep, output_dim, self.use_lrn)
+            layers = default_layers(self.dropout_keep, output_dim, self.use_lrn)
         return nn.init_network(layers, self.input_size, output_dim, self.seed, dtype=np.float32)
 
 
@@ -366,48 +368,45 @@ def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
 
 
 # ---------------------------------------------------------------------------
-# serialization: container header, then each stage as a length-prefixed
-# network file
+# serialization: one container header (the cascade settings, the stats and
+# each stage's layers), then every stage's parameters as raw little-endian
+# float32 in stage and layer order, their shapes following from the layers
+
+_TREE_PAIRS = ("limbs", "torso_pairs", "left_right_swap")
+_STATS_FIELDS = ("mean", "var", "present", "count")
 
 
 def cascade_to_bytes(model: CascadeModel) -> bytes:
+    """The model file; raises InvalidArgumentError on a stage it cannot hold."""
+    for s, net in enumerate(model.stages):
+        if net.input_size != tuple(model.input_size) or net.output_dim != 2 * model.tree.k:
+            raise InvalidArgumentError(
+                f"stage {s + 1} maps {net.input_size} to {net.output_dim} values, "
+                f"the cascade needs {tuple(model.input_size)} to {2 * model.tree.k}"
+            )
+        if net.dtype != np.float32:
+            raise InvalidArgumentError(f"stage {s + 1} is {net.dtype}, model files hold float32")
     header = {
         "format_version": CASCADE_FORMAT_VERSION,
         "sigma": model.sigma,
         "input_size": list(model.input_size),
-        "tree": {
-            "k": model.tree.k,
-            "limbs": [list(p) for p in model.tree.limbs],
-            "torso_pairs": [list(p) for p in model.tree.torso_pairs],
-            "left_right_swap": [list(p) for p in model.tree.left_right_swap],
-        },
-        "num_stages": model.num_stages,
-        "stats": [
-            None
-            if st is None
-            else {
-                "mean": st.mean.tolist(),
-                "var": st.var.tolist(),
-                "present": st.present.tolist(),
-                "count": st.count.tolist(),
-            }
-            for st in model.stats
-        ],
+        "tree": {"k": model.tree.k,
+                 **{name: [list(p) for p in getattr(model.tree, name)] for name in _TREE_PAIRS}},
+        "stages": [[nn.spec_to_dict(spec) for spec in net.layers] for net in model.stages],
+        "stats": [None if st is None else {f: getattr(st, f).tolist() for f in _STATS_FIELDS}
+                  for st in model.stats],
     }
     blobs = [container.pack_header(CASCADE_MAGIC, header)]
-    blobs += [container.pack_blob(nn.network_to_bytes(net)) for net in model.stages]
+    for net in model.stages:
+        blobs += [p[key].astype("<f4").tobytes() for p in net.params if p is not None
+                  for key in ("w", "b")]
     return b"".join(blobs)
 
 
 def _stats_from_header(st: dict | None, k: int) -> DisplacementStats | None:
     if st is None:
         return None
-    arrays = (
-        np.array(st["mean"], dtype=float),
-        np.array(st["var"], dtype=float),
-        np.array(st["present"], dtype=bool),
-        np.array(st["count"], dtype=int),
-    )
+    arrays = [np.array(st[f], dtype=t) for f, t in zip(_STATS_FIELDS, (float, float, bool, int))]
     if [a.shape for a in arrays] != [(k, 2), (k, 2), (k,), (k,)]:
         raise InvalidArgumentError(f"cascade header: displacement stats do not have k={k} joints")
     return DisplacementStats(*arrays)
@@ -421,33 +420,34 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
         if header["format_version"] != CASCADE_FORMAT_VERSION:
             raise InvalidArgumentError(f"unsupported format version {header['format_version']!r}")
         t = header["tree"]
-        tree = PoseTree(
-            int(t["k"]),
-            [tuple(p) for p in t["limbs"]],
-            [tuple(p) for p in t["torso_pairs"]],
-            [tuple(p) for p in t["left_right_swap"]],
-        )
+        tree = PoseTree(int(t["k"]), *([tuple(p) for p in t[name]] for name in _TREE_PAIRS))
         stats = [_stats_from_header(st, tree.k) for st in header["stats"]]
         sigma = header["sigma"]
         input_size = tuple(int(v) for v in header["input_size"])
-        num_stages = int(header["num_stages"])
+        stage_specs = list(header["stages"])
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as e:
         raise InvalidArgumentError(f"malformed cascade header: {e!r}") from None
     if not (isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0):
         raise InvalidArgumentError(f"cascade header: sigma must be positive, got {sigma}")
+    if len(input_size) != 3:
+        raise InvalidArgumentError(f"cascade header: input_size must be (h, w, c), got {input_size}")
     stages = []
-    for s in range(num_stages):
+    for s, specs in enumerate(stage_specs):
         try:
-            stages.append(nn.network_from_bytes(r.blob()))
+            layers = [nn.spec_from_dict(d) for d in specs]
+            shapes = nn.param_shapes(layers, input_size, 2 * tree.k)
         except InvalidArgumentError as e:
             raise InvalidArgumentError(f"stage {s + 1}: {e}") from None
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise InvalidArgumentError(f"stage {s + 1}: malformed layers: {e!r}") from None
+        params = [None if sh is None else {"w": r.float32(sh[0]), "b": r.float32(sh[1])}
+                  for sh in shapes]
+        for idx, p in enumerate(params):
+            if p is not None and not (np.isfinite(p["w"]).all() and np.isfinite(p["b"]).all()):
+                kind = nn.spec_to_dict(layers[idx])["kind"]
+                raise InvalidArgumentError(f"stage {s + 1}: layer {idx} ({kind}) has non-finite parameters")
+        stages.append(nn.Network(input_size, layers, params, 2 * tree.k, dtype=np.float32))
     r.finish()
-    for s, net in enumerate(stages):
-        if net.input_size != input_size or net.output_dim != 2 * tree.k:
-            raise InvalidArgumentError(
-                f"stage {s + 1} maps {net.input_size} to {net.output_dim} values, "
-                f"the cascade needs {input_size} to {2 * tree.k}"
-            )
     return CascadeModel(stages, stats, sigma, tree, input_size)
 
 
@@ -457,5 +457,8 @@ def save_cascade(model: CascadeModel, path) -> None:
 
 
 def load_cascade(path) -> CascadeModel:
-    with open(path, "rb") as f:
-        return cascade_from_bytes(f.read())
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise InvalidArgumentError(f"cannot read model file {path}: {io_reason(e)}") from None
+    return cascade_from_bytes(data)

@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     ManifestParseError,
     ManifestValidationError,
+    io_reason,
 )
 from .geometry import PoseVector, parse_box
 
@@ -103,7 +104,11 @@ _CONVERTERS = {
 
 def load_run_config(path) -> RunConfig:
     cfg = RunConfig()
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidArgumentError(f"cannot read config file {path}: {io_reason(e)}") from None
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,11 +153,11 @@ def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
         stage1_jitter_crops=cfg.stage1_crops,
         input_size=(cfg.input_size, cfg.input_size, 1),
         use_lrn=cfg.use_lrn,
+        dropout_keep=cfg.dropout,
         train=nn.TrainConfig(
             epochs=epochs,
             batch_size=cfg.batch,
             learning_rate=cfg.lr,
-            dropout_keep=cfg.dropout,
             seed=cfg.seed * 1000 + stage,
         ),
         seed=cfg.seed * 1000 + stage,
@@ -238,7 +243,10 @@ def cmd_eval(args) -> int:
     truths = [ex.pose for ex in examples]
     preds = casc.predict_many(model, examples)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InvalidArgumentError(f"cannot create output directory {out}: {io_reason(e)}") from None
     for s in range(model.num_stages):
         stage_preds = [p.poses[min(s, len(p.poses) - 1)] for p in preds]
         report = met.make_report(

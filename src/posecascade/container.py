@@ -1,7 +1,7 @@
-"""Length-checked binary container shared by the network and cascade files.
+"""Length-checked binary container of the model file.
 
 Layout: a magic string, a little-endian u64 header length, a UTF-8 JSON
-object (the header), then payload blobs. Every read is bounds-checked, so a
+object (the header), then raw arrays. Every read is bounds-checked, so a
 truncated, extended or garbled file raises InvalidArgumentError instead of a
 stray struct.error, UnicodeDecodeError or ValueError.
 """
@@ -18,12 +18,8 @@ from .errors import InvalidArgumentError
 
 def pack_header(magic: bytes, header: dict) -> bytes:
     """magic + u64 length + sorted-key JSON header; deterministic bytes."""
-    return magic + pack_blob(json.dumps(header, sort_keys=True).encode("utf-8"))
-
-
-def pack_blob(blob: bytes) -> bytes:
-    """u64 length + blob, read back by Reader.blob."""
-    return struct.pack("<Q", len(blob)) + blob
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return magic + struct.pack("<Q", len(blob)) + blob
 
 
 class Reader:
@@ -46,26 +42,20 @@ class Reader:
         self.off += n
         return out
 
-    def blob(self) -> bytes:
-        (n,) = struct.unpack("<Q", self.take(8))
-        return self.take(n)
-
     def header(self) -> dict:
-        raw = self.blob()
+        (n,) = struct.unpack("<Q", self.take(8))
         try:
-            header = json.loads(raw.decode("utf-8"))
+            header = json.loads(self.take(n).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise InvalidArgumentError(f"{self.what}: unreadable header ({e})") from None
         if not isinstance(header, dict):
             raise InvalidArgumentError(f"{self.what}: header is not a JSON object")
         return header
 
-    def array(self, code: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A native-order copy of prod(shape) items stored as dtype `code`."""
-        dt = np.dtype(code)
-        n = int(np.prod(shape))
-        stored = np.frombuffer(self.take(n * dt.itemsize), dtype=dt).reshape(shape)
-        return stored.astype(dt.newbyteorder("="))
+    def float32(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A native-order copy of prod(shape) little-endian float32 values."""
+        stored = np.frombuffer(self.take(4 * int(np.prod(shape))), dtype="<f4")
+        return stored.reshape(shape).astype(np.float32)
 
     def finish(self) -> None:
         extra = len(self.data) - self.off

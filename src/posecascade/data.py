@@ -26,6 +26,7 @@ from .errors import (
     InvalidArgumentError,
     ManifestParseError,
     ManifestValidationError,
+    io_reason,
 )
 from .geometry import BoundingBox, PoseTree, PoseVector, parse_box
 
@@ -92,61 +93,66 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestParseError(line_no, f"expected two joint indices, got {tokens}") from None
         return a, b
 
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if k is None:
-                if not line.startswith("k="):
-                    raise ManifestParseError(line_no, "manifest must start with k=<int>")
-                try:
-                    k = int(line[2:])
-                except ValueError:
-                    raise ManifestParseError(line_no, f"bad joint count {line!r}") from None
-                if k < 2:
-                    raise ManifestValidationError(f"k must be >= 2, got {k}", line_no)
-                continue
-            tokens = line.split()
-            head = tokens[0]
-            if head == "limb":
-                limbs.append(int_pair(tokens[1:], line_no))
-            elif head == "torso":
-                torso.append(int_pair(tokens[1:], line_no))
-            elif head == "swap":
-                swap.append(int_pair(tokens[1:], line_no))
-            elif head == "name":
-                try:
-                    idx = int(tokens[1])
-                    label = tokens[2]
-                except (ValueError, IndexError):
-                    raise ManifestParseError(line_no, f"bad name declaration {line!r}") from None
-                names[idx] = label
-            else:
-                # record line: path, box, then k (x, y, v) triples
-                if len(tokens) < 2:
-                    raise ManifestParseError(line_no, f"truncated record {line!r}")
-                if len(tokens) - 2 != 3 * k:
-                    raise ManifestValidationError(
-                        f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}",
-                        line_no,
-                    )
-                try:
-                    box = None if tokens[1] == "-" else parse_box(tokens[1])
-                except InvalidArgumentError as e:
-                    raise ManifestParseError(line_no, str(e)) from None
-                try:
-                    vals = [float(t) for t in tokens[2:]]
-                except ValueError:
-                    raise ManifestParseError(line_no, f"non-numeric coordinate in {head!r}") from None
-                triples = np.array(vals).reshape(k, 3)
-                if not np.all(np.isin(triples[:, 2], (0.0, 1.0))):
-                    raise ManifestParseError(line_no, "visibility flags must be 0 or 1")
-                try:
-                    pose = PoseVector(triples[:, :2], triples[:, 2] > 0)
-                except InvalidArgumentError as e:
-                    raise ManifestValidationError(str(e), line_no) from None
-                examples.append(AnnotatedExample(head, pose, box))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidArgumentError(f"cannot read manifest {path}: {io_reason(e)}") from None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if k is None:
+            if not line.startswith("k="):
+                raise ManifestParseError(line_no, "manifest must start with k=<int>")
+            try:
+                k = int(line[2:])
+            except ValueError:
+                raise ManifestParseError(line_no, f"bad joint count {line!r}") from None
+            if k < 2:
+                raise ManifestValidationError(f"k must be >= 2, got {k}", line_no)
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        if head == "limb":
+            limbs.append(int_pair(tokens[1:], line_no))
+        elif head == "torso":
+            torso.append(int_pair(tokens[1:], line_no))
+        elif head == "swap":
+            swap.append(int_pair(tokens[1:], line_no))
+        elif head == "name":
+            try:
+                idx = int(tokens[1])
+                label = tokens[2]
+            except (ValueError, IndexError):
+                raise ManifestParseError(line_no, f"bad name declaration {line!r}") from None
+            if not 0 <= idx < k:
+                raise ManifestValidationError(f"joint name index {idx} out of range for k={k}", line_no)
+            names[idx] = label
+        else:
+            # record line: path, box, then k (x, y, v) triples
+            if len(tokens) < 2:
+                raise ManifestParseError(line_no, f"truncated record {line!r}")
+            if len(tokens) - 2 != 3 * k:
+                raise ManifestValidationError(
+                    f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}",
+                    line_no,
+                )
+            try:
+                box = None if tokens[1] == "-" else parse_box(tokens[1])
+            except InvalidArgumentError as e:
+                raise ManifestParseError(line_no, str(e)) from None
+            try:
+                vals = [float(t) for t in tokens[2:]]
+            except ValueError:
+                raise ManifestParseError(line_no, f"non-numeric coordinate in {head!r}") from None
+            triples = np.array(vals).reshape(k, 3)
+            if not np.all(np.isin(triples[:, 2], (0.0, 1.0))):
+                raise ManifestParseError(line_no, "visibility flags must be 0 or 1")
+            try:
+                pose = PoseVector(triples[:, :2], triples[:, 2] > 0)
+            except InvalidArgumentError as e:
+                raise ManifestValidationError(str(e), line_no) from None
+            examples.append(AnnotatedExample(head, pose, box))
 
     if k is None:
         raise ManifestParseError(1, "empty manifest")
@@ -202,7 +208,10 @@ def load_examples(manifest: DatasetManifest) -> list[LoadedExample]:
 
 def load_image(path) -> np.ndarray:
     """Decode a binary graymap/pixmap into (H, W, C) float64 scaled to [0, 1]."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise ImageFormatError(f"{path}: cannot read image: {io_reason(e)}") from None
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise ImageFormatError(f"{path}: unsupported magic {magic!r}")

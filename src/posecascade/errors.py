@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reason text of a failed file access."""
 
 
 class PoseCascadeError(Exception):
@@ -49,3 +49,8 @@ class ManifestValidationError(PoseCascadeError):
 
 class ImageFormatError(PoseCascadeError):
     """File is not a decodable binary PGM/PPM image."""
+
+
+def io_reason(e: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read or made, for a message that names the path itself."""
+    return getattr(e, "strerror", None) or str(e)

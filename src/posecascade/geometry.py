@@ -103,7 +103,8 @@ def full_image_box(width: int, height: int) -> BoundingBox:
 class PoseTree:
     """Kinematic structure: limbs, opposing torso pairs, and mirror swaps.
 
-    Limbs must form a forest; swap pairs must not share joints.
+    Limbs must form a forest, a torso pair joins two joints, and swap pairs
+    must not share joints.
     """
 
     k: int
@@ -118,6 +119,8 @@ class PoseTree:
         for a, b in self.limbs + self.torso_pairs + self.left_right_swap:
             if not (0 <= a < self.k and 0 <= b < self.k):
                 raise InvalidArgumentError(f"joint index ({a}, {b}) out of range for k={self.k}")
+        if any(a == b for a, b in self.torso_pairs):
+            raise InvalidArgumentError(f"torso pairs {self.torso_pairs} pair a joint with itself")
         # forest check via union-find
         parent = list(range(self.k))
 

@@ -25,19 +25,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import container
 from .errors import (
     ContractViolationError,
     InvalidArgumentError,
     ShapeError,
 )
-
-MAGIC = b"PCNET\n"
-FORMAT_VERSION = 2  # 2 added the header's "dtype"; version-1 files are float64
-
-# compute dtypes a network may carry, with their little-endian file codes
-_DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
-_CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +115,7 @@ _KIND_TO_CLS = {
     "dropout": Dropout,
 }
 _CLS_TO_KIND = {v: k for k, v in _KIND_TO_CLS.items()}
+_FIELD_TYPES = {"int": (int,), "float": (int, float)}  # value types a spec field takes
 
 
 def spec_to_dict(spec: LayerSpec) -> dict:
@@ -137,7 +130,10 @@ def spec_from_dict(d: dict) -> LayerSpec:
     kind = d.pop("kind")
     if kind not in _KIND_TO_CLS:
         raise InvalidArgumentError(f"unknown layer kind {kind!r}")
-    return _KIND_TO_CLS[kind](**d)
+    spec = _KIND_TO_CLS[kind](**d)
+    if any(type(getattr(spec, f.name)) not in _FIELD_TYPES[f.type] for f in fields(spec)):
+        raise InvalidArgumentError(f"bad field type in {spec}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +180,7 @@ def _chain_shapes(layers: list[LayerSpec], input_size: tuple[int, ...]) -> list[
     return out
 
 
-def _param_shapes(
+def param_shapes(
     layers: list[LayerSpec], input_size: tuple[int, ...], output_dim: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """(weight shape, bias shape) per layer, None for parameter-free layers.
@@ -225,7 +221,7 @@ class Network:
 
     def __post_init__(self):
         self.dtype = np.dtype(self.dtype)
-        if self.dtype not in _DTYPE_CODES:
+        if self.dtype not in (np.float32, np.float64):
             raise InvalidArgumentError(f"unsupported network dtype {self.dtype}")
         for p in self.params:
             if p is not None and (p["w"].dtype != self.dtype or p["b"].dtype != self.dtype):
@@ -255,7 +251,7 @@ def init_network(
     """
     rng = np.random.default_rng(seed)
     params: list[dict | None] = []
-    for shp in _param_shapes(layers, input_size, output_dim):
+    for shp in param_shapes(layers, input_size, output_dim):
         if shp is None:
             params.append(None)
             continue
@@ -626,7 +622,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 128
     learning_rate: float = 0.0005
-    dropout_keep: float = 0.6  # consumed where the layer stack is built
     seed: int = 0
 
     def __post_init__(self):
@@ -736,66 +731,3 @@ def train_epochs(
         if progress is not None:
             progress(epoch, total / n)
     return net
-
-
-# ---------------------------------------------------------------------------
-# serialization: container header (format version, dtype, layers, shapes),
-# then each parameter array as raw little-endian floats of that dtype
-
-
-def network_to_bytes(net: Network) -> bytes:
-    code = _DTYPE_CODES[net.dtype]
-    header = {
-        "format_version": FORMAT_VERSION,
-        "dtype": code,
-        "input_size": list(net.input_size),
-        "output_dim": net.output_dim,
-        "layers": [spec_to_dict(s) for s in net.layers],
-        "param_shapes": [
-            None if p is None else {"w": list(p["w"].shape), "b": list(p["b"].shape)}
-            for p in net.params
-        ],
-    }
-    blobs = [container.pack_header(MAGIC, header)]
-    for p in net.params:
-        if p is not None:
-            blobs.append(np.ascontiguousarray(p["w"], dtype=code).tobytes())
-            blobs.append(np.ascontiguousarray(p["b"], dtype=code).tobytes())
-    return b"".join(blobs)
-
-
-def network_from_bytes(data: bytes) -> Network:
-    """Parse a network file; any malformed input raises InvalidArgumentError."""
-    r = container.Reader(data, MAGIC, "network file")
-    header = r.header()
-    try:
-        version = header["format_version"]
-        if version == 1:
-            code = "<f8"
-        elif version == FORMAT_VERSION:
-            code = header["dtype"]
-        else:
-            raise InvalidArgumentError(f"unsupported format version {version!r}")
-        if code not in _CODE_DTYPES:
-            raise InvalidArgumentError(f"unsupported parameter dtype {code!r}")
-        layers = [spec_from_dict(d) for d in header["layers"]]
-        input_size = tuple(int(s) for s in header["input_size"])
-        output_dim = int(header["output_dim"])
-        shapes = _param_shapes(layers, input_size, output_dim)
-        declared = header["param_shapes"]
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise InvalidArgumentError(f"malformed network header: {e!r}") from None
-    if declared != [None if s is None else {"w": list(s[0]), "b": list(s[1])} for s in shapes]:
-        raise InvalidArgumentError("network header: param_shapes do not match the layers")
-    params = [
-        None if s is None else {"w": r.array(code, s[0]), "b": r.array(code, s[1])}
-        for s in shapes
-    ]
-    r.finish()
-    for idx, p in enumerate(params):
-        if p is not None and not (np.isfinite(p["w"]).all() and np.isfinite(p["b"]).all()):
-            raise InvalidArgumentError(
-                f"layer {idx} ({_CLS_TO_KIND[type(layers[idx])]}) has non-finite parameters"
-            )
-    return Network(input_size, layers, params, output_dim, dtype=_CODE_DTYPES[code])
-

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecascade import cascade, data, nn
+from posecascade import cascade, container, data, nn
 from posecascade.errors import InvalidArgumentError, InvalidStateError
 from posecascade.geometry import BoundingBox, crop_resample, full_image_box
 
@@ -542,7 +544,109 @@ def test_cascade_stage_shape_must_match_model():
     model = _two_stage_model(random_net(6))
     model.input_size = (14, 14, 1)  # the stages take 12x12 crops
     with pytest.raises(InvalidArgumentError, match="stage 1"):
-        cascade.cascade_from_bytes(cascade.cascade_to_bytes(model))
+        cascade.cascade_to_bytes(model)
+
+
+def test_cascade_float64_stage_is_not_saved():
+    net = nn.init_network([nn.FullyConnected(2 * K)], INPUT, 2 * K, seed=0)
+    with pytest.raises(InvalidArgumentError, match="stage 2 is float64"):
+        cascade.cascade_to_bytes(_two_stage_model(net))
+
+
+def _header(data_):
+    n = len(cascade.CASCADE_MAGIC)
+    return json.loads(data_[n + 8 : n + 8 + int.from_bytes(data_[n : n + 8], "little")])
+
+
+def _params(model):
+    """Every stage's parameters as little-endian float32, in stage and layer order."""
+    return b"".join(p[key].astype("<f4").tobytes() for net in model.stages
+                    for p in net.params if p is not None for key in ("w", "b"))
+
+
+def _pack(header, model):
+    """A cascade file with this header and model's parameters."""
+    return container.pack_header(cascade.CASCADE_MAGIC, header) + _params(model)
+
+
+def test_cascade_file_is_one_header_then_float32_parameters():
+    every_kind = [nn.Conv(3, 3), nn.ReLU(), nn.LRN(), nn.MaxPool(2), nn.FullyConnected(5),
+                  nn.Dropout(0.6), nn.FullyConnected(2 * K)]
+    model = _two_stage_model(tiny_stage_config(layers=every_kind, seed=3).build_network(2 * K))
+    data_ = cascade.cascade_to_bytes(model)
+    header = _header(data_)
+    assert header["format_version"] == cascade.CASCADE_FORMAT_VERSION == 2
+    assert header["stages"] == [[nn.spec_to_dict(s) for s in net.layers] for net in model.stages]
+    assert data_ == _pack(header, model)
+    loaded = cascade.cascade_from_bytes(data_)
+    assert loaded.stages[1].layers == every_kind
+    assert cascade.cascade_to_bytes(loaded) == data_
+
+
+@pytest.mark.parametrize("key", ["format_version", "sigma", "input_size", "tree", "stages", "stats"])
+def test_cascade_missing_header_key_rejected(key):
+    model = _two_stage_model(random_net(6))
+    header = _header(cascade.cascade_to_bytes(model))
+    del header[key]
+    with pytest.raises(InvalidArgumentError, match="malformed cascade header"):
+        cascade.cascade_from_bytes(_pack(header, model))
+
+
+@pytest.mark.parametrize("bad_spec", [
+    {"kind": "pool"},  # unknown kind
+    {"kind": "fc"},  # a field missing
+    {"kind": "fc", "units": 2 * K, "bias": 1},  # an unknown field
+    {"kind": "fc", "units": 0},  # out of range
+    {"kind": "fc", "units": 2.0 * K},  # not an integer
+    {"kind": "fc", "units": 2 * K + 1},  # does not chain to 2k outputs
+    {"kind": "conv", "filters": 1, "size": 20},  # larger than the 12x12 input
+    "fc",  # not an object
+], ids=["unknown_kind", "missing_field", "unknown_field", "out_of_range", "not_an_integer",
+        "wrong_output_size", "filter_too_large", "not_an_object"])
+def test_cascade_bad_layer_spec_names_its_stage(bad_spec):
+    model = _two_stage_model(zeroed_net())
+    header = _header(cascade.cascade_to_bytes(model))
+    header["stages"][1] = [bad_spec]
+    with pytest.raises(InvalidArgumentError, match="stage 2"):
+        cascade.cascade_from_bytes(_pack(header, model))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sigma", 0, "sigma"),
+    ("sigma", "1.0", "sigma"),
+    ("input_size", [INPUT[0] * INPUT[1]], "input_size"),  # fully connected stages would load
+    ("stats", [None], "align"),
+], ids=["sigma_zero", "sigma_text", "input_size_flat", "stats_short"])
+def test_cascade_bad_header_value_rejected(key, value, message):
+    model = cascade.CascadeModel([zeroed_net(1), zeroed_net(2)], [None, _delta_stats((0.0, 0.0))],
+                                 1.0, TREE, INPUT)
+    header = _header(cascade.cascade_to_bytes(model))
+    header[key] = value
+    with pytest.raises(InvalidArgumentError, match=message):
+        cascade.cascade_from_bytes(_pack(header, model))
+
+
+@pytest.mark.parametrize("version", [1, 3, "2"], ids=["1", "3", "text_2"])
+def test_cascade_other_format_version_rejected(version):
+    model = _two_stage_model(random_net(6))
+    header = _header(cascade.cascade_to_bytes(model))
+    header["format_version"] = version
+    with pytest.raises(InvalidArgumentError, match="unsupported format version"):
+        cascade.cascade_from_bytes(_pack(header, model))
+
+
+def test_cascade_bad_magic():
+    with pytest.raises(InvalidArgumentError, match="bad magic"):
+        cascade.cascade_from_bytes(b"PCNET\n" + b"\x00" * 32)
+
+
+@pytest.mark.parametrize("data_", [
+    cascade.CASCADE_MAGIC + (5).to_bytes(8, "little") + b"{not}",  # bad JSON
+    cascade.CASCADE_MAGIC + (2).to_bytes(8, "little") + b"[]",  # header is not an object
+], ids=["bad_json", "not_an_object"])
+def test_cascade_malformed_header_rejected(data_):
+    with pytest.raises(InvalidArgumentError, match="header"):
+        cascade.cascade_from_bytes(data_)
 
 
 def _fuzz_cascade_bytes():

@@ -434,6 +434,39 @@ def test_predict_malformed_model_is_data_error(tmp_path, synth_dir, trained_dir,
     assert "error:" in capsys.readouterr().err
 
 
+def _unreadable_input(case, tmp_path, synth_dir, trained_dir):
+    """(argv, path): a command whose input or output path at `path` cannot be used."""
+    image = synth_dir / data.load_manifest(synth_dir / "manifest.txt").examples[0].image_path
+    model, out = str(trained_dir / "cascade.model"), str(tmp_path / "out")
+    if case == "model_is_a_directory":
+        return ["predict", "--model", str(tmp_path), "--image", str(image)], tmp_path
+    if case == "config_not_utf8":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"epochs = 1\n\xff\n")
+        return ["train", "--config", str(path)], path
+    if case == "manifest_not_utf8":
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"k=2\n\xff.pgm - 1 1 1 2 2 1\n")
+        return ["train", "--train", str(path), "--out", out], path
+    if case == "record_is_a_directory":
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "m.txt").write_text("k=2\nsub - 1 1 1 2 2 1\n")
+        return ["train", "--train", str(tmp_path / "m.txt"), "--out", out], tmp_path / "sub"
+    assert case == "eval_out_is_a_file"
+    path = tmp_path / "report"
+    path.write_text("")
+    return ["eval", "--model", model, "--manifest", str(synth_dir / "manifest.txt"),
+            "--out", str(path)], path
+
+
+@pytest.mark.parametrize("case", ["model_is_a_directory", "config_not_utf8", "manifest_not_utf8",
+                                  "record_is_a_directory", "eval_out_is_a_file"])
+def test_unusable_path_is_data_error_naming_it(tmp_path, synth_dir, trained_dir, capsys, case):
+    argv, path = _unreadable_input(case, tmp_path, synth_dir, trained_dir)
+    assert run(*argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     # the package must not import cli, or `python -m posecascade.cli` warns
     # that the module was already in sys.modules when it ran as __main__

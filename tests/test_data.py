@@ -86,6 +86,21 @@ def test_load_manifest_rejects_cyclic_tree(tmp_path):
         data.load_manifest(p)
 
 
+@pytest.mark.parametrize("idx", ["3", "-1", "42"])
+def test_load_manifest_rejects_out_of_range_name(tmp_path, idx):
+    p = tmp_path / "m.txt"
+    p.write_text(MANIFEST.replace("name 2 right", f"name 2 right\nname {idx} ghost"))
+    with pytest.raises(ManifestValidationError, match=f"line 6: joint name index {idx} out of range"):
+        data.load_manifest(p)
+
+
+def test_load_manifest_rejects_torso_pair_of_one_joint(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text(MANIFEST.replace("torso 1 2", "torso 1 1"))
+    with pytest.raises(ManifestValidationError, match="torso pair"):
+        data.load_manifest(p)
+
+
 def test_manifest_round_trip(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text(MANIFEST)

@@ -1,10 +1,7 @@
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from posecascade import cascade, nn
 from posecascade.errors import (
@@ -12,6 +9,7 @@ from posecascade.errors import (
     InvalidArgumentError,
     ShapeError,
 )
+from posecascade.geometry import PoseTree
 
 from fdcheck import max_rel_error
 
@@ -771,84 +769,19 @@ def test_train_step_memory_does_not_grow_with_the_batch():
     assert peak(128) < 1.3 * peak(16)
 
 
-# --- serialization -------------------------------------------------------------
-
-
-def test_network_round_trip():
-    net = nn.init_network(
-        [nn.Conv(3, 3), nn.ReLU(), nn.LRN(), nn.MaxPool(2), nn.FullyConnected(5),
-         nn.Dropout(0.6), nn.FullyConnected(4)],
-        (8, 8, 2), 4, seed=13,
-    )
-    loaded = nn.network_from_bytes(nn.network_to_bytes(net))
-    assert loaded.input_size == net.input_size
-    assert loaded.output_dim == net.output_dim
-    assert loaded.layers == net.layers
-    for pa, pb in zip(net.params, loaded.params):
-        if pa is None:
-            assert pb is None
-            continue
-        assert np.array_equal(pa["w"], pb["w"])
-        assert np.array_equal(pa["b"], pb["b"])
-    # deterministic re-serialization
-    assert nn.network_to_bytes(net) == nn.network_to_bytes(loaded)
-
-
-def test_network_bad_magic():
-    with pytest.raises(InvalidArgumentError):
-        nn.network_from_bytes(b"NOTANET\n" + b"\x00" * 32)
-
-
-@pytest.mark.parametrize("data", [
-    b"PCNET\n" + (5).to_bytes(8, "little") + b"{not}",  # bad JSON
-    b"PCNET\n" + (2).to_bytes(8, "little") + b"[]",  # header is not an object
-])
-def test_network_malformed_header_rejected(data):
-    with pytest.raises(InvalidArgumentError):
-        nn.network_from_bytes(data)
-
-
-def _header(data):
-    hlen = int.from_bytes(data[len(nn.MAGIC) : len(nn.MAGIC) + 8], "little")
-    return json.loads(data[len(nn.MAGIC) + 8 : len(nn.MAGIC) + 8 + hlen])
-
-
-def _pack(header, net, code):
-    """A network file with this header and net's parameters stored as code."""
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = [nn.MAGIC, len(hbytes).to_bytes(8, "little"), hbytes]
-    for p in net.params:
-        if p is not None:
-            blobs += [p["w"].astype(code).tobytes(), p["b"].astype(code).tobytes()]
-    return b"".join(blobs)
-
-
-@pytest.mark.parametrize("key", ["format_version", "dtype", "layers", "input_size",
-                                 "output_dim", "param_shapes"])
-def test_network_missing_header_key_rejected(key):
-    net = fc_net(3, 2)
-    header = _header(nn.network_to_bytes(net))
-    del header[key]
-    with pytest.raises(InvalidArgumentError):
-        nn.network_from_bytes(_pack(header, net, "<f8"))
-
-
-def test_network_param_shapes_must_match_layers():
-    net = fc_net(3, 2)
-    header = _header(nn.network_to_bytes(net))
-    header["param_shapes"][0]["w"] = [2, 3]
-    with pytest.raises(InvalidArgumentError, match="param_shapes"):
-        nn.network_from_bytes(_pack(header, net, "<f8"))
+# --- loading -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("key", ["w", "b"])
 def test_non_finite_parameters_rejected_at_load(bad, key):
-    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(4)], (6, 6, 1), 4,
+    k = 2
+    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(2 * k)], (6, 6, 1), 2 * k,
                           seed=5, dtype=np.float32)
     net.params[2][key].flat[1] = bad
-    with pytest.raises(InvalidArgumentError, match=r"layer 2 \(fc\) has non-finite"):
-        nn.network_from_bytes(nn.network_to_bytes(net))
+    model = cascade.CascadeModel([net], [None], 1.0, PoseTree(k, [], []), (6, 6, 1))
+    with pytest.raises(InvalidArgumentError, match=r"stage 1: layer 2 \(fc\) has non-finite"):
+        cascade.cascade_from_bytes(cascade.cascade_to_bytes(model))
 
 
 @pytest.mark.parametrize("kw", [dict(epochs=-1), dict(epochs=1, batch_size=0),
@@ -857,75 +790,6 @@ def test_non_finite_parameters_rejected_at_load(bad, key):
 def test_train_config_rejects_bad_settings(kw):
     with pytest.raises(InvalidArgumentError):
         nn.TrainConfig(**kw)
-
-
-def test_version1_float64_file_still_loads():
-    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(4)],
-                          (8, 8, 1), 4, seed=21)
-    v1 = {
-        "format_version": 1,
-        "input_size": [8, 8, 1],
-        "output_dim": 4,
-        "layers": [nn.spec_to_dict(s) for s in net.layers],
-        "param_shapes": [None if p is None else {"w": list(p["w"].shape), "b": list(p["b"].shape)}
-                         for p in net.params],
-    }
-    loaded = nn.network_from_bytes(_pack(v1, net, "<f8"))
-    assert loaded.dtype == np.float64
-    x = np.random.default_rng(2).random((3, 8, 8, 1))
-    assert np.array_equal(nn.forward(loaded, x)[0], nn.forward(net, x)[0])
-    # re-saving writes the current format, same parameters
-    assert _header(nn.network_to_bytes(loaded))["format_version"] == nn.FORMAT_VERSION
-    assert nn.network_to_bytes(loaded) == nn.network_to_bytes(net)
-
-
-def test_float32_network_round_trip_keeps_dtype():
-    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(4)], (6, 6, 1), 4,
-                          seed=5, dtype=np.float32)
-    data = nn.network_to_bytes(net)
-    assert _header(data)["dtype"] == "<f4"
-    loaded = nn.network_from_bytes(data)
-    assert loaded.dtype == np.float32
-    for pa, pb in zip(net.params, loaded.params):
-        if pa is not None:
-            assert pb["w"].dtype == np.float32 and np.array_equal(pa["w"], pb["w"])
-    assert nn.network_to_bytes(loaded) == data
-
-
-def _fuzz_net_bytes():
-    net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(4)],
-                          (8, 8, 1), 4, seed=3, dtype=np.float32)
-    return nn.network_to_bytes(net)
-
-
-NET_BYTES = _fuzz_net_bytes()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, len(NET_BYTES) - 1))
-def test_truncated_network_file_rejected(cut):
-    with pytest.raises(InvalidArgumentError):
-        nn.network_from_bytes(NET_BYTES[:cut])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.binary(min_size=1, max_size=32))
-def test_extended_network_file_rejected(extra):
-    with pytest.raises(InvalidArgumentError):
-        nn.network_from_bytes(NET_BYTES + extra)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 8 * len(NET_BYTES) - 1))
-def test_bit_flipped_network_file_loads_or_is_rejected(bit):
-    data = bytearray(NET_BYTES)
-    data[bit // 8] ^= 1 << (bit % 8)
-    try:
-        net = nn.network_from_bytes(bytes(data))
-    except InvalidArgumentError:
-        return
-    # a flip that still parses (a parameter, a layer constant) gives a usable net
-    nn.forward(net, np.zeros(net.input_size)[None])
 
 
 # --- compute dtype ------------------------------------------------------------------
@@ -972,9 +836,10 @@ def test_train_epochs_float32_deterministic_and_float32():
         net = nn.init_network([nn.FullyConnected(2)], (4,), 2, seed=3, dtype=np.float32)
         nn.train_epochs(net, x.astype(np.float32), y, m,
                         nn.TrainConfig(epochs=3, batch_size=4, learning_rate=0.05, seed=11))
-        nets.append(nn.network_to_bytes(net))
-    assert nets[0] == nets[1]
-    assert nn.network_from_bytes(nets[0]).dtype == np.float32
+        nets.append(net)
+    for pa, pb in zip(nets[0].params, nets[1].params):
+        for key in ("w", "b"):
+            assert pa[key].dtype == np.float32 and pa[key].tobytes() == pb[key].tobytes()
 
 
 def test_float32_init_is_cast_float64_draws():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from posecascade import cascade, nn
+from posecascade import cascade, data, nn
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +47,17 @@ def test_workload_stage_config_builds():
     config = workloads._stage_config(1, 1, 1)
     assert isinstance(config, cascade.StageConfig)
     assert config.train.epochs == 1 and config.crops_per_joint == 1
+
+
+def test_round_trip_check_passes_on_a_two_stage_cascade(tmp_path):
+    workloads = _load("workloads")
+    tree = data.default_tree()
+    k = tree.k
+    config = cascade.StageConfig(sigma=1.0, input_size=(8, 8, 1),
+                                 layers=[nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(2 * k)])
+    stats = cascade.DisplacementStats(np.full((k, 2), 0.5), np.ones((k, 2)), np.ones(k, bool),
+                                      np.full(k, 3))
+    model = cascade.CascadeModel([config.build_network(2 * k) for _ in range(2)], [None, stats],
+                                 1.0, tree, (8, 8, 1))
+    saved = workloads.check_round_trip(model, tmp_path)
+    assert cascade.cascade_from_bytes(saved).num_stages == 2
