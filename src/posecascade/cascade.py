@@ -37,6 +37,7 @@ log = logging.getLogger(__name__)
 
 CASCADE_MAGIC = b"PCCAS\n"
 CASCADE_FORMAT_VERSION = 2  # 2 put every stage into the one header
+JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
 
 
 def net_input(image: np.ndarray, boxes, input_size: tuple[int, int, int]) -> np.ndarray:
@@ -83,7 +84,6 @@ class StageConfig:
     dropout_keep: float = 0.6  # only consulted when layers is None
     train: nn.TrainConfig = field(default_factory=lambda: nn.TrainConfig(epochs=10))
     seed: int = 0  # weight init and augmentation draws
-    jitter_frac: float = 0.05  # stage-1 translation, fraction of box size
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -199,7 +199,7 @@ def _with_mirror(ex: LoadedExample, tree: PoseTree):
 
 def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.Generator):
     """Each example and its mirror at the initial box and at
-    `stage1_jitter_crops` copies translated by up to `jitter_frac` of its size."""
+    `stage1_jitter_crops` copies translated by up to JITTER_FRAC of its size."""
     for ex in examples:
         if not ex.pose.mask.any():
             log.warning("skipping %s: no labeled joints", ex.image_path)
@@ -207,7 +207,7 @@ def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.G
         for pose, img, box in _with_mirror(ex, tree):
             boxes = [box]
             for _ in range(config.stage1_jitter_crops):
-                shift = rng.uniform(-config.jitter_frac, config.jitter_frac, size=2)
+                shift = rng.uniform(-JITTER_FRAC, JITTER_FRAC, size=2)
                 boxes.append(box.shifted(shift * np.array([box.width, box.height])))
             for b in boxes:
                 yield TrainingView(img, b, pose.joints - b.center, pose.mask)
@@ -288,29 +288,19 @@ def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -
     flagged absent.
     """
     k = model.tree.k
-    disps: list[list[np.ndarray]] = [[] for _ in range(k)]
-    preds = predict_many(model, examples)
-    for ex, pred in zip(examples, preds):
-        if pred.truncated:
-            continue
-        last = pred.final
-        for i in range(k):
-            if ex.pose.mask[i]:
-                disps[i].append(last.joints[i] - ex.pose.joints[i])
+    kept = [(pred.final, ex.pose) for ex, pred in zip(examples, predict_many(model, examples))
+            if not pred.truncated]
+    disp = np.array([p.joints - t.joints for p, t in kept]).reshape(-1, k, 2)
+    labeled = np.array([t.mask for _, t in kept], dtype=bool).reshape(-1, k)
+    count = labeled.sum(axis=0)
     mean = np.zeros((k, 2))
     var = np.zeros((k, 2))
-    present = np.zeros(k, dtype=bool)
-    count = np.zeros(k, dtype=int)
-    for i in range(k):
-        count[i] = len(disps[i])
-        if count[i] == 0:
-            continue
-        present[i] = True
-        d = np.stack(disps[i])
+    for i in np.flatnonzero(count):
+        d = disp[labeled[:, i], i]
         mean[i] = d.mean(axis=0)
         if count[i] > 1:
             var[i] = d.var(axis=0, ddof=1)
-    return DisplacementStats(mean, var, present, count)
+    return DisplacementStats(mean, var, count > 0, count)
 
 
 def sample_displacement(stats: DisplacementStats, i: int, rng: np.random.Generator) -> np.ndarray:

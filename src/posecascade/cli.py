@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from . import cascade as casc
 from . import data as dat
 from . import metrics as met
@@ -22,6 +20,7 @@ from . import nn
 from .errors import (
     ImageFormatError,
     InvalidArgumentError,
+    InvalidStateError,
     ManifestParseError,
     ManifestValidationError,
     io_reason,
@@ -38,6 +37,7 @@ _DATA_ERRORS = (
     ManifestValidationError,
     ImageFormatError,
     InvalidArgumentError,
+    InvalidStateError,  # an empty training set
     FileNotFoundError,
 )
 
@@ -167,12 +167,19 @@ def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
 def _heldout_row(model, examples, truths):
     preds = [p.final for p in casc.predict_many(model, examples)]
     mean_pdj = float(met.pdj_curve(preds, truths, model.tree, [0.2]).mean_rates()[0])
-    errs = []
-    for p, t in zip(preds, truths):
-        d = np.linalg.norm(p.joints - t.joints, axis=1)
-        errs.extend(d[t.mask])
-    mean_err = float(np.mean(errs)) if errs else float("nan")
-    return mean_pdj, mean_err
+    err, labeled = met.joint_errors(preds, truths, model.tree)
+    return mean_pdj, float(err[labeled].mean()) if labeled.any() else float("nan")
+
+
+def _out_dir(path: str) -> Path:
+    """The output directory at path, made if missing; a path that cannot be
+    one is a data error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InvalidArgumentError(f"cannot create output directory {out}: {io_reason(e)}") from None
+    return out
 
 
 def cmd_train(args) -> int:
@@ -186,8 +193,7 @@ def cmd_train(args) -> int:
         raise InvalidArgumentError(f"stages must be >= 1, got {cfg.stages}")
     stage_configs = [_stage_config(cfg, s) for s in range(1, cfg.stages + 1)]
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out)
     manifest = dat.load_manifest(cfg.train)
     examples = dat.load_examples(manifest)
     if cfg.heldout:
@@ -242,11 +248,7 @@ def cmd_eval(args) -> int:
     examples = dat.load_examples(manifest)
     truths = [ex.pose for ex in examples]
     preds = casc.predict_many(model, examples)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise InvalidArgumentError(f"cannot create output directory {out}: {io_reason(e)}") from None
+    out = _out_dir(args.out)
     for s in range(model.num_stages):
         stage_preds = [p.poses[min(s, len(p.poses) - 1)] for p in preds]
         report = met.make_report(

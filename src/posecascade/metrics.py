@@ -51,68 +51,55 @@ class PdjCurve:
         return np.array([_mean(r, self.valid) for r in self.rates])
 
 
-def _endpoint_errors(preds, truths, tree):
-    """Per-example endpoint distances and limb lengths; NaN marks unusable."""
-    n, L = len(truths), len(tree.limbs)
-    err_a = np.full((n, L), np.nan)
-    err_b = np.full((n, L), np.nan)
-    length = np.full((n, L), np.nan)
-    for e, (p, t) in enumerate(zip(preds, truths)):
-        for l, (a, b) in enumerate(tree.limbs):
-            if not (t.mask[a] and t.mask[b]):
-                continue
-            length[e, l] = np.linalg.norm(t.joints[a] - t.joints[b])
-            err_a[e, l] = np.linalg.norm(p.joints[a] - t.joints[a])
-            err_b[e, l] = np.linalg.norm(p.joints[b] - t.joints[b])
-    return err_a, err_b, length
-
-
-def _limb_rates(hit: np.ndarray, labeled: np.ndarray, zero_len: np.ndarray) -> LimbRates:
-    valid = (labeled & ~zero_len).sum(axis=0).astype(int)
-    detected = (hit & labeled & ~zero_len).sum(axis=0).astype(int)
-    rates = np.divide(detected, valid, out=np.zeros(len(valid)), where=valid > 0)
-    return LimbRates(rates, detected, valid, (labeled & zero_len).sum(axis=0).astype(int))
-
-
-def _pcp(preds, truths, tree: PoseTree, limb_hit) -> LimbRates:
-    """Limb rates, where limb_hit(err_a, err_b, length) marks the detected limbs."""
+def _stack(preds, truths, tree: PoseTree):
+    """The n truths as an (n, k, 2) array, the (n, k) joint errors
+    |pred - truth| and the (n, k) mask of labeled truth joints."""
     _check_aligned(preds, truths, tree.k)
-    err_a, err_b, length = _endpoint_errors(preds, truths, tree)
-    labeled = ~np.isnan(length)
-    zero_len = labeled & (length == 0.0)
-    with np.errstate(invalid="ignore"):
-        hit = limb_hit(err_a, err_b, length)
-    return _limb_rates(hit, labeled, zero_len)
+    k = tree.k
+    pred = np.array([p.joints for p in preds]).reshape(-1, k, 2)
+    truth = np.array([t.joints for t in truths]).reshape(-1, k, 2)
+    labeled = np.array([t.mask for t in truths], dtype=bool).reshape(-1, k)
+    return truth, np.linalg.norm(pred - truth, axis=2), labeled
 
 
-def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> LimbRates:
-    """Strict percentage of correct parts: both endpoint errors <= threshold * limb length."""
-    return _pcp(preds, truths, tree,
-                lambda a, b, length: (a <= threshold * length) & (b <= threshold * length))
+def joint_errors(preds, truths, tree: PoseTree) -> tuple[np.ndarray, np.ndarray]:
+    """(err, labeled): the (n, k) distances from each predicted joint to its
+    truth, and the (n, k) mask of the joints the truths label."""
+    return _stack(preds, truths, tree)[1:]
 
 
-def pcp_loose(preds, truths, tree: PoseTree, threshold: float = 0.5) -> LimbRates:
-    """Loose variant: the mean of the two endpoint errors is thresholded."""
-    return _pcp(preds, truths, tree, lambda a, b, length: 0.5 * (a + b) <= threshold * length)
+def _rates(hit: np.ndarray, counted: np.ndarray):
+    """(rates, detected, valid) per column of the (n, m) mask `counted`, where
+    `hit` is (n, m) or a stack (..., n, m) of such masks."""
+    valid = counted.sum(axis=0)
+    detected = (hit & counted).sum(axis=-2)
+    return np.divide(detected, valid, out=np.zeros(detected.shape), where=valid > 0), detected, valid
 
 
-def _joint_errors(preds, truths, tree):
-    """Per-example joint errors scaled by the GT torso diameter; NaN = unusable."""
-    n, k = len(truths), tree.k
-    scaled = np.full((n, k), np.nan)
-    excluded = 0
-    for e, (p, t) in enumerate(zip(preds, truths)):
-        try:
-            diam = pose_diameter(t, tree)
-        except MissingTorsoError:
-            excluded += 1
-            continue
-        if diam <= 0.0:
-            excluded += 1
-            continue
-        d = np.linalg.norm(p.joints - t.joints, axis=1)
-        scaled[e, t.mask] = d[t.mask] / diam
-    return scaled, excluded
+def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> tuple[LimbRates, LimbRates]:
+    """Percentage of correct parts, (strict, loose), from one error pass.
+
+    Strict: both endpoint errors <= threshold * limb length. Loose: the mean
+    of the two endpoint errors <= threshold * limb length.
+    """
+    truth, err, labeled = _stack(preds, truths, tree)
+    a, b = np.array(tree.limbs, dtype=int).reshape(-1, 2).T
+    length = np.linalg.norm(truth[:, a] - truth[:, b], axis=2)
+    both = labeled[:, a] & labeled[:, b]
+    zero_len = both & (length == 0.0)
+    counted = both & ~zero_len
+    err_a, err_b, bound = err[:, a], err[:, b], threshold * length
+    return (LimbRates(*_rates((err_a <= bound) & (err_b <= bound), counted), zero_len.sum(axis=0)),
+            LimbRates(*_rates(0.5 * (err_a + err_b) <= bound, counted), zero_len.sum(axis=0)))
+
+
+def _diameter(truth, tree: PoseTree) -> float:
+    """The truth's torso diameter, NaN when it has no labeled torso pair or is zero."""
+    try:
+        diam = pose_diameter(truth, tree)
+    except MissingTorsoError:
+        return np.nan
+    return diam if diam > 0.0 else np.nan
 
 
 def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
@@ -122,17 +109,12 @@ def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
     fractions = [float(f) for f in fractions]
     if any(f < 0 for f in fractions):
         raise InvalidArgumentError(f"fractions must be >= 0, got {fractions}")
-    _check_aligned(preds, truths, tree.k)
-    scaled, excluded = _joint_errors(preds, truths, tree)
-    labeled = ~np.isnan(scaled)
-    valid = labeled.sum(axis=0).astype(int)
-    detected = np.zeros((len(fractions), tree.k), dtype=int)
-    rates = np.zeros((len(fractions), tree.k))
-    with np.errstate(invalid="ignore"):
-        for fi, f in enumerate(fractions):
-            detected[fi] = ((scaled <= f) & labeled).sum(axis=0)
-            rates[fi] = np.divide(detected[fi], valid, out=np.zeros(tree.k), where=valid > 0)
-    return PdjCurve(fractions, rates, detected, valid, excluded)
+    err, labeled = joint_errors(preds, truths, tree)
+    diam = np.array([_diameter(t, tree) for t in truths], dtype=float)
+    scaled = err / diam[:, None]
+    counted = labeled & ~np.isnan(scaled)  # NaN: no usable diameter
+    rates, detected, valid = _rates(scaled <= np.array(fractions)[:, None, None], counted)
+    return PdjCurve(fractions, rates, detected, valid, int(np.isnan(diam).sum()))
 
 
 @dataclass
@@ -202,12 +184,13 @@ def make_report(
     fractions=(0.1, 0.2, 0.3, 0.4, 0.5),
 ) -> EvalReport:
     limb_names = [f"{joint_names[a]}-{joint_names[b]}" for a, b in tree.limbs]
+    strict, loose = pcp(preds, truths, tree, pcp_threshold)
     return EvalReport(
         n_examples=len(truths),
         pcp_threshold=pcp_threshold,
         limb_names=limb_names,
-        pcp_strict=pcp(preds, truths, tree, pcp_threshold),
-        pcp_loose=pcp_loose(preds, truths, tree, pcp_threshold),
+        pcp_strict=strict,
+        pcp_loose=loose,
         joint_names=list(joint_names),
         pdj=pdj_curve(preds, truths, tree, fractions),
     )

@@ -14,6 +14,7 @@ from posecascade.geometry import BoundingBox
 
 from conftest import make_pose
 from fdcheck import max_rel_error
+from oracle import naive_counts
 
 
 def report(name, ok, detail=""):
@@ -121,37 +122,6 @@ def test_zero_output_refinement_identity():
 # 4. metric oracles on 10 hand-built fixtures, exact integer counts
 
 
-def _naive_counts(preds, gts, tree, threshold, fraction):
-    import math
-
-    L = len(tree.limbs)
-    det_s, det_l, valid = [0] * L, [0] * L, [0] * L
-    for p, t in zip(preds, gts):
-        for li, (a, b) in enumerate(tree.limbs):
-            if not (t.mask[a] and t.mask[b]):
-                continue
-            length = math.dist(t.joints[a], t.joints[b])
-            if length == 0:
-                continue
-            valid[li] += 1
-            ea = math.dist(p.joints[a], t.joints[a])
-            eb = math.dist(p.joints[b], t.joints[b])
-            det_s[li] += int(ea <= threshold * length and eb <= threshold * length)
-            det_l[li] += int((ea + eb) / 2 <= threshold * length)
-    jdet, jvalid = [0] * tree.k, [0] * tree.k
-    for p, t in zip(preds, gts):
-        ds = [math.dist(t.joints[a], t.joints[b]) for a, b in tree.torso_pairs
-              if t.mask[a] and t.mask[b]]
-        if not ds or sum(ds) / len(ds) == 0:
-            continue
-        diam = sum(ds) / len(ds)
-        for j in range(tree.k):
-            if t.mask[j]:
-                jvalid[j] += 1
-                jdet[j] += int(math.dist(p.joints[j], t.joints[j]) <= fraction * diam)
-    return det_s, det_l, valid, jdet, jvalid
-
-
 def test_metric_oracles():
     from posecascade.geometry import PoseTree
 
@@ -186,10 +156,9 @@ def test_metric_oracles():
         gts.append(gg)
         preds.append(make_pose(gg.joints + rng.normal(0, 6, (4, 2))))
 
-    strict = metrics.pcp(preds, gts, tree, 0.5)
-    loose = metrics.pcp_loose(preds, gts, tree, 0.5)
+    strict, loose = metrics.pcp(preds, gts, tree, 0.5)
     joint = metrics.pdj_curve(preds, gts, tree, [0.25])
-    det_s, det_l, valid, jdet, jvalid = _naive_counts(preds, gts, tree, 0.5, 0.25)
+    det_s, det_l, valid, jdet, jvalid = naive_counts(preds, gts, tree, 0.5, 0.25)
     ok = (
         strict.detected.tolist() == det_s
         and loose.detected.tolist() == det_l

@@ -226,6 +226,44 @@ def test_fit_stats_unlabeled_joint_absent():
         cascade.sample_displacement(stats, 4, np.random.default_rng(0))
 
 
+def _stats_of_predictions(monkeypatch, offsets, truncated, masks=None):
+    """fit_displacement_stats when example e's cascade predicts its truth
+    shifted by offsets[e], flagged truncated[e]."""
+    truth = spread_pose()
+    masks = masks or [np.ones(K, bool)] * len(offsets)
+    examples = [example_with_pose(make_pose(truth.joints, m), seed=e) for e, m in enumerate(masks)]
+    preds = [cascade.CascadePrediction([make_pose(truth.joints + off)], trunc)
+             for off, trunc in zip(offsets, truncated)]
+    monkeypatch.setattr(cascade, "predict_many", lambda model, exs: preds)
+    stats = cascade.fit_displacement_stats(_constant_model(), examples)
+    assert np.issubdtype(stats.count.dtype, np.integer)  # a float count changes header bytes
+    return stats
+
+
+def test_fit_stats_skip_truncated_predictions(monkeypatch):
+    stats = _stats_of_predictions(monkeypatch, [(1.0, 0.0), (100.0, 5.0), (3.0, 0.0)],
+                                  [False, True, False])
+    assert np.array_equal(stats.mean, np.tile([2.0, 0.0], (K, 1)))
+    assert np.array_equal(stats.var, np.tile([2.0, 0.0], (K, 1)))
+    assert np.array_equal(stats.count, np.full(K, 2))
+    none = _stats_of_predictions(monkeypatch, [(1.0, 0.0), (3.0, 0.0)], [True, True])
+    assert not none.present.any()
+    assert np.array_equal(none.count, np.zeros(K, int))
+    assert np.array_equal(none.mean, np.zeros((K, 2))) and np.array_equal(none.var, np.zeros((K, 2)))
+
+
+def test_fit_stats_joint_seen_once_has_zero_variance(monkeypatch):
+    once = np.ones(K, bool)
+    once[4] = False
+    stats = _stats_of_predictions(monkeypatch, [(1.0, -1.0), (3.0, 1.0)], [False, False],
+                                  masks=[np.ones(K, bool), once])
+    assert stats.present.all()
+    assert stats.count[4] == 1 and np.array_equal(np.delete(stats.count, 4), np.full(K - 1, 2))
+    assert np.array_equal(stats.mean[4], [1.0, -1.0])
+    assert np.array_equal(stats.var[4], [0.0, 0.0])
+    assert np.array_equal(stats.var[0], [2.0, 2.0])
+
+
 def test_sampling_round_trip_matches_fitted_stats():
     rng = np.random.default_rng(7)
     mean = np.tile([1.5, -2.0], (K, 1))

@@ -212,11 +212,14 @@ def test_train_use_lrn_flag_builds_lrn_stages(tmp_path, synth_dir):
     assert sum(isinstance(s, nn.LRN) for s in net.layers) == 2
 
 
-def test_train_bad_manifest_is_data_error(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("k=9\nmissing.pgm - " + " ".join(["1 2 1"] * 8) + "\n")
-    code = run("train", "--train", str(bad), "--out", str(tmp_path / "o"))
-    assert code == 2
+def test_train_bad_manifest_is_data_error(tmp_path, capsys):
+    # a record whose image is missing, and a manifest without records
+    for text, message in [("k=9\nmissing.pgm - " + " ".join(["1 2 1"] * 8) + "\n", "missing.pgm"),
+                          ("k=2\n", "no usable training examples")]:
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("train", "--train", str(bad), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_train_missing_manifest_file(tmp_path):
@@ -452,15 +455,18 @@ def _unreadable_input(case, tmp_path, synth_dir, trained_dir):
         (tmp_path / "sub").mkdir()
         (tmp_path / "m.txt").write_text("k=2\nsub - 1 1 1 2 2 1\n")
         return ["train", "--train", str(tmp_path / "m.txt"), "--out", out], tmp_path / "sub"
-    assert case == "eval_out_is_a_file"
     path = tmp_path / "report"
     path.write_text("")
+    if case == "train_out_is_a_file":
+        return ["train", "--train", str(synth_dir / "manifest.txt"), "--out", str(path)], path
+    assert case == "eval_out_is_a_file"
     return ["eval", "--model", model, "--manifest", str(synth_dir / "manifest.txt"),
             "--out", str(path)], path
 
 
 @pytest.mark.parametrize("case", ["model_is_a_directory", "config_not_utf8", "manifest_not_utf8",
-                                  "record_is_a_directory", "eval_out_is_a_file"])
+                                  "record_is_a_directory", "train_out_is_a_file",
+                                  "eval_out_is_a_file"])
 def test_unusable_path_is_data_error_naming_it(tmp_path, synth_dir, trained_dir, capsys, case):
     argv, path = _unreadable_input(case, tmp_path, synth_dir, trained_dir)
     assert run(*argv) == 2

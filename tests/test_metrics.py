@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +6,7 @@ from posecascade import metrics
 from posecascade.geometry import PoseTree
 
 from conftest import make_pose
+from oracle import naive_counts
 
 # 4 joints, limbs (0,1) and (2,3), torso pair (0,3)
 TREE = PoseTree(4, limbs=[(0, 1), (2, 3)], torso_pairs=[(0, 3)])
@@ -21,7 +20,7 @@ GT = make_pose([(0.0, 0.0), (10.0, 0.0), (0.0, 20.0), (8.0, 26.0)])
 
 
 def test_pcp_exact_predictions_are_perfect():
-    r = metrics.pcp([GT], [GT], TREE)
+    r = metrics.pcp([GT], [GT], TREE)[0]
     assert np.array_equal(r.rates, [1.0, 1.0])
     assert np.array_equal(r.valid, [1, 1])
 
@@ -29,29 +28,29 @@ def test_pcp_exact_predictions_are_perfect():
 def test_pcp_boundary_is_inclusive():
     # limb (0,1) has length 10; move both endpoints by exactly 0.5 * L = 5
     pred = make_pose([(0.0, 5.0), (10.0, 5.0), (0.0, 20.0), (8.0, 26.0)])
-    r = metrics.pcp([pred], [GT], TREE, threshold=0.5)
+    r = metrics.pcp([pred], [GT], TREE, threshold=0.5)[0]
     assert r.rates[0] == 1.0
 
 
 def test_pcp_counts_partial_detection():
     # first limb detected, second missed
     pred = make_pose([(0.0, 0.0), (10.0, 0.0), (0.0, 40.0), (8.0, 46.0)])
-    r = metrics.pcp([pred], [GT], TREE)
+    r = metrics.pcp([pred], [GT], TREE)[0]
     assert r.rates.tolist() == [1.0, 0.0]
-    two = metrics.pcp([GT, pred], [GT, GT], TREE)
+    two = metrics.pcp([GT, pred], [GT, GT], TREE)[0]
     assert two.rates.tolist() == [1.0, 0.5]
 
 
 def test_pcp_excludes_unlabeled_limbs():
     gt = make_pose(GT.joints, mask=[True, False, True, True])
-    r = metrics.pcp([gt], [gt], TREE)
+    r = metrics.pcp([gt], [gt], TREE)[0]
     assert r.valid.tolist() == [0, 1]
     assert r.rates[0] == 0.0  # no data, reported as 0 with valid == 0
 
 
 def test_pcp_zero_length_limb_excluded_and_counted():
     gt = make_pose([(5.0, 5.0), (5.0, 5.0), (0.0, 20.0), (8.0, 26.0)])
-    r = metrics.pcp([gt], [gt], TREE)
+    r = metrics.pcp([gt], [gt], TREE)[0]
     assert r.zero_length.tolist() == [1, 0]
     assert r.valid.tolist() == [0, 1]
 
@@ -60,14 +59,13 @@ def test_pcp_loose_contrast_example():
     # endpoint errors 0 and 0.9 L: loose mean 0.45 L detected, strict not
     L = 10.0
     pred = make_pose([(0.0, 0.0), (10.0, 0.9 * L), (0.0, 20.0), (8.0, 26.0)])
-    strict = metrics.pcp([pred], [GT], TREE, threshold=0.5)
-    loose = metrics.pcp_loose([pred], [GT], TREE, threshold=0.5)
+    strict, loose = metrics.pcp([pred], [GT], TREE, threshold=0.5)
     assert strict.rates[0] == 0.0
     assert loose.rates[0] == 1.0
 
 
 def test_pcp_loose_exact_perfect():
-    assert np.array_equal(metrics.pcp_loose([GT], [GT], TREE).rates, [1.0, 1.0])
+    assert np.array_equal(metrics.pcp([GT], [GT], TREE)[1].rates, [1.0, 1.0])
 
 
 # --- pdj ------------------------------------------------------------------------
@@ -143,82 +141,69 @@ def test_loose_at_least_strict(seed):
     rng = np.random.default_rng(seed)
     gts = [make_pose(rng.uniform(0, 40, (4, 2))) for _ in range(4)]
     preds = [make_pose(g.joints + rng.normal(0, 4, (4, 2))) for g in gts]
-    strict = metrics.pcp(preds, gts, TREE).rates
-    loose = metrics.pcp_loose(preds, gts, TREE).rates
-    assert np.all(loose >= strict)
+    strict, loose = metrics.pcp(preds, gts, TREE)
+    assert np.all(loose.rates >= strict.rates)
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(5)
     gts = [make_pose(rng.uniform(0, 40, (4, 2))) for _ in range(5)]
     preds = [make_pose(g.joints + rng.normal(0, 3, (4, 2))) for g in gts]
-    base_pcp = metrics.pcp(preds, gts, TREE).rates
+    base_pcp = metrics.pcp(preds, gts, TREE)[0].rates
     base_pdj = metrics.pdj_curve(preds, gts, TREE, [0.25]).rates[0]
     s = 7.3
     gts2 = [make_pose(g.joints * s) for g in gts]
     preds2 = [make_pose(p.joints * s) for p in preds]
-    assert np.array_equal(metrics.pcp(preds2, gts2, TREE).rates, base_pcp)
+    assert np.array_equal(metrics.pcp(preds2, gts2, TREE)[0].rates, base_pcp)
     assert np.array_equal(metrics.pdj_curve(preds2, gts2, TREE, [0.25]).rates[0], base_pdj)
 
 
 # --- brute-force recount oracle ---------------------------------------------------
 
 
-def _naive_rates(preds, gts, tree, threshold, fraction):
-    """Plain-loop recount of PCP strict/loose and PDJ detections."""
-    L = len(tree.limbs)
-    det_s = [0] * L
-    det_l = [0] * L
-    valid = [0] * L
-    for p, t in zip(preds, gts):
-        for li, (a, b) in enumerate(tree.limbs):
-            if not (t.mask[a] and t.mask[b]):
-                continue
-            length = math.dist(t.joints[a], t.joints[b])
-            if length == 0:
-                continue
-            valid[li] += 1
-            ea = math.dist(p.joints[a], t.joints[a])
-            eb = math.dist(p.joints[b], t.joints[b])
-            if ea <= threshold * length and eb <= threshold * length:
-                det_s[li] += 1
-            if (ea + eb) / 2 <= threshold * length:
-                det_l[li] += 1
-    k = tree.k
-    jdet = [0] * k
-    jvalid = [0] * k
-    for p, t in zip(preds, gts):
-        dists = [math.dist(t.joints[a], t.joints[b]) for a, b in tree.torso_pairs
-                 if t.mask[a] and t.mask[b]]
-        if not dists or sum(dists) / len(dists) == 0:
-            continue
-        diam = sum(dists) / len(dists)
-        for j in range(k):
-            if not t.mask[j]:
-                continue
-            jvalid[j] += 1
-            if math.dist(p.joints[j], t.joints[j]) <= fraction * diam:
-                jdet[j] += 1
-    return det_s, det_l, valid, jdet, jvalid
+def _random_set(rng, n, quarter_pixel):
+    gts, preds = [], []
+    for _ in range(n):
+        mask = rng.random(4) < 0.85
+        mask[0] = mask[3] = True  # keep the torso measurable
+        if quarter_pixel:  # a coarse grid, so many errors land exactly on the thresholds
+            joints = rng.integers(0, 9, (4, 2)) / 4.0
+            pred = joints + rng.integers(-3, 4, (4, 2)) / 4.0
+        else:
+            joints = rng.uniform(0, 50, (4, 2))
+            pred = joints + rng.normal(0, 5, (4, 2))
+        gts.append(make_pose(joints, mask))
+        preds.append(make_pose(pred))
+    return preds, gts
+
+
+def _edge_cases():
+    """A zero-length limb, no labeled torso pair, and a zero diameter."""
+    zero_limb = make_pose([(5.0, 5.0), (5.0, 5.0), (0.0, 20.0), (8.0, 26.0)])
+    no_torso = make_pose(GT.joints, mask=[False, True, True, True])
+    zero_diam = make_pose([(5.0, 5.0), (9.0, 0.0), (0.0, 20.0), (5.0, 5.0)])
+    gts = [zero_limb, no_torso, zero_diam]
+    preds = [_shift_pose(g, [(0.5, 0.25)] * 4) for g in gts]
+    return preds, gts
 
 
 def test_matches_naive_recount():
-    rng = np.random.default_rng(42)
-    gts, preds = [], []
-    for _ in range(10):
-        mask = rng.random(4) < 0.85
-        mask[0] = mask[3] = True  # keep the torso measurable
-        gts.append(make_pose(rng.uniform(0, 50, (4, 2)), mask))
-        preds.append(make_pose(gts[-1].joints + rng.normal(0, 5, (4, 2))))
-    strict = metrics.pcp(preds, gts, TREE, 0.5)
-    loose = metrics.pcp_loose(preds, gts, TREE, 0.5)
-    joint = metrics.pdj_curve(preds, gts, TREE, [0.3])
-    det_s, det_l, valid, jdet, jvalid = _naive_rates(preds, gts, TREE, 0.5, 0.3)
-    assert strict.detected.tolist() == det_s
-    assert loose.detected.tolist() == det_l
-    assert strict.valid.tolist() == valid
-    assert joint.detected[0].tolist() == jdet
-    assert joint.valid.tolist() == jvalid
+    # continuous coordinates, quarter-pixel ones (errors exactly on the
+    # thresholds) with the edge cases appended, and the empty set
+    for seed, n, quarter_pixel in [(42, 10, False), (7, 40, True), (8, 40, True), (9, 0, True)]:
+        preds, gts = _random_set(np.random.default_rng(seed), n, quarter_pixel)
+        if n:
+            edge_preds, edge_gts = _edge_cases()
+            preds, gts = preds + edge_preds, gts + edge_gts
+        for threshold, fraction in [(0.5, 0.3), (0.25, 0.25), (0.5, 0.5)]:
+            strict, loose = metrics.pcp(preds, gts, TREE, threshold)
+            joint = metrics.pdj_curve(preds, gts, TREE, [fraction])
+            det_s, det_l, valid, jdet, jvalid = naive_counts(preds, gts, TREE, threshold, fraction)
+            assert strict.detected.tolist() == det_s
+            assert loose.detected.tolist() == det_l
+            assert strict.valid.tolist() == loose.valid.tolist() == valid
+            assert joint.detected[0].tolist() == jdet
+            assert joint.valid.tolist() == jvalid
 
 
 # --- report ----------------------------------------------------------------------
