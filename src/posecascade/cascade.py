@@ -22,7 +22,7 @@ import numpy as np
 
 from . import container, nn
 from .data import LoadedExample, mirror_example
-from .errors import InvalidArgumentError, InvalidStateError, MissingTorsoError, io_reason
+from .errors import InvalidArgumentError, MissingTorsoError, io_reason
 from .geometry import (
     BoundingBox,
     PoseTree,
@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 CASCADE_MAGIC = b"PCCAS\n"
 CASCADE_FORMAT_VERSION = 2  # 2 put every stage into the one header
 JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
+REFINE_NEEDS_TORSO = "refinement stages need a torso pair, whose diameter sizes their crops"
 
 
 def net_input(image: np.ndarray, boxes, input_size: tuple[int, int, int]) -> np.ndarray:
@@ -139,6 +140,8 @@ class CascadeModel:
         for s, st in enumerate(self.stats):
             if s >= 1 and st is None:
                 raise InvalidArgumentError(f"refinement stage {s + 1} is missing its stats")
+        if len(self.stages) > 1 and not self.tree.torso_pairs:
+            raise InvalidArgumentError(REFINE_NEEDS_TORSO)
 
     @property
     def num_stages(self) -> int:
@@ -168,7 +171,7 @@ class TrainingView(NamedTuple):
 def _train_stage(views, k: int, config: StageConfig, progress, empty_message: str) -> nn.Network:
     views = list(views)
     if not views:
-        raise InvalidStateError(empty_message)
+        raise InvalidArgumentError(empty_message)
     inputs = np.empty((len(views), *config.input_size), dtype=np.float32)
     lo = 0
     while lo < len(views):

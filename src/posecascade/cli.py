@@ -17,29 +17,13 @@ from . import cascade as casc
 from . import data as dat
 from . import metrics as met
 from . import nn
-from .errors import (
-    ImageFormatError,
-    InvalidArgumentError,
-    InvalidStateError,
-    ManifestParseError,
-    ManifestValidationError,
-    io_reason,
-)
+from .errors import InvalidArgumentError, io_reason
 from .geometry import PoseVector, parse_box
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-_DATA_ERRORS = (
-    ManifestParseError,
-    ManifestValidationError,
-    ImageFormatError,
-    InvalidArgumentError,
-    InvalidStateError,  # an empty training set
-    FileNotFoundError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +124,10 @@ def cmd_synth(args) -> int:
         image_size=(args.size, args.size),
         noise_level=args.noise,
     )
-    manifest = dat.synth_generate(cfg, args.out)
+    try:
+        manifest = dat.synth_generate(cfg, _out_dir(args.out))
+    except OSError as e:  # an image or the manifest could not be written
+        raise InvalidArgumentError(f"cannot write {e.filename or args.out}: {io_reason(e)}") from None
     print(f"wrote {len(manifest.examples)} examples to {args.out}")
     return EXIT_OK
 
@@ -182,6 +169,14 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _write(path, content: str | bytes) -> None:
+    """Write one output file; a path that cannot be written is a data error."""
+    try:
+        Path(path).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    except OSError as e:
+        raise InvalidArgumentError(f"cannot write {path}: {io_reason(e)}") from None
+
+
 def cmd_train(args) -> int:
     cfg = run_config(args)
     if not cfg.train or not cfg.out:
@@ -195,7 +190,11 @@ def cmd_train(args) -> int:
 
     out = _out_dir(cfg.out)
     manifest = dat.load_manifest(cfg.train)
+    if not manifest.examples:
+        raise InvalidArgumentError(f"{cfg.train}: no usable training examples")
     examples = dat.load_examples(manifest)
+    if cfg.stages > 1 and not manifest.tree.torso_pairs:
+        raise InvalidArgumentError(f"{cfg.train}: {casc.REFINE_NEEDS_TORSO}")
     if cfg.heldout:
         held_manifest = dat.load_manifest(cfg.heldout)
         held_examples = dat.load_examples(held_manifest)
@@ -216,20 +215,20 @@ def cmd_train(args) -> int:
     sc1 = stage_configs[0]
     net1 = casc.train_stage1(examples, manifest.tree, sc1, progress("stage 1"))
     model = casc.CascadeModel([net1], [None], cfg.sigma, manifest.tree, sc1.input_size)
-    casc.save_cascade(model, out / "cascade_stage1.model")
+    _write(out / "cascade_stage1.model", casc.cascade_to_bytes(model))
     mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
     report_lines.append(f"1 {mean_pdj:.4f} {mean_err:.4f}")
-    (out / "heldout_report.txt").write_text("\n".join(report_lines) + "\n")
+    _write(out / "heldout_report.txt", "\n".join(report_lines) + "\n")
 
     for stage, sc in enumerate(stage_configs[1:], start=2):
         stats = casc.fit_displacement_stats(model, examples)
         casc.train_refinement_stage(examples, model, stats, sc, progress(f"stage {stage}"))
-        casc.save_cascade(model, out / f"cascade_stage{stage}.model")
+        _write(out / f"cascade_stage{stage}.model", casc.cascade_to_bytes(model))
         mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
         report_lines.append(f"{stage} {mean_pdj:.4f} {mean_err:.4f}")
-        (out / "heldout_report.txt").write_text("\n".join(report_lines) + "\n")
+        _write(out / "heldout_report.txt", "\n".join(report_lines) + "\n")
 
-    casc.save_cascade(model, out / "cascade.model")
+    _write(out / "cascade.model", casc.cascade_to_bytes(model))
     print(f"trained {model.num_stages} stage(s); model at {out / 'cascade.model'}")
     return EXIT_OK
 
@@ -238,9 +237,9 @@ def cmd_eval(args) -> int:
     model = casc.load_cascade(args.model)
     manifest = dat.load_manifest(args.manifest)
     if manifest.k != model.tree.k:
-        raise ManifestValidationError(
-            f"manifest k={manifest.k} does not match model k={model.tree.k}"
-        )
+        raise InvalidArgumentError(f"manifest k={manifest.k} does not match model k={model.tree.k}")
+    if not manifest.examples:
+        raise InvalidArgumentError(f"{args.manifest}: no records to evaluate")
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError:
@@ -255,8 +254,8 @@ def cmd_eval(args) -> int:
             stage_preds, truths, manifest.tree, manifest.joint_names,
             pcp_threshold=args.pcp_threshold, fractions=fractions,
         )
-        (out / f"eval_stage{s + 1}.txt").write_text(report.text_table())
-        (out / f"eval_stage{s + 1}.json").write_text(json.dumps(report.json_dict(), indent=1))
+        _write(out / f"eval_stage{s + 1}.txt", report.text_table())
+        _write(out / f"eval_stage{s + 1}.json", json.dumps(report.json_dict(), indent=1))
         mean = report.pdj.mean_rates()
         summary = " ".join(f"pdj@{f:g}={m:.4f}" for f, m in zip(fractions, mean))
         print(f"stage {s + 1}: {summary}")
@@ -305,7 +304,7 @@ def cmd_predict(args) -> int:
     print(f"predicted in {elapsed * 1000:.1f} ms", file=sys.stderr)
     if args.render:
         svg = render_svg(result.final, model.tree, image.shape[1], image.shape[0])
-        Path(args.render).write_text(svg)
+        _write(args.render, svg)
     return EXIT_OK
 
 
@@ -354,7 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as e:
+    except InvalidArgumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # noqa: BLE001 -- boundary: everything else is a runtime failure

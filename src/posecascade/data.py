@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ImageFormatError,
-    InvalidArgumentError,
-    ManifestParseError,
-    ManifestValidationError,
-    io_reason,
-)
+from .errors import InvalidArgumentError, io_reason
 from .geometry import BoundingBox, PoseTree, PoseVector, parse_box
 
 
@@ -48,16 +42,14 @@ class DatasetManifest:
 
     def __post_init__(self):
         if len(self.joint_names) != self.k:
-            raise ManifestValidationError(
-                f"{len(self.joint_names)} joint names for k={self.k}"
-            )
+            raise InvalidArgumentError(f"{len(self.joint_names)} joint names for k={self.k}")
         if len(set(self.joint_names)) != self.k:
-            raise ManifestValidationError("joint names must be unique")
+            raise InvalidArgumentError("joint names must be unique")
         if self.tree.k != self.k:
-            raise ManifestValidationError(f"pose tree k={self.tree.k} does not match k={self.k}")
+            raise InvalidArgumentError(f"pose tree k={self.tree.k} does not match k={self.k}")
         for idx, ex in enumerate(self.examples):
             if ex.pose.k != self.k:
-                raise ManifestValidationError(
+                raise InvalidArgumentError(
                     f"example {idx} ({ex.image_path}) has {ex.pose.k} joints, expected {self.k}"
                 )
 
@@ -76,6 +68,10 @@ class LoadedExample:
 # manifest text format
 
 
+def _line_error(line_no: int, message: str) -> InvalidArgumentError:
+    return InvalidArgumentError(f"line {line_no}: {message}")
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse a manifest file; errors carry 1-based line numbers."""
     path = Path(path)
@@ -90,7 +86,7 @@ def load_manifest(path) -> DatasetManifest:
         try:
             a, b = int(tokens[0]), int(tokens[1])
         except (ValueError, IndexError):
-            raise ManifestParseError(line_no, f"expected two joint indices, got {tokens}") from None
+            raise _line_error(line_no, f"expected two joint indices, got {tokens}") from None
         return a, b
 
     try:
@@ -103,13 +99,13 @@ def load_manifest(path) -> DatasetManifest:
             continue
         if k is None:
             if not line.startswith("k="):
-                raise ManifestParseError(line_no, "manifest must start with k=<int>")
+                raise _line_error(line_no, "manifest must start with k=<int>")
             try:
                 k = int(line[2:])
             except ValueError:
-                raise ManifestParseError(line_no, f"bad joint count {line!r}") from None
+                raise _line_error(line_no, f"bad joint count {line!r}") from None
             if k < 2:
-                raise ManifestValidationError(f"k must be >= 2, got {k}", line_no)
+                raise _line_error(line_no, f"k must be >= 2, got {k}")
             continue
         tokens = line.split()
         head = tokens[0]
@@ -124,43 +120,42 @@ def load_manifest(path) -> DatasetManifest:
                 idx = int(tokens[1])
                 label = tokens[2]
             except (ValueError, IndexError):
-                raise ManifestParseError(line_no, f"bad name declaration {line!r}") from None
+                raise _line_error(line_no, f"bad name declaration {line!r}") from None
             if not 0 <= idx < k:
-                raise ManifestValidationError(f"joint name index {idx} out of range for k={k}", line_no)
+                raise _line_error(line_no, f"joint name index {idx} out of range for k={k}")
             names[idx] = label
         else:
             # record line: path, box, then k (x, y, v) triples
             if len(tokens) < 2:
-                raise ManifestParseError(line_no, f"truncated record {line!r}")
+                raise _line_error(line_no, f"truncated record {line!r}")
             if len(tokens) - 2 != 3 * k:
-                raise ManifestValidationError(
-                    f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}",
-                    line_no,
+                raise _line_error(
+                    line_no, f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}"
                 )
             try:
                 box = None if tokens[1] == "-" else parse_box(tokens[1])
             except InvalidArgumentError as e:
-                raise ManifestParseError(line_no, str(e)) from None
+                raise _line_error(line_no, str(e)) from None
             try:
                 vals = [float(t) for t in tokens[2:]]
             except ValueError:
-                raise ManifestParseError(line_no, f"non-numeric coordinate in {head!r}") from None
+                raise _line_error(line_no, f"non-numeric coordinate in {head!r}") from None
             triples = np.array(vals).reshape(k, 3)
             if not np.all(np.isin(triples[:, 2], (0.0, 1.0))):
-                raise ManifestParseError(line_no, "visibility flags must be 0 or 1")
+                raise _line_error(line_no, "visibility flags must be 0 or 1")
             try:
                 pose = PoseVector(triples[:, :2], triples[:, 2] > 0)
             except InvalidArgumentError as e:
-                raise ManifestValidationError(str(e), line_no) from None
+                raise _line_error(line_no, str(e)) from None
             examples.append(AnnotatedExample(head, pose, box))
 
     if k is None:
-        raise ManifestParseError(1, "empty manifest")
+        raise _line_error(1, "empty manifest")
     joint_names = [names.get(i, f"j{i}") for i in range(k)]
     try:
         tree = PoseTree(k, limbs, torso, swap)
     except InvalidArgumentError as e:
-        raise ManifestValidationError(f"bad pose tree: {e}") from None
+        raise InvalidArgumentError(f"bad pose tree: {e}") from None
     return DatasetManifest(k, tree, joint_names, examples, root=str(path.parent))
 
 
@@ -211,16 +206,16 @@ def load_image(path) -> np.ndarray:
     try:
         data = Path(path).read_bytes()
     except OSError as e:
-        raise ImageFormatError(f"{path}: cannot read image: {io_reason(e)}") from None
+        raise InvalidArgumentError(f"{path}: cannot read image: {io_reason(e)}") from None
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
-        raise ImageFormatError(f"{path}: unsupported magic {magic!r}")
+        raise InvalidArgumentError(f"{path}: unsupported magic {magic!r}")
     # header: magic, width, height, maxval as whitespace/comment-separated tokens
     pos = 2
     tokens = []
     while len(tokens) < 3:
         if pos >= len(data):
-            raise ImageFormatError(f"{path}: truncated header")
+            raise InvalidArgumentError(f"{path}: truncated header")
         ch = data[pos : pos + 1]
         if ch == b"#":
             while pos < len(data) and data[pos : pos + 1] != b"\n":
@@ -235,15 +230,15 @@ def load_image(path) -> np.ndarray:
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
-        raise ImageFormatError(f"{path}: non-numeric header {tokens}") from None
+        raise InvalidArgumentError(f"{path}: non-numeric header {tokens}") from None
     if width <= 0 or height <= 0 or not (0 < maxval < 256):
-        raise ImageFormatError(f"{path}: bad dimensions {width}x{height} maxval {maxval}")
+        raise InvalidArgumentError(f"{path}: bad dimensions {width}x{height} maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     n = width * height * channels
     raster = data[pos : pos + n]
     if len(raster) < n:
-        raise ImageFormatError(f"{path}: raster truncated ({len(raster)} of {n} bytes)")
+        raise InvalidArgumentError(f"{path}: raster truncated ({len(raster)} of {n} bytes)")
     img = np.frombuffer(raster, dtype=np.uint8, count=n).reshape(height, width, channels)
     return img.astype(np.float64) / maxval
 

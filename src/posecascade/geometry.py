@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateBoxError,
-    InvalidArgumentError,
-    MissingTorsoError,
-    ShapeError,
-)
+from .errors import InvalidArgumentError, MissingTorsoError, ShapeError
 
 CROP_FILL = 0.5  # mid-gray for crop regions outside the source image
 
@@ -70,9 +65,7 @@ class BoundingBox:
         if not (np.isfinite(self.width) and np.isfinite(self.height)):
             raise InvalidArgumentError("box size must be finite")
         if self.width <= 0 or self.height <= 0:
-            raise DegenerateBoxError(
-                f"box size must be positive, got {self.width} x {self.height}"
-            )
+            raise InvalidArgumentError(f"box size must be positive, got {self.width} x {self.height}")
 
     def shifted(self, t) -> "BoundingBox":
         """Same box translated by t."""
@@ -90,7 +83,7 @@ def parse_box(text: str) -> BoundingBox:
         return BoundingBox(np.array([cx, cy]), w, h)
     except ValueError:
         raise InvalidArgumentError(f"non-numeric box {text!r}") from None
-    except (InvalidArgumentError, DegenerateBoxError) as e:
+    except InvalidArgumentError as e:
         raise InvalidArgumentError(f"bad box {text!r}: {e}") from None
 
 
@@ -164,10 +157,10 @@ def joint_box(pose: PoseVector, i: int, sigma: float, tree: PoseTree) -> Boundin
     if not pose.mask[i]:
         raise InvalidArgumentError(f"joint {i} is not present")
     if sigma <= 0:
-        raise DegenerateBoxError(f"sigma must be positive, got {sigma}")
+        raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
     side = sigma * pose_diameter(pose, tree)
     if side <= 0:
-        raise DegenerateBoxError("pose diameter is zero, joint box would be degenerate")
+        raise InvalidArgumentError("pose diameter is zero, joint box would be degenerate")
     return BoundingBox(pose.joints[i].copy(), side, side)
 
 

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import PoseTree, PoseVector
 
 
@@ -16,3 +20,36 @@ def make_pose(points, mask=None) -> PoseVector:
     if mask is None:
         mask = np.ones(len(pts), dtype=bool)
     return PoseVector(pts, np.asarray(mask, dtype=bool))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory for the files of fuzzed parser inputs, shared by hypothesis examples."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@st.composite
+def mutated(draw, base: bytes) -> bytes:
+    """base cut short, with one bit flipped, or with 1-4 bytes inserted."""
+    kind = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if kind == "truncate":
+        return base[: draw(st.integers(0, len(base) - 1))]
+    if kind == "flip":
+        bit = draw(st.integers(0, 8 * len(base) - 1))
+        out = bytearray(base)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    at = draw(st.integers(0, len(base)))
+    return base[:at] + draw(st.binary(min_size=1, max_size=4)) + base[at:]
+
+
+def loads_or_is_rejected(load, path, content: bytes) -> None:
+    """load(path) on a file holding content either returns or raises
+    InvalidArgumentError; any other exception or a warning fails the test."""
+    path.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load(path)
+        except InvalidArgumentError:
+            pass

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecascade import cascade, container, data, nn
-from posecascade.errors import InvalidArgumentError, InvalidStateError
+from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import BoundingBox, crop_resample, full_image_box
 
 from conftest import make_pose
@@ -396,7 +396,7 @@ def test_train_refinement_rejects_empty():
     stats = cascade.DisplacementStats(
         np.zeros((K, 2)), np.zeros((K, 2)), np.zeros(K, bool), np.zeros(K, int)
     )
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidArgumentError):
         cascade.train_refinement_stage(
             [example_with_pose(spread_pose())], model, stats, tiny_stage_config()
         )
@@ -662,6 +662,19 @@ def test_cascade_bad_header_value_rejected(key, value, message):
     header[key] = value
     with pytest.raises(InvalidArgumentError, match=message):
         cascade.cascade_from_bytes(_pack(header, model))
+
+
+def test_cascade_refinement_without_torso_pair_rejected():
+    # refinement crops are sized by the torso diameter, so such a file could not predict
+    model = _two_stage_model(zeroed_net())
+    header = _header(cascade.cascade_to_bytes(model))
+    header["tree"]["torso_pairs"] = []
+    with pytest.raises(InvalidArgumentError, match="torso pair"):
+        cascade.cascade_from_bytes(_pack(header, model))
+    one_stage = cascade.CascadeModel(model.stages[:1], [None], 1.0, TREE, INPUT)
+    header = _header(cascade.cascade_to_bytes(one_stage))
+    header["tree"]["torso_pairs"] = []
+    assert cascade.cascade_from_bytes(_pack(header, one_stage)).tree.torso_pairs == []
 
 
 @pytest.mark.parametrize("version", [1, 3, "2"], ids=["1", "3", "text_2"])

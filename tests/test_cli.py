@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from posecascade import cli, data, nn
 from posecascade.cascade import load_cascade, save_cascade
 from posecascade.errors import InvalidArgumentError
+
+from conftest import loads_or_is_rejected, mutated
 
 
 def run(*argv):
@@ -200,6 +203,22 @@ def test_run_config_field_is_flag_and_config_key(tmp_path, f):
     assert e.value.code == 1
 
 
+RUN_CONFIG = b"""# a run config
+train = data/manifest.txt
+out = runs/a
+stages = 3
+sigma = 0.75
+epochs = 4
+use_lrn = yes
+"""
+
+
+@settings(max_examples=250, deadline=None)
+@given(mutated(RUN_CONFIG))
+def test_mutated_run_config_loads_or_is_rejected(fuzz_dir, content):
+    loads_or_is_rejected(cli.load_run_config, fuzz_dir / "run.cfg", content)
+
+
 def test_train_use_lrn_flag_builds_lrn_stages(tmp_path, synth_dir):
     out = tmp_path / "lrn"
     code = run(
@@ -220,6 +239,21 @@ def test_train_bad_manifest_is_data_error(tmp_path, capsys):
         bad.write_text(text)
         assert run("train", "--train", str(bad), "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
+
+
+def test_train_refinement_without_torso_pair_is_data_error(tmp_path, synth_dir, monkeypatch,
+                                                           capsys):
+    def no_training(*args, **kwargs):
+        pytest.fail("stage 1 trained before the missing torso pair was reported")
+
+    monkeypatch.setattr(cli.casc, "train_stage1", no_training)
+    lines = (synth_dir / "manifest.txt").read_text().splitlines()
+    no_torso = tmp_path / "m.txt"  # the synthetic set without its torso lines
+    no_torso.write_text("".join(f"{synth_dir / line if line.startswith('fig_') else line}\n"
+                                for line in lines if not line.startswith("torso")))
+    code = run("train", "--train", str(no_torso), "--out", str(tmp_path / "o"), "--stages", "2")
+    assert code == 2
+    assert "torso pair" in capsys.readouterr().err
 
 
 def test_train_missing_manifest_file(tmp_path):
@@ -254,6 +288,17 @@ def test_eval_k_mismatch(tmp_path, trained_dir):
         "--manifest", str(bad), "--out", str(tmp_path / "o"),
     )
     assert code == 2
+
+
+def test_eval_manifest_without_records_is_data_error(tmp_path, trained_dir, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("k=9\ntorso 1 8\n")
+    out = tmp_path / "o"
+    code = run("eval", "--model", str(trained_dir / "cascade.model"), "--manifest", str(empty),
+               "--out", str(out))
+    assert code == 2
+    assert "no records" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_perfect_prediction_fixture(tmp_path, trained_dir, synth_dir, monkeypatch):
@@ -455,8 +500,24 @@ def _unreadable_input(case, tmp_path, synth_dir, trained_dir):
         (tmp_path / "sub").mkdir()
         (tmp_path / "m.txt").write_text("k=2\nsub - 1 1 1 2 2 1\n")
         return ["train", "--train", str(tmp_path / "m.txt"), "--out", out], tmp_path / "sub"
+    predict = ["predict", "--model", model, "--image", str(image), "--render"]
+    if case == "render_is_a_directory":
+        return predict + [str(tmp_path)], tmp_path
+    if case == "render_dir_missing":
+        return predict + [str(tmp_path / "nope" / "x.svg")], tmp_path / "nope" / "x.svg"
+    if case == "eval_report_is_a_directory":
+        (tmp_path / "out" / "eval_stage1.txt").mkdir(parents=True)
+        return ["eval", "--model", model, "--manifest", str(synth_dir / "manifest.txt"),
+                "--out", out], tmp_path / "out" / "eval_stage1.txt"
+    if case == "synth_image_is_a_directory":
+        (tmp_path / "out" / "fig_00000.pgm").mkdir(parents=True)
+        return ["synth", "--out", out, "--count", "1"], tmp_path / "out" / "fig_00000.pgm"
     path = tmp_path / "report"
     path.write_text("")
+    if case == "synth_out_is_a_file":
+        return ["synth", "--out", str(path), "--count", "1"], path
+    if case == "synth_out_under_a_file":
+        return ["synth", "--out", str(path / "sub"), "--count", "1"], path / "sub"
     if case == "train_out_is_a_file":
         return ["train", "--train", str(synth_dir / "manifest.txt"), "--out", str(path)], path
     assert case == "eval_out_is_a_file"
@@ -466,7 +527,10 @@ def _unreadable_input(case, tmp_path, synth_dir, trained_dir):
 
 @pytest.mark.parametrize("case", ["model_is_a_directory", "config_not_utf8", "manifest_not_utf8",
                                   "record_is_a_directory", "train_out_is_a_file",
-                                  "eval_out_is_a_file"])
+                                  "eval_out_is_a_file", "synth_out_is_a_file",
+                                  "synth_out_under_a_file", "render_is_a_directory",
+                                  "render_dir_missing", "eval_report_is_a_directory",
+                                  "synth_image_is_a_directory"])
 def test_unusable_path_is_data_error_naming_it(tmp_path, synth_dir, trained_dir, capsys, case):
     argv, path = _unreadable_input(case, tmp_path, synth_dir, trained_dir)
     assert run(*argv) == 2

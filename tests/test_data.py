@@ -4,15 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecascade import data
-from posecascade.errors import (
-    ImageFormatError,
-    InvalidArgumentError,
-    ManifestParseError,
-    ManifestValidationError,
-)
+from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import BoundingBox
 
-from conftest import make_pose
+from conftest import loads_or_is_rejected, make_pose, mutated
 
 MANIFEST = """\
 # two-example set
@@ -46,21 +41,21 @@ def test_load_manifest_two_examples(tmp_path):
 def test_load_manifest_wrong_joint_count(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("k=3\nimg.pgm - 1 2 1 3 4 1\n")
-    with pytest.raises(ManifestValidationError, match="line 2"):
+    with pytest.raises(InvalidArgumentError, match="line 2"):
         data.load_manifest(p)
 
 
 def test_load_manifest_bad_number(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("k=2\nimg.pgm - 1 2 1 x 4 1\n")
-    with pytest.raises(ManifestParseError, match="line 2"):
+    with pytest.raises(InvalidArgumentError, match="line 2"):
         data.load_manifest(p)
 
 
 def test_load_manifest_bad_visibility(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("k=2\nimg.pgm - 1 2 1 3 4 2\n")
-    with pytest.raises(ManifestParseError, match="line 2"):
+    with pytest.raises(InvalidArgumentError, match="line 2"):
         data.load_manifest(p)
 
 
@@ -68,21 +63,21 @@ def test_load_manifest_bad_visibility(tmp_path):
 def test_load_manifest_malformed_box_names_its_line(tmp_path, box):
     p = tmp_path / "m.txt"
     p.write_text(MANIFEST.replace("10.0,12.0,20.0,24.0", box))
-    with pytest.raises(ManifestParseError, match="line 11: .*box"):
+    with pytest.raises(InvalidArgumentError, match="line 11: .*box"):
         data.load_manifest(p)
 
 
 def test_load_manifest_missing_header(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("limb 0 1\n")
-    with pytest.raises(ManifestParseError, match="line 1"):
+    with pytest.raises(InvalidArgumentError, match="line 1"):
         data.load_manifest(p)
 
 
 def test_load_manifest_rejects_cyclic_tree(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("k=3\nlimb 0 1\nlimb 1 2\nlimb 2 0\n")
-    with pytest.raises(ManifestValidationError):
+    with pytest.raises(InvalidArgumentError):
         data.load_manifest(p)
 
 
@@ -90,14 +85,14 @@ def test_load_manifest_rejects_cyclic_tree(tmp_path):
 def test_load_manifest_rejects_out_of_range_name(tmp_path, idx):
     p = tmp_path / "m.txt"
     p.write_text(MANIFEST.replace("name 2 right", f"name 2 right\nname {idx} ghost"))
-    with pytest.raises(ManifestValidationError, match=f"line 6: joint name index {idx} out of range"):
+    with pytest.raises(InvalidArgumentError, match=f"line 6: joint name index {idx} out of range"):
         data.load_manifest(p)
 
 
 def test_load_manifest_rejects_torso_pair_of_one_joint(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text(MANIFEST.replace("torso 1 2", "torso 1 1"))
-    with pytest.raises(ManifestValidationError, match="torso pair"):
+    with pytest.raises(InvalidArgumentError, match="torso pair"):
         data.load_manifest(p)
 
 
@@ -122,6 +117,12 @@ def test_manifest_round_trip(tmp_path):
             assert (a.box0.width, a.box0.height) == (b.box0.width, b.box0.height)
 
 
+@settings(max_examples=300, deadline=None)
+@given(mutated(MANIFEST.encode()))
+def test_mutated_manifest_loads_or_is_rejected(fuzz_dir, content):
+    loads_or_is_rejected(data.load_manifest, fuzz_dir / "m.txt", content)
+
+
 # --- images ---------------------------------------------------------------------
 
 
@@ -144,15 +145,26 @@ def test_load_pgm_with_comment(tmp_path):
 def test_load_image_bad_magic(tmp_path):
     p = tmp_path / "t.png"
     p.write_bytes(b"\x89PNG....")
-    with pytest.raises(ImageFormatError):
+    with pytest.raises(InvalidArgumentError):
         data.load_image(p)
 
 
 def test_load_image_truncated(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n4 4\n255\n" + bytes([1, 2, 3]))
-    with pytest.raises(ImageFormatError):
+    with pytest.raises(InvalidArgumentError):
         data.load_image(p)
+
+
+PGM = b"P5\n# a comment\n3 2\n255\n" + bytes([0, 7, 9, 128, 200, 255])
+PPM = b"P6\n2 1\n200\n" + bytes([0, 50, 100, 150, 199, 1])
+
+
+@pytest.mark.parametrize("base", [PGM, PPM], ids=["pgm", "ppm"])
+@settings(max_examples=250, deadline=None)
+@given(data_=st.data())
+def test_mutated_image_loads_or_is_rejected(fuzz_dir, base, data_):
+    loads_or_is_rejected(data.load_image, fuzz_dir / "t.img", data_.draw(mutated(base)))
 
 
 def test_image_round_trip_8bit(tmp_path):

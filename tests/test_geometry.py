@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from posecascade.errors import (
-    DegenerateBoxError,
-    InvalidArgumentError,
-    MissingTorsoError,
-)
+from posecascade.errors import InvalidArgumentError, MissingTorsoError
 from posecascade.geometry import (
     CROP_FILL,
     BoundingBox,
@@ -37,9 +33,9 @@ def test_parse_box_rejects_malformed_text(text):
 
 
 def test_box_validation():
-    with pytest.raises(DegenerateBoxError):
+    with pytest.raises(InvalidArgumentError):
         BoundingBox(np.zeros(2), 0.0, 5.0)
-    with pytest.raises(DegenerateBoxError):
+    with pytest.raises(InvalidArgumentError):
         BoundingBox(np.zeros(2), 5.0, -1.0)
     with pytest.raises(InvalidArgumentError):
         BoundingBox(np.array([np.nan, 0.0]), 5.0, 5.0)
@@ -121,14 +117,14 @@ def test_joint_box_lsp_scale_doubles(tiny_tree):
 
 def test_joint_box_rejects_zero_sigma(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])
-    with pytest.raises(DegenerateBoxError):
+    with pytest.raises(InvalidArgumentError):
         joint_box(pose, 0, 0.0, tiny_tree)
 
 
 def test_joint_box_rejects_zero_diameter(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (50, 60)])
     # torso pair (0, 3) coincident
-    with pytest.raises(DegenerateBoxError):
+    with pytest.raises(InvalidArgumentError):
         joint_box(pose, 1, 1.0, tiny_tree)
 
 
