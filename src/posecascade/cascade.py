@@ -27,6 +27,7 @@ from .geometry import (
     BoundingBox,
     PoseTree,
     PoseVector,
+    box_array,
     crop_resample,
     full_image_box,
     joint_box,
@@ -41,9 +42,9 @@ JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
 REFINE_NEEDS_TORSO = "refinement stages need a torso pair, whose diameter sizes their crops"
 
 
-def net_input(image: np.ndarray, boxes, input_size: tuple[int, int, int]) -> np.ndarray:
-    """Crop image at each box, resample to the net input, adapt channels, and
-    center pixel values; returns (len(boxes), h, w, c)."""
+def net_input(image: np.ndarray, boxes: np.ndarray, input_size: tuple[int, int, int]) -> np.ndarray:
+    """Crop image at each row of the (n, 4) box array, resample to the net
+    input, adapt channels, and center pixel values; returns (n, h, w, c)."""
     h, w, c = input_size
     crops = crop_resample(image, boxes, (w, h))
     if crops.shape[3] != c:
@@ -91,6 +92,8 @@ class StageConfig:
             raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
         if self.crops_per_joint < 1:
             raise InvalidArgumentError("crops_per_joint must be >= 1")
+        if self.stage1_jitter_crops < 0:
+            raise InvalidArgumentError("stage1_jitter_crops must be >= 0")
 
     def build_network(self, output_dim: int) -> nn.Network:
         """A float32 net; its weights are the float64 draws of the seed, cast."""
@@ -153,44 +156,38 @@ class CascadeModel:
 # normalization
 
 
-class TrainingView(NamedTuple):
-    """One training sample before cropping: the net sees `image` cropped at
-    `box` and regresses, on the joints in `mask`, the joint offsets from the
-    box center scaled by the box size."""
+class ImageViews(NamedTuple):
+    """The training views of one image: the net sees `image` cropped at each
+    row of `boxes` and regresses, on the joints in that row of `masks`, that
+    row of `offsets` scaled by the box size."""
 
     image: np.ndarray
-    box: BoundingBox
-    offset: np.ndarray  # (k, 2) truth - box center, in pixels
-    mask: np.ndarray  # (k,) bool
-
-    def target(self) -> np.ndarray:
-        t = self.offset / np.array([self.box.width, self.box.height])
-        return np.where(self.mask[:, None], t, 0.0).reshape(-1)
+    boxes: np.ndarray  # (m, 4) rows of cx, cy, w, h
+    offsets: np.ndarray  # (m, k, 2) truth - box center, in pixels
+    masks: np.ndarray  # (m, k) bool
 
 
-def _train_stage(views, k: int, config: StageConfig, progress, empty_message: str) -> nn.Network:
-    views = list(views)
-    if not views:
+def view_targets(boxes: np.ndarray, offsets: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The (m, 2k) regression targets: offsets over box sizes, 0 off the mask."""
+    return np.where(masks[..., None], offsets / boxes[:, None, 2:], 0.0).reshape(len(boxes), -1)
+
+
+def _train_stage(records, k: int, config: StageConfig, progress, empty_message: str) -> nn.Network:
+    records = list(records)
+    if not any(len(r.boxes) for r in records):
         raise InvalidArgumentError(empty_message)
-    inputs = np.empty((len(views), *config.input_size), dtype=np.float32)
-    lo = 0
-    while lo < len(views):
-        # one crop call per run of consecutive views on one image, capped at
-        # a mini-batch so its float64 temporaries stay small
-        image, hi = views[lo].image, lo + 1
-        while hi < len(views) and hi - lo < config.train.batch_size and views[hi].image is image:
-            hi += 1
-        inputs[lo:hi] = net_input(image, [v.box for v in views[lo:hi]], config.input_size)
-        lo = hi
+    boxes, offsets, masks = (np.concatenate(parts) for parts in list(zip(*records))[1:])
+    inputs = np.empty((len(boxes), *config.input_size), dtype=np.float32)
+    lo, step = 0, config.train.batch_size
+    for r in records:
+        # at most a mini-batch per crop call keeps its float64 temporaries small
+        for i in range(0, len(r.boxes), step):
+            part = r.boxes[i : i + step]
+            inputs[lo : lo + len(part)] = net_input(r.image, part, config.input_size)
+            lo += len(part)
     net = config.build_network(2 * k)
-    nn.train_epochs(
-        net,
-        inputs,
-        np.stack([v.target() for v in views]),
-        np.stack([v.mask for v in views]),
-        config.train,
-        progress=progress,
-    )
+    nn.train_epochs(net, inputs, view_targets(boxes, offsets, masks), masks, config.train,
+                    progress=progress)
     return net
 
 
@@ -201,28 +198,28 @@ def _with_mirror(ex: LoadedExample, tree: PoseTree):
 
 
 def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.Generator):
-    """Each example and its mirror at the initial box and at
+    """One ImageViews record per example and per mirror: the initial box, then
     `stage1_jitter_crops` copies translated by up to JITTER_FRAC of its size."""
     for ex in examples:
         if not ex.pose.mask.any():
             log.warning("skipping %s: no labeled joints", ex.image_path)
             continue
         for pose, img, box in _with_mirror(ex, tree):
-            boxes = [box]
-            for _ in range(config.stage1_jitter_crops):
-                shift = rng.uniform(-JITTER_FRAC, JITTER_FRAC, size=2)
-                boxes.append(box.shifted(shift * np.array([box.width, box.height])))
-            for b in boxes:
-                yield TrainingView(img, b, pose.joints - b.center, pose.mask)
+            size = np.array([box.width, box.height])
+            shifts = rng.uniform(-JITTER_FRAC, JITTER_FRAC, size=(config.stage1_jitter_crops, 2))
+            centers = np.vstack([box.center, box.center + shifts * size])
+            boxes = np.hstack([centers, np.broadcast_to(size, centers.shape)])
+            yield ImageViews(img, boxes, pose.joints - centers[:, None],
+                             np.tile(pose.mask, (len(centers), 1)))
 
 
 def refinement_views(
     examples, tree: PoseTree, stats: DisplacementStats, config: StageConfig, rng: np.random.Generator
 ):
-    """Simulated predictions: for each example and its mirror, each labeled
-    joint i with statistics and each of `crops_per_joint` draws, the square box
-    (side sigma * diameter) at truth + delta, where delta is drawn from joint
-    i's displacement Gaussian; only joint i is unmasked."""
+    """Simulated predictions, one ImageViews record per example and per mirror:
+    for each labeled joint i with statistics and each of `crops_per_joint`
+    draws, the square box (side sigma * diameter) at truth + delta, with delta
+    drawn from joint i's displacement Gaussian; only joint i is unmasked."""
     k = tree.k
     for ex in examples:
         for pose, img, _ in _with_mirror(ex, tree):
@@ -234,15 +231,12 @@ def refinement_views(
                 log.warning("skipping %s: degenerate pose diameter", ex.image_path)
                 continue
             side = config.sigma * diam
-            for i in range(k):
-                if not (pose.mask[i] and stats.present[i]):
-                    continue
-                for _ in range(config.crops_per_joint):
-                    delta = sample_displacement(stats, i, rng)
-                    offset = np.zeros((k, 2))
-                    offset[i] = -delta
-                    yield TrainingView(img, BoundingBox(pose.joints[i] + delta, side, side),
-                                       offset, np.arange(k) == i)
+            joints = np.repeat(np.flatnonzero(pose.mask & stats.present), config.crops_per_joint)
+            delta = sample_displacement(stats, joints, rng)
+            boxes = np.hstack([pose.joints[joints] + delta, np.full((len(joints), 2), side)])
+            offsets = np.zeros((len(joints), k, 2))
+            offsets[np.arange(len(joints)), joints] = -delta
+            yield ImageViews(img, boxes, offsets, joints[:, None] == np.arange(k))
 
 
 def train_stage1(
@@ -306,11 +300,13 @@ def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -
     return DisplacementStats(mean, var, count > 0, count)
 
 
-def sample_displacement(stats: DisplacementStats, i: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw from joint i's axis-aligned displacement Gaussian."""
-    if not stats.present[i]:
-        raise InvalidArgumentError(f"joint {i} has no displacement statistics")
-    return rng.normal(stats.mean[i], np.sqrt(stats.var[i]))
+def sample_displacement(stats: DisplacementStats, joints: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the axis-aligned displacement Gaussian of each joint in
+    the int array joints, in order; returns (len(joints), 2)."""
+    absent = joints[~stats.present[joints]]
+    if len(absent):
+        raise InvalidArgumentError(f"joint {absent[0]} has no displacement statistics")
+    return rng.normal(stats.mean[joints], np.sqrt(stats.var[joints]))
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +328,19 @@ def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = Non
     k = model.tree.k
     if b0 is None:
         b0 = full_image_box(image.shape[1], image.shape[0])
-    boxes, rows = [b0], np.zeros(k, dtype=int)
+    boxes, rows = box_array([b0]), np.zeros(k, dtype=int)
     poses: list[PoseVector] = []
     for s, net in enumerate(model.stages):
         if s > 0:
             if pose_diameter(poses[-1], model.tree) <= 0:
                 return CascadePrediction(poses, truncated=True)
-            boxes = [joint_box(poses[-1], i, model.sigma, model.tree) for i in range(k)]
+            boxes = box_array([joint_box(poses[-1], i, model.sigma, model.tree) for i in range(k)])
             rows = np.arange(k)
         crops = net_input(image, boxes, model.input_size)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             outs, _ = nn.forward(net, crops)
         v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]
-        size = np.array([[b.width, b.height] for b in boxes])[rows]
-        center = np.array([b.center for b in boxes])[rows]
-        joints = v * size + center
+        joints = v * boxes[rows, 2:] + boxes[rows, :2]
         if not np.isfinite(joints).all():
             if s == 0:
                 raise InvalidArgumentError("stage 1 produced a non-finite output")

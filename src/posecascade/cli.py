@@ -190,13 +190,13 @@ def cmd_train(args) -> int:
 
     out = _out_dir(cfg.out)
     manifest = dat.load_manifest(cfg.train)
-    if not manifest.examples:
-        raise InvalidArgumentError(f"{cfg.train}: no usable training examples")
     examples = dat.load_examples(manifest)
     if cfg.stages > 1 and not manifest.tree.torso_pairs:
         raise InvalidArgumentError(f"{cfg.train}: {casc.REFINE_NEEDS_TORSO}")
     if cfg.heldout:
         held_manifest = dat.load_manifest(cfg.heldout)
+        if held_manifest.k != manifest.k:  # the model will have the training manifest's k
+            raise InvalidArgumentError(f"manifest k={held_manifest.k} does not match model k={manifest.k}")
         held_examples = dat.load_examples(held_manifest)
         held_name = cfg.heldout
     else:
@@ -238,8 +238,6 @@ def cmd_eval(args) -> int:
     manifest = dat.load_manifest(args.manifest)
     if manifest.k != model.tree.k:
         raise InvalidArgumentError(f"manifest k={manifest.k} does not match model k={model.tree.k}")
-    if not manifest.examples:
-        raise InvalidArgumentError(f"{args.manifest}: no records to evaluate")
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError:

@@ -73,7 +73,7 @@ def _line_error(line_no: int, message: str) -> InvalidArgumentError:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse a manifest file; errors carry 1-based line numbers."""
+    """Parse a manifest file, which needs a record; errors carry 1-based line numbers."""
     path = Path(path)
     k = None
     names: dict[int, str] = {}
@@ -151,6 +151,8 @@ def load_manifest(path) -> DatasetManifest:
 
     if k is None:
         raise _line_error(1, "empty manifest")
+    if not examples:  # checked before anything of size k is built
+        raise InvalidArgumentError(f"manifest {path} has no records")
     joint_names = [names.get(i, f"j{i}") for i in range(k)]
     try:
         tree = PoseTree(k, limbs, torso, swap)

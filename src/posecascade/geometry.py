@@ -67,9 +67,10 @@ class BoundingBox:
         if self.width <= 0 or self.height <= 0:
             raise InvalidArgumentError(f"box size must be positive, got {self.width} x {self.height}")
 
-    def shifted(self, t) -> "BoundingBox":
-        """Same box translated by t."""
-        return BoundingBox(self.center + _as_point(t), self.width, self.height)
+
+def box_array(boxes) -> np.ndarray:
+    """The boxes as an (n, 4) float64 array of cx, cy, w, h rows."""
+    return np.array([(*b.center, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def parse_box(text: str) -> BoundingBox:
@@ -165,8 +166,8 @@ def joint_box(pose: PoseVector, i: int, sigma: float, tree: PoseTree) -> Boundin
 
 
 def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarray:
-    """Crop img by each box in boxes and bilinearly resample to out_size
-    (width, height); returns (len(boxes), out_h, out_w, C).
+    """Crop img by each row (cx, cy, w, h) of the (n, 4) box array and
+    bilinearly resample to out_size (width, height); returns (n, out_h, out_w, C).
 
     Sample positions are the centers of the output pixel grid mapped into the
     box span [center - size/2, center + size/2]. Taps outside the source image
@@ -185,7 +186,7 @@ def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarr
     if out_w <= 0 or out_h <= 0:
         raise InvalidArgumentError(f"out_size must be positive, got {out_size}")
     h, w, ch = img.shape
-    geom = np.array([(b.center[0], b.center[1], b.width, b.height) for b in boxes], dtype=np.float64)
+    geom = np.asarray(boxes, dtype=np.float64)
     if len(geom) == 0:
         return np.empty((0, out_h, out_w, ch))
     cx, cy, bw, bh = geom.T[:, :, None]

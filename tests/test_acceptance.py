@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from posecascade import cascade, cli, data, metrics, nn
-from posecascade.geometry import BoundingBox
+from posecascade.geometry import BoundingBox, box_array
 
 from conftest import make_pose
 from fdcheck import max_rel_error
@@ -82,7 +82,7 @@ def test_normalization_round_trip():
     for _ in range(10_000):
         p = rng.uniform(-500, 500, size=2)
         b = BoundingBox(rng.uniform(-500, 500, size=2), rng.uniform(0.1, 800), rng.uniform(0.1, 800))
-        v = cascade.TrainingView(None, b, (p - b.center)[None], np.ones(1, bool)).target()
+        v = cascade.view_targets(box_array([b]), (p - b.center)[None, None], np.ones((1, 1), bool))[0]
         back = v * [b.width, b.height] + b.center
         worst = max(worst, float(np.abs(back - p).max()))
     report("normalization-round-trip", worst < 1e-9, f"worst={worst:.2e}")
@@ -188,7 +188,7 @@ def test_augmentation_statistics():
     )
     worst_m, worst_v = 0.0, 0.0
     for i in range(k):
-        draws = np.stack([cascade.sample_displacement(fitted, i, rng) for _ in range(10_000)])
+        draws = cascade.sample_displacement(fitted, np.full(10_000, i), rng)
         m_err = np.abs(draws.mean(axis=0) - fitted.mean[i]) / np.abs(fitted.mean[i])
         v_err = np.abs(draws.var(axis=0, ddof=1) - fitted.var[i]) / fitted.var[i]
         worst_m = max(worst_m, float(m_err.max()))

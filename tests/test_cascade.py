@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, container, data, nn
 from posecascade.errors import InvalidArgumentError
-from posecascade.geometry import BoundingBox, crop_resample, full_image_box
+from posecascade.geometry import BoundingBox, box_array, crop_resample, full_image_box, pose_diameter
 
 from conftest import make_pose
 
@@ -68,12 +68,12 @@ def example_with_pose(pose, size=32, seed=0):
 
 
 def _some_boxes(w, h):
-    return [
+    return box_array([
         full_image_box(w, h),
         BoundingBox(np.array([3.0, h - 2.0]), 10.0, 6.0),  # straddles a corner
         BoundingBox(np.array([-20.0, 5.0]), 4.0, 4.0),  # fully outside
         BoundingBox(np.array([w / 2, h / 3]), 0.6, 0.8),  # sub-pixel
-    ]
+    ])
 
 
 @pytest.mark.parametrize("img_ch, input_size", [
@@ -86,7 +86,7 @@ def test_net_input_of_many_boxes_stacks_per_box_inputs(img_ch, input_size):
     img = np.random.default_rng(img_ch).random((20, 24, img_ch))
     boxes = _some_boxes(24, 20)
     got = cascade.net_input(img, boxes, input_size)
-    want = np.stack([cascade.net_input(img, [b], input_size)[0] for b in boxes])
+    want = np.stack([cascade.net_input(img, boxes[j : j + 1], input_size)[0] for j in range(len(boxes))])
     assert got.shape == (len(boxes),) + tuple(input_size)
     assert np.array_equal(got, want)
     crops = crop_resample(img, boxes, input_size[1::-1])
@@ -98,23 +98,28 @@ def test_net_input_of_many_boxes_stacks_per_box_inputs(img_ch, input_size):
 
 def test_net_input_rejects_unadaptable_channels():
     with pytest.raises(InvalidArgumentError):
-        cascade.net_input(np.zeros((8, 8, 3)), [full_image_box(8, 8)], (6, 6, 2))
+        cascade.net_input(np.zeros((8, 8, 3)), box_array([full_image_box(8, 8)]), (6, 6, 2))
 
 
 def test_training_inputs_are_the_per_view_crops(monkeypatch):
-    # views are cropped in runs that share an image and hold at most
-    # batch_size boxes; the inputs must be the per-view crops in view order
+    # each record is cropped in calls of at most batch_size boxes; the inputs
+    # must be the per-view crops, the targets and masks the views', in order
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(2)]
     stats = _delta_stats((1.0, -0.5))
     cfg = tiny_stage_config(crops_per_joint=3)  # 27 views per image, batch_size 8
     seen = {}
-    monkeypatch.setattr(nn, "train_epochs", lambda net, x, y, m, *a, **kw: seen.update(x=x, y=y))
+    monkeypatch.setattr(nn, "train_epochs",
+                        lambda net, x, y, m, *a, **kw: seen.update(x=x, y=y, m=m))
     cascade.train_refinement_stage(examples, _constant_model(), stats, cfg)
-    views = list(cascade.refinement_views(examples, TREE, stats, cfg, np.random.default_rng(cfg.seed)))
-    want = np.stack([cascade.net_input(v.image, [v.box], INPUT)[0] for v in views]).astype(np.float32)
-    assert len({id(v.image) for v in views}) == 4 and seen["x"].dtype == np.float32
+    records = list(cascade.refinement_views(examples, TREE, stats, cfg,
+                                            np.random.default_rng(cfg.seed)))
+    want = np.stack([cascade.net_input(r.image, r.boxes[j : j + 1], INPUT)[0]
+                     for r in records for j in range(len(r.boxes))]).astype(np.float32)
+    assert len(records) == 4 and seen["x"].dtype == np.float32
     assert np.array_equal(seen["x"], want)
-    assert np.array_equal(seen["y"], np.stack([v.target() for v in views]))
+    assert np.array_equal(seen["y"], np.concatenate(
+        [cascade.view_targets(r.boxes, r.offsets, r.masks) for r in records]))
+    assert np.array_equal(seen["m"], np.concatenate([r.masks for r in records]))
 
 
 # --- stage 1 ----------------------------------------------------------------------
@@ -149,10 +154,12 @@ def test_stage1_sample_counts():
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(3)]
     cfg = tiny_stage_config(stage1_jitter_crops=2)
     rng = np.random.default_rng(0)
-    views = list(cascade.stage1_views(examples, TREE, cfg, rng))
-    # 3 examples x 2 flips x (1 base + 2 jitter)
-    assert len(views) == 3 * 2 * 3
-    assert all(v.target().shape == (2 * K,) and v.mask.shape == (K,) for v in views)
+    records = list(cascade.stage1_views(examples, TREE, cfg, rng))
+    # 3 examples x 2 flips, each with 1 base + 2 jitter views
+    assert len(records) == 3 * 2
+    for r in records:
+        assert r.boxes.shape == (3, 4) and r.offsets.shape == (3, K, 2) and r.masks.shape == (3, K)
+        assert cascade.view_targets(r.boxes, r.offsets, r.masks).shape == (3, 2 * K)
 
 
 def test_stage1_skips_fully_unlabeled(caplog):
@@ -161,8 +168,9 @@ def test_stage1_skips_fully_unlabeled(caplog):
         good.image, make_pose(np.zeros((K, 2)), mask=np.zeros(K, bool)), None, "empty"
     )
     cfg = tiny_stage_config(stage1_jitter_crops=0)
-    views = list(cascade.stage1_views([good, bad], TREE, cfg, np.random.default_rng(0)))
-    assert len(views) == 2  # only the labeled example, flipped
+    records = list(cascade.stage1_views([good, bad], TREE, cfg, np.random.default_rng(0)))
+    assert [r.image is good.image for r in records] == [True, False]  # only good and its mirror
+    assert [len(r.boxes) for r in records] == [1, 1]
 
 
 def test_train_stage1_constant_target_converges():
@@ -223,7 +231,7 @@ def test_fit_stats_unlabeled_joint_absent():
     assert not stats.present[4]
     assert stats.count[4] == 0
     with pytest.raises(InvalidArgumentError):
-        cascade.sample_displacement(stats, 4, np.random.default_rng(0))
+        cascade.sample_displacement(stats, np.array([0, 4]), np.random.default_rng(0))
 
 
 def _stats_of_predictions(monkeypatch, offsets, truncated, masks=None):
@@ -269,7 +277,7 @@ def test_sampling_round_trip_matches_fitted_stats():
     mean = np.tile([1.5, -2.0], (K, 1))
     var = np.tile([4.0, 0.25], (K, 1))
     stats = cascade.DisplacementStats(mean, var, np.ones(K, bool), np.full(K, 100))
-    draws = np.stack([cascade.sample_displacement(stats, 2, rng) for _ in range(10_000)])
+    draws = cascade.sample_displacement(stats, np.full(10_000, 2), rng)
     assert np.all(np.abs(draws.mean(axis=0) - mean[2]) / np.abs(mean[2]) < 0.05)
     assert np.all(np.abs(draws.var(axis=0, ddof=1) - var[2]) / var[2] < 0.05)
 
@@ -286,15 +294,17 @@ def _joint_view(ex, i, stats, sigma, rng):
     """The first refinement view of joint i of ex (not of its mirror): its
     target coordinates and its box."""
     cfg = tiny_stage_config(sigma=sigma, crops_per_joint=1)
-    view = next(v for v in cascade.refinement_views([ex], TREE, stats, cfg, rng) if v.mask[i])
-    return view.target()[2 * i : 2 * i + 2], view.box
+    r = next(cascade.refinement_views([ex], TREE, stats, cfg, rng))
+    (j,) = np.flatnonzero(r.masks[:, i])[:1]
+    targets = cascade.view_targets(r.boxes, r.offsets, r.masks)
+    return targets[j, 2 * i : 2 * i + 2], r.boxes[j]
 
 
 def test_sample_pair_zero_delta_targets_origin():
     ex = example_with_pose(spread_pose())
     target, box = _joint_view(ex, 0, _delta_stats((0.0, 0.0)), 1.0, np.random.default_rng(0))
     assert np.allclose(target, 0.0)
-    assert np.allclose(box.center, ex.pose.joints[0])
+    assert np.allclose(box[:2], ex.pose.joints[0])
 
 
 def test_sample_pair_hand_value():
@@ -309,15 +319,13 @@ def test_sample_pair_hand_value():
     pose = make_pose(joints)
     ex = example_with_pose(pose, size=128)
     target, box = _joint_view(ex, 3, _delta_stats((10.0, 0.0)), 1.0, np.random.default_rng(0))
-    assert box.width == pytest.approx(100.0)
+    assert box[2] == pytest.approx(100.0)
     assert np.allclose(target, [-0.1, 0.0], atol=1e-12)
 
 
 def test_sample_pair_target_bound():
     # |delta| <= sigma * diam / 2 keeps the target within +-0.5 per axis
     ex = example_with_pose(spread_pose())
-    from posecascade.geometry import pose_diameter
-
     diam = pose_diameter(ex.pose, TREE)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -335,7 +343,7 @@ def test_sample_pair_reconstructs_truth():
     )
     for i in range(K):
         target, box = _joint_view(ex, i, stats, 1.3, rng)
-        rec = target * [box.width, box.height] + box.center
+        rec = target * box[2:] + box[:2]
         assert np.all(np.abs(rec - ex.pose.joints[i]) < 1e-9)
 
 
@@ -343,17 +351,16 @@ def test_refinement_sample_counts():
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(4)]
     stats = _delta_stats((0.0, 0.0))
     cfg = tiny_stage_config(crops_per_joint=3)
-    views = list(cascade.refinement_views(examples, TREE, stats, cfg, np.random.default_rng(0)))
-    assert len(views) == 4 * 2 * K * 3  # examples x flips x joints x crops
+    records = list(cascade.refinement_views(examples, TREE, stats, cfg, np.random.default_rng(0)))
+    assert len(records) == 4 * 2  # examples x flips
+    assert all(len(r.boxes) == K * 3 for r in records)  # joints x crops
     # the same bookkeeping at benchmark scale: 11000 x 40 x 2 x 14 is ~12M
     assert 11000 * 40 * 2 * 14 == 12_320_000
-    for v in views:
-        t, m = v.target(), v.mask
-        assert m.sum() == 1
-        (i,) = np.nonzero(m)[0].reshape(1)
-        off = np.ones(2 * K, dtype=bool)
-        off[2 * i : 2 * i + 2] = False
-        assert np.all(t[off] == 0.0)
+    for r in records:
+        t = cascade.view_targets(r.boxes, r.offsets, r.masks).reshape(-1, K, 2)
+        assert np.all(r.masks.sum(axis=1) == 1)
+        assert np.array_equal(np.flatnonzero(r.masks) % K, np.repeat(np.arange(K), 3))
+        assert np.all(t[~r.masks] == 0.0)
 
 
 def test_views_of_both_stages_denormalize_to_truth():
@@ -376,19 +383,80 @@ def test_views_of_both_stages_denormalize_to_truth():
         rng.normal(0.0, 2.0, (K, 2)), rng.uniform(1.0, 9.0, (K, 2)), np.ones(K, bool), np.full(K, 10)
     )
     stage1 = list(cascade.stage1_views(examples, TREE, cfg, rng))
-    expected1 = [(p, p.mask) for p in truths for _ in range(1 + jitter)]
+    expected1 = [np.tile(p.mask, (1 + jitter, 1)) for p in truths]
     refine = list(cascade.refinement_views(examples, TREE, stats, cfg, rng))
-    expected2 = [(p, np.arange(K) == i) for p in truths for i in range(K) if p.mask[i]
-                 for _ in range(crops)]
-    assert len(stage1) == len(expected1) and len(refine) == len(expected2)
-    assert len({tuple(v.box.center) for v in stage1}) > len(truths)  # the jitter moved boxes
-    for v, (truth, m) in zip(stage1 + refine, expected1 + expected2):
-        assert np.array_equal(v.mask, m)
-        t = v.target().reshape(K, 2)
+    expected2 = [np.repeat(np.eye(K, dtype=bool)[p.mask], crops, axis=0) for p in truths]
+    assert len(stage1) == len(refine) == len(truths)
+    assert len({tuple(c) for r in stage1 for c in r.boxes[:, :2]}) > len(truths)  # jitter moved boxes
+    for r, truth, m in zip(stage1 + refine, truths + truths, expected1 + expected2):
+        assert np.array_equal(r.masks, m)
+        t = cascade.view_targets(r.boxes, r.offsets, r.masks).reshape(-1, K, 2)
         assert np.all(t[~m] == 0.0)
-        for j in np.nonzero(m)[0]:
-            rec = t[j] * [v.box.width, v.box.height] + v.box.center
-            assert np.all(np.abs(rec - truth.joints[j]) < 1e-9)
+        rec = t * r.boxes[:, None, 2:] + r.boxes[:, None, :2]
+        assert np.all(np.abs(rec - truth.joints)[m] < 1e-9)
+
+
+def _per_crop_views(examples, stats, cfg, rng):
+    """Stage-1 then refinement views built one crop at a time: one size-2
+    uniform draw per jitter copy, one normal draw per displacement and one
+    BoundingBox per view, as (image, box, offset, mask, target) tuples."""
+    variants = []
+    for ex in examples:
+        b0 = ex.box0 if ex.box0 is not None else full_image_box(ex.image.shape[1], ex.image.shape[0])
+        variants += [(ex.pose, ex.image, b0), data.mirror_example(ex.pose, ex.image, TREE, b0)]
+    views = []
+    for pose, img, box in variants:
+        boxes = [box]
+        for _ in range(cfg.stage1_jitter_crops):
+            shift = rng.uniform(-cascade.JITTER_FRAC, cascade.JITTER_FRAC, size=2)
+            boxes.append(BoundingBox(box.center + shift * np.array([box.width, box.height]),
+                                     box.width, box.height))
+        views += [(img, b, pose.joints - b.center, pose.mask) for b in boxes]
+    for pose, img, _ in variants:
+        side = cfg.sigma * pose_diameter(pose, TREE)
+        for i in range(K):
+            if not (pose.mask[i] and stats.present[i]):
+                continue
+            for _ in range(cfg.crops_per_joint):
+                delta = rng.normal(stats.mean[i], np.sqrt(stats.var[i]))
+                offset = np.zeros((K, 2))
+                offset[i] = -delta
+                views.append((img, BoundingBox(pose.joints[i] + delta, side, side), offset,
+                              np.arange(K) == i))
+    return [(img, b, off, m, np.where(m[:, None], off / np.array([b.width, b.height]), 0.0).reshape(-1))
+            for img, b, off, m in views]
+
+
+def test_view_records_equal_per_crop_views_bit_for_bit():
+    # the records consume the generator in the per-crop order and round the
+    # same way, which keeps model files byte for byte the same seed for seed
+    mask = np.ones(K, bool)
+    mask[3] = False
+    examples = [
+        example_with_pose(spread_pose(center=(15.0, 17.0)), seed=1),
+        example_with_pose(make_pose(spread_pose(center=(17.0, 15.0), scale=6.0).joints, mask), seed=2),
+    ]
+    examples[1].box0 = BoundingBox(np.array([16.3, 15.1]), 24.5, 28.0)
+    present = np.ones(K, bool)
+    present[5] = False
+    rng = np.random.default_rng(12)
+    stats = cascade.DisplacementStats(
+        rng.normal(0.0, 2.0, (K, 2)), rng.uniform(0.5, 9.0, (K, 2)), present, np.full(K, 10)
+    )
+    cfg = tiny_stage_config(stage1_jitter_crops=3, crops_per_joint=4, sigma=1.3)
+    loop_rng, array_rng = np.random.default_rng(13), np.random.default_rng(13)
+    want = _per_crop_views(examples, stats, cfg, loop_rng)
+    records = (list(cascade.stage1_views(examples, TREE, cfg, array_rng))
+               + list(cascade.refinement_views(examples, TREE, stats, cfg, array_rng)))
+    got = [(r.image, r.boxes[j], r.offsets[j], r.masks[j], t)
+           for r in records for j, t in enumerate(cascade.view_targets(r.boxes, r.offsets, r.masks))]
+    assert len(got) == len(want) == 4 * 4 + (2 * (K - 1) + 2 * (K - 2)) * 4
+    for (img, box, off, m, t), (img0, b0, off0, m0, t0) in zip(got, want):
+        assert np.array_equal(img, img0)
+        assert box.tobytes() == box_array([b0])[0].tobytes()
+        assert off.tobytes() == off0.tobytes() and t.tobytes() == t0.tobytes()
+        assert np.array_equal(m, m0)
+    assert array_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_train_refinement_rejects_empty():
@@ -457,8 +525,6 @@ def test_refinement_displacement_arithmetic():
     model = cascade.CascadeModel([stage1, net2], [None, stats], 1.0, TREE, INPUT)
     img = np.random.default_rng(0).random((40, 40, 1))
     result = cascade.predict(model, img)
-    from posecascade.geometry import pose_diameter
-
     side = 1.0 * pose_diameter(result.poses[0], TREE)
     moved = result.poses[1].joints - result.poses[0].joints
     assert np.allclose(moved, np.tile([-0.1 * side, 0.0], (K, 1)), atol=1e-9)
@@ -468,13 +534,11 @@ def test_refinement_locality_bound():
     model = _two_stage_model(random_net(9))
     img = np.random.default_rng(3).random((40, 40, 1))
     result = cascade.predict(model, img)
-    from posecascade.geometry import pose_diameter
-
     diam = pose_diameter(result.poses[0], TREE)
     outs, _ = nn.forward(
         model.stages[1],
-        cascade.net_input(img, [cascade.joint_box(result.poses[0], i, 1.0, TREE) for i in range(K)],
-                          INPUT),
+        cascade.net_input(img, box_array([cascade.joint_box(result.poses[0], i, 1.0, TREE)
+                                          for i in range(K)]), INPUT),
     )
     bound = np.abs(outs).max() * 1.0 * diam
     moved = np.abs(result.poses[1].joints - result.poses[0].joints)

@@ -151,6 +151,13 @@ def test_train_zero_batch_is_data_error(tmp_path, synth_dir, capsys):
     assert not (tmp_path / "o" / "cascade_stage1.model").exists()
 
 
+def test_train_negative_stage1_crops_is_data_error(tmp_path, synth_dir, capsys):
+    code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
+               "--stage1-crops", "-1")
+    assert code == 2
+    assert "stage1_jitter_crops must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stages", ["0", "-3"])
 @pytest.mark.parametrize("by_key", [False, True], ids=["flag", "config_key"])
 def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch, capsys,
@@ -234,7 +241,7 @@ def test_train_use_lrn_flag_builds_lrn_stages(tmp_path, synth_dir):
 def test_train_bad_manifest_is_data_error(tmp_path, capsys):
     # a record whose image is missing, and a manifest without records
     for text, message in [("k=9\nmissing.pgm - " + " ".join(["1 2 1"] * 8) + "\n", "missing.pgm"),
-                          ("k=2\n", "no usable training examples")]:
+                          ("k=2\n", "no records")]:
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert run("train", "--train", str(bad), "--out", str(tmp_path / "o")) == 2
@@ -254,6 +261,24 @@ def test_train_refinement_without_torso_pair_is_data_error(tmp_path, synth_dir, 
     code = run("train", "--train", str(no_torso), "--out", str(tmp_path / "o"), "--stages", "2")
     assert code == 2
     assert "torso pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("heldout, message", [
+    ("k=2\nimg.pgm - 1 2 1 3 4 1\n", "manifest k=2 does not match model k=9"),
+    ("k=9\n", "no records"),
+], ids=["joint_count_mismatch", "no_records"])
+def test_train_bad_heldout_is_data_error_before_training(tmp_path, synth_dir, monkeypatch,
+                                                         capsys, heldout, message):
+    def no_training(*args, **kwargs):
+        pytest.fail("stage 1 trained before the held-out manifest was checked")
+
+    monkeypatch.setattr(cli.casc, "train_stage1", no_training)
+    held = tmp_path / "held.txt"
+    held.write_text(heldout)
+    code = run("train", "--train", str(synth_dir / "manifest.txt"), "--heldout", str(held),
+               "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_train_missing_manifest_file(tmp_path):

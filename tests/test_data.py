@@ -76,8 +76,18 @@ def test_load_manifest_missing_header(tmp_path):
 
 def test_load_manifest_rejects_cyclic_tree(tmp_path):
     p = tmp_path / "m.txt"
-    p.write_text("k=3\nlimb 0 1\nlimb 1 2\nlimb 2 0\n")
-    with pytest.raises(InvalidArgumentError):
+    p.write_text("k=3\nlimb 0 1\nlimb 1 2\nlimb 2 0\nimg.pgm - 1 2 1 3 4 1 5 6 1\n")
+    with pytest.raises(InvalidArgumentError, match="cycle"):
+        data.load_manifest(p)
+
+
+@pytest.mark.parametrize("text", ["k=3\n", "k=9\ntorso 1 8\nname 0 head\n", "k=3000000\n"],
+                         ids=["header_only", "declarations_only", "huge_k"])
+def test_load_manifest_without_records_rejected(tmp_path, text):
+    # rejected before any per-joint structure is built, so a huge k costs nothing
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    with pytest.raises(InvalidArgumentError, match="no records"):
         data.load_manifest(p)
 
 

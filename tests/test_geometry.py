@@ -6,6 +6,7 @@ from posecascade.geometry import (
     CROP_FILL,
     BoundingBox,
     PoseTree,
+    box_array,
     crop_resample,
     full_image_box,
     joint_box,
@@ -140,13 +141,13 @@ def test_joint_box_requires_present_joint(tiny_tree):
 def test_crop_identity():
     rng = np.random.default_rng(1)
     img = rng.random((12, 10, 1))
-    out = crop_resample(img, [full_image_box(10, 12)], (10, 12))[0]
+    out = crop_resample(img, box_array([full_image_box(10, 12)]), (10, 12))[0]
     assert np.array_equal(out, img)
 
 
 def test_crop_checkerboard_mean():
     img = np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None]
-    out = crop_resample(img, [full_image_box(2, 2)], (1, 1))[0]
+    out = crop_resample(img, box_array([full_image_box(2, 2)]), (1, 1))[0]
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == pytest.approx(0.5)
 
@@ -154,7 +155,7 @@ def test_crop_checkerboard_mean():
 def test_crop_fully_outside_is_fill():
     img = np.zeros((4, 4, 1))
     b = BoundingBox(np.array([100.0, 100.0]), 8.0, 8.0)
-    out = crop_resample(img, [b], (3, 3))[0]
+    out = crop_resample(img, box_array([b]), (3, 3))[0]
     assert np.all(out == CROP_FILL)
 
 
@@ -168,7 +169,7 @@ def test_crop_fully_outside_is_fill():
 ])
 def test_crop_far_outside_is_fill_without_warnings(center, size):
     img = np.random.default_rng(2).random((6, 5, 1))
-    out = crop_resample(img, [BoundingBox(np.array(center), *size)], (4, 3))
+    out = crop_resample(img, box_array([BoundingBox(np.array(center), *size)]), (4, 3))
     assert out.shape == (1, 3, 4, 1)
     assert np.all(out == CROP_FILL)
 
@@ -176,7 +177,13 @@ def test_crop_far_outside_is_fill_without_warnings(center, size):
 def test_crop_rejects_bad_out_size():
     img = np.zeros((4, 4, 1))
     with pytest.raises(InvalidArgumentError):
-        crop_resample(img, [full_image_box(4, 4)], (0, 3))
+        crop_resample(img, box_array([full_image_box(4, 4)]), (0, 3))
+
+
+def test_box_array_rows_are_center_then_size():
+    boxes = [full_image_box(4, 6), BoundingBox(np.array([-1.5, 2.0]), 3.0, 0.5)]
+    assert np.array_equal(box_array(boxes), [[2.0, 3.0, 4.0, 6.0], [-1.5, 2.0, 3.0, 0.5]])
+    assert box_array([]).shape == (0, 4)
 
 
 def _naive_crop(img, b, out_size):
@@ -209,7 +216,7 @@ def test_crop_matches_naive_oracle():
     for _ in range(8):
         b = BoundingBox(rng.uniform(-3, 13, size=2), rng.uniform(0.5, 15), rng.uniform(0.5, 15))
         out_size = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        got = crop_resample(img, [b], out_size)[0]
+        got = crop_resample(img, box_array([b]), out_size)[0]
         want = _naive_crop(img, b, out_size)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -274,7 +281,7 @@ def test_batched_crop_bit_identical_to_per_box_reference(channels, out_size):
     rng = np.random.default_rng(channels * 10 + out_size[0])
     img = rng.random((9, 13, channels))
     boxes = _mixed_boxes(rng, 9, 13)
-    got = crop_resample(img, boxes, out_size)
+    got = crop_resample(img, box_array(boxes), out_size)
     want = np.stack([_crop_reference(img, b, out_size) for b in boxes])
     assert got.shape == (len(boxes), out_size[1], out_size[0], channels)
     assert np.array_equal(got, want)
@@ -283,11 +290,11 @@ def test_batched_crop_bit_identical_to_per_box_reference(channels, out_size):
 def test_batched_crop_of_2d_image_matches_reference():
     img = np.random.default_rng(4).random((8, 8))
     boxes = _mixed_boxes(np.random.default_rng(5), 8, 8)
-    assert np.array_equal(crop_resample(img, boxes, (5, 6)),
+    assert np.array_equal(crop_resample(img, box_array(boxes), (5, 6)),
                           np.stack([_crop_reference(img, b, (5, 6)) for b in boxes]))
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 1), (5, 7, 3)])
 def test_crop_of_zero_boxes_is_empty_batch(shape):
-    out = crop_resample(np.zeros(shape), [], (4, 3))
+    out = crop_resample(np.zeros(shape), box_array([]), (4, 3))
     assert out.shape == (0, 3, 4, shape[2] if len(shape) == 3 else 1)

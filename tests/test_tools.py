@@ -15,3 +15,13 @@ def test_train_step_prints_its_medians_and_faults():
     values = dict(re.findall(r"^(\w+) ([0-9.]+)$", proc.stdout, re.MULTILINE))
     assert set(values) == {"step_ms", "minor_faults_per_step"}
     assert float(values["step_ms"]) > 0
+
+
+def test_model_bytes_lists_a_sha256_per_written_file():
+    proc = subprocess.run([sys.executable, str(TOOLS / "model_bytes.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"[0-9a-f]{64}  [^/\s]\S*", line) for line in lines)
+    paths = {line.split("  ", 1)[1] for line in lines}
+    assert {"run/cascade.model", "run/eval/eval_stage3.json"} <= paths
