@@ -14,6 +14,8 @@ observed errors, and the crop is taken around the displaced point.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -23,16 +25,7 @@ import numpy as np
 from . import container, nn
 from .data import LoadedExample, mirror_example
 from .errors import InvalidArgumentError, MissingTorsoError, io_reason
-from .geometry import (
-    BoundingBox,
-    PoseTree,
-    PoseVector,
-    box_array,
-    crop_resample,
-    full_image_box,
-    joint_box,
-    pose_diameter,
-)
+from .geometry import PoseTree, PoseVector, crop_resample, full_image_box, joint_box, pose_diameter
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +33,18 @@ CASCADE_MAGIC = b"PCCAS\n"
 CASCADE_FORMAT_VERSION = 2  # 2 put every stage into the one header
 JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
 REFINE_NEEDS_TORSO = "refinement stages need a torso pair, whose diameter sizes their crops"
+
+
+def _check_sigma(sigma) -> None:
+    """Raise InvalidArgumentError unless sigma, the refinement box side in
+    torso diameters, is a finite real number > 0."""
+    try:
+        ok = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool) \
+            and 0 < float(sigma) < math.inf  # False for NaN
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"sigma must be a finite number > 0, got {sigma!r}")
 
 
 def net_input(image: np.ndarray, boxes: np.ndarray, input_size: tuple[int, int, int]) -> np.ndarray:
@@ -88,8 +93,7 @@ class StageConfig:
     seed: int = 0  # weight init and augmentation draws
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
+        _check_sigma(self.sigma)
         if self.crops_per_joint < 1:
             raise InvalidArgumentError("crops_per_joint must be >= 1")
         if self.stage1_jitter_crops < 0:
@@ -136,6 +140,7 @@ class CascadeModel:
     input_size: tuple[int, int, int]
 
     def __post_init__(self):
+        _check_sigma(self.sigma)
         if len(self.stages) < 1:
             raise InvalidArgumentError("a cascade needs at least one stage")
         if len(self.stats) != len(self.stages):
@@ -205,9 +210,9 @@ def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.G
             log.warning("skipping %s: no labeled joints", ex.image_path)
             continue
         for pose, img, box in _with_mirror(ex, tree):
-            size = np.array([box.width, box.height])
+            size = box[2:]
             shifts = rng.uniform(-JITTER_FRAC, JITTER_FRAC, size=(config.stage1_jitter_crops, 2))
-            centers = np.vstack([box.center, box.center + shifts * size])
+            centers = np.vstack([box[:2], box[:2] + shifts * size])
             boxes = np.hstack([centers, np.broadcast_to(size, centers.shape)])
             yield ImageViews(img, boxes, pose.joints - centers[:, None],
                              np.tile(pose.mask, (len(centers), 1)))
@@ -313,28 +318,31 @@ def sample_displacement(stats: DisplacementStats, joints: np.ndarray, rng: np.ra
 # inference
 
 
-def predict(model: CascadeModel, image: np.ndarray, b0: BoundingBox | None = None) -> CascadePrediction:
+def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None) -> CascadePrediction:
     """Run every stage; returns all intermediate poses for diagnostics.
 
     Stage 1 reads every joint from the one initial box; a later stage reads
     joint i from row i of its output on the box around joint i's previous
     estimate. Either way the output v decodes as v * box size + box center,
     so a zero output at stage s >= 2 reproduces the previous pose exactly.
-    If an intermediate pose has zero diameter, or a refinement stage outputs
-    a non-finite value, the cascade stops at the previous pose and the result
-    is flagged truncated. A non-finite stage-1 output raises
-    InvalidArgumentError, since there is no earlier pose to keep.
+    b0 is the (4,) row cx, cy, w, h of the initial box, the full image when
+    None. If an intermediate pose gives a box side sigma * diameter that is
+    zero or not finite, or a refinement stage outputs a non-finite value, the
+    cascade stops at the previous pose and the result is flagged truncated.
+    A non-finite stage-1 output raises InvalidArgumentError, since there is
+    no earlier pose to keep.
     """
     k = model.tree.k
     if b0 is None:
         b0 = full_image_box(image.shape[1], image.shape[0])
-    boxes, rows = box_array([b0]), np.zeros(k, dtype=int)
+    boxes, rows = np.asarray(b0, dtype=np.float64).reshape(1, 4), np.zeros(k, dtype=int)
     poses: list[PoseVector] = []
     for s, net in enumerate(model.stages):
         if s > 0:
-            if pose_diameter(poses[-1], model.tree) <= 0:
+            try:
+                boxes = joint_box(poses[-1], model.sigma, model.tree)
+            except InvalidArgumentError:  # every joint is present: the side is degenerate
                 return CascadePrediction(poses, truncated=True)
-            boxes = box_array([joint_box(poses[-1], i, model.sigma, model.tree) for i in range(k)])
             rows = np.arange(k)
         crops = net_input(image, boxes, model.input_size)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -409,13 +417,11 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
         t = header["tree"]
         tree = PoseTree(int(t["k"]), *([tuple(p) for p in t[name]] for name in _TREE_PAIRS))
         stats = [_stats_from_header(st, tree.k) for st in header["stats"]]
-        sigma = header["sigma"]
+        sigma = header["sigma"]  # checked by CascadeModel
         input_size = tuple(int(v) for v in header["input_size"])
         stage_specs = list(header["stages"])
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as e:
         raise InvalidArgumentError(f"malformed cascade header: {e!r}") from None
-    if not (isinstance(sigma, (int, float)) and np.isfinite(sigma) and sigma > 0):
-        raise InvalidArgumentError(f"cascade header: sigma must be positive, got {sigma}")
     if len(input_size) != 3:
         raise InvalidArgumentError(f"cascade header: input_size must be (h, w, c), got {input_size}")
     stages = []

@@ -10,7 +10,8 @@ The on-disk dataset is a plain-text manifest next to binary PGM/PPM images:
     <image-path> <b0|-> <x1> <y1> <v1> ... <xk> <yk> <vk>
 
 with '#' comments, whitespace-separated tokens, b0 encoded as cx,cy,w,h and
-v in {0,1} flagging whether the joint is labeled.
+v in {0,1} flagging whether the joint is labeled. Coordinates and box values
+lie within +-geometry.MAX_COORD pixels.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError, io_reason
-from .geometry import BoundingBox, PoseTree, PoseVector, parse_box
+from .geometry import MAX_COORD, PoseTree, PoseVector, parse_box
 
 
 @dataclass
 class AnnotatedExample:
     image_path: str
     pose: PoseVector
-    box0: BoundingBox | None = None
+    box0: np.ndarray | None = None  # (4,) row cx, cy, w, h
 
 
 @dataclass
@@ -60,7 +61,7 @@ class LoadedExample:
 
     image: np.ndarray  # (H, W, C) float64 in [0, 1]
     pose: PoseVector
-    box0: BoundingBox | None
+    box0: np.ndarray | None
     image_path: str
 
 
@@ -141,6 +142,8 @@ def load_manifest(path) -> DatasetManifest:
             except ValueError:
                 raise _line_error(line_no, f"non-numeric coordinate in {head!r}") from None
             triples = np.array(vals).reshape(k, 3)
+            if np.any(np.abs(triples[:, :2]) > MAX_COORD):
+                raise _line_error(line_no, f"joint coordinate beyond +-{MAX_COORD:g} pixels")
             if not np.all(np.isin(triples[:, 2], (0.0, 1.0))):
                 raise _line_error(line_no, "visibility flags must be 0 or 1")
             try:
@@ -175,13 +178,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     for ex in manifest.examples:
         if any(ch.isspace() for ch in ex.image_path):
             raise InvalidArgumentError(f"image path {ex.image_path!r} contains whitespace")
-        if ex.box0 is None:
-            box = "-"
-        else:
-            box = ",".join(
-                repr(float(v))
-                for v in (ex.box0.center[0], ex.box0.center[1], ex.box0.width, ex.box0.height)
-            )
+        box = "-" if ex.box0 is None else ",".join(repr(float(v)) for v in ex.box0)
         triples = " ".join(
             f"{float(x)!r} {float(y)!r} {int(v)}"
             for (x, y), v in zip(ex.pose.joints, ex.pose.mask)
@@ -265,7 +262,7 @@ def save_image(img: np.ndarray, path) -> None:
 
 
 def mirror_example(pose: PoseVector, image: np.ndarray, tree: PoseTree,
-                   box0: BoundingBox | None = None):
+                   box0: np.ndarray | None = None):
     """Horizontal flip of an (image, pose[, box]) triple.
 
     x coordinates map to (width - 1) - x, left/right joints (and their mask
@@ -283,9 +280,8 @@ def mirror_example(pose: PoseVector, image: np.ndarray, tree: PoseTree,
         mask[[a, b]] = mask[[b, a]]
     new_box = None
     if box0 is not None:
-        c = box0.center.copy()
-        c[0] = (width - 1) - c[0]
-        new_box = BoundingBox(c, box0.width, box0.height)
+        new_box = np.array(box0, dtype=np.float64)
+        new_box[0] = (width - 1) - new_box[0]
     return PoseVector(joints, mask), flipped, new_box
 
 

@@ -1,11 +1,13 @@
 """Poses, boxes and the bilinear crop everything else builds on.
 
 Coordinates are pixels, x to the right and y down. Pixel (row i, col j) of an
-image array sits at continuous position (x=j, y=i).
+image array sits at continuous position (x=j, y=i). A box is a float64 row
+(cx, cy, w, h) of center and size; n boxes stack as an (n, 4) array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,15 +15,10 @@ import numpy as np
 from .errors import InvalidArgumentError, MissingTorsoError, ShapeError
 
 CROP_FILL = 0.5  # mid-gray for crop regions outside the source image
-
-
-def _as_point(p) -> np.ndarray:
-    a = np.asarray(p, dtype=np.float64)
-    if a.shape != (2,):
-        raise ShapeError(f"expected a planar point, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidArgumentError(f"non-finite point {a}")
-    return a
+# Largest coordinate magnitude accepted from a manifest or a box text, in
+# pixels: far beyond any image, and small enough that squared distances,
+# torso diameters and training targets stay finite.
+MAX_COORD = 1e9
 
 
 @dataclass
@@ -50,47 +47,27 @@ class PoseVector:
         return self.joints.shape[0]
 
 
-@dataclass
-class BoundingBox:
-    """Axis-aligned box given by center, width, and height."""
-
-    center: np.ndarray  # (2,) float64
-    width: float
-    height: float
-
-    def __post_init__(self):
-        self.center = _as_point(self.center)
-        self.width = float(self.width)
-        self.height = float(self.height)
-        if not (np.isfinite(self.width) and np.isfinite(self.height)):
-            raise InvalidArgumentError("box size must be finite")
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidArgumentError(f"box size must be positive, got {self.width} x {self.height}")
-
-
-def box_array(boxes) -> np.ndarray:
-    """The boxes as an (n, 4) float64 array of cx, cy, w, h rows."""
-    return np.array([(*b.center, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def parse_box(text: str) -> BoundingBox:
-    """The box written as "cx,cy,w,h"; any malformed text, a zero or negative
-    size included, raises InvalidArgumentError."""
+def parse_box(text: str) -> np.ndarray:
+    """The box written as "cx,cy,w,h", as a (4,) float64 row; text that is
+    malformed, a size that is not positive or a value beyond MAX_COORD
+    raises InvalidArgumentError."""
     parts = text.split(",")
     if len(parts) != 4:
         raise InvalidArgumentError(f"box must be cx,cy,w,h, got {text!r}")
     try:
-        cx, cy, w, h = (float(p) for p in parts)
-        return BoundingBox(np.array([cx, cy]), w, h)
+        box = np.array([float(p) for p in parts])
     except ValueError:
         raise InvalidArgumentError(f"non-numeric box {text!r}") from None
-    except InvalidArgumentError as e:
-        raise InvalidArgumentError(f"bad box {text!r}: {e}") from None
+    if not np.all(np.abs(box) <= MAX_COORD):  # NaN fails this too
+        raise InvalidArgumentError(f"box {text!r} has a value beyond +-{MAX_COORD:g} pixels or NaN")
+    if not np.all(box[2:] > 0):
+        raise InvalidArgumentError(f"box {text!r} must have a positive size")
+    return box
 
 
-def full_image_box(width: int, height: int) -> BoundingBox:
+def full_image_box(width: int, height: int) -> np.ndarray:
     """The default box covering a width x height image."""
-    return BoundingBox(np.array([width / 2.0, height / 2.0]), float(width), float(height))
+    return np.array([width / 2.0, height / 2.0, width, height], dtype=np.float64)
 
 
 @dataclass
@@ -151,18 +128,16 @@ def pose_diameter(pose: PoseVector, tree: PoseTree) -> float:
     return float(np.mean(dists))
 
 
-def joint_box(pose: PoseVector, i: int, sigma: float, tree: PoseTree) -> BoundingBox:
-    """Square box centered on joint i with side sigma * pose_diameter."""
-    if not (0 <= i < pose.k):
-        raise InvalidArgumentError(f"joint index {i} out of range")
-    if not pose.mask[i]:
-        raise InvalidArgumentError(f"joint {i} is not present")
-    if sigma <= 0:
-        raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
-    side = sigma * pose_diameter(pose, tree)
-    if side <= 0:
-        raise InvalidArgumentError("pose diameter is zero, joint box would be degenerate")
-    return BoundingBox(pose.joints[i].copy(), side, side)
+def joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> np.ndarray:
+    """The (k, 4) rows of every joint's square box: centered on the joint,
+    side sigma * pose_diameter. Raises InvalidArgumentError when a joint is
+    absent or the side is zero or not finite."""
+    if not pose.mask.all():
+        raise InvalidArgumentError(f"joint {np.flatnonzero(~pose.mask)[0]} is not present")
+    side = float(sigma) * pose_diameter(pose, tree)  # a Python float overflows to inf silently
+    if not (math.isfinite(side) and side > 0):
+        raise InvalidArgumentError(f"joint box side {side} is degenerate")
+    return np.hstack([pose.joints, np.full((pose.k, 2), side)])
 
 
 def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarray:

@@ -82,6 +82,8 @@ def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> tuple[LimbRate
     Strict: both endpoint errors <= threshold * limb length. Loose: the mean
     of the two endpoint errors <= threshold * limb length.
     """
+    if not 0 <= threshold < np.inf:  # False for NaN
+        raise InvalidArgumentError(f"PCP threshold must be finite and >= 0, got {threshold}")
     truth, err, labeled = _stack(preds, truths, tree)
     a, b = np.array(tree.limbs, dtype=int).reshape(-1, 2).T
     length = np.linalg.norm(truth[:, a] - truth[:, b], axis=2)
@@ -107,8 +109,8 @@ def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
     detected when its error is <= fraction * torso diameter. Rates are
     non-decreasing in the fraction."""
     fractions = [float(f) for f in fractions]
-    if any(f < 0 for f in fractions):
-        raise InvalidArgumentError(f"fractions must be >= 0, got {fractions}")
+    if not all(0 <= f < np.inf for f in fractions):  # False for NaN
+        raise InvalidArgumentError(f"fractions must be finite and >= 0, got {fractions}")
     err, labeled = joint_errors(preds, truths, tree)
     diam = np.array([_diameter(t, tree) for t in truths], dtype=float)
     scaled = err / diam[:, None]

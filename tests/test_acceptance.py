@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from posecascade import cascade, cli, data, metrics, nn
-from posecascade.geometry import BoundingBox, box_array
 
 from conftest import make_pose
 from fdcheck import max_rel_error
@@ -81,9 +80,9 @@ def test_normalization_round_trip():
     worst = 0.0
     for _ in range(10_000):
         p = rng.uniform(-500, 500, size=2)
-        b = BoundingBox(rng.uniform(-500, 500, size=2), rng.uniform(0.1, 800), rng.uniform(0.1, 800))
-        v = cascade.view_targets(box_array([b]), (p - b.center)[None, None], np.ones((1, 1), bool))[0]
-        back = v * [b.width, b.height] + b.center
+        b = np.array([*rng.uniform(-500, 500, size=2), rng.uniform(0.1, 800), rng.uniform(0.1, 800)])
+        v = cascade.view_targets(b[None], (p - b[:2])[None, None], np.ones((1, 1), bool))[0]
+        back = v * b[2:] + b[:2]
         worst = max(worst, float(np.abs(back - p).max()))
     report("normalization-round-trip", worst < 1e-9, f"worst={worst:.2e}")
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, container, data, nn
 from posecascade.errors import InvalidArgumentError
-from posecascade.geometry import BoundingBox, box_array, crop_resample, full_image_box, pose_diameter
+from posecascade.geometry import crop_resample, full_image_box, parse_box, pose_diameter
 
 from conftest import make_pose
 
@@ -68,11 +68,11 @@ def example_with_pose(pose, size=32, seed=0):
 
 
 def _some_boxes(w, h):
-    return box_array([
+    return np.array([
         full_image_box(w, h),
-        BoundingBox(np.array([3.0, h - 2.0]), 10.0, 6.0),  # straddles a corner
-        BoundingBox(np.array([-20.0, 5.0]), 4.0, 4.0),  # fully outside
-        BoundingBox(np.array([w / 2, h / 3]), 0.6, 0.8),  # sub-pixel
+        (3.0, h - 2.0, 10.0, 6.0),  # straddles a corner
+        (-20.0, 5.0, 4.0, 4.0),  # fully outside
+        (w / 2, h / 3, 0.6, 0.8),  # sub-pixel
     ])
 
 
@@ -98,7 +98,7 @@ def test_net_input_of_many_boxes_stacks_per_box_inputs(img_ch, input_size):
 
 def test_net_input_rejects_unadaptable_channels():
     with pytest.raises(InvalidArgumentError):
-        cascade.net_input(np.zeros((8, 8, 3)), box_array([full_image_box(8, 8)]), (6, 6, 2))
+        cascade.net_input(np.zeros((8, 8, 3)), full_image_box(8, 8)[None], (6, 6, 2))
 
 
 def test_training_inputs_are_the_per_view_crops(monkeypatch):
@@ -372,7 +372,7 @@ def test_views_of_both_stages_denormalize_to_truth():
         example_with_pose(spread_pose(center=(15.0, 17.0)), seed=1),
         example_with_pose(make_pose(spread_pose(center=(17.0, 15.0), scale=6.0).joints, mask), seed=2),
     ]
-    examples[1].box0 = BoundingBox(np.array([16.0, 15.0]), 24.0, 28.0)
+    examples[1].box0 = np.array([16.0, 15.0, 24.0, 28.0])
     truths = []  # pose of every (example, mirror) variant, in view order
     for ex in examples:
         truths += [ex.pose, data.mirror_example(ex.pose, ex.image, TREE)[0]]
@@ -399,7 +399,7 @@ def test_views_of_both_stages_denormalize_to_truth():
 def _per_crop_views(examples, stats, cfg, rng):
     """Stage-1 then refinement views built one crop at a time: one size-2
     uniform draw per jitter copy, one normal draw per displacement and one
-    BoundingBox per view, as (image, box, offset, mask, target) tuples."""
+    box row per view, as (image, box, offset, mask, target) tuples."""
     variants = []
     for ex in examples:
         b0 = ex.box0 if ex.box0 is not None else full_image_box(ex.image.shape[1], ex.image.shape[0])
@@ -409,9 +409,8 @@ def _per_crop_views(examples, stats, cfg, rng):
         boxes = [box]
         for _ in range(cfg.stage1_jitter_crops):
             shift = rng.uniform(-cascade.JITTER_FRAC, cascade.JITTER_FRAC, size=2)
-            boxes.append(BoundingBox(box.center + shift * np.array([box.width, box.height]),
-                                     box.width, box.height))
-        views += [(img, b, pose.joints - b.center, pose.mask) for b in boxes]
+            boxes.append(np.array([*(box[:2] + shift * box[2:]), *box[2:]]))
+        views += [(img, b, pose.joints - b[:2], pose.mask) for b in boxes]
     for pose, img, _ in variants:
         side = cfg.sigma * pose_diameter(pose, TREE)
         for i in range(K):
@@ -421,9 +420,9 @@ def _per_crop_views(examples, stats, cfg, rng):
                 delta = rng.normal(stats.mean[i], np.sqrt(stats.var[i]))
                 offset = np.zeros((K, 2))
                 offset[i] = -delta
-                views.append((img, BoundingBox(pose.joints[i] + delta, side, side), offset,
+                views.append((img, np.array([*(pose.joints[i] + delta), side, side]), offset,
                               np.arange(K) == i))
-    return [(img, b, off, m, np.where(m[:, None], off / np.array([b.width, b.height]), 0.0).reshape(-1))
+    return [(img, b, off, m, np.where(m[:, None], off / b[2:], 0.0).reshape(-1))
             for img, b, off, m in views]
 
 
@@ -436,7 +435,7 @@ def test_view_records_equal_per_crop_views_bit_for_bit():
         example_with_pose(spread_pose(center=(15.0, 17.0)), seed=1),
         example_with_pose(make_pose(spread_pose(center=(17.0, 15.0), scale=6.0).joints, mask), seed=2),
     ]
-    examples[1].box0 = BoundingBox(np.array([16.3, 15.1]), 24.5, 28.0)
+    examples[1].box0 = np.array([16.3, 15.1, 24.5, 28.0])
     present = np.ones(K, bool)
     present[5] = False
     rng = np.random.default_rng(12)
@@ -453,7 +452,7 @@ def test_view_records_equal_per_crop_views_bit_for_bit():
     assert len(got) == len(want) == 4 * 4 + (2 * (K - 1) + 2 * (K - 2)) * 4
     for (img, box, off, m, t), (img0, b0, off0, m0, t0) in zip(got, want):
         assert np.array_equal(img, img0)
-        assert box.tobytes() == box_array([b0])[0].tobytes()
+        assert box.tobytes() == b0.tobytes()
         assert off.tobytes() == off0.tobytes() and t.tobytes() == t0.tobytes()
         assert np.array_equal(m, m0)
     assert array_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -519,7 +518,7 @@ def test_refinement_displacement_arithmetic():
     # make stage 1 output the spread pose inside a known box
     pose = spread_pose(center=(20.0, 20.0), scale=6.0)
     b0 = full_image_box(40, 40)
-    v = (pose.joints - b0.center) / np.array([b0.width, b0.height])
+    v = (pose.joints - b0[:2]) / b0[2:]
     stage1.params[-1]["b"][:] = v.reshape(-1)
     stats = _delta_stats((0.0, 0.0))
     model = cascade.CascadeModel([stage1, net2], [None, stats], 1.0, TREE, INPUT)
@@ -537,8 +536,7 @@ def test_refinement_locality_bound():
     diam = pose_diameter(result.poses[0], TREE)
     outs, _ = nn.forward(
         model.stages[1],
-        cascade.net_input(img, box_array([cascade.joint_box(result.poses[0], i, 1.0, TREE)
-                                          for i in range(K)]), INPUT),
+        cascade.net_input(img, cascade.joint_box(result.poses[0], 1.0, TREE), INPUT),
     )
     bound = np.abs(outs).max() * 1.0 * diam
     moved = np.abs(result.poses[1].joints - result.poses[0].joints)
@@ -553,6 +551,64 @@ def test_truncation_on_degenerate_diameter():
     result = cascade.predict(model, img)
     assert result.truncated
     assert len(result.poses) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_truncation_on_overflowing_box_side():
+    # sigma 1e300 times a torso diameter of about 2e9 pixels overflows the
+    # refinement box side to inf: stage 2 stops at stage 1's pose, silently
+    stage1 = zeroed_net(seed=5)
+    pose = spread_pose(center=(20.0, 20.0), scale=1e9)
+    stage1.params[-1]["b"][:] = ((pose.joints - 20.0) / 40.0).reshape(-1)
+    model = cascade.CascadeModel([stage1, zeroed_net()], [None, _delta_stats((0.0, 0.0))],
+                                 1e300, TREE, INPUT)
+    result = cascade.predict(model, np.random.default_rng(0).random((40, 40, 1)))
+    assert result.truncated
+    assert len(result.poses) == 1
+    assert np.allclose(result.final.joints, pose.joints, rtol=1e-6)
+
+
+def test_predict_builds_each_stage_boxes_from_one_diameter(monkeypatch):
+    from posecascade import geometry
+
+    calls = []
+    diameter = geometry.pose_diameter
+    for module in (geometry, cascade):  # the callee's own lookup and predict's import
+        monkeypatch.setattr(module, "pose_diameter", lambda *a: calls.append(1) or diameter(*a))
+    stats = _delta_stats((0.0, 0.0))
+    model = cascade.CascadeModel([random_net(1), zeroed_net(2), random_net(3)], [None, stats, stats],
+                                 1.0, TREE, INPUT)
+    result = cascade.predict(model, np.random.default_rng(4).random((40, 40, 1)))
+    assert len(result.poses) == 3 and len(calls) == 2
+
+
+def test_predict_on_box_text_equals_predict_on_row():
+    model = _two_stage_model(random_net(9))
+    img = np.random.default_rng(8).random((40, 40, 1))
+    row = np.array([18.5, 21.25, 30.0, 26.5])
+    from_text = cascade.predict(model, img, parse_box("18.5,21.25,30,26.5"))
+    from_row = cascade.predict(model, img, row)
+    assert len(from_text.poses) == len(from_row.poses) == 2
+    for a, b in zip(from_text.poses, from_row.poses):
+        assert a.joints.tobytes() == b.joints.tobytes()
+    # the default box is the full-image row
+    assert (cascade.predict(model, img).final.joints.tobytes()
+            == cascade.predict(model, img, full_image_box(40, 40)).final.joints.tobytes())
+
+
+@pytest.mark.parametrize("sigma", [0, 0.0, -1.0, np.nan, np.inf, "1.0", True, None, 10**400],
+                         ids=["int_zero", "zero", "negative", "nan", "inf", "text", "bool", "none",
+                              "huge_int"])
+def test_cascade_model_rejects_bad_sigma(sigma):
+    with pytest.raises(InvalidArgumentError, match="sigma"):
+        cascade.CascadeModel([zeroed_net()], [None], sigma, TREE, INPUT)
+    with pytest.raises(InvalidArgumentError, match="sigma"):
+        tiny_stage_config(sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [1, 0.25, np.float32(2.0), 1e300])
+def test_cascade_model_accepts_finite_positive_sigma(sigma):
+    assert cascade.CascadeModel([zeroed_net()], [None], sigma, TREE, INPUT).sigma == sigma
 
 
 def overflowing_net():

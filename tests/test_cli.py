@@ -151,6 +151,14 @@ def test_train_zero_batch_is_data_error(tmp_path, synth_dir, capsys):
     assert not (tmp_path / "o" / "cascade_stage1.model").exists()
 
 
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+def test_train_bad_sigma_is_data_error_before_reading_data(tmp_path, capsys, sigma):
+    code = run("train", "--train", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o"),
+               "--sigma", sigma)
+    assert code == 2
+    assert "sigma must be" in capsys.readouterr().err
+
+
 def test_train_negative_stage1_crops_is_data_error(tmp_path, synth_dir, capsys):
     code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
                "--stage1-crops", "-1")
@@ -305,6 +313,43 @@ def test_eval_writes_reports(tmp_path, synth_dir, trained_dir):
         assert all(0.0 <= r <= 1.0 for r in d["pcp_strict"])
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--fractions", "nan,0.2", "fractions"),
+    ("--fractions", "0.1,inf", "fractions"),
+    ("--fractions", "-0.1", "fractions"),
+    ("--pcp-threshold", "nan", "threshold"),
+    ("--pcp-threshold", "-1", "threshold"),
+    ("--pcp-threshold", "inf", "threshold"),
+], ids=["fraction_nan", "fraction_inf", "fraction_negative", "threshold_nan",
+        "threshold_negative", "threshold_inf"])
+def test_eval_bad_option_is_data_error(tmp_path, synth_dir, trained_dir, capsys, option, value,
+                                       message):
+    code = run("eval", "--model", str(trained_dir / "cascade.model"),
+               "--manifest", str(synth_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
+               option, value)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_manifest_coordinate_beyond_bound_is_data_error(tmp_path, synth_dir, trained_dir, capsys,
+                                                        command):
+    lines = (synth_dir / "manifest.txt").read_text().splitlines()
+    record = next(i for i, line in enumerate(lines) if line.startswith("fig_"))
+    tokens = lines[record].split()
+    tokens[0] = str(synth_dir / tokens[0])
+    tokens[2] = "1e308"
+    lines[record] = " ".join(tokens)
+    bad = tmp_path / "far.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    args = (["eval", "--model", str(trained_dir / "cascade.model"), "--manifest", str(bad)]
+            if command == "eval" else ["train", "--train", str(bad), "--stages", "1"])
+    code = run(*args, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"line {record + 1}: joint coordinate beyond" in capsys.readouterr().err
+
+
 def test_eval_k_mismatch(tmp_path, trained_dir):
     bad = tmp_path / "two.txt"
     bad.write_text("k=2\nimg.pgm - 1 2 1 3 4 1\n")
@@ -427,15 +472,18 @@ def test_predict_explicit_box_zero_model(tmp_path, synth_dir, trained_dir, capsy
 
 @pytest.mark.filterwarnings("error")
 def test_predict_far_away_box_runs(synth_dir, trained_dir, capsys):
-    # every crop of a box this far out is the fill image; no numeric warning
+    # every crop of a box this far out (the largest accepted coordinate) is
+    # the fill image; no numeric warning
     m = data.load_manifest(synth_dir / "manifest.txt")
     img = synth_dir / m.examples[0].image_path
     code = run("predict", "--model", str(trained_dir / "cascade.model"), "--image", str(img),
-               "--box", "1e300,4,4,4")
+               "--box", "1e9,4,4,4")
     assert code == 0, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("box", ["16,16,0,32", "16,x,32,32"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("box", ["16,16,0,32", "16,x,32,32", "1e300,1e300,1e300,1e300",
+                                 "16,16,32,2e9"])
 def test_predict_malformed_box_is_data_error(synth_dir, trained_dir, capsys, box):
     m = data.load_manifest(synth_dir / "manifest.txt")
     img = synth_dir / m.examples[0].image_path

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from posecascade import data
 from posecascade.errors import InvalidArgumentError
-from posecascade.geometry import BoundingBox
+from posecascade.geometry import MAX_COORD
 
 from conftest import loads_or_is_rejected, make_pose, mutated
 
@@ -34,7 +34,7 @@ def test_load_manifest_two_examples(tmp_path):
     assert m.tree.limbs == [(0, 1), (0, 2)]
     assert m.examples[0].box0 is None
     b = m.examples[1].box0
-    assert np.allclose(b.center, (10, 12)) and b.width == 20 and b.height == 24
+    assert b.dtype == np.float64 and np.array_equal(b, [10.0, 12.0, 20.0, 24.0])
     assert m.examples[0].pose.mask.tolist() == [True, True, False]
 
 
@@ -59,12 +59,27 @@ def test_load_manifest_bad_visibility(tmp_path):
         data.load_manifest(p)
 
 
-@pytest.mark.parametrize("box", ["10,12,0,24", "10,12,20,-3", "10,12,20", "10,x,20,24"])
+@pytest.mark.parametrize("box", ["10,12,0,24", "10,12,20,-3", "10,12,20", "10,x,20,24",
+                                 "1e300,12,20,24", "10,12,2e9,24"])
 def test_load_manifest_malformed_box_names_its_line(tmp_path, box):
     p = tmp_path / "m.txt"
     p.write_text(MANIFEST.replace("10.0,12.0,20.0,24.0", box))
     with pytest.raises(InvalidArgumentError, match="line 11: .*box"):
         data.load_manifest(p)
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "2e9", "-inf"])
+def test_load_manifest_rejects_coordinate_beyond_bound(tmp_path, value):
+    p = tmp_path / "m.txt"
+    p.write_text(MANIFEST.replace("b.pgm 10.0,12.0,20.0,24.0 0.5", f"b.pgm 10.0,12.0,20.0,24.0 {value}"))
+    with pytest.raises(InvalidArgumentError, match="line 11: joint coordinate beyond"):
+        data.load_manifest(p)
+
+
+def test_load_manifest_accepts_coordinates_at_bound(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text(MANIFEST.replace("0.5 0.25 1", f"{-MAX_COORD!r} {MAX_COORD!r} 1"))
+    assert np.array_equal(data.load_manifest(p).examples[1].pose.joints[0], [-MAX_COORD, MAX_COORD])
 
 
 def test_load_manifest_missing_header(tmp_path):
@@ -123,8 +138,22 @@ def test_manifest_round_trip(tmp_path):
         if a.box0 is None:
             assert b.box0 is None
         else:
-            assert np.array_equal(a.box0.center, b.box0.center)
-            assert (a.box0.width, a.box0.height) == (b.box0.width, b.box0.height)
+            assert b.box0.tobytes() == a.box0.tobytes()
+
+
+def test_manifest_round_trip_keeps_box_rows_exact(tmp_path):
+    rng = np.random.default_rng(5)
+    tree = data.default_tree()
+    examples = [data.AnnotatedExample(f"f{i}.pgm", make_pose(rng.uniform(0, 64, size=(9, 2))),
+                                      None if i == 0 else np.array([*rng.uniform(-50, 50, size=2),
+                                                                    *rng.uniform(0.1, 99, size=2)]))
+                for i in range(20)]
+    m = data.DatasetManifest(9, tree, list(data.JOINT_NAMES), examples)
+    data.save_manifest(m, tmp_path / "m.txt")
+    loaded = data.load_manifest(tmp_path / "m.txt").examples
+    assert loaded[0].box0 is None
+    for a, b in zip(examples[1:], loaded[1:]):
+        assert b.box0.dtype == np.float64 and b.box0.tobytes() == a.box0.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,13 +251,14 @@ def test_mirror_involution(tiny_tree):
     rng = np.random.default_rng(3)
     img = rng.random((6, 9, 1))
     pose = make_pose(rng.uniform(0, 8, size=(4, 2)), mask=[True, False, True, True])
-    box = BoundingBox(np.array([4.0, 3.0]), 5.0, 4.0)
+    box = np.array([4.0, 3.0, 5.0, 4.0])
     p1, i1, b1 = data.mirror_example(pose, img, tiny_tree, box)
     p2, i2, b2 = data.mirror_example(p1, i1, tiny_tree, b1)
     assert np.array_equal(i2, img)
     assert np.allclose(p2.joints, pose.joints)
     assert np.array_equal(p2.mask, pose.mask)
-    assert np.allclose(b2.center, box.center)
+    assert np.array_equal(b1, [(9 - 1) - 4.0, 3.0, 5.0, 4.0])
+    assert np.array_equal(b2, box)
 
 
 @given(seed=st.integers(0, 10_000))

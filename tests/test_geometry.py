@@ -4,9 +4,8 @@ import pytest
 from posecascade.errors import InvalidArgumentError, MissingTorsoError
 from posecascade.geometry import (
     CROP_FILL,
-    BoundingBox,
+    MAX_COORD,
     PoseTree,
-    box_array,
     crop_resample,
     full_image_box,
     joint_box,
@@ -22,24 +21,25 @@ from conftest import make_pose
 
 def test_parse_box_values():
     b = parse_box("10,12.5,20,24")
-    assert np.array_equal(b.center, [10.0, 12.5])
-    assert (b.width, b.height) == (20.0, 24.0)
+    assert b.dtype == np.float64 and b.shape == (4,)
+    assert np.array_equal(b, [10.0, 12.5, 20.0, 24.0])
+    assert np.array_equal(parse_box(f"{-MAX_COORD},{MAX_COORD},{MAX_COORD},1"),
+                          [-MAX_COORD, MAX_COORD, MAX_COORD, 1.0])
 
 
 @pytest.mark.parametrize("text", ["", "1,2,3", "1,2,3,4,5", "1,2,w,4", "1,2,0,4", "1,2,4,-1",
-                                  "nan,2,3,4", "1,2,inf,4"])
+                                  "nan,2,3,4", "1,2,inf,4",
+                                  "0,0,0,5", "0,0,5,-1", "0,nan,5,5",  # zero/negative size, NaN center
+                                  "1e300,1e300,1e300,1e300", "1e10,2,3,4", "1,-1e10,3,4",
+                                  "1,2,3,1e10", "-inf,2,3,4"])
 def test_parse_box_rejects_malformed_text(text):
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="box"):
         parse_box(text)
 
 
-def test_box_validation():
-    with pytest.raises(InvalidArgumentError):
-        BoundingBox(np.zeros(2), 0.0, 5.0)
-    with pytest.raises(InvalidArgumentError):
-        BoundingBox(np.zeros(2), 5.0, -1.0)
-    with pytest.raises(InvalidArgumentError):
-        BoundingBox(np.array([np.nan, 0.0]), 5.0, 5.0)
+def test_full_image_box_is_a_row():
+    assert np.array_equal(full_image_box(4, 6), [2.0, 3.0, 4.0, 6.0])
+    assert full_image_box(4, 6).dtype == np.float64
 
 
 # --- pose tree and diameter --------------------------------------------------
@@ -103,36 +103,55 @@ def test_diameter_translation_invariant(tiny_tree):
 def test_joint_box_flic_scale(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])
     diam = pose_diameter(pose, tiny_tree)
-    b = joint_box(pose, 0, 1.0, tiny_tree)
-    assert np.allclose(b.center, (50, 60))
-    assert b.width == b.height == pytest.approx(diam)
+    b = joint_box(pose, 1.0, tiny_tree)
+    assert b.shape == (4, 4) and b.dtype == np.float64
+    assert np.array_equal(b[:, :2], pose.joints)
+    assert np.all(b[:, 2:] == pytest.approx(diam))
 
 
 def test_joint_box_lsp_scale_doubles(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])
-    b1 = joint_box(pose, 0, 1.0, tiny_tree)
-    b2 = joint_box(pose, 0, 2.0, tiny_tree)
-    assert b2.width == 2.0 * b1.width
-    assert b2.height == 2.0 * b1.height
+    b1 = joint_box(pose, 1.0, tiny_tree)
+    b2 = joint_box(pose, 2.0, tiny_tree)
+    assert np.array_equal(b2[:, 2:], 2.0 * b1[:, 2:])
+    assert np.array_equal(b2[:, :2], b1[:, :2])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+def test_joint_box_rows_equal_per_joint_reference(sigma):
+    rng = np.random.default_rng(int(sigma * 10))
+    tree = PoseTree(9, limbs=[], torso_pairs=[(1, 8), (2, 7)])
+    for _ in range(20):
+        pose = make_pose(rng.uniform(-50, 150, size=(9, 2)))
+        want = [(x, y, sigma * pose_diameter(pose, tree), sigma * pose_diameter(pose, tree))
+                for x, y in pose.joints]
+        assert joint_box(pose, sigma, tree).tobytes() == np.array(want).tobytes()
 
 
 def test_joint_box_rejects_zero_sigma(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])
     with pytest.raises(InvalidArgumentError):
-        joint_box(pose, 0, 0.0, tiny_tree)
+        joint_box(pose, 0.0, tiny_tree)
 
 
 def test_joint_box_rejects_zero_diameter(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (50, 60)])
     # torso pair (0, 3) coincident
     with pytest.raises(InvalidArgumentError):
-        joint_box(pose, 1, 1.0, tiny_tree)
+        joint_box(pose, 1.0, tiny_tree)
+
+
+@pytest.mark.filterwarnings("error")
+def test_joint_box_rejects_overflowing_side(tiny_tree):
+    pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])
+    with pytest.raises(InvalidArgumentError, match="degenerate"):
+        joint_box(pose, 1e307, tiny_tree)
 
 
 def test_joint_box_requires_present_joint(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)], mask=[False, True, True, True])
     with pytest.raises(InvalidArgumentError):
-        joint_box(pose, 0, 1.0, tiny_tree)
+        joint_box(pose, 1.0, tiny_tree)
 
 
 # --- crop / resample -----------------------------------------------------------
@@ -141,21 +160,20 @@ def test_joint_box_requires_present_joint(tiny_tree):
 def test_crop_identity():
     rng = np.random.default_rng(1)
     img = rng.random((12, 10, 1))
-    out = crop_resample(img, box_array([full_image_box(10, 12)]), (10, 12))[0]
+    out = crop_resample(img, full_image_box(10, 12)[None], (10, 12))[0]
     assert np.array_equal(out, img)
 
 
 def test_crop_checkerboard_mean():
     img = np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None]
-    out = crop_resample(img, box_array([full_image_box(2, 2)]), (1, 1))[0]
+    out = crop_resample(img, full_image_box(2, 2)[None], (1, 1))[0]
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_crop_fully_outside_is_fill():
     img = np.zeros((4, 4, 1))
-    b = BoundingBox(np.array([100.0, 100.0]), 8.0, 8.0)
-    out = crop_resample(img, box_array([b]), (3, 3))[0]
+    out = crop_resample(img, [[100.0, 100.0, 8.0, 8.0]], (3, 3))[0]
     assert np.all(out == CROP_FILL)
 
 
@@ -169,7 +187,7 @@ def test_crop_fully_outside_is_fill():
 ])
 def test_crop_far_outside_is_fill_without_warnings(center, size):
     img = np.random.default_rng(2).random((6, 5, 1))
-    out = crop_resample(img, box_array([BoundingBox(np.array(center), *size)]), (4, 3))
+    out = crop_resample(img, [[*center, *size]], (4, 3))
     assert out.shape == (1, 3, 4, 1)
     assert np.all(out == CROP_FILL)
 
@@ -177,24 +195,19 @@ def test_crop_far_outside_is_fill_without_warnings(center, size):
 def test_crop_rejects_bad_out_size():
     img = np.zeros((4, 4, 1))
     with pytest.raises(InvalidArgumentError):
-        crop_resample(img, box_array([full_image_box(4, 4)]), (0, 3))
-
-
-def test_box_array_rows_are_center_then_size():
-    boxes = [full_image_box(4, 6), BoundingBox(np.array([-1.5, 2.0]), 3.0, 0.5)]
-    assert np.array_equal(box_array(boxes), [[2.0, 3.0, 4.0, 6.0], [-1.5, 2.0, 3.0, 0.5]])
-    assert box_array([]).shape == (0, 4)
+        crop_resample(img, full_image_box(4, 4)[None], (0, 3))
 
 
 def _naive_crop(img, b, out_size):
     """Independent per-pixel bilinear resampler (plain loops)."""
     h, w, ch = img.shape
     ow, oh = out_size
+    cx, cy, bw, bh = b
     out = np.empty((oh, ow, ch))
     for r in range(oh):
         for q in range(ow):
-            sx = (b.center[0] - b.width / 2) + (q + 0.5) * (b.width / ow) - 0.5
-            sy = (b.center[1] - b.height / 2) + (r + 0.5) * (b.height / oh) - 0.5
+            sx = (cx - bw / 2) + (q + 0.5) * (bw / ow) - 0.5
+            sy = (cy - bh / 2) + (r + 0.5) * (bh / oh) - 0.5
             x0, y0 = int(np.floor(sx)), int(np.floor(sy))
             fx, fy = sx - x0, sy - y0
             acc = np.zeros(ch)
@@ -214,9 +227,9 @@ def test_crop_matches_naive_oracle():
     rng = np.random.default_rng(7)
     img = rng.random((9, 11, 3))
     for _ in range(8):
-        b = BoundingBox(rng.uniform(-3, 13, size=2), rng.uniform(0.5, 15), rng.uniform(0.5, 15))
+        b = np.array([*rng.uniform(-3, 13, size=2), rng.uniform(0.5, 15), rng.uniform(0.5, 15)])
         out_size = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        got = crop_resample(img, box_array([b]), out_size)[0]
+        got = crop_resample(img, b[None], out_size)[0]
         want = _naive_crop(img, b, out_size)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -229,8 +242,9 @@ def _crop_reference(img, b, out_size):
         img = img[:, :, None]
     out_w, out_h = int(out_size[0]), int(out_size[1])
     h, w = img.shape[:2]
-    sx = (b.center[0] - b.width / 2.0) + (np.arange(out_w) + 0.5) * (b.width / out_w) - 0.5
-    sy = (b.center[1] - b.height / 2.0) + (np.arange(out_h) + 0.5) * (b.height / out_h) - 0.5
+    cx, cy, bw, bh = b
+    sx = (cx - bw / 2.0) + (np.arange(out_w) + 0.5) * (bw / out_w) - 0.5
+    sy = (cy - bh / 2.0) + (np.arange(out_h) + 0.5) * (bh / out_h) - 0.5
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
@@ -260,19 +274,19 @@ def _mixed_boxes(rng, h, w):
     sub-pixel, and with width != height."""
     boxes = [
         full_image_box(w, h),
-        BoundingBox(np.array([w / 2, h / 2]), w / 3, h / 5),  # inside, w != h
-        BoundingBox(np.array([0.0, h / 2]), 6.0, 6.0),  # straddles the left edge
-        BoundingBox(np.array([w - 0.3, h + 1.0]), 5.0, 9.0),  # straddles a corner
-        BoundingBox(np.array([w / 2, -1.5]), 3.0, 4.0),  # straddles the top edge
-        BoundingBox(np.array([-50.0, h / 2]), 8.0, 8.0),  # fully outside
-        BoundingBox(np.array([w + 30.0, h + 30.0]), 4.0, 2.0),  # fully outside
-        BoundingBox(np.array([3.3, 4.7]), 0.4, 0.25),  # sub-pixel
-        BoundingBox(np.array([w - 0.5, h - 0.5]), 0.7, 0.9),  # sub-pixel at the corner
+        (w / 2, h / 2, w / 3, h / 5),  # inside, w != h
+        (0.0, h / 2, 6.0, 6.0),  # straddles the left edge
+        (w - 0.3, h + 1.0, 5.0, 9.0),  # straddles a corner
+        (w / 2, -1.5, 3.0, 4.0),  # straddles the top edge
+        (-50.0, h / 2, 8.0, 8.0),  # fully outside
+        (w + 30.0, h + 30.0, 4.0, 2.0),  # fully outside
+        (3.3, 4.7, 0.4, 0.25),  # sub-pixel
+        (w - 0.5, h - 0.5, 0.7, 0.9),  # sub-pixel at the corner
     ]
     for _ in range(40):
-        boxes.append(BoundingBox(rng.uniform(-0.5 * w, 1.5 * w, size=2),
-                                 rng.uniform(0.1, 2.0 * w), rng.uniform(0.1, 2.0 * h)))
-    return boxes
+        boxes.append((*rng.uniform(-0.5 * w, 1.5 * w, size=2),
+                      rng.uniform(0.1, 2.0 * w), rng.uniform(0.1, 2.0 * h)))
+    return np.array(boxes, dtype=np.float64)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -281,7 +295,7 @@ def test_batched_crop_bit_identical_to_per_box_reference(channels, out_size):
     rng = np.random.default_rng(channels * 10 + out_size[0])
     img = rng.random((9, 13, channels))
     boxes = _mixed_boxes(rng, 9, 13)
-    got = crop_resample(img, box_array(boxes), out_size)
+    got = crop_resample(img, boxes, out_size)
     want = np.stack([_crop_reference(img, b, out_size) for b in boxes])
     assert got.shape == (len(boxes), out_size[1], out_size[0], channels)
     assert np.array_equal(got, want)
@@ -290,11 +304,11 @@ def test_batched_crop_bit_identical_to_per_box_reference(channels, out_size):
 def test_batched_crop_of_2d_image_matches_reference():
     img = np.random.default_rng(4).random((8, 8))
     boxes = _mixed_boxes(np.random.default_rng(5), 8, 8)
-    assert np.array_equal(crop_resample(img, box_array(boxes), (5, 6)),
+    assert np.array_equal(crop_resample(img, boxes, (5, 6)),
                           np.stack([_crop_reference(img, b, (5, 6)) for b in boxes]))
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 1), (5, 7, 3)])
 def test_crop_of_zero_boxes_is_empty_batch(shape):
-    out = crop_resample(np.zeros(shape), box_array([]), (4, 3))
+    out = crop_resample(np.zeros(shape), np.empty((0, 4)), (4, 3))
     assert out.shape == (0, 3, 4, shape[2] if len(shape) == 3 else 1)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecascade import metrics
+from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import PoseTree
 
 from conftest import make_pose
@@ -118,6 +120,20 @@ def test_pdj_curve_monotone_and_empty():
     assert np.all(np.diff(curve.rates, axis=0) >= 0)
     empty = metrics.pdj_curve(preds, gts, TREE, [])
     assert empty.rates.shape == (0, 4)
+
+
+@pytest.mark.parametrize("fractions", [[-0.1, 0.2], [np.nan, 0.2], [0.2, np.inf]],
+                         ids=["negative", "nan", "inf"])
+def test_pdj_curve_rejects_bad_fraction(fractions):
+    with pytest.raises(InvalidArgumentError, match="fractions"):
+        metrics.pdj_curve([GT], [GT], TREE, fractions)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, np.nan, np.inf])
+def test_pcp_rejects_bad_threshold(threshold):
+    with pytest.raises(InvalidArgumentError, match="threshold"):
+        metrics.pcp([GT], [GT], TREE, threshold)
+    assert metrics.pcp([GT], [GT], TREE, 0.0)[0].rates.tolist() == [1.0, 1.0]
 
 
 def test_pdj_mean_rates_skip_joints_without_labels():
