@@ -98,6 +98,10 @@ class StageConfig:
             raise InvalidArgumentError("crops_per_joint must be >= 1")
         if self.stage1_jitter_crops < 0:
             raise InvalidArgumentError("stage1_jitter_crops must be >= 0")
+        if min(self.input_size) < 1:
+            raise InvalidArgumentError(
+                f"input size must be >= 1 in every dimension, got {tuple(self.input_size)}")
+        nn.Dropout(self.dropout_keep)  # raises unless the keep probability is in (0, 1]
 
     def build_network(self, output_dim: int) -> nn.Network:
         """A float32 net; its weights are the float64 draws of the seed, cast."""
@@ -141,6 +145,7 @@ class CascadeModel:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
+        self.sigma = float(self.sigma)  # a numpy scalar would not serialize
         if len(self.stages) < 1:
             raise InvalidArgumentError("a cascade needs at least one stage")
         if len(self.stats) != len(self.stages):
@@ -282,6 +287,35 @@ def train_refinement_stage(
     return net
 
 
+def train_cascade(examples: list[LoadedExample], tree: PoseTree, stage_configs: list[StageConfig],
+                  progress=None):
+    """Train a cascade of one stage per config, yielding the model after each.
+
+    Stage 1 is train_stage1 on the first config, whose sigma and input size the
+    model keeps. Each later stage fits the displacement stats of the stages so
+    far and trains on them with train_refinement_stage. Every yield is the same
+    CascadeModel object, one stage longer: a caller that keeps a stage's model
+    must write or copy it before asking for the next. progress(stage, epoch,
+    loss) gets the 1-based stage number. Raises InvalidArgumentError before
+    any stage trains when there is more than one config and the tree has no
+    torso pair.
+    """
+    if len(stage_configs) > 1 and not tree.torso_pairs:
+        raise InvalidArgumentError(REFINE_NEEDS_TORSO)
+
+    def stage_progress(stage):
+        return None if progress is None else lambda epoch, loss: progress(stage, epoch, loss)
+
+    first = stage_configs[0]
+    net = train_stage1(examples, tree, first, stage_progress(1))
+    model = CascadeModel([net], [None], first.sigma, tree, first.input_size)
+    yield model
+    for stage, config in enumerate(stage_configs[1:], start=2):
+        stats = fit_displacement_stats(model, examples)
+        train_refinement_stage(examples, model, stats, config, stage_progress(stage))
+        yield model
+
+
 def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -> DisplacementStats:
     """Mean/variance per joint of (cascade prediction - truth) over the dataset.
 
@@ -381,6 +415,7 @@ def cascade_to_bytes(model: CascadeModel) -> bytes:
             )
         if net.dtype != np.float32:
             raise InvalidArgumentError(f"stage {s + 1} is {net.dtype}, model files hold float32")
+        _check_finite_params(s + 1, net)
     header = {
         "format_version": CASCADE_FORMAT_VERSION,
         "sigma": model.sigma,
@@ -396,6 +431,15 @@ def cascade_to_bytes(model: CascadeModel) -> bytes:
         blobs += [p[key].astype("<f4").tobytes() for p in net.params if p is not None
                   for key in ("w", "b")]
     return b"".join(blobs)
+
+
+def _check_finite_params(stage: int, net: nn.Network) -> None:
+    """Raise InvalidArgumentError naming the first layer of the stage whose
+    parameters are not all finite; no file holds such a stage."""
+    for idx, p in enumerate(net.params):
+        if p is not None and not (np.isfinite(p["w"]).all() and np.isfinite(p["b"]).all()):
+            kind = nn.spec_to_dict(net.layers[idx])["kind"]
+            raise InvalidArgumentError(f"stage {stage}: layer {idx} ({kind}) has non-finite parameters")
 
 
 def _stats_from_header(st: dict | None, k: int) -> DisplacementStats | None:
@@ -435,18 +479,15 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
             raise InvalidArgumentError(f"stage {s + 1}: malformed layers: {e!r}") from None
         params = [None if sh is None else {"w": r.float32(sh[0]), "b": r.float32(sh[1])}
                   for sh in shapes]
-        for idx, p in enumerate(params):
-            if p is not None and not (np.isfinite(p["w"]).all() and np.isfinite(p["b"]).all()):
-                kind = nn.spec_to_dict(layers[idx])["kind"]
-                raise InvalidArgumentError(f"stage {s + 1}: layer {idx} ({kind}) has non-finite parameters")
         stages.append(nn.Network(input_size, layers, params, 2 * tree.k, dtype=np.float32))
+        _check_finite_params(s + 1, stages[-1])
     r.finish()
     return CascadeModel(stages, stats, sigma, tree, input_size)
 
 
 def save_cascade(model: CascadeModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(cascade_to_bytes(model))
+    """Write the model file; a model cascade_to_bytes refuses leaves no file."""
+    Path(path).write_bytes(cascade_to_bytes(model))
 
 
 def load_cascade(path) -> CascadeModel:

@@ -191,8 +191,6 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg.out)
     manifest = dat.load_manifest(cfg.train)
     examples = dat.load_examples(manifest)
-    if cfg.stages > 1 and not manifest.tree.torso_pairs:
-        raise InvalidArgumentError(f"{cfg.train}: {casc.REFINE_NEEDS_TORSO}")
     if cfg.heldout:
         held_manifest = dat.load_manifest(cfg.heldout)
         if held_manifest.k != manifest.k:  # the model will have the training manifest's k
@@ -204,25 +202,12 @@ def cmd_train(args) -> int:
         held_name = f"{cfg.train} (train set; no held-out manifest given)"
     held_truths = [ex.pose for ex in held_examples]
 
-    def progress(name):
-        def cb(epoch, loss):
-            print(f"{name} epoch {epoch}: loss {loss:.6f}")
-
-        return cb
+    def progress(stage, epoch, loss):
+        print(f"stage {stage} epoch {epoch}: loss {loss:.6f}")
 
     report_lines = [f"# held-out set: {held_name}", "stage mean_pdj@0.2 mean_px_error"]
-
-    sc1 = stage_configs[0]
-    net1 = casc.train_stage1(examples, manifest.tree, sc1, progress("stage 1"))
-    model = casc.CascadeModel([net1], [None], cfg.sigma, manifest.tree, sc1.input_size)
-    _write(out / "cascade_stage1.model", casc.cascade_to_bytes(model))
-    mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
-    report_lines.append(f"1 {mean_pdj:.4f} {mean_err:.4f}")
-    _write(out / "heldout_report.txt", "\n".join(report_lines) + "\n")
-
-    for stage, sc in enumerate(stage_configs[1:], start=2):
-        stats = casc.fit_displacement_stats(model, examples)
-        casc.train_refinement_stage(examples, model, stats, sc, progress(f"stage {stage}"))
+    for model in casc.train_cascade(examples, manifest.tree, stage_configs, progress):
+        stage = model.num_stages
         _write(out / f"cascade_stage{stage}.model", casc.cascade_to_bytes(model))
         mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
         report_lines.append(f"{stage} {mean_pdj:.4f} {mean_err:.4f}")

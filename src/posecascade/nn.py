@@ -21,6 +21,7 @@ filters are (kh, kw, c, f) and fully-connected weights read features in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -629,8 +630,8 @@ class TrainConfig:
             raise InvalidArgumentError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise InvalidArgumentError(f"batch size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # False for NaN
+            raise InvalidArgumentError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
 def _slice_size(net: Network) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from posecascade import cascade
 from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import PoseTree, PoseVector
 
@@ -20,6 +21,17 @@ def make_pose(points, mask=None) -> PoseVector:
     if mask is None:
         mask = np.ones(len(pts), dtype=bool)
     return PoseVector(pts, np.asarray(mask, dtype=bool))
+
+
+def file_with_param(model, array, index: int, value) -> bytes:
+    """The model file of model, but with parameter array.flat[index] read as
+    value: a file the writer refuses to make when value is not finite."""
+    data = cascade.cascade_to_bytes(model)
+    arrays = [p[key] for net in model.stages for p in net.params if p is not None
+              for key in ("w", "b")]  # in file order, the last ending the file
+    pos = next(i for i, a in enumerate(arrays) if a is array)
+    at = len(data) - sum(a.nbytes for a in arrays[pos:]) + 4 * index
+    return data[:at] + np.array([value], dtype="<f4").tobytes() + data[at + 4 :]
 
 
 @pytest.fixture(scope="module")

@@ -220,16 +220,12 @@ def synthetic_experiment(tmp_path_factory):
         train=nn.TrainConfig(epochs=12, batch_size=128, learning_rate=0.0005, seed=1001),
         seed=1001,
     )
-    net1 = cascade.train_stage1(train_ex, tree, cfg1)
-    model = cascade.CascadeModel([net1], [None], 1.0, tree, (60, 60, 1))
-
-    stats = cascade.fit_displacement_stats(model, train_ex)
     cfg2 = cascade.StageConfig(
         sigma=1.0, crops_per_joint=4, input_size=(60, 60, 1),
         train=nn.TrainConfig(epochs=1, batch_size=128, learning_rate=0.0005, seed=1002),
         seed=1002,
     )
-    cascade.train_refinement_stage(train_ex, model, stats, cfg2)
+    *_, model = cascade.train_cascade(train_ex, tree, [cfg1, cfg2])
 
     results = cascade.predict_many(model, test_ex)
     truths = [ex.pose for ex in test_ex]

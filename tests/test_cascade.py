@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, container, data, nn
 from posecascade.errors import InvalidArgumentError
-from posecascade.geometry import crop_resample, full_image_box, parse_box, pose_diameter
+from posecascade.geometry import PoseTree, crop_resample, full_image_box, parse_box, pose_diameter
 
 from conftest import make_pose
 
@@ -490,6 +490,40 @@ def test_train_refinement_rejects_config_unlike_model(kw):
     assert model.num_stages == 1
 
 
+def test_train_cascade_yields_the_model_after_each_stage():
+    examples = [example_with_pose(spread_pose(), seed=s) for s in range(2)]
+    configs = [tiny_stage_config(seed=s, train=nn.TrainConfig(epochs=1, batch_size=8, seed=s))
+               for s in (1, 2, 3)]
+    epochs = []
+    progress = lambda stage, epoch, loss: epochs.append((stage, epoch))
+    seen = [(m, m.num_stages) for m in cascade.train_cascade(examples, TREE, configs, progress)]
+    assert [n for _, n in seen] == [1, 2, 3]
+    assert all(m is seen[0][0] for m, _ in seen)
+    assert epochs == [(1, 0), (2, 0), (3, 0)]  # one epoch each, numbered from 0
+    # the same draws as the three step functions called by hand
+    net = cascade.train_stage1(examples, TREE, configs[0])
+    model = cascade.CascadeModel([net], [None], 1.0, TREE, INPUT)
+    for config in configs[1:]:
+        stats = cascade.fit_displacement_stats(model, examples)
+        cascade.train_refinement_stage(examples, model, stats, config)
+    assert cascade.cascade_to_bytes(seen[0][0]) == cascade.cascade_to_bytes(model)
+
+
+def test_train_cascade_without_torso_pair_raises_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        pytest.fail("stage 1 trained before the missing torso pair was reported")
+
+    no_torso = PoseTree(K, TREE.limbs, [], TREE.left_right_swap)
+    examples = [example_with_pose(spread_pose())]
+    with monkeypatch.context() as m:
+        m.setattr(cascade, "train_stage1", no_training)
+        with pytest.raises(InvalidArgumentError, match="torso pair"):
+            next(cascade.train_cascade(examples, no_torso, [tiny_stage_config()] * 2))
+    # a lone holistic stage needs no torso
+    (model,) = cascade.train_cascade(examples, no_torso, [tiny_stage_config()])
+    assert model.num_stages == 1
+
+
 # --- cascade inference ----------------------------------------------------------------
 
 
@@ -608,7 +642,9 @@ def test_cascade_model_rejects_bad_sigma(sigma):
 
 @pytest.mark.parametrize("sigma", [1, 0.25, np.float32(2.0), 1e300])
 def test_cascade_model_accepts_finite_positive_sigma(sigma):
-    assert cascade.CascadeModel([zeroed_net()], [None], sigma, TREE, INPUT).sigma == sigma
+    model = cascade.CascadeModel([zeroed_net()], [None], sigma, TREE, INPUT)
+    assert type(model.sigma) is float and model.sigma == sigma  # a numpy float32 too
+    assert cascade.cascade_from_bytes(cascade.cascade_to_bytes(model)).sigma == sigma
 
 
 def overflowing_net():
@@ -709,6 +745,17 @@ def test_cascade_float64_stage_is_not_saved():
     net = nn.init_network([nn.FullyConnected(2 * K)], INPUT, 2 * K, seed=0)
     with pytest.raises(InvalidArgumentError, match="stage 2 is float64"):
         cascade.cascade_to_bytes(_two_stage_model(net))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameter_is_not_written(tmp_path, bad):
+    model = _two_stage_model(random_net(6))
+    model.stages[1].params[0]["w"].flat[2] = bad
+    with pytest.raises(InvalidArgumentError, match=r"stage 2: layer 0 \(conv\) has non-finite"):
+        cascade.cascade_to_bytes(model)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        cascade.save_cascade(model, tmp_path / "model.bin")
+    assert not (tmp_path / "model.bin").exists()
 
 
 def _header(data_):

@@ -14,7 +14,7 @@ from posecascade import cli, data, nn
 from posecascade.cascade import load_cascade, save_cascade
 from posecascade.errors import InvalidArgumentError
 
-from conftest import loads_or_is_rejected, mutated
+from conftest import file_with_param, loads_or_is_rejected, mutated
 
 
 def run(*argv):
@@ -114,6 +114,24 @@ def test_train_single_stage(tmp_path, synth_dir):
     assert model.num_stages == 1
 
 
+def test_train_three_stages(tmp_path, synth_dir):
+    out = tmp_path / "s3"
+    code = run(
+        "train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out),
+        "--stages", "3", "--epochs", "1", "--batch", "16", "--crops-per-joint", "1",
+        "--stage1-crops", "1", "--input-size", "24", "--seed", "4",
+    )
+    assert code == 0
+    assert load_cascade(out / "cascade.model").num_stages == 3
+    assert (out / "cascade_stage3.model").exists()
+    rows = (out / "heldout_report.txt").read_text().splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["1", "2", "3"]
+    assert run("eval", "--model", str(out / "cascade.model"),
+               "--manifest", str(synth_dir / "manifest.txt"), "--out", str(out / "eval")) == 0
+    assert (out / "eval" / "eval_stage3.txt").exists()
+    assert (out / "eval" / "eval_stage3.json").exists()
+
+
 def test_train_determinism_byte_identical(tmp_path, synth_dir):
     outs = []
     for name in ("d1", "d2"):
@@ -185,6 +203,41 @@ def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch
     assert code == 2
     assert f"stages must be >= 1, got {stages}" in capsys.readouterr().err
     assert not (out / "cascade.model").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--input-size", "-5", "input size must be >= 1 in every dimension"),
+    ("--input-size", "0", "input size must be >= 1 in every dimension"),
+    ("--dropout", "0", "keep_prob must be in (0, 1]"),
+    ("--dropout", "1.5", "keep_prob must be in (0, 1]"),
+    ("--dropout", "nan", "keep_prob must be in (0, 1]"),
+    ("--lr", "inf", "learning rate must be positive and finite"),
+    ("--lr", "nan", "learning rate must be positive and finite"),
+])
+def test_train_bad_stage_setting_is_data_error_before_reading_data(tmp_path, synth_dir,
+                                                                   monkeypatch, capsys, flag,
+                                                                   value, message):
+    def no_data(*args, **kwargs):
+        pytest.fail(f"data was read before {flag} was checked")
+
+    monkeypatch.setattr(cli.dat, "load_manifest", no_data)
+    out = tmp_path / "o"
+    code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out), flag, value)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_diverging_stage_writes_no_model(tmp_path, synth_dir, capsys):
+    # a finite but huge rate takes stage 1 to non-finite weights, which no file holds
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):  # the adagrad step overflows
+        code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out),
+                   "--stages", "1", "--epochs", "1", "--batch", "16", "--stage1-crops", "0",
+                   "--input-size", "24", "--lr", "1e308")
+    assert code == 2
+    assert "stage 1: layer" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # a non-default text form per field type, and what it converts to
@@ -496,9 +549,8 @@ def test_predict_malformed_box_is_data_error(synth_dir, trained_dir, capsys, box
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_non_finite_model_is_data_error(tmp_path, synth_dir, trained_dir, capsys, bad):
     model = load_cascade(trained_dir / "cascade.model")
-    model.stages[1].params[0]["w"].flat[3] = bad
     path = tmp_path / "bad.model"
-    save_cascade(model, path)
+    path.write_bytes(file_with_param(model, model.stages[1].params[0]["w"], 3, bad))
     m = data.load_manifest(synth_dir / "manifest.txt")
     img = synth_dir / m.examples[0].image_path
     assert run("predict", "--model", str(path), "--image", str(img)) == 2

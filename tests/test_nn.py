@@ -11,6 +11,7 @@ from posecascade.errors import (
 )
 from posecascade.geometry import PoseTree
 
+from conftest import file_with_param
 from fdcheck import max_rel_error
 
 
@@ -778,15 +779,15 @@ def test_non_finite_parameters_rejected_at_load(bad, key):
     k = 2
     net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(2 * k)], (6, 6, 1), 2 * k,
                           seed=5, dtype=np.float32)
-    net.params[2][key].flat[1] = bad
     model = cascade.CascadeModel([net], [None], 1.0, PoseTree(k, [], []), (6, 6, 1))
     with pytest.raises(InvalidArgumentError, match=r"stage 1: layer 2 \(fc\) has non-finite"):
-        cascade.cascade_from_bytes(cascade.cascade_to_bytes(model))
+        cascade.cascade_from_bytes(file_with_param(model, net.params[2][key], 1, bad))
 
 
 @pytest.mark.parametrize("kw", [dict(epochs=-1), dict(epochs=1, batch_size=0),
                                 dict(epochs=1, learning_rate=0.0),
-                                dict(epochs=1, learning_rate=float("nan"))])
+                                dict(epochs=1, learning_rate=float("nan")),
+                                dict(epochs=1, learning_rate=float("inf"))])
 def test_train_config_rejects_bad_settings(kw):
     with pytest.raises(InvalidArgumentError):
         nn.TrainConfig(**kw)
