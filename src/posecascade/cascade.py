@@ -24,7 +24,8 @@ import numpy as np
 
 from . import container, nn
 from .data import LoadedExample, mirror_example
-from .errors import InvalidArgumentError, MissingTorsoError, io_reason
+from .errors import InvalidArgumentError, io_reason
+# pose_diameter is unused here; the benchmark tracer (perfbench/spans.py) patches it by name
 from .geometry import PoseTree, PoseVector, crop_resample, full_image_box, joint_box, pose_diameter
 
 log = logging.getLogger(__name__)
@@ -101,14 +102,23 @@ class StageConfig:
         if min(self.input_size) < 1:
             raise InvalidArgumentError(
                 f"input size must be >= 1 in every dimension, got {tuple(self.input_size)}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         nn.Dropout(self.dropout_keep)  # raises unless the keep probability is in (0, 1]
+        # raises naming the first layer that does not fit the input; only the
+        # last layer's width depends on the joint count
+        nn.chain_shapes(self._stage_layers(1), self.input_size)
+
+    def _stage_layers(self, output_dim: int) -> list[nn.LayerSpec]:
+        """The given layers, or the default stack ending in output_dim units."""
+        if self.layers is not None:
+            return self.layers
+        return default_layers(self.dropout_keep, output_dim, self.use_lrn)
 
     def build_network(self, output_dim: int) -> nn.Network:
         """A float32 net; its weights are the float64 draws of the seed, cast."""
-        layers = self.layers
-        if layers is None:
-            layers = default_layers(self.dropout_keep, output_dim, self.use_lrn)
-        return nn.init_network(layers, self.input_size, output_dim, self.seed, dtype=np.float32)
+        return nn.init_network(self._stage_layers(output_dim), self.input_size, output_dim,
+                               self.seed, dtype=np.float32)
 
 
 @dataclass
@@ -226,24 +236,22 @@ def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.G
 def refinement_views(
     examples, tree: PoseTree, stats: DisplacementStats, config: StageConfig, rng: np.random.Generator
 ):
-    """Simulated predictions, one ImageViews record per example and per mirror:
-    for each labeled joint i with statistics and each of `crops_per_joint`
-    draws, the square box (side sigma * diameter) at truth + delta, with delta
-    drawn from joint i's displacement Gaussian; only joint i is unmasked."""
+    """Simulated predictions, one ImageViews record per example and per mirror
+    that joint_box accepts (others are skipped with a warning): for each labeled
+    joint i with statistics and each of `crops_per_joint` draws, its joint_box
+    row at truth + delta, delta drawn from its displacement Gaussian; only joint i is unmasked."""
     k = tree.k
     for ex in examples:
         for pose, img, _ in _with_mirror(ex, tree):
             try:
-                diam = pose_diameter(pose, tree)
-            except MissingTorsoError:
-                diam = 0.0
-            if diam <= 0:
+                rows = joint_box(pose, config.sigma, tree)
+            except InvalidArgumentError:
                 log.warning("skipping %s: degenerate pose diameter", ex.image_path)
                 continue
-            side = config.sigma * diam
             joints = np.repeat(np.flatnonzero(pose.mask & stats.present), config.crops_per_joint)
             delta = sample_displacement(stats, joints, rng)
-            boxes = np.hstack([pose.joints[joints] + delta, np.full((len(joints), 2), side)])
+            boxes = rows[joints]
+            boxes[:, :2] += delta
             offsets = np.zeros((len(joints), k, 2))
             offsets[np.arange(len(joints)), joints] = -delta
             yield ImageViews(img, boxes, offsets, joints[:, None] == np.arange(k))

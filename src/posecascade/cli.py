@@ -188,7 +188,6 @@ def cmd_train(args) -> int:
         raise InvalidArgumentError(f"stages must be >= 1, got {cfg.stages}")
     stage_configs = [_stage_config(cfg, s) for s in range(1, cfg.stages + 1)]
 
-    out = _out_dir(cfg.out)
     manifest = dat.load_manifest(cfg.train)
     examples = dat.load_examples(manifest)
     if cfg.heldout:
@@ -201,6 +200,7 @@ def cmd_train(args) -> int:
         held_examples = examples
         held_name = f"{cfg.train} (train set; no held-out manifest given)"
     held_truths = [ex.pose for ex in held_examples]
+    out = _out_dir(cfg.out)  # made once every input has been read
 
     def progress(stage, epoch, loss):
         print(f"stage {stage} epoch {epoch}: loss {loss:.6f}")

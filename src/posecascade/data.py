@@ -338,6 +338,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidArgumentError("count must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if min(self.image_size) < 1:
             raise InvalidArgumentError(f"image sides must be >= 1, got {self.image_size}")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):

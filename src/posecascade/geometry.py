@@ -1,8 +1,13 @@
 """Poses, boxes and the bilinear crop everything else builds on.
 
-Coordinates are pixels, x to the right and y down. Pixel (row i, col j) of an
-image array sits at continuous position (x=j, y=i). A box is a float64 row
+Coordinates are pixels, x to the right and y down. A box is a float64 row
 (cx, cy, w, h) of center and size; n boxes stack as an (n, 4) array.
+
+Two pixel conventions are in use. crop_resample and full_image_box put the
+center of pixel (row i, col j) at (x=j+0.5, y=i+0.5): box coordinate u is
+sampled at pixel index u - 0.5, and the full-image box spans [0, width].
+data.render_figure and data.mirror_example put it at (x=j, y=i) and mirror x
+to (width - 1) - x. ROADMAP's "One pixel convention" item is to make them one.
 """
 
 from __future__ import annotations
@@ -129,11 +134,10 @@ def pose_diameter(pose: PoseVector, tree: PoseTree) -> float:
 
 
 def joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> np.ndarray:
-    """The (k, 4) rows of every joint's square box: centered on the joint,
-    side sigma * pose_diameter. Raises InvalidArgumentError when a joint is
-    absent or the side is zero or not finite."""
-    if not pose.mask.all():
-        raise InvalidArgumentError(f"joint {np.flatnonzero(~pose.mask)[0]} is not present")
+    """The (k, 4) rows of every joint's square box, in refinement training
+    and prediction alike: centered on the joint, side sigma * pose_diameter.
+    Raises InvalidArgumentError when the side is zero or not finite, and
+    MissingTorsoError when no torso pair is labeled."""
     side = float(sigma) * pose_diameter(pose, tree)  # a Python float overflows to inf silently
     if not (math.isfinite(side) and side > 0):
         raise InvalidArgumentError(f"joint box side {side} is degenerate")
@@ -147,7 +151,8 @@ def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarr
     Sample positions are the centers of the output pixel grid mapped into the
     box span [center - size/2, center + size/2]. Taps outside the source image
     contribute CROP_FILL, so a box with empty image overlap yields a uniform
-    fill image rather than an error, however far away the box lies. A crop
+    fill image rather than an error, however far away a finite box lies; a
+    box with an infinite or NaN value raises InvalidArgumentError. A crop
     does not depend on the other boxes of its call: every output pixel is
     (tap00 * wy0) * wx0 + (tap01 * wy0) * wx1 + (tap10 * wy1) * wx0 +
     (tap11 * wy1) * wx1, summed left to right.
@@ -164,6 +169,9 @@ def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarr
     geom = np.asarray(boxes, dtype=np.float64)
     if len(geom) == 0:
         return np.empty((0, out_h, out_w, ch))
+    bad = np.flatnonzero(~np.isfinite(geom).all(axis=1))
+    if len(bad):
+        raise InvalidArgumentError(f"box row {bad[0]} is not finite: {geom[bad[0]].tolist()}")
     cx, cy, bw, bh = geom.T[:, :, None]
 
     # output pixel centers in source pixel coordinates, one row per box; a

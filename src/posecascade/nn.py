@@ -141,7 +141,7 @@ def spec_from_dict(d: dict) -> LayerSpec:
 # shape chaining
 
 
-def _chain_shapes(layers: list[LayerSpec], input_size: tuple[int, ...]) -> list[tuple[int, ...]]:
+def chain_shapes(layers: list[LayerSpec], input_size: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Output shape after each layer; raises naming the first layer that cannot apply."""
     shape = tuple(int(s) for s in input_size)
     if len(shape) not in (1, 3):
@@ -188,7 +188,7 @@ def param_shapes(
 
     Raises if the layers do not chain or do not flatten to output_dim.
     """
-    shapes = _chain_shapes(layers, input_size)
+    shapes = chain_shapes(layers, input_size)
     final = shapes[-1] if shapes else tuple(input_size)
     if int(np.prod(final)) != output_dim:
         raise ShapeError(
@@ -632,6 +632,8 @@ class TrainConfig:
             raise InvalidArgumentError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0 < self.learning_rate < math.inf:  # False for NaN
             raise InvalidArgumentError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 def _slice_size(net: Network) -> int:
@@ -639,7 +641,7 @@ def _slice_size(net: Network) -> int:
     (k*k*c*oh*ow values of the net's dtype per example) fits in SLICE_BYTES,
     at least 1; 0 for a net without a conv, whose batch is one slice."""
     per_example, in_shape = 0, net.input_size
-    for spec, out_shape in zip(net.layers, _chain_shapes(net.layers, net.input_size)):
+    for spec, out_shape in zip(net.layers, chain_shapes(net.layers, net.input_size)):
         if isinstance(spec, Conv):
             cols = spec.size * spec.size * in_shape[2] * out_shape[0] * out_shape[1]
             per_example = max(per_example, cols * net.dtype.itemsize)

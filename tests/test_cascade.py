@@ -347,6 +347,22 @@ def test_sample_pair_reconstructs_truth():
         assert np.all(np.abs(rec - ex.pose.joints[i]) < 1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_refinement_skips_a_pose_whose_side_is_not_finite(caplog):
+    # sigma 1e307 times a torso diameter of about 19 overflows to inf, about 14 does not
+    wide = example_with_pose(spread_pose(scale=8.0), seed=1)
+    narrow = example_with_pose(spread_pose(scale=6.0), seed=2)
+    cfg = tiny_stage_config(sigma=1e307, crops_per_joint=1)
+    with caplog.at_level("WARNING", logger="posecascade"):
+        records = list(cascade.refinement_views([wide, narrow], TREE, _delta_stats((1.0, 0.0)),
+                                                cfg, np.random.default_rng(0)))
+    assert len(records) == 2 and records[0].image is narrow.image  # narrow and its mirror
+    assert caplog.messages == ["skipping mem_1: degenerate pose diameter"] * 2
+    side = 1e307 * pose_diameter(narrow.pose, TREE)
+    assert all(np.array_equal(r.boxes[:, 2:], np.full((K, 2), side)) for r in records)
+    assert all(np.isfinite(cascade.view_targets(r.boxes, r.offsets, r.masks)).all() for r in records)
+
+
 def test_refinement_sample_counts():
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(4)]
     stats = _delta_stats((0.0, 0.0))

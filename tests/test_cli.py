@@ -67,7 +67,8 @@ def test_synth_repeat_same_digest(tmp_path, synth_dir):
 
 
 @pytest.mark.parametrize("flag, value", [("--noise", "-1"), ("--noise", "nan"),
-                                         ("--noise", "inf"), ("--size", "0"), ("--size", "-4")])
+                                         ("--noise", "inf"), ("--size", "0"), ("--size", "-4"),
+                                         ("--seed", "-3")])
 def test_synth_bad_setting_is_data_error(tmp_path, capsys, flag, value):
     out = tmp_path / "synth"
     assert run("synth", "--out", str(out), "--count", "2", flag, value) == 2
@@ -213,6 +214,9 @@ def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch
     ("--dropout", "nan", "keep_prob must be in (0, 1]"),
     ("--lr", "inf", "learning rate must be positive and finite"),
     ("--lr", "nan", "learning rate must be positive and finite"),
+    ("--input-size", "4", "layer 0 (Conv): 5x5 filter exceeds input 4x4"),
+    ("--input-size", "11", "layer 5 (MaxPool): 2x2 window exceeds input 1x1"),
+    ("--seed", "-1", "seed must be >= 0"),
 ])
 def test_train_bad_stage_setting_is_data_error_before_reading_data(tmp_path, synth_dir,
                                                                    monkeypatch, capsys, flag,
@@ -226,6 +230,16 @@ def test_train_bad_stage_setting_is_data_error_before_reading_data(tmp_path, syn
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_overflowing_refinement_side_skips_the_figure(tmp_path, synth_dir, caplog):
+    # sigma * diameter overflows to inf for some figures: their views are skipped, not cropped
+    with caplog.at_level("WARNING", logger="posecascade"):
+        code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
+                   "--stages", "2", "--epochs", "1", "--crops-per-joint", "1",
+                   "--input-size", "24", "--sigma", "1e307")
+    assert code == 0
+    assert "degenerate pose diameter" in caplog.text
 
 
 def test_train_diverging_stage_writes_no_model(tmp_path, synth_dir, capsys):
@@ -307,6 +321,7 @@ def test_train_bad_manifest_is_data_error(tmp_path, capsys):
         bad.write_text(text)
         assert run("train", "--train", str(bad), "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # the output directory waits for the inputs
 
 
 def test_train_refinement_without_torso_pair_is_data_error(tmp_path, synth_dir, monkeypatch,
@@ -340,6 +355,7 @@ def test_train_bad_heldout_is_data_error_before_training(tmp_path, synth_dir, mo
                "--out", str(tmp_path / "o"))
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_missing_manifest_file(tmp_path):

@@ -148,10 +148,15 @@ def test_joint_box_rejects_overflowing_side(tiny_tree):
         joint_box(pose, 1e307, tiny_tree)
 
 
-def test_joint_box_requires_present_joint(tiny_tree):
-    pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)], mask=[False, True, True, True])
-    with pytest.raises(InvalidArgumentError):
-        joint_box(pose, 1.0, tiny_tree)
+def test_joint_box_needs_the_torso_not_every_joint(tiny_tree):
+    # joint 1 is not a torso joint: its row is centered on its stored point
+    points = [(50, 60), (5, 5), (7, 7), (80, 100)]
+    b = joint_box(make_pose(points, mask=[True, False, True, True]), 1.0, tiny_tree)
+    assert b.shape == (4, 4)
+    assert np.array_equal(b, joint_box(make_pose(points), 1.0, tiny_tree))
+    # joint 0 is the torso pair's: no diameter, no box
+    with pytest.raises(MissingTorsoError):
+        joint_box(make_pose(points, mask=[False, True, True, True]), 1.0, tiny_tree)
 
 
 # --- crop / resample -----------------------------------------------------------
@@ -190,6 +195,17 @@ def test_crop_far_outside_is_fill_without_warnings(center, size):
     out = crop_resample(img, [[*center, *size]], (4, 3))
     assert out.shape == (1, 3, 4, 1)
     assert np.all(out == CROP_FILL)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("column", range(4))
+def test_crop_rejects_non_finite_box(bad, column):
+    img = np.random.default_rng(2).random((6, 5, 1))
+    boxes = np.array([[2.0, 3.0, 4.0, 4.0], [10.0, 10.0, 8.0, 8.0]])
+    boxes[1, column] = bad
+    with pytest.raises(InvalidArgumentError, match="box row 1 is not finite"):
+        crop_resample(img, boxes, (4, 3))
 
 
 def test_crop_rejects_bad_out_size():

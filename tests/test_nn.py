@@ -407,7 +407,7 @@ def test_relu_leaves_callers_input_unchanged(layers, input_size):
     # the ReLU zeroes its input in place, but never the callers' array
     x = np.random.default_rng(36).standard_normal((3,) + input_size)
     before = x.copy()
-    out_dim = int(np.prod(nn._chain_shapes(layers, input_size)[-1]))
+    out_dim = int(np.prod(nn.chain_shapes(layers, input_size)[-1]))
     net = nn.init_network(layers, input_size, out_dim, seed=0)
     nn.forward(net, x)
     assert np.array_equal(x, before) and (x < 0).any()
@@ -441,7 +441,7 @@ def test_maxpool2_grad_from_pooled_map_matches_winner_search(batch, hw, monkeypa
     rng = np.random.default_rng(35)
     layers = [nn.Conv(3, 2), nn.ReLU(), nn.MaxPool(2)]
     in_size = hw + (2,)
-    out_dim = int(np.prod(nn._chain_shapes(layers, in_size)[-1]))
+    out_dim = int(np.prod(nn.chain_shapes(layers, in_size)[-1]))
     net = nn.init_network(layers, in_size, out_dim, seed=0, dtype=np.float32)
     net.params[0]["w"][:] = rng.integers(-1, 2, net.params[0]["w"].shape)
     net.params[0]["b"][:] = [0.0, -1.0, -0.0]
@@ -554,7 +554,7 @@ def test_layers_match_naive_loops(layers, input_size, batch, dtype):
     # small integers keep every conv, pool and fc sum exact in any order, so
     # the engine must equal the loops bit for bit (LRN's powers are not exact)
     rng = np.random.default_rng(31)
-    shapes = nn._chain_shapes(layers, input_size)
+    shapes = nn.chain_shapes(layers, input_size)
     out_dim = int(np.prod(shapes[-1]))
     net = nn.init_network(layers, input_size, out_dim, seed=0, dtype=dtype)
     for p in net.params:
@@ -812,7 +812,7 @@ DTYPE_CASES = {
 def test_float32_kept_end_to_end(name):
     layers, input_size = DTYPE_CASES[name]
     shape = input_size
-    for s in nn._chain_shapes(layers, input_size):
+    for s in nn.chain_shapes(layers, input_size):
         shape = s
     net = nn.init_network(layers, input_size, int(np.prod(shape)), seed=4, dtype=np.float32)
     rng = np.random.default_rng(5)
@@ -886,7 +886,7 @@ def test_relu_after_maxpool_is_bit_identical(pool, dtype, monkeypatch):
     y = x
     for idx, spec in enumerate(layers):
         in_size = y.shape[1:]
-        shape = nn._chain_shapes([spec], in_size)[0]
+        shape = nn.chain_shapes([spec], in_size)[0]
         one = nn.init_network([spec], in_size, int(np.prod(shape)), seed=0, dtype=dtype)
         one.params[0] = net.params[idx]
         y = nn.forward(one, y)[0].reshape((len(x),) + shape)

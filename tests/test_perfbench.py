@@ -61,3 +61,23 @@ def test_round_trip_check_passes_on_a_two_stage_cascade(tmp_path):
                                  1.0, tree, (8, 8, 1))
     saved = workloads.check_round_trip(model, tmp_path)
     assert cascade.cascade_from_bytes(saved).num_stages == 2
+
+
+def test_traced_training_nests_and_feeds_the_counted_refinement_set(tmp_path):
+    # the traced `train` repetition checks both; a failing check there ends the benchmark run
+    spans, workloads = _load("spans"), _load("workloads")
+    size = workloads.TrainSize(4, 1, 1, 1)
+    manifest = data.synth_generate(data.SynthConfig(count=size.figures, seed=0), tmp_path)
+    examples = data.load_examples(manifest)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with tracer.record("bench.rep"):
+            model, wall_s, losses = workloads.train_cascade(examples, manifest.tree, size)
+    finally:
+        tracer.uninstall()
+    table = spans.SpanTable(tracer.spans, "bench.rep")
+    assert table.nested
+    summary = workloads.training_summary(examples, model, size, wall_s, losses)
+    assert summary["refine_samples"] > 0
+    assert table.epochs_per_root("cascade.train_refinement_stage")[1] == summary["refine_samples"]
