@@ -186,6 +186,8 @@ def cmd_train(args) -> int:
     # every stage's settings are checked before any data is read
     if cfg.stages < 1:
         raise InvalidArgumentError(f"stages must be >= 1, got {cfg.stages}")
+    if cfg.seed < 0:  # named as given, not as the per-stage seed derived from it
+        raise InvalidArgumentError(f"seed must be >= 0, got {cfg.seed}")
     stage_configs = [_stage_config(cfg, s) for s in range(1, cfg.stages + 1)]
 
     manifest = dat.load_manifest(cfg.train)

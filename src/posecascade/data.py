@@ -118,9 +118,9 @@ def load_manifest(path) -> DatasetManifest:
             swap.append(int_pair(tokens[1:], line_no))
         elif head == "name":
             try:
-                idx = int(tokens[1])
-                label = tokens[2]
-            except (ValueError, IndexError):
+                _, idx, label = tokens
+                idx = int(idx)
+            except ValueError:
                 raise _line_error(line_no, f"bad name declaration {line!r}") from None
             if not 0 <= idx < k:
                 raise _line_error(line_no, f"joint name index {idx} out of range for k={k}")
@@ -164,10 +164,19 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(k, tree, joint_names, examples, root=str(path.parent))
 
 
+def _check_token(what: str, text: str) -> None:
+    """Refuse text that would not read back as one manifest token."""
+    if not text or "#" in text or any(ch.isspace() for ch in text):
+        raise InvalidArgumentError(f"{what} {text!r} is empty or holds whitespace or '#'")
+
+
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    """Write a manifest; load_manifest(save_manifest(m)) is the identity on data."""
+    """Write a manifest; load_manifest(save_manifest(m)) is the identity on
+    data. A joint name or image path that would not read back as itself
+    raises InvalidArgumentError before anything is written."""
     lines = [f"k={manifest.k}"]
     for i, name in enumerate(manifest.joint_names):
+        _check_token("joint name", name)
         lines.append(f"name {i} {name}")
     for a, b in manifest.tree.limbs:
         lines.append(f"limb {a} {b}")
@@ -176,8 +185,9 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     for a, b in manifest.tree.left_right_swap:
         lines.append(f"swap {a} {b}")
     for ex in manifest.examples:
-        if any(ch.isspace() for ch in ex.image_path):
-            raise InvalidArgumentError(f"image path {ex.image_path!r} contains whitespace")
+        _check_token("image path", ex.image_path)
+        if ex.image_path in ("limb", "torso", "swap", "name"):
+            raise InvalidArgumentError(f"image path {ex.image_path!r} is a manifest keyword")
         box = "-" if ex.box0 is None else ",".join(repr(float(v)) for v in ex.box0)
         triples = " ".join(
             f"{float(x)!r} {float(y)!r} {int(v)}"

@@ -283,10 +283,11 @@ def _run_order(layers: list[LayerSpec]) -> list[int]:
     """Layer indices in execution order.
 
     A ReLU that directly feeds a MaxPool runs after it, on the pooled map,
-    which is size^2 times smaller. It zeroes that map in place, so a 2x2
-    pool's backward reads the map after the ReLU. For finite inputs the two
-    orders agree bit for bit: max and ReLU commute, and a window whose max is
-    <= 0 gets a +-0 gradient in every cell either way.
+    which has one value per window and so is smaller than the pool's input.
+    It zeroes that map in place, so the pool's backward reads the map after
+    the ReLU. For finite inputs the two orders agree bit for bit: max and
+    ReLU commute, and a window whose max is <= 0 sends a +-0 gradient to
+    whichever cell wins it.
     """
     order = list(range(len(layers)))
     i = 0
@@ -336,51 +337,61 @@ def _im2col(x: np.ndarray, k: int, s: int) -> np.ndarray:
     return cols.reshape(k * k * c, n * oh * ow)
 
 
-def _cells(x5: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four (m, oh, ow) cell views of (m, oh, 2, ow, 2) 2x2 windows, in
-    row-major order."""
-    return x5[:, :, 0, :, 0], x5[:, :, 0, :, 1], x5[:, :, 1, :, 0], x5[:, :, 1, :, 1]
+def _windows(x: np.ndarray, size: int, stride: int) -> list[np.ndarray]:
+    """The size^2 (m, oh, ow) strided views of (m, h, w) planes, one per
+    window cell in row-major order: view i holds cell i of every window."""
+    _, h, w = x.shape
+    oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
+    return [
+        x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+        for i in range(size)
+        for j in range(size)
+    ]
 
 
-def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pool with stride 2 over (m, h, w) planes: returns (y, x5), where
-    x5 is x without an odd last row or column as (m, oh, 2, ow, 2) windows, a
-    view when h and w are even. No winner is kept: _maxpool2_grad finds it by
-    comparing x5 with y, so inference never computes it."""
-    m, h, w = x.shape
-    oh, ow = h // 2, w // 2
-    x5 = x[:, : 2 * oh, : 2 * ow].reshape(m, oh, 2, ow, 2)
-    a, b, cc, d = _cells(x5)
-    return np.maximum(np.maximum(a, b), np.maximum(cc, d)), x5
+def _maxpool(x: np.ndarray, size: int, stride: int) -> np.ndarray:
+    """Max pool over (m, h, w) planes: the elementwise max of the window cell
+    views. No winner is kept: _maxpool_grad finds it by comparing the cells
+    with the pooled map, so inference never computes it."""
+    cells = _windows(x, size, stride)
+    # never a view of x: the ReLU run after the pool zeroes y in place
+    y = np.maximum(cells[0], cells[1]) if len(cells) > 1 else cells[0].copy()
+    for cell in cells[2:]:
+        np.maximum(y, cell, out=y)
+    return y
 
 
-def _maxpool2_grad(
-    x5: np.ndarray, y: np.ndarray, g: np.ndarray, in_shape: tuple[int, ...]
+def _maxpool_grad(
+    x: np.ndarray, y: np.ndarray, g: np.ndarray, size: int, stride: int
 ) -> np.ndarray:
-    """Input gradient of _maxpool2 from its windows x5 and pooled map y: each
-    window's g goes to its first (row-major) cell equal to y; a cut odd row or
-    column gets 0. y may have been zeroed in place by the ReLU run after the
-    pool: a window whose max is <= 0 then has a +-0 g, which every cell gets
-    bit for bit whichever one wins."""
-    m, oh, _, ow, _ = x5.shape
-    g = g.reshape(m, oh, ow)
-    a, b, cc, _ = _cells(x5)
-    buf = np.empty(x5.shape, g.dtype)
-    da, db, dc, dd = _cells(buf)
-    taken = a == y
-    np.multiply(g, taken, out=da)
-    for cell, dst in ((b, db), (cc, dc)):
-        win = cell == y
-        win &= ~taken
-        taken |= win
-        np.multiply(g, win, out=dst)
-    np.multiply(g, ~taken, out=dd)
-    dx = buf.reshape(m, 2 * oh, 2 * ow)
-    if dx.shape == in_shape:
-        return dx
-    full = np.zeros(in_shape, g.dtype)
-    full[:, : 2 * oh, : 2 * ow] = dx
-    return full
+    """Input gradient of _maxpool over planes x from its pooled map y: each
+    window's g goes to its first (row-major) cell equal to y, the last cell
+    taking a window that no cell equals, and a pixel in no window gets 0.
+    y may have been zeroed in place by the ReLU run after the pool: a window
+    whose max is <= 0 then has a +-0 g, so its cells' gradients come out the
+    same bits whichever cell wins it. Disjoint windows write g times the win
+    mask into their cells, so a losing cell keeps g's sign of zero;
+    overlapping windows add it."""
+    g = g.reshape(y.shape)
+    tiled = stride == size and x.shape[1:] == (size * y.shape[1], size * y.shape[2])
+    dx = np.empty(x.shape, g.dtype) if tiled else np.zeros(x.shape, g.dtype)
+    cells = _windows(x, size, stride)
+    left = np.True_  # the windows no earlier cell won
+    for i, (cell, dst) in enumerate(zip(cells, _windows(dx, size, stride))):
+        if i == len(cells) - 1:
+            win = left
+        elif i == 0:
+            win = cell == y
+            left = ~win
+        else:
+            win = cell == y
+            win &= left
+            left ^= win
+        if stride >= size:
+            np.multiply(g, win, out=dst)
+        else:
+            dst += g * win
+    return dx
 
 
 def _conv_input_grad(
@@ -440,8 +451,8 @@ def forward(
             oh = (x.shape[2] - spec.size) // spec.stride + 1
             x = y.reshape(spec.filters, x.shape[1], oh, -1)
         elif isinstance(spec, ReLU):
-            # in place, except on the callers' array: a 2x2 pool run just
-            # before shares its output with this ReLU (see _maxpool2_grad)
+            # in place, except on the callers' array: a pool run just before
+            # shares its output with this ReLU (see _maxpool_grad)
             x = x.copy() if x is entry else x
             np.fmax(x, 0.0, out=x)  # NaN to 0
             x += 0.0  # -0 to +0
@@ -456,18 +467,8 @@ def forward(
         elif isinstance(spec, MaxPool):
             c, n, h, w = x.shape
             planes = x.reshape(c * n, h, w)
-            s = spec.effective_stride
-            if spec.size == 2 and s == 2:
-                y, x5 = _maxpool2(planes)  # fast path over disjoint windows
-                caches[idx] = {"x5": x5, "y": y, "in_shape": x.shape}
-            else:
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    planes, (spec.size, spec.size), axis=(1, 2)
-                )[:, ::s, ::s]  # (m, oh, ow, p, p)
-                flat = windows.reshape(windows.shape[:3] + (spec.size * spec.size,))
-                arg = np.argmax(flat, axis=-1)  # first max in row-major window order
-                y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-                caches[idx] = {"arg": arg, "in_shape": x.shape}
+            y = _maxpool(planes, spec.size, spec.effective_stride)
+            caches[idx] = {"x": planes, "y": y}
             x = y.reshape((c, n) + y.shape[1:])
         elif isinstance(spec, FullyConnected):
             flat = _flat(x)
@@ -522,21 +523,8 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             inner = _lrn_window_sum(g * xin * scale ** (-spec.beta - 1.0), r)
             g = g * inv - 2.0 * spec.alpha * spec.beta * xin * inner
         elif isinstance(spec, MaxPool):
-            in_shape = c["in_shape"]
-            planes = (in_shape[0] * in_shape[1],) + in_shape[2:]
-            if "x5" in c:
-                g = _maxpool2_grad(c["x5"], c["y"], g, planes)
-            else:
-                arg = c["arg"]
-                m, oh, ow = arg.shape
-                s = spec.effective_stride
-                dx = np.zeros(planes, dt)
-                wi, wj = np.divmod(arg, spec.size)
-                hh = np.arange(oh)[None, :, None] * s + wi
-                ww = np.arange(ow)[None, None, :] * s + wj
-                # overlapping windows may share a winner
-                np.add.at(dx, (np.arange(m)[:, None, None], hh, ww), g.reshape(arg.shape))
-                g = dx
+            in_shape = g.shape[:2] + c["x"].shape[1:]  # (c, n, h, w)
+            g = _maxpool_grad(c["x"], c["y"], g, spec.size, spec.effective_stride)
             g = g.reshape(in_shape)
         elif isinstance(spec, FullyConnected):
             xin = c["x"]

@@ -216,7 +216,7 @@ def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch
     ("--lr", "nan", "learning rate must be positive and finite"),
     ("--input-size", "4", "layer 0 (Conv): 5x5 filter exceeds input 4x4"),
     ("--input-size", "11", "layer 5 (MaxPool): 2x2 window exceeds input 1x1"),
-    ("--seed", "-1", "seed must be >= 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_train_bad_stage_setting_is_data_error_before_reading_data(tmp_path, synth_dir,
                                                                    monkeypatch, capsys, flag,

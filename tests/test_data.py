@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +157,37 @@ def test_manifest_round_trip_keeps_box_rows_exact(tmp_path):
     assert loaded[0].box0 is None
     for a, b in zip(examples[1:], loaded[1:]):
         assert b.box0.dtype == np.float64 and b.box0.tobytes() == a.box0.tobytes()
+
+
+@pytest.mark.parametrize("name, path, message", [
+    ("left hip", "a.pgm", "joint name 'left hip' is empty or holds whitespace or '#'"),
+    ("#x", "a.pgm", "joint name '#x' is empty or holds whitespace or '#'"),
+    ("", "a.pgm", "joint name '' is empty or holds whitespace or '#'"),
+    ("left", "fig#1.pgm", "image path 'fig#1.pgm' is empty or holds whitespace or '#'"),
+    ("left", "fig 1.pgm", "image path 'fig 1.pgm' is empty or holds whitespace or '#'"),
+    ("left", "", "image path '' is empty or holds whitespace or '#'"),
+    ("left", "limb", "image path 'limb' is a manifest keyword"),
+    ("left", "torso", "image path 'torso' is a manifest keyword"),
+    ("left", "swap", "image path 'swap' is a manifest keyword"),
+    ("left", "name", "image path 'name' is a manifest keyword"),
+])
+def test_save_manifest_refuses_what_would_not_read_back(tmp_path, name, path, message):
+    # each of these wrote a file that load_manifest rejected or read back changed
+    (tmp_path / "m.txt").write_text(MANIFEST)
+    m = data.load_manifest(tmp_path / "m.txt")
+    m = dataclasses.replace(m, joint_names=["head", name, "right"],
+                            examples=[dataclasses.replace(m.examples[0], image_path=path)])
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        data.save_manifest(m, tmp_path / "copy.txt")
+    assert not (tmp_path / "copy.txt").exists()
+
+
+def test_load_manifest_rejects_name_with_extra_tokens(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text(MANIFEST.replace("name 1 left", "name 1 left hip"))
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape("line 4: bad name declaration 'name 1 left hip'")):
+        data.load_manifest(p)
 
 
 @settings(max_examples=300, deadline=None)

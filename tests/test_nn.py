@@ -129,7 +129,7 @@ def _naive_maxpool(x, size, stride):
 
 
 def test_forward_maxpool_fast_path_matches_naive_loops():
-    # MaxPool(2) and MaxPool(2, stride=2) both run the 2x2 fast path
+    # stride 0 means a stride equal to the size: MaxPool(2) is MaxPool(2, stride=2)
     x = np.random.default_rng(4).random((2, 10, 10, 3))
     want, _ = _naive_maxpool(x, 2, 2)
     for pool in (nn.MaxPool(2), nn.MaxPool(2, stride=2)):
@@ -146,24 +146,27 @@ def _planes(a):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hw", [(8, 8), (7, 9), (9, 6)])
 def test_maxpool2_output_and_input_grad_bit_identical_to_loops(hw, dtype):
-    # small integers tie often; the gradient must follow the row-major first max
+    # small integers tie often; the gradient must follow the row-major first
+    # max, and integer g keeps the sums of overlapping windows exact
     rng = np.random.default_rng(21)
     x = rng.integers(-2, 3, size=(3,) + hw + (2,)).astype(dtype)
-    want_y, winner = _naive_maxpool(x, 2, 2)
-    g = rng.standard_normal(want_y.shape).astype(dtype)
-    want_dx = np.zeros_like(x)
-    for idx in np.ndindex(g.shape):
-        hh, ww = winner[idx]
-        want_dx[idx[0], hh, ww, idx[3]] += g[idx]
-
     planes = _planes(x)
-    y, x5 = nn._maxpool2(planes)
-    dx = nn._maxpool2_grad(x5, y, _planes(g), planes.shape)
-    assert y.dtype == dx.dtype == dtype
-    assert np.array_equal(y, _planes(want_y))
-    assert dx.shape == planes.shape and np.array_equal(dx, _planes(want_dx))
-    net = nn.init_network([nn.MaxPool(2)], x.shape[1:], want_y[0].size, seed=0, dtype=dtype)
-    assert np.array_equal(nn.forward(net, x)[0], want_y.reshape(len(x), -1))
+    for size, stride in ((2, 2), (3, 2)):  # disjoint windows, overlapping windows
+        want_y, winner = _naive_maxpool(x, size, stride)
+        g = rng.integers(-4, 5, size=want_y.shape).astype(dtype)
+        want_dx = np.zeros_like(x)
+        for idx in np.ndindex(g.shape):
+            hh, ww = winner[idx]
+            want_dx[idx[0], hh, ww, idx[3]] += g[idx]
+
+        y = nn._maxpool(planes, size, stride)
+        dx = nn._maxpool_grad(planes, y, _planes(g), size, stride)
+        assert y.dtype == dx.dtype == dtype
+        assert np.array_equal(y, _planes(want_y))
+        assert dx.shape == planes.shape and np.array_equal(dx, _planes(want_dx))
+        net = nn.init_network([nn.MaxPool(size, stride)], x.shape[1:], want_y[0].size, seed=0,
+                              dtype=dtype)
+        assert np.array_equal(nn.forward(net, x)[0], want_y.reshape(len(x), -1))
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -351,8 +354,8 @@ def test_backward_finite_difference_small_net():
 def test_backward_maxpool_ties_route_to_first(pool):
     # A 1x1 conv with weights (1, 1) maps distinct 2-channel inputs onto equal
     # pooled values; the conv weight gradient then reveals which tied cell the
-    # pool routed to. Row-major first cell must win. stride=3 forces the
-    # general (windowed) pool path, stride=2 the fast path.
+    # pool routed to. Row-major first cell must win, at stride 2 and at a
+    # stride that leaves gaps between windows.
     net = nn.init_network([nn.Conv(1, 1), pool], (2, 2, 2), 1, seed=0)
     net.params[0]["w"][:] = 1.0
     net.params[0]["b"][:] = 0.0
@@ -364,20 +367,30 @@ def test_backward_maxpool_ties_route_to_first(pool):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_backward_after_inference_forward_matches_train_mode(dtype):
+def test_backward_after_inference_forward_matches_train_mode(dtype, monkeypatch):
     # without dropout the two modes compute the same forward, so they must
-    # give the same gradients; the inference cache keeps no 2x2 pool winners
-    # and no im2col copy
+    # give the same gradients; the inference cache keeps no pool winners and
+    # no im2col copy
     layers = [nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.Conv(4, 2, stride=2), nn.ReLU(),
               nn.MaxPool(3, 2), nn.FullyConnected(5)]
     net = nn.init_network(layers, (17, 17, 2), 5, seed=23, dtype=dtype)
     rng = np.random.default_rng(24)
     x = rng.random((4, 17, 17, 2)) - 0.5
     g = rng.standard_normal((4, 5))
+    pool_inputs = []
+    real_pool = nn._maxpool
+
+    def pool(planes, size, stride):
+        pool_inputs.append(planes)
+        return real_pool(planes, size, stride)
+
+    monkeypatch.setattr(nn, "_maxpool", pool)
     out_inf, cache_inf = nn.forward(net, x)
+    for idx, planes in zip((2, 5), pool_inputs):
+        c = cache_inf.layer_caches[idx]  # a view of the pool's input and the pooled map
+        assert c.keys() == {"x", "y"} and np.shares_memory(c["x"], planes)
     out_train, cache_train = nn.forward(net, x, train_mode=True, rng=rng)
     assert np.array_equal(out_inf, out_train)
-    assert "arg" not in cache_inf.layer_caches[2]
     assert "cols" not in cache_inf.layer_caches[3]  # backward rebuilds it from the input
     for a, b in zip(nn.backward(net, cache_inf, g), nn.backward(net, cache_train, g)):
         if a is not None:
@@ -413,12 +426,27 @@ def test_relu_leaves_callers_input_unchanged(layers, input_size):
     assert np.array_equal(x, before) and (x < 0).any()
 
 
-def _winner_search_maxpool2_grad(x5, g, in_shape):
-    """The 2x2 pool input gradient as found from the windows alone (each
-    window's winner searched again): the reference for the pooled-map version."""
+def _x5(x):
+    """(m, h, w) planes without an odd last row or column as (m, oh, 2, ow, 2)
+    2x2 windows."""
+    m, h, w = x.shape
+    return x[:, : h // 2 * 2, : w // 2 * 2].reshape(m, h // 2, 2, w // 2, 2)
+
+
+def _cells(x5):
+    """The four (m, oh, ow) cell views of (m, oh, 2, ow, 2) 2x2 windows, in
+    row-major order."""
+    return [x5[:, :, i, :, j] for i in (0, 1) for j in (0, 1)]
+
+
+def _winner_search_maxpool2_grad(x, g):
+    """The 2x2 pool input gradient over planes x as found from the windows
+    alone (each window's winner searched again): the reference for the
+    pooled-map version."""
+    x5 = _x5(x)
     m, oh, _, ow, _ = x5.shape
     g = g.reshape(m, oh, ow)
-    a, b, cc, d = nn._cells(x5)
+    a, b, cc, d = _cells(x5)
     bottom = np.maximum(cc, d) > np.maximum(a, b)
     right = d > cc
     right &= bottom
@@ -426,9 +454,9 @@ def _winner_search_maxpool2_grad(x5, g, in_shape):
     arg = right.view(np.uint8)
     arg += 2 * bottom.view(np.uint8)
     buf = np.empty(x5.shape, g.dtype)
-    for cell, dst in enumerate(nn._cells(buf)):
+    for cell, dst in enumerate(_cells(buf)):
         np.multiply(g, arg == cell, out=dst)
-    full = np.zeros(in_shape, g.dtype)
+    full = np.zeros(x.shape, g.dtype)
     full[:, : 2 * oh, : 2 * ow] = buf.reshape(m, 2 * oh, 2 * ow)
     return full
 
@@ -457,14 +485,15 @@ def test_maxpool2_grad_from_pooled_map_matches_winner_search(batch, hw, monkeypa
             seen.append(pool_grad(*args))
             return seen[-1]
 
-        monkeypatch.setattr(nn, "_maxpool2_grad", record)
+        monkeypatch.setattr(nn, "_maxpool_grad", record)
         out, cache = nn.forward(net, x, train_mode=True)
-        x5 = cache.layer_caches[2]["x5"]
-        return out, x5, nn.backward(net, cache, g), seen
+        planes = cache.layer_caches[2]["x"]
+        return out, planes, nn.backward(net, cache, g), seen
 
-    out, x5, grads, dx = run(nn._maxpool2_grad)
+    out, planes, grads, dx = run(nn._maxpool_grad)
     out_ref, _, grads_ref, dx_ref = run(
-        lambda x5, y, g, shape: _winner_search_maxpool2_grad(x5, g, shape))
+        lambda x, y, g, size, stride: _winner_search_maxpool2_grad(x, g))
+    x5 = _x5(planes)
     top = x5.max(axis=(2, 4), keepdims=True)
     assert ((x5 == top).sum(axis=(2, 4)) > 1).any(), "test data needs tied windows"
     assert (top <= 0).any() and (top > 0).any()
@@ -549,6 +578,10 @@ def _ref_backward(spec, p, x, g):
     ([nn.Conv(2, 2), nn.MaxPool(3, 2), nn.ReLU()], (10, 9, 3)),  # 3x3/2 pool, shared winners
     ([nn.Conv(3, 2, stride=2), nn.ReLU(), nn.FullyConnected(4)], (7, 6, 2)),  # flatten order
     ([nn.Conv(5, 2), nn.LRN(depth=3, k_const=2.0, alpha=0.01, beta=0.75)], (5, 6, 2)),
+    ([nn.Conv(2, 2), nn.MaxPool(2, 3)], (9, 10, 2)),  # gap rows and columns between windows
+    ([nn.Conv(2, 2), nn.MaxPool(2, 1)], (6, 7, 2)),  # windows overlap at stride 1
+    ([nn.Conv(2, 2), nn.ReLU(), nn.MaxPool(3, 2)], (10, 9, 3)),  # ReLU run after a 3x3/2 pool
+    ([nn.Conv(2, 2), nn.MaxPool(1)], (5, 4, 2)),  # one-cell windows
 ])
 def test_layers_match_naive_loops(layers, input_size, batch, dtype):
     # small integers keep every conv, pool and fc sum exact in any order, so
