@@ -48,6 +48,15 @@ def _check_sigma(sigma) -> None:
         raise InvalidArgumentError(f"sigma must be a finite number > 0, got {sigma!r}")
 
 
+def _check_input_size(size) -> None:
+    """Raise InvalidArgumentError unless size, a stage's net input, is three
+    sides (h, w, c), each at least 1."""
+    if len(size) != 3:
+        raise InvalidArgumentError(f"input_size must be (h, w, c), got {tuple(size)}")
+    if min(size) < 1:
+        raise InvalidArgumentError(f"input size must be >= 1 in every dimension, got {tuple(size)}")
+
+
 def net_input(image: np.ndarray, boxes: np.ndarray, input_size: tuple[int, int, int]) -> np.ndarray:
     """Crop image at each row of the (n, 4) box array, resample to the net
     input, adapt channels, and center pixel values; returns (n, h, w, c)."""
@@ -99,9 +108,7 @@ class StageConfig:
             raise InvalidArgumentError("crops_per_joint must be >= 1")
         if self.stage1_jitter_crops < 0:
             raise InvalidArgumentError("stage1_jitter_crops must be >= 0")
-        if min(self.input_size) < 1:
-            raise InvalidArgumentError(
-                f"input size must be >= 1 in every dimension, got {tuple(self.input_size)}")
+        _check_input_size(self.input_size)
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         nn.Dropout(self.dropout_keep)  # raises unless the keep probability is in (0, 1]
@@ -156,6 +163,7 @@ class CascadeModel:
     def __post_init__(self):
         _check_sigma(self.sigma)
         self.sigma = float(self.sigma)  # a numpy scalar would not serialize
+        _check_input_size(self.input_size)
         if len(self.stages) < 1:
             raise InvalidArgumentError("a cascade needs at least one stage")
         if len(self.stats) != len(self.stages):
@@ -474,8 +482,7 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
         stage_specs = list(header["stages"])
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as e:
         raise InvalidArgumentError(f"malformed cascade header: {e!r}") from None
-    if len(input_size) != 3:
-        raise InvalidArgumentError(f"cascade header: input_size must be (h, w, c), got {input_size}")
+    _check_input_size(input_size)  # before the sides shape any stage
     stages = []
     for s, specs in enumerate(stage_specs):
         try:
@@ -483,7 +490,7 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
             shapes = nn.param_shapes(layers, input_size, 2 * tree.k)
         except InvalidArgumentError as e:
             raise InvalidArgumentError(f"stage {s + 1}: {e}") from None
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise InvalidArgumentError(f"stage {s + 1}: malformed layers: {e!r}") from None
         params = [None if sh is None else {"w": r.float32(sh[0]), "b": r.float32(sh[1])}
                   for sh in shapes]

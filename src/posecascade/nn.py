@@ -4,9 +4,9 @@ The regressor is a stack of layers (conv / relu / cross-channel response
 normalization / max-pool / fully-connected / dropout) computing a 2k-vector of
 normalized joint coordinates from an image tensor. Everything runs on numpy in
 the dtype of the network's parameters: float32 for the cascade stages, float64
-(the `init_network` default) for gradient checks. Forward caches activations,
-backward produces exact reverse-mode gradients, and updates follow the
-adaptive-gradient rule (squared gradients accumulate per parameter and scale
+(the `init_network` default) for gradient checks. A train-mode forward caches
+activations, backward produces exact reverse-mode gradients from them, and
+updates follow the adaptive-gradient rule (squared gradients accumulate per parameter and scale
 the step down over time).
 
 Callers pass batches laid out (n, height, width, channels) and get (n,
@@ -69,6 +69,9 @@ class LRN:
     def __post_init__(self):
         if self.depth < 1:
             raise InvalidArgumentError(f"bad LRN depth {self.depth}")
+        k, alpha, beta = (float(v) for v in (self.k_const, self.alpha, self.beta))
+        if not (0 < k < math.inf and 0 <= alpha < math.inf and 0 <= beta < math.inf):  # False for NaN
+            raise InvalidArgumentError(f"LRN needs finite k_const > 0 and alpha, beta >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -417,13 +420,13 @@ def forward(
     x: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the net on a batch: x is (n, *input_size), one example per row.
 
-    Returns (output, cache), the output being (n, output_dim). The cache
-    feeds backward(); an inference-mode cache may hold views of x, so x must
-    not change before that backward. Dropout draws from rng only in train
-    mode. x is cast to the net's dtype, and so is everything computed from it.
+    Returns (output, cache), the output being (n, output_dim). A train-mode
+    forward's cache feeds backward(); an inference-mode forward keeps nothing
+    and returns None for it. Dropout draws from rng only in train mode. x is
+    cast to the net's dtype, and so is everything computed from it.
     """
     x = np.asarray(x)
     if x.shape[1:] != tuple(net.input_size):
@@ -442,11 +445,7 @@ def forward(
             cols = _im2col(x, spec.size, spec.stride)
             y = p["w"].reshape(-1, spec.filters).T @ cols
             y += p["b"][:, None]
-            if train_mode:
-                caches[idx] = {"in_shape": x.shape, "cols": cols}
-            else:  # keep the input, not its k*k times larger im2col copy, so
-                # the next layer reuses that memory; backward rebuilds cols
-                caches[idx] = {"in_shape": x.shape, "x": x}
+            caches[idx] = {"in_shape": x.shape, "cols": cols}
             del cols
             oh = (x.shape[2] - spec.size) // spec.stride + 1
             x = y.reshape(spec.filters, x.shape[1], oh, -1)
@@ -474,25 +473,27 @@ def forward(
             flat = _flat(x)
             caches[idx] = {"x": flat, "orig_shape": x.shape}
             x = flat @ p["w"] + p["b"]
-        elif isinstance(spec, Dropout):
-            if train_mode:
-                # drawn in the callers' layout, so the rng stream does not depend on ours
-                mask = _unflat(rng.random(x.size), x.shape) < spec.keep_prob
-                x = x * mask / spec.keep_prob
-                caches[idx] = {"mask": mask}
-            else:
-                caches[idx] = {"mask": None}
+        elif isinstance(spec, Dropout) and train_mode:
+            # drawn in the callers' layout, so the rng stream does not depend on ours
+            mask = _unflat(rng.random(x.size), x.shape) < spec.keep_prob
+            x = x * mask / spec.keep_prob
+            caches[idx] = {"mask": mask}
+        if not train_mode:
+            caches[idx] = None  # inference keeps nothing for backward
 
     out = _flat(x)
-    return out, ForwardCache(id(net), net.version, caches, out.shape, order, x.shape)
+    return out, (ForwardCache(id(net), net.version, caches, out.shape, order, x.shape)
+                 if train_mode else None)
 
 
-def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list[dict | None]:
+def backward(net: Network, cache: ForwardCache | None, output_grad: np.ndarray) -> list[dict | None]:
     """Reverse-mode gradients of a scalar loss w.r.t. every parameter.
 
     output_grad is dLoss/dOutput, shaped like the forward's output.
-    Gradients sum over the batch axis.
+    Gradients sum over the batch axis; cache is a train-mode forward's.
     """
+    if cache is None:
+        raise ContractViolationError("an inference-mode forward keeps no cache for backward")
     if cache.net_id != id(net) or cache.net_version != net.version:
         raise ContractViolationError("forward cache does not belong to this network state")
     dt = net.dtype
@@ -506,9 +507,8 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
         spec, p, c = net.layers[idx], net.params[idx], cache.layer_caches[idx]
         if isinstance(spec, Conv):
             in_shape = c["in_shape"]
-            cols = c["cols"] if "cols" in c else _im2col(c["x"], spec.size, spec.stride)
             gmat = g.reshape(spec.filters, -1)
-            dw = (cols @ gmat.T).reshape(spec.size, spec.size, in_shape[0], spec.filters)
+            dw = (c["cols"] @ gmat.T).reshape(spec.size, spec.size, in_shape[0], spec.filters)
             dx = None  # nothing below the first layer run consumes its input gradient
             if idx != cache.run_order[0]:
                 dx = _conv_input_grad(g, p["w"], in_shape, spec.stride)
@@ -531,8 +531,7 @@ def backward(net: Network, cache: ForwardCache, output_grad: np.ndarray) -> list
             grads[idx] = {"w": xin.T @ g, "b": g.sum(axis=0)}
             g = _unflat(g @ p["w"].T, c["orig_shape"])
         elif isinstance(spec, Dropout):
-            if c["mask"] is not None:
-                g = g * c["mask"] / spec.keep_prob
+            g = g * c["mask"] / spec.keep_prob
     return grads
 
 

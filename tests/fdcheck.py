@@ -7,13 +7,15 @@ from posecascade import nn
 
 def loss_and_grads(net, x, target, mask, rng_seed=None):
     """Scalar masked L2 loss plus analytic parameter gradients of the one
-    example x, run as a batch of one.
+    example x, run as a batch of one through a train-mode forward, the only
+    kind backward accepts.
 
-    A fresh rng per call keeps dropout masks identical across the repeated
-    forwards a finite-difference sweep makes.
+    A net with dropout needs rng_seed: a fresh rng per call keeps dropout
+    masks identical across the repeated forwards a finite-difference sweep
+    makes.
     """
     rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-    out, cache = nn.forward(net, x[None], train_mode=rng_seed is not None, rng=rng)
+    out, cache = nn.forward(net, x[None], train_mode=True, rng=rng)
     loss, grad = nn.l2_loss_batch(out, target[None], mask[None])
     return loss, nn.backward(net, cache, grad)
 
@@ -24,7 +26,7 @@ def max_rel_error(net, x, target, mask, step=1e-6, rng_seed=None):
 
     def loss_only():
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        out, _ = nn.forward(net, x[None], train_mode=rng_seed is not None, rng=rng)
+        out, _ = nn.forward(net, x[None], train_mode=True, rng=rng)
         loss, _ = nn.l2_loss_batch(out, target[None], mask[None])
         return loss
 

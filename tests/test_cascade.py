@@ -656,6 +656,15 @@ def test_cascade_model_rejects_bad_sigma(sigma):
         tiny_stage_config(sigma=sigma)
 
 
+@pytest.mark.parametrize("input_size", [(12, 12, 0), (-4, -4, 1), (12, 12), (12, 12, 1, 1)],
+                         ids=["no_channel", "negative", "two_sides", "four_sides"])
+def test_cascade_model_rejects_bad_input_size(input_size):
+    with pytest.raises(InvalidArgumentError, match="input"):
+        cascade.CascadeModel([zeroed_net()], [None], 1.0, TREE, input_size)
+    with pytest.raises(InvalidArgumentError, match="input"):
+        tiny_stage_config(input_size=input_size)
+
+
 @pytest.mark.parametrize("sigma", [1, 0.25, np.float32(2.0), 1e300])
 def test_cascade_model_accepts_finite_positive_sigma(sigma):
     model = cascade.CascadeModel([zeroed_net()], [None], sigma, TREE, INPUT)
@@ -836,14 +845,33 @@ def test_cascade_bad_layer_spec_names_its_stage(bad_spec):
     ("sigma", 0, "sigma"),
     ("sigma", "1.0", "sigma"),
     ("input_size", [INPUT[0] * INPUT[1]], "input_size"),  # fully connected stages would load
+    ("input_size", [INPUT[0], INPUT[1], 0], "input size must be >= 1"),
+    ("input_size", [-4, -4, 1], "input size must be >= 1"),  # would fail only in crop_resample
     ("stats", [None], "align"),
-], ids=["sigma_zero", "sigma_text", "input_size_flat", "stats_short"])
+], ids=["sigma_zero", "sigma_text", "input_size_flat", "input_size_no_channel",
+        "input_size_negative", "stats_short"])
 def test_cascade_bad_header_value_rejected(key, value, message):
     model = cascade.CascadeModel([zeroed_net(1), zeroed_net(2)], [None, _delta_stats((0.0, 0.0))],
                                  1.0, TREE, INPUT)
     header = _header(cascade.cascade_to_bytes(model))
     header[key] = value
     with pytest.raises(InvalidArgumentError, match=message):
+        cascade.cascade_from_bytes(_pack(header, model))
+
+
+@pytest.mark.parametrize("consts, message", [
+    ({"k_const": 0, "alpha": 0}, "LRN needs"),  # predict divided by zero
+    ({"k_const": -2}, "LRN needs"),
+    ({"beta": float("nan")}, "LRN needs"),
+    ({"alpha": -1}, "LRN needs"),  # large activations would turn the scale negative
+    ({"alpha": 10**400}, "malformed layers"),  # beyond the float range
+], ids=["k_zero", "k_negative", "beta_nan", "alpha_negative", "alpha_huge_int"])
+def test_cascade_bad_lrn_constants_rejected(consts, message):
+    layers = [nn.Conv(3, 3), nn.ReLU(), nn.LRN(), nn.FullyConnected(2 * K)]
+    model = _two_stage_model(tiny_stage_config(layers=layers, seed=3).build_network(2 * K))
+    header = _header(cascade.cascade_to_bytes(model))
+    header["stages"][1][2].update(consts)
+    with pytest.raises(InvalidArgumentError, match=f"stage 2: {message}"):
         cascade.cascade_from_bytes(_pack(header, model))
 
 

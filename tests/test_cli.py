@@ -68,7 +68,7 @@ def test_synth_repeat_same_digest(tmp_path, synth_dir):
 
 @pytest.mark.parametrize("flag, value", [("--noise", "-1"), ("--noise", "nan"),
                                          ("--noise", "inf"), ("--size", "0"), ("--size", "-4"),
-                                         ("--seed", "-3")])
+                                         ("--size", "6"), ("--seed", "-3")])
 def test_synth_bad_setting_is_data_error(tmp_path, capsys, flag, value):
     out = tmp_path / "synth"
     assert run("synth", "--out", str(out), "--count", "2", flag, value) == 2

@@ -361,8 +361,9 @@ def test_synth_rejects_bad_config():
         {"count": 1, "image_size": (0, 0)},
         {"count": 1, "image_size": (-4, -4)},
         {"count": 1, "image_size": (64, 0)},
+        {"count": 1, "image_size": (6, 64)},  # every joint would fall on one point
     ]
     for kwargs in bad:
         with pytest.raises(InvalidArgumentError):
             data.SynthConfig(**kwargs)
-    data.SynthConfig(count=1, image_size=(1, 1), noise_level=0.0)  # the smallest valid settings
+    data.SynthConfig(count=1, image_size=(7, 7), noise_level=0.0)  # the smallest valid settings

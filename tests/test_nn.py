@@ -208,6 +208,20 @@ def test_forward_lrn_matches_naive():
     assert np.allclose(out[0], want.reshape(-1), atol=1e-12)
 
 
+@pytest.mark.parametrize("consts", [
+    {"k_const": 0, "alpha": 0},  # a zero scale: x / 0^beta
+    {"k_const": -2},
+    {"beta": float("nan")},
+    {"alpha": -1},  # large activations would turn the scale negative
+    {"k_const": float("inf")},
+], ids=["k_zero", "k_negative", "beta_nan", "alpha_negative", "k_inf"])
+def test_lrn_rejects_constants_that_leave_scale_not_positive(consts):
+    with pytest.raises(InvalidArgumentError, match="LRN needs finite k_const > 0"):
+        nn.spec_from_dict({"kind": "lrn", "depth": 5, **consts})
+    # k > 0 alone keeps the scale positive
+    nn.spec_from_dict({"kind": "lrn", "depth": 5, "k_const": 1e-9, "alpha": 0, "beta": 0})
+
+
 def test_forward_shape_mismatch():
     net = fc_net(4, 2)
     with pytest.raises(ShapeError):
@@ -311,7 +325,7 @@ def test_l2_loss_batch_is_mean():
 
 def test_backward_zero_grad_gives_zero():
     net = nn.init_network([nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(3)], (5, 5, 1), 3, seed=2)
-    out, cache = nn.forward(net, np.random.default_rng(0).random((5, 5, 1))[None])
+    out, cache = nn.forward(net, np.random.default_rng(0).random((5, 5, 1))[None], train_mode=True)
     grads = nn.backward(net, cache, np.zeros_like(out))
     for g in grads:
         if g is not None:
@@ -321,7 +335,7 @@ def test_backward_zero_grad_gives_zero():
 def test_backward_linear_layer_gradient():
     net = fc_net(2, 1)
     x = np.array([1.0, 2.0])
-    out, cache = nn.forward(net, x[None])
+    out, cache = nn.forward(net, x[None], train_mode=True)
     grads = nn.backward(net, cache, np.array([1.0])[None])  # loss = w . x + b
     assert np.allclose(grads[0]["w"].reshape(-1), [1.0, 2.0])
     assert np.allclose(grads[0]["b"], [1.0])
@@ -329,7 +343,7 @@ def test_backward_linear_layer_gradient():
 
 def test_backward_stale_cache_rejected():
     net = fc_net(3, 2)
-    out, cache = nn.forward(net, np.ones(3)[None])
+    out, cache = nn.forward(net, np.ones(3)[None], train_mode=True)
     state = nn.OptimizerState.for_network(net)
     grads = nn.backward(net, cache, np.ones(2)[None])
     nn.adagrad_step(net, grads, state)
@@ -360,41 +374,24 @@ def test_backward_maxpool_ties_route_to_first(pool):
     net.params[0]["w"][:] = 1.0
     net.params[0]["b"][:] = 0.0
     x = np.array([[[0.0, 3.0], [3.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]])
-    out, cache = nn.forward(net, x[None])
+    out, cache = nn.forward(net, x[None], train_mode=True)
     assert out[0][0] == 3.0  # all four cells tie at 3.0
     grads = nn.backward(net, cache, np.array([1.0])[None])
     assert np.allclose(grads[0]["w"].reshape(-1), [0.0, 3.0])  # cell (0, 0) won
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_backward_after_inference_forward_matches_train_mode(dtype, monkeypatch):
-    # without dropout the two modes compute the same forward, so they must
-    # give the same gradients; the inference cache keeps no pool winners and
-    # no im2col copy
-    layers = [nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.Conv(4, 2, stride=2), nn.ReLU(),
-              nn.MaxPool(3, 2), nn.FullyConnected(5)]
-    net = nn.init_network(layers, (17, 17, 2), 5, seed=23, dtype=dtype)
-    rng = np.random.default_rng(24)
-    x = rng.random((4, 17, 17, 2)) - 0.5
-    g = rng.standard_normal((4, 5))
-    pool_inputs = []
-    real_pool = nn._maxpool
-
-    def pool(planes, size, stride):
-        pool_inputs.append(planes)
-        return real_pool(planes, size, stride)
-
-    monkeypatch.setattr(nn, "_maxpool", pool)
-    out_inf, cache_inf = nn.forward(net, x)
-    for idx, planes in zip((2, 5), pool_inputs):
-        c = cache_inf.layer_caches[idx]  # a view of the pool's input and the pooled map
-        assert c.keys() == {"x", "y"} and np.shares_memory(c["x"], planes)
-    out_train, cache_train = nn.forward(net, x, train_mode=True, rng=rng)
-    assert np.array_equal(out_inf, out_train)
-    assert "cols" not in cache_inf.layer_caches[3]  # backward rebuilds it from the input
-    for a, b in zip(nn.backward(net, cache_inf, g), nn.backward(net, cache_train, g)):
-        if a is not None:
-            assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
+@pytest.mark.parametrize("layers", [
+    [nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(5)],
+    [nn.FullyConnected(6), nn.Dropout(0.5), nn.FullyConnected(5)],
+])
+def test_backward_refuses_inference_forward(layers):
+    # only a train-mode forward keeps what backward reads
+    net = nn.init_network(layers, (7, 7, 2), 5, seed=23)
+    x = np.random.default_rng(24).random((3, 7, 7, 2))
+    out, cache = nn.forward(net, x)
+    assert cache is None and out.shape == (3, 5)
+    with pytest.raises(ContractViolationError):
+        nn.backward(net, cache, np.ones_like(out))
 
 
 def test_conv_bias_grad_float32_sum_is_accurate():
@@ -923,7 +920,7 @@ def test_relu_after_maxpool_is_bit_identical(pool, dtype, monkeypatch):
         one = nn.init_network([spec], in_size, int(np.prod(shape)), seed=0, dtype=dtype)
         one.params[0] = net.params[idx]
         y = nn.forward(one, y)[0].reshape((len(x),) + shape)
-    out, cache = nn.forward(net, x)
+    out, cache = nn.forward(net, x, train_mode=True)
     assert cache.run_order == [0, 2, 1, 3]
     assert np.array_equal(out, y.reshape(len(x), -1))
 
@@ -931,7 +928,7 @@ def test_relu_after_maxpool_is_bit_identical(pool, dtype, monkeypatch):
     g = rng.standard_normal(out.shape)
     swapped = nn.backward(net, cache, g)
     monkeypatch.setattr(nn, "_run_order", lambda layers: list(range(len(layers))))
-    out_plain, cache_plain = nn.forward(net, x)
+    out_plain, cache_plain = nn.forward(net, x, train_mode=True)
     assert cache_plain.run_order == [0, 1, 2, 3]
     plain = nn.backward(net, cache_plain, g)
     assert np.array_equal(out, out_plain)
