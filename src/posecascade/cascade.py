@@ -72,22 +72,18 @@ def net_input(image: np.ndarray, boxes: np.ndarray, input_size: tuple[int, int, 
     return crops - 0.5
 
 
+def default_hidden(dropout_keep: float = 0.6, use_lrn: bool = False) -> list[nn.LayerSpec]:
+    """Desk-scale stack below the output: two conv/pool blocks then a fully
+    connected layer with dropout."""
+    lrn: list[nn.LayerSpec] = [nn.LRN()] if use_lrn else []
+    return [nn.Conv(filters=8, size=5), nn.ReLU(), *lrn, nn.MaxPool(2),
+            nn.Conv(filters=16, size=3), nn.ReLU(), *lrn, nn.MaxPool(2),
+            nn.FullyConnected(128), nn.ReLU(), nn.Dropout(dropout_keep)]
+
+
 def default_layers(dropout_keep: float, output_dim: int, use_lrn: bool = False) -> list[nn.LayerSpec]:
-    """Desk-scale stack: two conv/pool blocks then two fully connected layers."""
-    layers: list[nn.LayerSpec] = [nn.Conv(filters=8, size=5), nn.ReLU()]
-    if use_lrn:
-        layers.append(nn.LRN())
-    layers += [nn.MaxPool(2), nn.Conv(filters=16, size=3), nn.ReLU()]
-    if use_lrn:
-        layers.append(nn.LRN())
-    layers += [
-        nn.MaxPool(2),
-        nn.FullyConnected(128),
-        nn.ReLU(),
-        nn.Dropout(dropout_keep),
-        nn.FullyConnected(output_dim),
-    ]
-    return layers
+    """The default hidden stack under an output_dim-unit output layer."""
+    return default_hidden(dropout_keep, use_lrn) + [nn.FullyConnected(output_dim)]
 
 
 @dataclass
@@ -96,9 +92,7 @@ class StageConfig:
     crops_per_joint: int = 40  # refinement samples per (example, joint)
     stage1_jitter_crops: int = 4  # extra translated copies per stage-1 example
     input_size: tuple[int, int, int] = (60, 60, 1)
-    layers: list[nn.LayerSpec] | None = None  # None: default_layers
-    use_lrn: bool = False  # only consulted when layers is None
-    dropout_keep: float = 0.6  # only consulted when layers is None
+    hidden: list[nn.LayerSpec] = field(default_factory=default_hidden)  # below the 2k output
     train: nn.TrainConfig = field(default_factory=lambda: nn.TrainConfig(epochs=10))
     seed: int = 0  # weight init and augmentation draws
 
@@ -111,21 +105,14 @@ class StageConfig:
         _check_input_size(self.input_size)
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        nn.Dropout(self.dropout_keep)  # raises unless the keep probability is in (0, 1]
-        # raises naming the first layer that does not fit the input; only the
-        # last layer's width depends on the joint count
-        nn.chain_shapes(self._stage_layers(1), self.input_size)
-
-    def _stage_layers(self, output_dim: int) -> list[nn.LayerSpec]:
-        """The given layers, or the default stack ending in output_dim units."""
-        if self.layers is not None:
-            return self.layers
-        return default_layers(self.dropout_keep, output_dim, self.use_lrn)
+        # raises naming the first layer that does not fit the input
+        nn.chain_shapes(self.hidden, self.input_size)
 
     def build_network(self, output_dim: int) -> nn.Network:
-        """A float32 net; its weights are the float64 draws of the seed, cast."""
-        return nn.init_network(self._stage_layers(output_dim), self.input_size, output_dim,
-                               self.seed, dtype=np.float32)
+        """A float32 net of the hidden stack under an output_dim-unit layer;
+        its weights are the float64 draws of the seed, cast."""
+        return nn.init_network([*self.hidden, nn.FullyConnected(output_dim)], self.input_size,
+                               output_dim, self.seed, dtype=np.float32)
 
 
 @dataclass

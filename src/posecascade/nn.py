@@ -106,6 +106,9 @@ class Dropout:
     def __post_init__(self):
         if not (0.0 < self.keep_prob <= 1.0):
             raise InvalidArgumentError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if np.float32(self.keep_prob) == 0:  # a float32 net would divide by it
+            raise InvalidArgumentError(f"keep_prob must be in (0, 1] and nonzero in float32, "
+                                       f"got {self.keep_prob}")
 
 
 LayerSpec = Conv | ReLU | LRN | MaxPool | FullyConnected | Dropout

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def tiny_stage_config(**kw):
         crops_per_joint=2,
         stage1_jitter_crops=1,
         input_size=INPUT,
-        layers=[nn.FullyConnected(2 * K)],
+        hidden=[],
         train=nn.TrainConfig(epochs=1, batch_size=8, seed=1),
         seed=0,
     )
@@ -30,10 +31,9 @@ def tiny_stage_config(**kw):
     return cascade.StageConfig(**defaults)
 
 
-def zeroed_net(seed=0, layers=None):
-    net = cascade.StageConfig(
-        sigma=1.0, input_size=INPUT, layers=layers or [nn.FullyConnected(2 * K)], seed=seed
-    ).build_network(2 * K)
+def zeroed_net(seed=0, hidden=()):
+    config = cascade.StageConfig(sigma=1.0, input_size=INPUT, hidden=list(hidden), seed=seed)
+    net = config.build_network(2 * K)
     for p in net.params:
         if p is not None:
             p["w"][:] = 0.0
@@ -44,7 +44,7 @@ def zeroed_net(seed=0, layers=None):
 def random_net(seed=0):
     return cascade.StageConfig(
         sigma=1.0, input_size=INPUT,
-        layers=[nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(2 * K)], seed=seed,
+        hidden=[nn.Conv(2, 3), nn.ReLU()], seed=seed,
     ).build_network(2 * K)
 
 
@@ -675,7 +675,7 @@ def test_cascade_model_accepts_finite_positive_sigma(sigma):
 def overflowing_net():
     """Finite float32 parameters whose output overflows to inf on any input:
     the hidden units are all 3e38 and the output sums two of them."""
-    net = zeroed_net(layers=[nn.FullyConnected(2), nn.FullyConnected(2 * K)])
+    net = zeroed_net(hidden=[nn.FullyConnected(2)])
     net.params[0]["b"][:] = 3e38
     net.params[1]["w"][:] = 1.0
     return net
@@ -736,8 +736,20 @@ def test_cascade_round_trip(tmp_path):
     assert cascade.cascade_to_bytes(model) == cascade.cascade_to_bytes(loaded)
 
 
+@pytest.mark.parametrize("use_lrn", [False, True])
+def test_default_layers_are_the_default_hidden_stack_under_the_output(use_lrn):
+    lrn = [nn.LRN()] if use_lrn else []
+    assert cascade.default_layers(0.6, 18, use_lrn) == [
+        nn.Conv(8, 5), nn.ReLU(), *lrn, nn.MaxPool(2), nn.Conv(16, 3), nn.ReLU(), *lrn,
+        nn.MaxPool(2), nn.FullyConnected(128), nn.ReLU(), nn.Dropout(0.6), nn.FullyConnected(18),
+    ]
+    assert cascade.default_layers(0.6, 18, use_lrn) == \
+        cascade.default_hidden(0.6, use_lrn) + [nn.FullyConnected(18)]
+
+
 def test_stage_networks_are_float32():
-    net = tiny_stage_config(layers=None, input_size=(20, 20, 1)).build_network(2 * K)
+    config = tiny_stage_config(hidden=cascade.default_hidden(), input_size=(20, 20, 1))
+    net = config.build_network(2 * K)
     assert net.dtype == np.float32
     assert all(p["w"].dtype == np.float32 for p in net.params if p is not None)
 
@@ -801,15 +813,15 @@ def _pack(header, model):
 
 def test_cascade_file_is_one_header_then_float32_parameters():
     every_kind = [nn.Conv(3, 3), nn.ReLU(), nn.LRN(), nn.MaxPool(2), nn.FullyConnected(5),
-                  nn.Dropout(0.6), nn.FullyConnected(2 * K)]
-    model = _two_stage_model(tiny_stage_config(layers=every_kind, seed=3).build_network(2 * K))
+                  nn.Dropout(0.6)]
+    model = _two_stage_model(tiny_stage_config(hidden=every_kind, seed=3).build_network(2 * K))
     data_ = cascade.cascade_to_bytes(model)
     header = _header(data_)
     assert header["format_version"] == cascade.CASCADE_FORMAT_VERSION == 2
     assert header["stages"] == [[nn.spec_to_dict(s) for s in net.layers] for net in model.stages]
     assert data_ == _pack(header, model)
     loaded = cascade.cascade_from_bytes(data_)
-    assert loaded.stages[1].layers == every_kind
+    assert loaded.stages[1].layers == [*every_kind, nn.FullyConnected(2 * K)]
     assert cascade.cascade_to_bytes(loaded) == data_
 
 
@@ -867,8 +879,8 @@ def test_cascade_bad_header_value_rejected(key, value, message):
     ({"alpha": 10**400}, "malformed layers"),  # beyond the float range
 ], ids=["k_zero", "k_negative", "beta_nan", "alpha_negative", "alpha_huge_int"])
 def test_cascade_bad_lrn_constants_rejected(consts, message):
-    layers = [nn.Conv(3, 3), nn.ReLU(), nn.LRN(), nn.FullyConnected(2 * K)]
-    model = _two_stage_model(tiny_stage_config(layers=layers, seed=3).build_network(2 * K))
+    hidden = [nn.Conv(3, 3), nn.ReLU(), nn.LRN()]
+    model = _two_stage_model(tiny_stage_config(hidden=hidden, seed=3).build_network(2 * K))
     header = _header(cascade.cascade_to_bytes(model))
     header["stages"][1][2].update(consts)
     with pytest.raises(InvalidArgumentError, match=f"stage 2: {message}"):
@@ -914,7 +926,7 @@ def test_cascade_malformed_header_rejected(data_):
 def _fuzz_cascade_bytes():
     """A two-stage cascade of tiny nets, so that most bits are header bits."""
     config = cascade.StageConfig(sigma=1.0, input_size=(4, 4, 1),
-                                 layers=[nn.Conv(1, 3), nn.ReLU(), nn.FullyConnected(2 * K)])
+                                 hidden=[nn.Conv(1, 3), nn.ReLU()])
     nets = [config.build_network(2 * K) for _ in range(2)]
     stats = _delta_stats((0.5, -0.25))
     model = cascade.CascadeModel(nets, [None, stats], 1.0, TREE, (4, 4, 1))
@@ -922,6 +934,25 @@ def _fuzz_cascade_bytes():
 
 
 CASCADE_BYTES = _fuzz_cascade_bytes()
+
+
+def test_cascade_declaring_millions_of_joints_fails_without_allocating_for_them():
+    # a few hundred bytes with k = 3 million: the tree's cycle check once
+    # allocated about 36 B per declared joint before the file failed as truncated
+    k = 3_000_000
+    header = {"format_version": cascade.CASCADE_FORMAT_VERSION, "sigma": 1.0,
+              "input_size": [1, 1, 1], "stats": [None], "stages": [[{"kind": "fc", "units": 2 * k}]],
+              "tree": {"k": k, **{name: [list(p) for p in getattr(TREE, name)]
+                                  for name in cascade._TREE_PAIRS}}}
+    data_ = container.pack_header(cascade.CASCADE_MAGIC, header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="truncated"):
+            cascade.cascade_from_bytes(data_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=150, deadline=None)

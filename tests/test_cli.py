@@ -212,6 +212,7 @@ def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch
     ("--dropout", "0", "keep_prob must be in (0, 1]"),
     ("--dropout", "1.5", "keep_prob must be in (0, 1]"),
     ("--dropout", "nan", "keep_prob must be in (0, 1]"),
+    ("--dropout", "1e-46", "nonzero in float32"),  # 0 as float32: trained to nan loss
     ("--lr", "inf", "learning rate must be positive and finite"),
     ("--lr", "nan", "learning rate must be positive and finite"),
     ("--input-size", "4", "layer 0 (Conv): 5x5 filter exceeds input 4x4"),

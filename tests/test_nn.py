@@ -262,6 +262,13 @@ def test_dropout_train_requires_rng():
         nn.forward(net, np.ones(4)[None], train_mode=True)
 
 
+def test_dropout_rejects_a_keep_that_is_zero_in_float32():
+    # 1e-46 is below float32's smallest subnormal: a stage net would scale by 1/0
+    with pytest.raises(InvalidArgumentError, match="nonzero in float32"):
+        nn.Dropout(1e-46)
+    assert nn.Dropout(1e-45).keep_prob == 1e-45  # float32 1.4e-45, still positive
+
+
 def test_spatial_dropout_draws_its_mask_in_input_layout():
     # the engine's channel-major activations must not change the rng stream
     net = nn.init_network([nn.Dropout(0.5)], (3, 4, 2), 24, seed=0)

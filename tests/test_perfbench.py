@@ -49,12 +49,21 @@ def test_workload_stage_config_builds():
     assert config.train.epochs == 1 and config.crops_per_joint == 1
 
 
+def test_per_layer_timing_covers_the_default_stack(monkeypatch):
+    # the traced benchmark run times these; a failure there ends the run
+    layers = _load("layers")
+    monkeypatch.setattr(layers, "BATCH", 4)
+    metrics = layers.layer_metrics(reps=1)
+    assert len(metrics) == 24  # fwd and bwd of the 10 default layers, LRN and the 3x3/2 pool
+    assert all(np.isfinite(v) for v in metrics.values())
+
+
 def test_round_trip_check_passes_on_a_two_stage_cascade(tmp_path):
     workloads = _load("workloads")
     tree = data.default_tree()
     k = tree.k
     config = cascade.StageConfig(sigma=1.0, input_size=(8, 8, 1),
-                                 layers=[nn.Conv(2, 3), nn.ReLU(), nn.FullyConnected(2 * k)])
+                                 hidden=[nn.Conv(2, 3), nn.ReLU()])
     stats = cascade.DisplacementStats(np.full((k, 2), 0.5), np.ones((k, 2)), np.ones(k, bool),
                                       np.full(k, 3))
     model = cascade.CascadeModel([config.build_network(2 * k) for _ in range(2)], [None, stats],
