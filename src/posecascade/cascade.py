@@ -241,7 +241,7 @@ def refinement_views(
             try:
                 rows = joint_box(pose, config.sigma, tree)
             except InvalidArgumentError:
-                log.warning("skipping %s: degenerate pose diameter", ex.image_path)
+                log.warning("skipping %s: degenerate joint box", ex.image_path)
                 continue
             joints = np.repeat(np.flatnonzero(pose.mask & stats.present), config.crops_per_joint)
             delta = sample_displacement(stats, joints, rng)
@@ -363,8 +363,8 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
     estimate. Either way the output v decodes as v * box size + box center,
     so a zero output at stage s >= 2 reproduces the previous pose exactly.
     b0 is the (4,) row cx, cy, w, h of the initial box, the full image when
-    None. If an intermediate pose gives a box side sigma * diameter that is
-    zero or not finite, or a refinement stage outputs a non-finite value, the
+    None. If an intermediate pose gives a box side sigma * diameter below one
+    pixel or not finite, or a refinement stage outputs a non-finite value, the
     cascade stops at the previous pose and the result is flagged truncated.
     A non-finite stage-1 output raises InvalidArgumentError, since there is
     no earlier pose to keep.

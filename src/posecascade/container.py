@@ -9,6 +9,7 @@ stray struct.error, UnicodeDecodeError or ValueError.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,8 +54,9 @@ class Reader:
         return header
 
     def float32(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A native-order copy of prod(shape) little-endian float32 values."""
-        stored = np.frombuffer(self.take(4 * int(np.prod(shape))), dtype="<f4")
+        """A native-order copy of prod(shape) little-endian float32 values;
+        the byte count is an exact integer, so no shape from a header wraps it."""
+        stored = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
         return stored.reshape(shape).astype(np.float32)
 
     def finish(self) -> None:

@@ -141,11 +141,13 @@ def pose_diameter(pose: PoseVector, tree: PoseTree) -> float:
 def joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> np.ndarray:
     """The (k, 4) rows of every joint's square box, in refinement training
     and prediction alike: centered on the joint, side sigma * pose_diameter.
-    Raises InvalidArgumentError when the side is zero or not finite, and
-    MissingTorsoError when no torso pair is labeled."""
+    Raises InvalidArgumentError when the side is below one pixel (zero
+    included) or not finite, and MissingTorsoError when no torso pair is
+    labeled. A box below a pixel crops a near-uniform patch, and its
+    targets, offset / side, overflow training as the side shrinks."""
     side = float(sigma) * pose_diameter(pose, tree)  # a Python float overflows to inf silently
-    if not (math.isfinite(side) and side > 0):
-        raise InvalidArgumentError(f"joint box side {side} is degenerate")
+    if not (math.isfinite(side) and side >= 1.0):
+        raise InvalidArgumentError(f"joint box side {side} is degenerate: below 1 pixel or not finite")
     return np.hstack([pose.joints, np.full((pose.k, 2), side)])
 
 

@@ -11,9 +11,9 @@ the step down over time).
 
 Callers pass batches laid out (n, height, width, channels) and get (n,
 output_dim) back. Inside forward and backward, activations are channel-major,
-(channels, n, height, width): a conv's im2col matrix is then k*k contiguous
-slice copies and its GEMM output is already the next activation, and pools
-work on contiguous (channels * n, height, width) planes. For one channel the
+(channels, n, height, width): convs and pools then read their windows as
+the same k*k cell views of contiguous (channels * n, height, width) planes,
+and a conv's GEMM output is already the next activation. For one channel the
 conversion at entry is a free view. Weights keep the callers' layout: conv
 filters are (kh, kw, c, f) and fully-connected weights read features in
 (h, w, c) order.
@@ -196,9 +196,9 @@ def param_shapes(
     """
     shapes = chain_shapes(layers, input_size)
     final = shapes[-1] if shapes else tuple(input_size)
-    if int(np.prod(final)) != output_dim:
+    if math.prod(final) != output_dim:
         raise ShapeError(
-            f"final layer produces {int(np.prod(final))} values, expected output_dim={output_dim}"
+            f"final layer produces {math.prod(final)} values, expected output_dim={output_dim}"
         )
     out = []
     in_shape = tuple(int(s) for s in input_size)
@@ -206,7 +206,7 @@ def param_shapes(
         if isinstance(spec, Conv):
             out.append(((spec.size, spec.size, in_shape[2], spec.filters), (spec.filters,)))
         elif isinstance(spec, FullyConnected):
-            out.append(((int(np.prod(in_shape)), spec.units), (spec.units,)))
+            out.append(((math.prod(in_shape), spec.units), (spec.units,)))
         else:
             out.append(None)
         in_shape = out_shape
@@ -263,7 +263,7 @@ def init_network(
             params.append(None)
             continue
         w_shape, b_shape = shp
-        std = 1.0 / np.sqrt(int(np.prod(w_shape[:-1])))  # fan_in
+        std = 1.0 / np.sqrt(math.prod(w_shape[:-1]))  # fan_in
         w = rng.normal(0.0, std, size=w_shape)
         params.append({"w": w.astype(dtype, copy=False), "b": np.zeros(b_shape, dtype)})
     return Network(
@@ -322,25 +322,15 @@ def _unflat(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _lrn_window_sum(s: np.ndarray, radius: int) -> np.ndarray:
-    """Sum of s over the clamped channel window [c-radius, c+radius] of axis 0."""
-    c = s.shape[0]
-    cs = np.concatenate([np.zeros((1,) + s.shape[1:], s.dtype), np.cumsum(s, axis=0)])
-    hi = np.minimum(np.arange(c) + radius, c - 1) + 1
-    lo = np.maximum(np.arange(c) - radius, 0)
-    return cs[hi] - cs[lo]
-
-
-def _im2col(x: np.ndarray, k: int, s: int) -> np.ndarray:
-    """(k*k*c, n*oh*ow) windows of a (c, n, h, w) input: one contiguous slice
-    copy per kernel offset, rows in the (kh, kw, c) order of the (kh, kw, c, f)
-    weight layout."""
-    c, n, h, w = x.shape
-    oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    cols = np.empty((k, k, c, n, oh, ow), x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[i, j] = x[:, :, i : i + s * oh : s, j : j + s * ow : s]
-    return cols.reshape(k * k * c, n * oh * ow)
+    """Sum of s over the clamped channel window [c-radius, c+radius] of axis
+    0: s plus its slices shifted by 1 .. radius channels either way. A shift
+    of c or more reaches no channel, so a radius read from a model file costs
+    at most c - 1 shifts."""
+    out = s.copy()
+    for d in range(1, min(radius, s.shape[0] - 1) + 1):
+        out[d:] += s[:-d]
+        out[:-d] += s[d:]
+    return out
 
 
 def _windows(x: np.ndarray, size: int, stride: int) -> list[np.ndarray]:
@@ -404,17 +394,14 @@ def _conv_input_grad(
     g: np.ndarray, w: np.ndarray, in_shape: tuple[int, ...], stride: int
 ) -> np.ndarray:
     """Input gradient of a conv over a (c, n, h, w) input from its (f, n, oh,
-    ow) output gradient: one GEMM per kernel offset (i, j), added into the
-    input pixels that offset read (output tap (h, w) read pixel
-    (i + stride*h, j + stride*w))."""
-    f, n, oh, ow = g.shape
-    s = stride
+    ow) output gradient: one GEMM per kernel offset t, added into window
+    cell view t of the input planes, the pixels that offset read."""
+    c, f = w.shape[2:]
     gmat = g.reshape(f, -1)
     dx = np.zeros(in_shape, g.dtype)
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            part = (w[i, j] @ gmat).reshape(in_shape[0], n, oh, ow)
-            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += part
+    cells = _windows(dx.reshape(c * in_shape[1], *in_shape[2:]), w.shape[0], stride)
+    for tap, cell in zip(w.reshape(-1, c, f), cells):
+        cell += (tap @ gmat).reshape(cell.shape)
     return dx
 
 
@@ -445,13 +432,19 @@ def forward(
     for idx in order:
         spec, p = net.layers[idx], net.params[idx]
         if isinstance(spec, Conv):
-            cols = _im2col(x, spec.size, spec.stride)
+            # im2col: rows in the (kh, kw, c) order of the weights, columns (n, oh, ow)
+            c, n, h, w = x.shape
+            cells = _windows(x.reshape(c * n, h, w), spec.size, spec.stride)
+            cols = np.empty((len(cells),) + cells[0].shape, x.dtype)
+            for t, cell in enumerate(cells):
+                cols[t] = cell
+            oh, ow = cells[0].shape[1:]
+            cols = cols.reshape(-1, n * oh * ow)
             y = p["w"].reshape(-1, spec.filters).T @ cols
             y += p["b"][:, None]
             caches[idx] = {"in_shape": x.shape, "cols": cols}
-            del cols
-            oh = (x.shape[2] - spec.size) // spec.stride + 1
-            x = y.reshape(spec.filters, x.shape[1], oh, -1)
+            del cells, cols
+            x = y.reshape(spec.filters, n, oh, ow)
         elif isinstance(spec, ReLU):
             # in place, except on the callers' array: a pool run just before
             # shares its output with this ReLU (see _maxpool_grad)

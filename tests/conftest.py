@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from posecascade import cascade
+from posecascade import cascade, container
+from posecascade.data import default_tree
 from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import PoseTree, PoseVector
 
@@ -32,6 +33,19 @@ def file_with_param(model, array, index: int, value) -> bytes:
     pos = next(i for i, a in enumerate(arrays) if a is array)
     at = len(data) - sum(a.nbytes for a in arrays[pos:]) + 4 * index
     return data[:at] + np.array([value], dtype="<f4").tobytes() + data[at + 4 :]
+
+
+def wrapping_size_model() -> bytes:
+    """A one-stage cascade file on a 4x1x1 input whose first weight holds
+    4 * (2**62 + 1) values, then 4 KiB of zeros. Sized in int64 the byte
+    count of that weight wraps to 16; sized exactly it exceeds the file."""
+    tree = default_tree()
+    header = {"format_version": cascade.CASCADE_FORMAT_VERSION, "sigma": 1.0,
+              "input_size": [4, 1, 1], "stats": [None],
+              "stages": [[{"kind": "fc", "units": 2**62 + 1}, {"kind": "fc", "units": 2 * tree.k}]],
+              "tree": {"k": tree.k, **{name: [list(p) for p in getattr(tree, name)]
+                                      for name in cascade._TREE_PAIRS}}}
+    return container.pack_header(cascade.CASCADE_MAGIC, header) + bytes(4096)
 
 
 @pytest.fixture(scope="module")

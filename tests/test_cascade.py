@@ -10,7 +10,7 @@ from posecascade import cascade, container, data, nn
 from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import PoseTree, crop_resample, full_image_box, parse_box, pose_diameter
 
-from conftest import make_pose
+from conftest import make_pose, wrapping_size_model
 
 TREE = data.default_tree()
 K = TREE.k
@@ -357,7 +357,7 @@ def test_refinement_skips_a_pose_whose_side_is_not_finite(caplog):
         records = list(cascade.refinement_views([wide, narrow], TREE, _delta_stats((1.0, 0.0)),
                                                 cfg, np.random.default_rng(0)))
     assert len(records) == 2 and records[0].image is narrow.image  # narrow and its mirror
-    assert caplog.messages == ["skipping mem_1: degenerate pose diameter"] * 2
+    assert caplog.messages == ["skipping mem_1: degenerate joint box"] * 2
     side = 1e307 * pose_diameter(narrow.pose, TREE)
     assert all(np.array_equal(r.boxes[:, 2:], np.full((K, 2), side)) for r in records)
     assert all(np.isfinite(cascade.view_targets(r.boxes, r.offsets, r.masks)).all() for r in records)
@@ -953,6 +953,11 @@ def test_cascade_declaring_millions_of_joints_fails_without_allocating_for_them(
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_cascade_parameter_sizes_do_not_wrap():
+    with pytest.raises(InvalidArgumentError, match="truncated"):
+        cascade.cascade_from_bytes(wrapping_size_model())
 
 
 @settings(max_examples=150, deadline=None)

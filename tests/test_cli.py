@@ -14,7 +14,7 @@ from posecascade import cli, data, nn
 from posecascade.cascade import load_cascade, save_cascade
 from posecascade.errors import InvalidArgumentError
 
-from conftest import file_with_param, loads_or_is_rejected, mutated
+from conftest import file_with_param, loads_or_is_rejected, mutated, wrapping_size_model
 
 
 def run(*argv):
@@ -240,7 +240,21 @@ def test_train_overflowing_refinement_side_skips_the_figure(tmp_path, synth_dir,
                    "--stages", "2", "--epochs", "1", "--crops-per-joint", "1",
                    "--input-size", "24", "--sigma", "1e307")
     assert code == 0
-    assert "degenerate pose diameter" in caplog.text
+    assert "degenerate joint box" in caplog.text
+
+
+@pytest.mark.parametrize("sigma", ["1e-3", "1e-40"])
+def test_train_sub_pixel_refinement_boxes_leave_no_training_set(tmp_path, synth_dir, capsys, sigma):
+    # every figure's box is below a pixel, so stage 2 has no view to train
+    # on and fails before its targets (offset over side) can overflow; a
+    # RuntimeWarning would fail this test
+    out = tmp_path / "o"
+    code = run("train", "--train", str(synth_dir / "manifest.txt"), "--out", str(out),
+               "--stages", "2", "--epochs", "1", "--crops-per-joint", "1",
+               "--input-size", "24", "--sigma", sigma)
+    assert code == 2
+    assert "refinement training set is empty" in capsys.readouterr().err
+    assert not (out / "cascade_stage2.model").exists() and not (out / "cascade.model").exists()
 
 
 def test_train_diverging_stage_writes_no_model(tmp_path, synth_dir, capsys):
@@ -622,6 +636,14 @@ def test_predict_malformed_model_is_data_error(tmp_path, synth_dir, trained_dir,
     img = synth_dir / m.examples[0].image_path
     assert run("predict", "--model", str(bad), "--image", str(img)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_predict_model_whose_sizes_wrap_in_int64_is_data_error(tmp_path, synth_dir, capsys):
+    bad = tmp_path / "wrap.model"
+    bad.write_bytes(wrapping_size_model())
+    img = synth_dir / data.load_manifest(synth_dir / "manifest.txt").examples[0].image_path
+    assert run("predict", "--model", str(bad), "--image", str(img)) == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def _unreadable_input(case, tmp_path, synth_dir, trained_dir):

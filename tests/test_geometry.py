@@ -141,6 +141,16 @@ def test_joint_box_rejects_zero_diameter(tiny_tree):
         joint_box(pose, 1.0, tiny_tree)
 
 
+@pytest.mark.parametrize("sigma", [0.0199, 1e-3, 1e-40])
+def test_joint_box_rejects_a_side_below_one_pixel(tiny_tree, sigma):
+    # torso diameter 50: a box below a pixel crops a near-uniform patch,
+    # and its targets, offset over side, grow without bound as the side shrinks
+    pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])
+    with pytest.raises(InvalidArgumentError, match="below 1 pixel"):
+        joint_box(pose, sigma, tiny_tree)
+    assert np.all(joint_box(pose, 0.02, tiny_tree)[:, 2:] == 1.0)  # one pixel is enough
+
+
 @pytest.mark.filterwarnings("error")
 def test_joint_box_rejects_overflowing_side(tiny_tree):
     pose = make_pose([(50, 60), (5, 5), (7, 7), (80, 100)])

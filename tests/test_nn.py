@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,38 @@ def test_forward_lrn_matches_naive():
                 s = sum(x[i, j, q] ** 2 for q in range(lo, hi + 1))
                 want[i, j, c] = x[i, j, c] / (spec.k_const + spec.alpha * s) ** spec.beta
     assert np.allclose(out[0], want.reshape(-1), atol=1e-12)
+
+
+def test_lrn_window_sum_is_accurate_in_float32():
+    # conv1's squares at a training slice of 8: a window sum taken as a
+    # difference of prefix sums cancels large prefixes, one summed
+    # directly stays within a few ulps
+    x = np.random.default_rng(9).normal(size=(8, 8, 56, 56)).astype(np.float32)
+    s = x * x
+    r = nn.LRN().depth // 2
+    s64 = s.astype(np.float64)
+    want = np.stack([s64[max(0, ch - r) : ch + r + 1].sum(axis=0) for ch in range(len(s))])
+    got = nn._lrn_window_sum(s, r)
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - want) / want) <= 1e-6
+
+
+def test_lrn_depth_beyond_the_channels_costs_no_more_than_the_whole_window():
+    # a model file can name any depth; a window past every channel is the
+    # same window as one of 2c+1, and sums no more shifts
+    x = np.random.default_rng(10).normal(size=(2, 5, 4, 1))
+    g = np.random.default_rng(11).normal(size=(2, 4 * 3 * 3))
+    results = []
+    for depth in (2 * 3 + 1, 10**9):
+        net = nn.init_network([nn.Conv(3, 2), nn.LRN(depth=depth, alpha=0.01)], (5, 4, 1),
+                              4 * 3 * 3, seed=0)
+        t0 = time.perf_counter()
+        out, cache = nn.forward(net, x, train_mode=True)
+        grads = nn.backward(net, cache, g)
+        assert time.perf_counter() - t0 < 2.0
+        results.append((out, grads[0]["w"]))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
 
 
 @pytest.mark.parametrize("consts", [
@@ -586,6 +619,10 @@ def _ref_backward(spec, p, x, g):
     ([nn.Conv(2, 2), nn.MaxPool(2, 1)], (6, 7, 2)),  # windows overlap at stride 1
     ([nn.Conv(2, 2), nn.ReLU(), nn.MaxPool(3, 2)], (10, 9, 3)),  # ReLU run after a 3x3/2 pool
     ([nn.Conv(2, 2), nn.MaxPool(1)], (5, 4, 2)),  # one-cell windows
+    ([nn.Conv(2, 2), nn.LRN(depth=5, alpha=0.01)], (5, 6, 2)),  # window wider than the channels
+    ([nn.Conv(3, 2), nn.LRN(depth=1, alpha=0.01)], (5, 6, 2)),  # window of one channel
+    ([nn.Conv(5, 2), nn.LRN(depth=4, alpha=0.01)], (5, 6, 2)),  # even depth: radius depth // 2
+    ([nn.Conv(2, 2), nn.Conv(2, 2, stride=3)], (9, 10, 2)),  # stride > size: pixels with no gradient
 ])
 def test_layers_match_naive_loops(layers, input_size, batch, dtype):
     # small integers keep every conv, pool and fc sum exact in any order, so
