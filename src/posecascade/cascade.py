@@ -34,6 +34,7 @@ CASCADE_MAGIC = b"PCCAS\n"
 CASCADE_FORMAT_VERSION = 2  # 2 put every stage into the one header
 JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
 REFINE_NEEDS_TORSO = "refinement stages need a torso pair, whose diameter sizes their crops"
+REFINE_EMPTY = "refinement training set is empty"
 
 
 def _check_sigma(sigma) -> None:
@@ -228,6 +229,16 @@ def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.G
                              np.tile(pose.mask, (len(centers), 1)))
 
 
+def _has_joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> bool:
+    """Whether refinement_views can take a view of pose: a labeled joint and
+    a joint_box at sigma."""
+    try:
+        joint_box(pose, sigma, tree)
+    except InvalidArgumentError:
+        return False
+    return bool(pose.mask.any())
+
+
 def refinement_views(
     examples, tree: PoseTree, stats: DisplacementStats, config: StageConfig, rng: np.random.Generator
 ):
@@ -284,7 +295,7 @@ def train_refinement_stage(
             f"match the model (sigma {model.sigma}, input {tuple(model.input_size)})"
         )
     views = refinement_views(examples, model.tree, stats, config, np.random.default_rng(config.seed))
-    net = _train_stage(views, model.tree.k, config, progress, "refinement training set is empty")
+    net = _train_stage(views, model.tree.k, config, progress, REFINE_EMPTY)
     model.stages.append(net)
     model.stats.append(stats)
     return net
@@ -300,16 +311,22 @@ def train_cascade(examples: list[LoadedExample], tree: PoseTree, stage_configs: 
     CascadeModel object, one stage longer: a caller that keeps a stage's model
     must write or copy it before asking for the next. progress(stage, epoch,
     loss) gets the 1-based stage number. Raises InvalidArgumentError before
-    any stage trains when there is more than one config and the tree has no
-    torso pair.
+    any stage trains when there is more than one config and either the tree
+    has no torso pair or no example or mirror has a refinement view: a
+    labeled joint whose joint_box at the model's sigma is accepted. The box
+    sides come from the true poses, so that is known before stage 1 trains.
     """
-    if len(stage_configs) > 1 and not tree.torso_pairs:
-        raise InvalidArgumentError(REFINE_NEEDS_TORSO)
+    first = stage_configs[0]
+    if len(stage_configs) > 1:
+        if not tree.torso_pairs:
+            raise InvalidArgumentError(REFINE_NEEDS_TORSO)
+        if not any(_has_joint_box(pose, first.sigma, tree)
+                   for ex in examples for pose, _, _ in _with_mirror(ex, tree)):
+            raise InvalidArgumentError(REFINE_EMPTY)
 
     def stage_progress(stage):
         return None if progress is None else lambda epoch, loss: progress(stage, epoch, loss)
 
-    first = stage_configs[0]
     net = train_stage1(examples, tree, first, stage_progress(1))
     model = CascadeModel([net], [None], first.sigma, tree, first.input_size)
     yield model
@@ -322,13 +339,15 @@ def train_cascade(examples: list[LoadedExample], tree: PoseTree, stage_configs: 
 def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -> DisplacementStats:
     """Mean/variance per joint of (cascade prediction - truth) over the dataset.
 
-    Runs the model's current stages on every example through predict_many.
-    Joints never labeled (or only seen on truncated predictions) come back
-    flagged absent.
+    Runs the model's current stages on every example through predict_many,
+    with BLAS pinned to one thread: the stats feed the next stage's training
+    set, which must not depend on the BLAS thread count either. Joints never
+    labeled (or only seen on truncated predictions) come back flagged absent.
     """
     k = model.tree.k
-    kept = [(pred.final, ex.pose) for ex, pred in zip(examples, predict_many(model, examples))
-            if not pred.truncated]
+    with nn.one_blas_thread():
+        preds = predict_many(model, examples)
+    kept = [(pred.final, ex.pose) for ex, pred in zip(examples, preds) if not pred.truncated]
     disp = np.array([p.joints - t.joints for p, t in kept]).reshape(-1, k, 2)
     labeled = np.array([t.mask for _, t in kept], dtype=bool).reshape(-1, k)
     count = labeled.sum(axis=0)

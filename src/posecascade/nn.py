@@ -21,7 +21,10 @@ filters are (kh, kw, c, f) and fully-connected weights read features in
 
 from __future__ import annotations
 
+import ctypes
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -632,6 +635,71 @@ def _slice_size(net: Network) -> int:
     return max(1, SLICE_BYTES // per_example) if per_example else 0
 
 
+try:  # the thread-count calls of the OpenBLAS numpy bundles, found through the module that links it
+    _OPENBLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _BLAS_THREADS = (_OPENBLAS.scipy_openblas_get_num_threads64_,
+                     _OPENBLAS.scipy_openblas_set_num_threads64_)
+except (AttributeError, OSError):  # another BLAS, or another numpy layout
+    _BLAS_THREADS = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Pin BLAS to one thread for the block and restore its count after.
+
+    OpenBLAS can round a float32 GEMM differently at another thread count,
+    so training under the pin computes the same bits whatever
+    OPENBLAS_NUM_THREADS says. Yields whether it pinned: False, changing
+    nothing, where numpy's BLAS exports no thread-count calls.
+    """
+    if _BLAS_THREADS is None:
+        yield False
+        return
+    get, put = _BLAS_THREADS
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+@contextmanager
+def slice_worker():
+    """BLAS pinned to one thread, and a worker thread for train_step to run
+    every other slice on, yielded; None where BLAS cannot be pinned, and the
+    slices then run serially on the calling thread."""
+    with one_blas_thread() as pinned, ThreadPoolExecutor(1) as pool:
+        yield pool if pinned else None
+
+
+class _Drawn:
+    """The rng of one slice's forward: hands back, call by call, the dropout
+    uniforms train_step drew for the slice before any slice ran."""
+
+    def __init__(self, draws: list[np.ndarray]):
+        self._draws = iter(draws)
+
+    def random(self, size: int) -> np.ndarray:
+        return next(self._draws)
+
+
+# The slice work calls these through names bound here, once at import: the
+# benchmark's tracer swaps the module attributes for wrappers that assume one
+# thread, and a worker thread must not run them.
+_FORWARD, _BACKWARD, _LOSS = forward, backward, l2_loss_batch
+
+
+def _slice_grads(net: Network, x: np.ndarray, targets: np.ndarray, masks: np.ndarray,
+                 rng: _Drawn | None, scale: float) -> tuple[float, list[dict | None]]:
+    """The summed loss and the parameter gradients of one training slice,
+    its loss gradient scaled by scale."""
+    out, cache = _FORWARD(net, x, train_mode=True, rng=rng)
+    loss, grad = _LOSS(out, targets, masks)
+    grad *= scale
+    return loss * len(out), _BACKWARD(net, cache, grad)
+
+
 def train_step(
     net: Network,
     state: OptimizerState,
@@ -639,6 +707,7 @@ def train_step(
     targets: np.ndarray,
     masks: np.ndarray,
     rng: np.random.Generator | None,
+    worker: ThreadPoolExecutor | None = None,
 ) -> float:
     """One adaptive-gradient update from the mini-batch x; returns its mean loss.
 
@@ -646,9 +715,16 @@ def train_step(
     runs forward, loss and backward in consecutive slices of a few examples,
     each slice's loss gradient scaled by len(slice) / n, and one
     adagrad_step applies the sum of the slices' parameter gradients: the
-    update of the whole batch, up to float rounding. Dropout draws its masks
-    slice by slice in batch order, which for one dropout layer is the rng
-    stream a whole-batch forward draws.
+    update of the whole batch, up to float rounding. The slices' gradients
+    and losses are summed in slice order. Before any slice runs, every
+    slice's dropout uniforms are drawn from rng, slice by slice and dropout
+    layer by dropout layer: the stream the slices would draw one after
+    another, which for one dropout layer is a whole-batch forward's.
+
+    With a worker (see slice_worker), slices run in pairs: the worker runs
+    slice 2i + 1 while the calling thread runs slice 2i. Without one, they
+    run one after another on the calling thread. Both give the same bits
+    under one BLAS thread.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
@@ -663,13 +739,28 @@ def train_step(
     if len(targets) != n or len(masks) != n:
         raise ShapeError("inputs, targets and masks must have equal length")
     step = _slice_size(net) or n
+    parts = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    shapes = [net.input_size, *chain_shapes(net.layers, net.input_size)]
+    dropout_sizes = [math.prod(shapes[i]) for i, s in enumerate(net.layers) if isinstance(s, Dropout)]
+    rngs = [None if rng is None else _Drawn([rng.random((p.stop - p.start) * size)
+                                            for size in dropout_sizes])
+            for p in parts]
+
+    def run(i):
+        p = parts[i]
+        return _slice_grads(net, x[p], targets[p], masks[p], rngs[i], (p.stop - p.start) / n)
+
+    def in_slice_order():
+        for i in range(0, len(parts), 2):
+            paired = i + 1 < len(parts)
+            odd = worker.submit(run, i + 1) if paired and worker is not None else None
+            yield run(i)
+            if paired:
+                yield odd.result() if odd is not None else run(i + 1)
+
     summed, total = None, 0.0
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        out, cache = forward(net, x[part], train_mode=True, rng=rng)
-        loss, grad = l2_loss_batch(out, targets[part], masks[part])
-        grad *= len(out) / n
-        grads = backward(net, cache, grad)
+    for loss, grads in in_slice_order():
+        total += loss
         if summed is None:
             summed = grads
         else:
@@ -677,9 +768,7 @@ def train_step(
                 if acc is not None:
                     acc["w"] += g["w"]
                     acc["b"] += g["b"]
-        total += loss * len(out)
-        # free this slice's arrays before the next slice allocates its own
-        del out, cache, grad, grads
+        del grads  # free this slice's gradients before the next slices run
     adagrad_step(net, summed, state)
     return total / n
 
@@ -697,9 +786,11 @@ def train_epochs(
     inputs is (n, ...) matching the net input, targets (n, 2k), masks (n, k).
     Each mini-batch is one train_step: one update from the mean gradient over
     the batch's examples, computed in slices of a few examples whose size
-    follows the SLICE_BYTES budget (see train_step). progress, when given,
-    is called as progress(epoch_index, mean_epoch_loss). Deterministic for a
-    fixed seed (single-threaded).
+    follows the SLICE_BYTES budget, two slices at a time on two threads
+    while BLAS is pinned to one thread (see train_step and slice_worker).
+    progress, when given, is called as progress(epoch_index, mean_epoch_loss).
+    Deterministic for a fixed seed, whatever the BLAS thread count where
+    BLAS can be pinned.
     """
     n = len(inputs)
     if n == 0:
@@ -708,12 +799,14 @@ def train_epochs(
         raise ShapeError("inputs, targets and masks must have equal length")
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_network(net, config.learning_rate)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            total += train_step(net, state, inputs[idx], targets[idx], masks[idx], rng) * len(idx)
-        if progress is not None:
-            progress(epoch, total / n)
+    with slice_worker() as worker:
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
+                total += train_step(net, state, inputs[idx], targets[idx], masks[idx], rng,
+                                    worker) * len(idx)
+            if progress is not None:
+                progress(epoch, total / n)
     return net

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -806,13 +807,13 @@ def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
     sliced = nn.init_network(layers, (10, 10, 2), 4, seed=3)
     state = nn.OptimizerState.for_network(sliced)
     monkeypatch.setattr(nn, "SLICE_BYTES", 8 * 3 * 3 * 2 * 8 * 8 * 8)  # 8 examples
-    forward, sizes = nn.forward, []
+    slice_grads, sizes = nn._slice_grads, []
 
-    def counting_forward(net, xs, **kw):
+    def counting_slice_grads(net, xs, *args):
         sizes.append(len(xs))
-        return forward(net, xs, **kw)
+        return slice_grads(net, xs, *args)
 
-    monkeypatch.setattr(nn, "forward", counting_forward)
+    monkeypatch.setattr(nn, "_slice_grads", counting_slice_grads)
     loss = nn.train_step(sliced, state, x, targets, masks, np.random.default_rng(5))
 
     assert sizes == [8, 8, 8, 8, 5]
@@ -826,8 +827,84 @@ def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
             np.testing.assert_allclose(p[key], q[key], rtol=1e-12, atol=0)
 
 
+def _two_dropout_step(monkeypatch):
+    """A stack with two dropout layers and a batch of 37 in slices of 8: five
+    slices, the last of 5. Returns fresh (net, state) pairs and the step's inputs."""
+    layers = [nn.Conv(3, 3), nn.ReLU(), nn.Dropout(0.7), nn.MaxPool(2), nn.FullyConnected(6),
+              nn.ReLU(), nn.Dropout(0.5), nn.FullyConnected(4)]
+    monkeypatch.setattr(nn, "SLICE_BYTES", 8 * 3 * 3 * 2 * 8 * 8 * 4)  # 8 examples
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((37, 10, 10, 2)).astype(np.float32)
+    targets = rng.uniform(-0.5, 0.5, (37, 4))
+    masks = rng.random((37, 2)) < 0.8
+
+    def fresh():
+        net = nn.init_network(layers, (10, 10, 2), 4, seed=3, dtype=np.float32)
+        return net, nn.OptimizerState.for_network(net)
+
+    return fresh, x, targets, masks
+
+
+def _assert_same_state(a, b):
+    (net_a, state_a), (net_b, state_b) = a, b
+    for p, q, u, v in zip(net_a.params, net_b.params, state_a.accum, state_b.accum):
+        if p is None:
+            continue
+        for key in ("w", "b"):
+            assert np.array_equal(p[key], q[key]) and np.array_equal(u[key], v[key])
+
+
+def test_paired_slices_equal_the_serial_fallback(monkeypatch):
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    serial, paired = fresh(), fresh()
+    with nn.one_blas_thread(), ThreadPoolExecutor(1) as worker:
+        serial_loss = nn.train_step(*serial, x, targets, masks, np.random.default_rng(5))
+        paired_loss = nn.train_step(*paired, x, targets, masks, np.random.default_rng(5), worker)
+    assert paired_loss == serial_loss
+    _assert_same_state(paired, serial)
+
+
+def test_paired_slices_draw_the_stream_of_slices_run_one_by_one(monkeypatch):
+    # every slice's dropout uniforms are drawn before any slice runs, slice by
+    # slice and layer by layer: exactly what forwards run slice after slice draw
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    (net, state), paired = fresh(), fresh()
+    rng, summed, total = np.random.default_rng(5), None, 0.0
+    with nn.slice_worker() as worker:  # BLAS pinned, as for the paired step
+        for lo in range(0, 37, 8):
+            out, cache = nn.forward(net, x[lo : lo + 8], train_mode=True, rng=rng)
+            loss, grad = nn.l2_loss_batch(out, targets[lo : lo + 8], masks[lo : lo + 8])
+            grad *= len(out) / 37
+            grads = nn.backward(net, cache, grad)
+            summed = grads if summed is None else [
+                None if a is None else {k: a[k] + g[k] for k in a} for a, g in zip(summed, grads)]
+            total += loss * len(out)
+        nn.adagrad_step(net, summed, state)
+        paired_loss = nn.train_step(*paired, x, targets, masks, np.random.default_rng(5), worker)
+    assert paired_loss == total / 37
+    _assert_same_state(paired, (net, state))
+
+
+def test_one_blas_thread_pins_and_restores_the_count():
+    if nn._BLAS_THREADS is None:
+        with nn.one_blas_thread() as pinned, nn.slice_worker() as worker:
+            assert not pinned and worker is None  # serial slices, BLAS as it was
+        return
+    get, put = nn._BLAS_THREADS
+    before = get()
+    put(2)
+    try:
+        with nn.one_blas_thread() as pinned:
+            assert pinned and get() == 1
+        assert get() == 2
+    finally:
+        put(before)
+
+
 def test_train_step_memory_does_not_grow_with_the_batch():
-    # a batch of 128 runs in slices, so it peaks little above a batch of 16
+    # a batch of 128 runs in slices, so it peaks little above a batch of 32:
+    # four slices of 8, the fewest that run a pair of slices beside the
+    # running sum of the pair before, which is all a step ever holds at once
     net = _default_stack_net()
     rng = np.random.default_rng(43)
     x = rng.random((128, 60, 60, 1)).astype(np.float32)
@@ -841,7 +918,7 @@ def test_train_step_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
 
-    assert peak(128) < 1.3 * peak(16)
+    assert peak(128) < 1.3 * peak(32)
 
 
 # --- loading -------------------------------------------------------------------

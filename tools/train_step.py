@@ -4,9 +4,11 @@ A step is one `nn.train_step`, the call `nn.train_epochs` makes per
 mini-batch, on a batch of 128 random 60x60x1 float32 crops through the
 cascade's default layers (the stage networks' stack, 9 joints): forward, loss
 and backward in slices of the batch, then one adaptive-gradient update. BLAS
-is pinned to one thread before numpy loads. After one untimed warm-up step it
-runs `--steps` steps and prints the median milliseconds per step and the
-minor page faults per step:
+is pinned to one thread before numpy loads. The steps run as `nn.train_epochs`
+runs them, inside `nn.slice_worker`: slices in pairs on two threads, or one
+after another where BLAS cannot be pinned; the header line names which. After
+one untimed warm-up step it runs `--steps` steps and prints the median
+milliseconds per step and the minor page faults per step:
 
     python3 tools/train_step.py --steps 50
 
@@ -48,16 +50,19 @@ def main(argv=None) -> int:
     mask = np.ones((BATCH, k), dtype=bool)
     state = nn.OptimizerState.for_network(net)
 
-    def step() -> float:
-        t0 = time.perf_counter()
-        nn.train_step(net, state, x, target, mask, rng)
-        return time.perf_counter() - t0
+    with nn.slice_worker() as worker:
 
-    step()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    times = [step() for _ in range(args.steps)]
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1")
+        def step() -> float:
+            t0 = time.perf_counter()
+            nn.train_step(net, state, x, target, mask, rng, worker)
+            return time.perf_counter() - t0
+
+        step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        times = [step() for _ in range(args.steps)]
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    path = "slices in pairs on 2 threads" if worker is not None else "slices serial (no BLAS pin)"
+    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1  {path}")
     print(f"step_ms {np.median(times) * 1e3:.1f}")
     print(f"minor_faults_per_step {faults / args.steps:.0f}")
     return 0
