@@ -339,15 +339,13 @@ def train_cascade(examples: list[LoadedExample], tree: PoseTree, stage_configs: 
 def fit_displacement_stats(model: CascadeModel, examples: list[LoadedExample]) -> DisplacementStats:
     """Mean/variance per joint of (cascade prediction - truth) over the dataset.
 
-    Runs the model's current stages on every example through predict_many,
-    with BLAS pinned to one thread: the stats feed the next stage's training
-    set, which must not depend on the BLAS thread count either. Joints never
-    labeled (or only seen on truncated predictions) come back flagged absent.
+    Runs the model's current stages on every example through predict_many.
+    Joints never labeled (or only seen on truncated predictions) come back
+    flagged absent.
     """
     k = model.tree.k
-    with nn.one_blas_thread():
-        preds = predict_many(model, examples)
-    kept = [(pred.final, ex.pose) for ex, pred in zip(examples, preds) if not pred.truncated]
+    kept = [(pred.final, ex.pose) for ex, pred in zip(examples, predict_many(model, examples))
+            if not pred.truncated]
     disp = np.array([p.joints - t.joints for p, t in kept]).reshape(-1, k, 2)
     labeled = np.array([t.mask for _, t in kept], dtype=bool).reshape(-1, k)
     count = labeled.sum(axis=0)

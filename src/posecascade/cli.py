@@ -333,10 +333,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command with BLAS pinned to one thread (see nn.one_blas_thread),
+    so that what it writes and prints does not depend on the BLAS thread
+    count: training, the stats fitting whose predictions feed the next
+    stage's training set, and every prediction alike."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with nn.one_blas_thread():
+            return args.func(args)
     except InvalidArgumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

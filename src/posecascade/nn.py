@@ -485,11 +485,17 @@ def forward(
                  if train_mode else None)
 
 
-def backward(net: Network, cache: ForwardCache | None, output_grad: np.ndarray) -> list[dict | None]:
+def backward(
+    net: Network, cache: ForwardCache | None, output_grad: np.ndarray, into: list[dict | None] | None = None
+) -> list[dict | None]:
     """Reverse-mode gradients of a scalar loss w.r.t. every parameter.
 
     output_grad is dLoss/dOutput, shaped like the forward's output.
     Gradients sum over the batch axis; cache is a train-mode forward's.
+    into, when given, is a gradient list as backward returns it: each
+    layer's gradients are added into its arrays as soon as they are
+    computed (the same adds as summing the returned lists afterwards), and
+    into is returned, so a running sum over slices holds no second set.
     """
     if cache is None:
         raise ContractViolationError("an inference-mode forward keeps no cache for backward")
@@ -501,7 +507,15 @@ def backward(net: Network, cache: ForwardCache | None, output_grad: np.ndarray) 
         raise ShapeError(f"output_grad shape {g.shape} does not match {cache.output_shape}")
     g = _unflat(g, cache.final_shape)
 
-    grads: list[dict | None] = [None] * len(net.layers)
+    grads: list[dict | None] = [None] * len(net.layers) if into is None else into
+
+    def keep(idx, dw, db):
+        if grads[idx] is None:
+            grads[idx] = {"w": dw, "b": db}
+        else:
+            grads[idx]["w"] += dw
+            grads[idx]["b"] += db
+
     for idx in reversed(cache.run_order):
         spec, p, c = net.layers[idx], net.params[idx], cache.layer_caches[idx]
         if isinstance(spec, Conv):
@@ -511,7 +525,7 @@ def backward(net: Network, cache: ForwardCache | None, output_grad: np.ndarray) 
             dx = None  # nothing below the first layer run consumes its input gradient
             if idx != cache.run_order[0]:
                 dx = _conv_input_grad(g, p["w"], in_shape, spec.stride)
-            grads[idx] = {"w": dw, "b": gmat @ np.ones(gmat.shape[1], dt)}
+            keep(idx, dw, gmat @ np.ones(gmat.shape[1], dt))
             g = dx
             del gmat, dx  # free this layer's output gradient before the layers below run
         elif isinstance(spec, ReLU):
@@ -527,7 +541,7 @@ def backward(net: Network, cache: ForwardCache | None, output_grad: np.ndarray) 
             g = g.reshape(in_shape)
         elif isinstance(spec, FullyConnected):
             xin = c["x"]
-            grads[idx] = {"w": xin.T @ g, "b": g.sum(axis=0)}
+            keep(idx, xin.T @ g, g.sum(axis=0))
             g = _unflat(g @ p["w"].T, c["orig_shape"])
         elif isinstance(spec, Dropout):
             g = g * c["mask"] / spec.keep_prob
@@ -648,7 +662,7 @@ def one_blas_thread():
     """Pin BLAS to one thread for the block and restore its count after.
 
     OpenBLAS can round a float32 GEMM differently at another thread count,
-    so training under the pin computes the same bits whatever
+    so work under the pin computes the same bits whatever
     OPENBLAS_NUM_THREADS says. Yields whether it pinned: False, changing
     nothing, where numpy's BLAS exports no thread-count calls.
     """
@@ -666,11 +680,11 @@ def one_blas_thread():
 
 @contextmanager
 def slice_worker():
-    """BLAS pinned to one thread, and a worker thread for train_step to run
-    every other slice on, yielded; None where BLAS cannot be pinned, and the
-    slices then run serially on the calling thread."""
-    with one_blas_thread() as pinned, ThreadPoolExecutor(1) as pool:
-        yield pool if pinned else None
+    """A worker thread for train_step to run every other slice on, yielded
+    with BLAS pinned to one thread, so that the two slices in flight use
+    one core each."""
+    with one_blas_thread(), ThreadPoolExecutor(1) as pool:
+        yield pool
 
 
 class _Drawn:
@@ -691,13 +705,15 @@ _FORWARD, _BACKWARD, _LOSS = forward, backward, l2_loss_batch
 
 
 def _slice_grads(net: Network, x: np.ndarray, targets: np.ndarray, masks: np.ndarray,
-                 rng: _Drawn | None, scale: float) -> tuple[float, list[dict | None]]:
+                 rng: _Drawn | None, scale: float, into: list[dict | None] | None = None
+                 ) -> tuple[float, list[dict | None]]:
     """The summed loss and the parameter gradients of one training slice,
-    its loss gradient scaled by scale."""
+    its loss gradient scaled by scale; with into, the gradients are added
+    into it (see backward)."""
     out, cache = _FORWARD(net, x, train_mode=True, rng=rng)
     loss, grad = _LOSS(out, targets, masks)
     grad *= scale
-    return loss * len(out), _BACKWARD(net, cache, grad)
+    return loss * len(out), _BACKWARD(net, cache, grad, into)
 
 
 def train_step(
@@ -708,11 +724,14 @@ def train_step(
     masks: np.ndarray,
     rng: np.random.Generator | None,
     worker: ThreadPoolExecutor | None = None,
+    rows: np.ndarray | None = None,
 ) -> float:
     """One adaptive-gradient update from the mini-batch x; returns its mean loss.
 
-    targets is (n, 2k) and masks (n, k) for the n examples of x. The batch
-    runs forward, loss and backward in consecutive slices of a few examples,
+    targets is (n, 2k) and masks (n, k) for the n examples of x. With rows,
+    the batch is those rows of x, targets and masks, and each slice gathers
+    its own rows, so the step never copies the whole batch. The batch runs
+    forward, loss and backward in consecutive slices of a few examples,
     each slice's loss gradient scaled by len(slice) / n, and one
     adagrad_step applies the sum of the slices' parameter gradients: the
     update of the whole batch, up to float rounding. The slices' gradients
@@ -722,9 +741,10 @@ def train_step(
     another, which for one dropout layer is a whole-batch forward's.
 
     With a worker (see slice_worker), slices run in pairs: the worker runs
-    slice 2i + 1 while the calling thread runs slice 2i. Without one, they
-    run one after another on the calling thread. Both give the same bits
-    under one BLAS thread.
+    slice 2i + 1 while the calling thread runs slice 2i and adds its
+    gradients into the running sum as backward computes them. Without one,
+    they run one after another on the calling thread, the reference the
+    pairs are tested against. Both give the same bits.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
@@ -733,10 +753,10 @@ def train_step(
     crops allocated tens of MB afresh (conv1's im2col matrix alone is 40 MB)
     and faulted them in from the kernel every batch.
     """
-    n = len(x)
+    n = len(x) if rows is None else len(rows)
     if n == 0:
         raise InvalidArgumentError("a training step needs a non-empty batch")
-    if len(targets) != n or len(masks) != n:
+    if len(targets) != len(x) or len(masks) != len(x):
         raise ShapeError("inputs, targets and masks must have equal length")
     step = _slice_size(net) or n
     parts = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
@@ -746,29 +766,25 @@ def train_step(
                                             for size in dropout_sizes])
             for p in parts]
 
-    def run(i):
+    def run(i, into=None):
         p = parts[i]
-        return _slice_grads(net, x[p], targets[p], masks[p], rngs[i], (p.stop - p.start) / n)
-
-    def in_slice_order():
-        for i in range(0, len(parts), 2):
-            paired = i + 1 < len(parts)
-            odd = worker.submit(run, i + 1) if paired and worker is not None else None
-            yield run(i)
-            if paired:
-                yield odd.result() if odd is not None else run(i + 1)
+        r = p if rows is None else rows[p]
+        return _slice_grads(net, x[r], targets[r], masks[r], rngs[i], (p.stop - p.start) / n, into)
 
     summed, total = None, 0.0
-    for loss, grads in in_slice_order():
+    for i in range(0, len(parts), 2):
+        paired = i + 1 < len(parts)
+        odd = worker.submit(run, i + 1) if paired and worker is not None else None
+        loss, summed = run(i, summed)
         total += loss
-        if summed is None:
-            summed = grads
-        else:
+        if paired:
+            loss, grads = odd.result() if odd is not None else run(i + 1)
+            total += loss
             for acc, g in zip(summed, grads):
                 if acc is not None:
                     acc["w"] += g["w"]
                     acc["b"] += g["b"]
-        del grads  # free this slice's gradients before the next slices run
+            del odd, grads  # free this slice's gradients before the next pair runs
     adagrad_step(net, summed, state)
     return total / n
 
@@ -805,8 +821,7 @@ def train_epochs(
             total = 0.0
             for lo in range(0, n, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
-                total += train_step(net, state, inputs[idx], targets[idx], masks[idx], rng,
-                                    worker) * len(idx)
+                total += train_step(net, state, inputs, targets, masks, rng, worker, idx) * len(idx)
             if progress is not None:
                 progress(epoch, total / n)
     return net

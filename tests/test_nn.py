@@ -854,10 +854,10 @@ def _assert_same_state(a, b):
             assert np.array_equal(p[key], q[key]) and np.array_equal(u[key], v[key])
 
 
-def test_paired_slices_equal_the_serial_fallback(monkeypatch):
+def test_paired_slices_equal_serial_slices(monkeypatch):
     fresh, x, targets, masks = _two_dropout_step(monkeypatch)
     serial, paired = fresh(), fresh()
-    with nn.one_blas_thread(), ThreadPoolExecutor(1) as worker:
+    with nn.slice_worker() as worker:
         serial_loss = nn.train_step(*serial, x, targets, masks, np.random.default_rng(5))
         paired_loss = nn.train_step(*paired, x, targets, masks, np.random.default_rng(5), worker)
     assert paired_loss == serial_loss
@@ -885,26 +885,60 @@ def test_paired_slices_draw_the_stream_of_slices_run_one_by_one(monkeypatch):
     _assert_same_state(paired, (net, state))
 
 
-def test_one_blas_thread_pins_and_restores_the_count():
-    if nn._BLAS_THREADS is None:
-        with nn.one_blas_thread() as pinned, nn.slice_worker() as worker:
-            assert not pinned and worker is None  # serial slices, BLAS as it was
-        return
-    get, put = nn._BLAS_THREADS
-    before = get()
-    put(2)
-    try:
-        with nn.one_blas_thread() as pinned:
-            assert pinned and get() == 1
-        assert get() == 2
-    finally:
-        put(before)
+def test_train_step_rows_pick_the_batch(monkeypatch):
+    # rows gathers each slice from the full arrays: the step of the copied batch
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    rows = np.random.default_rng(9).permutation(37)[:29]
+    copied, picked = fresh(), fresh()
+    with nn.slice_worker() as worker:
+        copied_loss = nn.train_step(*copied, x[rows], targets[rows], masks[rows],
+                                    np.random.default_rng(5), worker)
+        picked_loss = nn.train_step(*picked, x, targets, masks, np.random.default_rng(5), worker, rows)
+    assert picked_loss == copied_loss
+    _assert_same_state(picked, copied)
+
+
+def test_backward_into_adds_the_same_bits_as_summing_after():
+    net = nn.init_network([nn.Conv(3, 3), nn.ReLU(), nn.MaxPool(2), nn.FullyConnected(6),
+                           nn.FullyConnected(4)], (10, 10, 2), 4, seed=3, dtype=np.float32)
+    rng = np.random.default_rng(13)
+    first, second = (nn.forward(net, rng.standard_normal((5, 10, 10, 2)), train_mode=True)
+                     for _ in range(2))
+    grad = rng.standard_normal((5, 4))
+    into = nn.backward(net, first[1], grad)
+    summed = [None if g is None else {k: v.copy() for k, v in g.items()} for g in into]
+    for acc, g in zip(summed, nn.backward(net, second[1], grad)):
+        if acc is not None:
+            acc["w"] += g["w"]
+            acc["b"] += g["b"]
+    assert nn.backward(net, second[1], grad, into) is into
+    for acc, g in zip(summed, into):
+        assert (acc is None) == (g is None)
+        if acc is not None:
+            assert np.array_equal(acc["w"], g["w"]) and np.array_equal(acc["b"], g["b"])
+
+
+def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
+    if nn._BLAS_THREADS is not None:
+        get, put = nn._BLAS_THREADS
+        before = get()
+        put(2)
+        try:
+            with nn.one_blas_thread() as pinned:
+                assert pinned and get() == 1
+            with nn.slice_worker():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            put(before)
+    # a BLAS without the thread-count calls is left as it is
+    monkeypatch.setattr(nn, "_BLAS_THREADS", None)
+    with nn.one_blas_thread() as pinned:
+        assert not pinned
 
 
 def test_train_step_memory_does_not_grow_with_the_batch():
-    # a batch of 128 runs in slices, so it peaks little above a batch of 32:
-    # four slices of 8, the fewest that run a pair of slices beside the
-    # running sum of the pair before, which is all a step ever holds at once
+    # a batch of 128 runs in slices, so it peaks little above a batch of 16
     net = _default_stack_net()
     rng = np.random.default_rng(43)
     x = rng.random((128, 60, 60, 1)).astype(np.float32)
@@ -918,7 +952,7 @@ def test_train_step_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
 
-    assert peak(128) < 1.3 * peak(32)
+    assert peak(128) < 1.3 * peak(16)
 
 
 # --- loading -------------------------------------------------------------------

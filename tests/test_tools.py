@@ -14,9 +14,9 @@ def test_train_step_prints_its_medians_and_faults():
     proc = subprocess.run([sys.executable, str(TOOLS / "train_step.py"), "--steps", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the header names the path that ran: numpy's OpenBLAS pinned, or not
-    path = "slices in pairs on 2 threads" if nn._BLAS_THREADS else "slices serial (no BLAS pin)"
-    assert proc.stdout.splitlines()[0].endswith(f"BLAS threads 1  {path}")
+    # the header names the path that ran and whether nn could pin numpy's OpenBLAS
+    pin = "pinned by nn" if nn._BLAS_THREADS else "environment only"
+    assert proc.stdout.splitlines()[0].endswith(f"BLAS threads 1 ({pin})  slices in pairs on 2 threads")
     values = dict(re.findall(r"^(\w+) ([0-9.]+)$", proc.stdout, re.MULTILINE))
     assert set(values) == {"step_ms", "minor_faults_per_step"}
     assert float(values["step_ms"]) > 0

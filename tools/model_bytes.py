@@ -5,9 +5,9 @@ The run synthesises 40 training figures (seed 11) and 20 held-out figures
 --refine-epochs 1 --crops-per-joint 3 --seed 1`) and evaluates it on the
 held-out set, all in a temporary directory with BLAS pinned to one thread
 (OpenBLAS can round float32 sums differently at other thread counts).
-`train` pins BLAS to one thread itself while it trains and fits the
-displacement stats, so its bytes no longer depend on this environment pin;
-`eval` still predicts at the count it sets. A change that keeps model bytes
+Every `posecascade` command pins BLAS to one thread itself, so the bytes
+no longer depend on this environment pin; it stays for runs of checkouts
+made before that. A change that keeps model bytes
 prints the same lines as its parent; run it in both checkouts and compare:
 
     python3 tools/model_bytes.py > after.txt

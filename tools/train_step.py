@@ -5,10 +5,11 @@ mini-batch, on a batch of 128 random 60x60x1 float32 crops through the
 cascade's default layers (the stage networks' stack, 9 joints): forward, loss
 and backward in slices of the batch, then one adaptive-gradient update. BLAS
 is pinned to one thread before numpy loads. The steps run as `nn.train_epochs`
-runs them, inside `nn.slice_worker`: slices in pairs on two threads, or one
-after another where BLAS cannot be pinned; the header line names which. After
-one untimed warm-up step it runs `--steps` steps and prints the median
-milliseconds per step and the minor page faults per step:
+runs them, inside `nn.slice_worker`: slices in pairs on two threads, with
+BLAS pinned through numpy's OpenBLAS thread-count call where it has one; the
+header line names the path and whether that pin took. After one untimed
+warm-up step it runs `--steps` steps and prints the median milliseconds per
+step and the minor page faults per step:
 
     python3 tools/train_step.py --steps 50
 
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
     mask = np.ones((BATCH, k), dtype=bool)
     state = nn.OptimizerState.for_network(net)
 
-    with nn.slice_worker() as worker:
+    with nn.one_blas_thread() as pinned, nn.slice_worker() as worker:
 
         def step() -> float:
             t0 = time.perf_counter()
@@ -61,8 +62,8 @@ def main(argv=None) -> int:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         times = [step() for _ in range(args.steps)]
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    path = "slices in pairs on 2 threads" if worker is not None else "slices serial (no BLAS pin)"
-    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1  {path}")
+    pin = "pinned by nn" if pinned else "environment only"
+    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1 ({pin})  slices in pairs on 2 threads")
     print(f"step_ms {np.median(times) * 1e3:.1f}")
     print(f"minor_faults_per_step {faults / args.steps:.0f}")
     return 0
