@@ -24,7 +24,7 @@ import numpy as np
 
 from . import container, nn
 from .data import LoadedExample, mirror_example
-from .errors import InvalidArgumentError, io_reason
+from .errors import InvalidArgumentError, file_access
 # pose_diameter is unused here; the benchmark tracer (perfbench/spans.py) patches it by name
 from .geometry import PoseTree, PoseVector, crop_resample, full_image_box, joint_box, pose_diameter
 
@@ -230,13 +230,14 @@ def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.G
 
 
 def _has_joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> bool:
-    """Whether refinement_views can take a view of pose: a labeled joint and
-    a joint_box at sigma."""
+    """Whether refinement_views can take a view of pose: whether joint_box at
+    sigma succeeds. It needs a labeled torso pair, so the pose then has a
+    labeled joint too."""
     try:
         joint_box(pose, sigma, tree)
     except InvalidArgumentError:
         return False
-    return bool(pose.mask.any())
+    return True
 
 
 def refinement_views(
@@ -510,8 +511,6 @@ def save_cascade(model: CascadeModel, path) -> None:
 
 
 def load_cascade(path) -> CascadeModel:
-    try:
+    with file_access("read model file", path):
         data = Path(path).read_bytes()
-    except OSError as e:
-        raise InvalidArgumentError(f"cannot read model file {path}: {io_reason(e)}") from None
     return cascade_from_bytes(data)

@@ -17,7 +17,7 @@ from . import cascade as casc
 from . import data as dat
 from . import metrics as met
 from . import nn
-from .errors import InvalidArgumentError, io_reason
+from .errors import InvalidArgumentError, file_access
 from .geometry import PoseVector, parse_box
 
 EXIT_OK = 0
@@ -87,19 +87,21 @@ _CONVERTERS = {
 
 
 def load_run_config(path) -> RunConfig:
+    """The RunConfig of a key=value file; errors name the file and the 1-based line."""
     cfg = RunConfig()
-    try:
+    with file_access("read config file", path):
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise InvalidArgumentError(f"cannot read config file {path}: {io_reason(e)}") from None
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise InvalidArgumentError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        cfg.apply(key, value)
+        try:
+            if "=" not in line:
+                raise InvalidArgumentError(f"expected key=value, got {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            cfg.apply(key, value)
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"{path}:{line_no}: {e}") from None
     return cfg
 
 
@@ -124,10 +126,9 @@ def cmd_synth(args) -> int:
         image_size=(args.size, args.size),
         noise_level=args.noise,
     )
-    try:
-        manifest = dat.synth_generate(cfg, _out_dir(args.out))
-    except OSError as e:  # an image or the manifest could not be written
-        raise InvalidArgumentError(f"cannot write {e.filename or args.out}: {io_reason(e)}") from None
+    out = _out_dir(args.out)
+    with file_access("write", out):  # an image or the manifest
+        manifest = dat.synth_generate(cfg, out)
     print(f"wrote {len(manifest.examples)} examples to {args.out}")
     return EXIT_OK
 
@@ -161,19 +162,15 @@ def _out_dir(path: str) -> Path:
     """The output directory at path, made if missing; a path that cannot be
     one is a data error."""
     out = Path(path)
-    try:
+    with file_access("create output directory", out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise InvalidArgumentError(f"cannot create output directory {out}: {io_reason(e)}") from None
     return out
 
 
 def _write(path, content: str | bytes) -> None:
     """Write one output file; a path that cannot be written is a data error."""
-    try:
+    with file_access("write", path):
         Path(path).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
-    except OSError as e:
-        raise InvalidArgumentError(f"cannot write {path}: {io_reason(e)}") from None
 
 
 def cmd_train(args) -> int:

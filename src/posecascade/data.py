@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, io_reason
+from .errors import InvalidArgumentError, file_access
 from .geometry import MAX_COORD, PoseTree, PoseVector, parse_box
 
 
@@ -69,96 +69,75 @@ class LoadedExample:
 # manifest text format
 
 
-def _line_error(line_no: int, message: str) -> InvalidArgumentError:
-    return InvalidArgumentError(f"line {line_no}: {message}")
-
-
 def load_manifest(path) -> DatasetManifest:
     """Parse a manifest file, which needs a record; errors carry 1-based line numbers."""
     path = Path(path)
     k = None
     names: dict[int, str] = {}
-    limbs: list[tuple[int, int]] = []
-    torso: list[tuple[int, int]] = []
-    swap: list[tuple[int, int]] = []
+    pairs: dict[str, list[tuple[int, int]]] = {"limb": [], "torso": [], "swap": []}
     examples: list[AnnotatedExample] = []
-
-    def int_pair(tokens, line_no):
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except (ValueError, IndexError):
-            raise _line_error(line_no, f"expected two joint indices, got {tokens}") from None
-        return a, b
-
-    try:
+    with file_access("read manifest", path):
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise InvalidArgumentError(f"cannot read manifest {path}: {io_reason(e)}") from None
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if k is None:
-            if not line.startswith("k="):
-                raise _line_error(line_no, "manifest must start with k=<int>")
-            try:
-                k = int(line[2:])
-            except ValueError:
-                raise _line_error(line_no, f"bad joint count {line!r}") from None
-            if k < 2:
-                raise _line_error(line_no, f"k must be >= 2, got {k}")
-            continue
         tokens = line.split()
         head = tokens[0]
-        if head == "limb":
-            limbs.append(int_pair(tokens[1:], line_no))
-        elif head == "torso":
-            torso.append(int_pair(tokens[1:], line_no))
-        elif head == "swap":
-            swap.append(int_pair(tokens[1:], line_no))
-        elif head == "name":
-            try:
-                _, idx, label = tokens
-                idx = int(idx)
-            except ValueError:
-                raise _line_error(line_no, f"bad name declaration {line!r}") from None
-            if not 0 <= idx < k:
-                raise _line_error(line_no, f"joint name index {idx} out of range for k={k}")
-            names[idx] = label
-        else:
-            # record line: path, box, then k (x, y, v) triples
-            if len(tokens) < 2:
-                raise _line_error(line_no, f"truncated record {line!r}")
-            if len(tokens) - 2 != 3 * k:
-                raise _line_error(
-                    line_no, f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}"
-                )
-            try:
+        try:
+            if k is None:
+                if not line.startswith("k="):
+                    raise InvalidArgumentError("manifest must start with k=<int>")
+                try:
+                    k = int(line[2:])
+                except ValueError:
+                    raise InvalidArgumentError(f"bad joint count {line!r}") from None
+                if k < 2:
+                    raise InvalidArgumentError(f"k must be >= 2, got {k}")
+            elif head in pairs:
+                try:
+                    pairs[head].append((int(tokens[1]), int(tokens[2])))
+                except (ValueError, IndexError):
+                    raise InvalidArgumentError(f"expected two joint indices, got {tokens[1:]}") from None
+            elif head == "name":
+                try:
+                    _, idx, label = tokens
+                    idx = int(idx)
+                except ValueError:
+                    raise InvalidArgumentError(f"bad name declaration {line!r}") from None
+                if not 0 <= idx < k:
+                    raise InvalidArgumentError(f"joint name index {idx} out of range for k={k}")
+                names[idx] = label
+            else:
+                # record line: path, box, then k (x, y, v) triples
+                if len(tokens) < 2:
+                    raise InvalidArgumentError(f"truncated record {line!r}")
+                if len(tokens) - 2 != 3 * k:
+                    raise InvalidArgumentError(
+                        f"record {head!r} has {(len(tokens) - 2) // 3} joints, expected {k}"
+                    )
                 box = None if tokens[1] == "-" else parse_box(tokens[1])
-            except InvalidArgumentError as e:
-                raise _line_error(line_no, str(e)) from None
-            try:
-                vals = [float(t) for t in tokens[2:]]
-            except ValueError:
-                raise _line_error(line_no, f"non-numeric coordinate in {head!r}") from None
-            triples = np.array(vals).reshape(k, 3)
-            if np.any(np.abs(triples[:, :2]) > MAX_COORD):
-                raise _line_error(line_no, f"joint coordinate beyond +-{MAX_COORD:g} pixels")
-            if not np.all(np.isin(triples[:, 2], (0.0, 1.0))):
-                raise _line_error(line_no, "visibility flags must be 0 or 1")
-            try:
+                try:
+                    vals = [float(t) for t in tokens[2:]]
+                except ValueError:
+                    raise InvalidArgumentError(f"non-numeric coordinate in {head!r}") from None
+                triples = np.array(vals).reshape(k, 3)
+                if np.any(np.abs(triples[:, :2]) > MAX_COORD):
+                    raise InvalidArgumentError(f"joint coordinate beyond +-{MAX_COORD:g} pixels")
+                if not np.all(np.isin(triples[:, 2], (0.0, 1.0))):
+                    raise InvalidArgumentError("visibility flags must be 0 or 1")
                 pose = PoseVector(triples[:, :2], triples[:, 2] > 0)
-            except InvalidArgumentError as e:
-                raise _line_error(line_no, str(e)) from None
-            examples.append(AnnotatedExample(head, pose, box))
+                examples.append(AnnotatedExample(head, pose, box))
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"line {line_no}: {e}") from None
 
     if k is None:
-        raise _line_error(1, "empty manifest")
+        raise InvalidArgumentError("line 1: empty manifest")
     if not examples:  # checked before anything of size k is built
         raise InvalidArgumentError(f"manifest {path} has no records")
     joint_names = [names.get(i, f"j{i}") for i in range(k)]
     try:
-        tree = PoseTree(k, limbs, torso, swap)
+        tree = PoseTree(k, pairs["limb"], pairs["torso"], pairs["swap"])
     except InvalidArgumentError as e:
         raise InvalidArgumentError(f"bad pose tree: {e}") from None
     return DatasetManifest(k, tree, joint_names, examples, root=str(path.parent))
@@ -212,10 +191,8 @@ def load_examples(manifest: DatasetManifest) -> list[LoadedExample]:
 
 def load_image(path) -> np.ndarray:
     """Decode a binary graymap/pixmap into (H, W, C) float64 scaled to [0, 1]."""
-    try:
+    with file_access("read image", path):
         data = Path(path).read_bytes()
-    except OSError as e:
-        raise InvalidArgumentError(f"{path}: cannot read image: {io_reason(e)}") from None
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise InvalidArgumentError(f"{path}: unsupported magic {magic!r}")

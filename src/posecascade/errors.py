@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the reason text of a failed file access."""
+"""Exception types shared across the package, and the one rule that makes a
+file that cannot be used bad input."""
+
+from contextlib import contextmanager
 
 
 class PoseCascadeError(Exception):
@@ -21,6 +24,14 @@ class ContractViolationError(PoseCascadeError):
     """Internal handoff broken, e.g. a backward pass fed a stale forward cache."""
 
 
-def io_reason(e: OSError | UnicodeDecodeError) -> str:
-    """Why a file could not be read or made, for a message that names the path itself."""
-    return getattr(e, "strerror", None) or str(e)
+@contextmanager
+def file_access(verb: str, path):
+    """Turn a file that cannot be read, decoded or made in the block into bad
+    input: InvalidArgumentError("cannot <verb> <file>: <reason>"), file being
+    the one the error names, else path, and reason its strerror, else its text."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as e:
+        file = getattr(e, "filename", None) or path
+        reason = getattr(e, "strerror", None) or str(e)
+        raise InvalidArgumentError(f"cannot {verb} {file}: {reason}") from None

@@ -584,18 +584,15 @@ class OptimizerState:
     """Adaptive-gradient state: one squared-gradient accumulator per parameter."""
 
     accum: list[dict | None]
-    learning_rate: float = 0.0005
-    epsilon: float = 1e-8
+    learning_rate: float
 
     @classmethod
-    def for_network(cls, net: Network, learning_rate: float = 0.0005) -> "OptimizerState":
+    def for_network(cls, net: Network, learning_rate: float) -> "OptimizerState":
         return cls(net.zeroed_like(), learning_rate)
 
 
-def adagrad_step(
-    net: Network, grads: list[dict | None], state: OptimizerState
-) -> tuple[Network, OptimizerState]:
-    """In-place update: accum += g^2; param -= lr * g / (sqrt(accum) + eps)."""
+def adagrad_step(net: Network, grads: list[dict | None], state: OptimizerState) -> None:
+    """In-place update: accum += g^2; param -= lr * g / (sqrt(accum) + 1e-8)."""
     for p, g, a in zip(net.params, grads, state.accum):
         if p is None:
             continue
@@ -603,9 +600,8 @@ def adagrad_step(
             if p[key].shape != g[key].shape:
                 raise ShapeError(f"gradient shape {g[key].shape} != param shape {p[key].shape}")
             a[key] += g[key] * g[key]
-            p[key] -= state.learning_rate * g[key] / (np.sqrt(a[key]) + state.epsilon)
+            p[key] -= state.learning_rate * g[key] / (np.sqrt(a[key]) + 1e-8)
     net.version += 1
-    return net, state
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +701,7 @@ _FORWARD, _BACKWARD, _LOSS = forward, backward, l2_loss_batch
 
 
 def _slice_grads(net: Network, x: np.ndarray, targets: np.ndarray, masks: np.ndarray,
-                 rng: _Drawn | None, scale: float, into: list[dict | None] | None = None
+                 rng: _Drawn, scale: float, into: list[dict | None] | None = None
                  ) -> tuple[float, list[dict | None]]:
     """The summed loss and the parameter gradients of one training slice,
     its loss gradient scaled by scale; with into, the gradients are added
@@ -722,17 +718,17 @@ def train_step(
     x: np.ndarray,
     targets: np.ndarray,
     masks: np.ndarray,
-    rng: np.random.Generator | None,
+    rows: np.ndarray,
+    rng: np.random.Generator,
     worker: ThreadPoolExecutor | None = None,
-    rows: np.ndarray | None = None,
 ) -> float:
-    """One adaptive-gradient update from the mini-batch x; returns its mean loss.
+    """One adaptive-gradient update from a mini-batch; returns its mean loss.
 
-    targets is (n, 2k) and masks (n, k) for the n examples of x. With rows,
-    the batch is those rows of x, targets and masks, and each slice gathers
-    its own rows, so the step never copies the whole batch. The batch runs
-    forward, loss and backward in consecutive slices of a few examples,
-    each slice's loss gradient scaled by len(slice) / n, and one
+    targets is (m, 2k) and masks (m, k) for the m examples of x. The batch
+    is the n examples that the index array rows picks from them, and each
+    slice gathers its own rows, so the step never copies the whole batch.
+    The batch runs forward, loss and backward in consecutive slices of a
+    few rows, each slice's loss gradient scaled by len(slice) / n, and one
     adagrad_step applies the sum of the slices' parameter gradients: the
     update of the whole batch, up to float rounding. The slices' gradients
     and losses are summed in slice order. Before any slice runs, every
@@ -753,23 +749,20 @@ def train_step(
     crops allocated tens of MB afresh (conv1's im2col matrix alone is 40 MB)
     and faulted them in from the kernel every batch.
     """
-    n = len(x) if rows is None else len(rows)
+    n = len(rows)
     if n == 0:
         raise InvalidArgumentError("a training step needs a non-empty batch")
     if len(targets) != len(x) or len(masks) != len(x):
         raise ShapeError("inputs, targets and masks must have equal length")
     step = _slice_size(net) or n
-    parts = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    parts = [rows[lo : lo + step] for lo in range(0, n, step)]
     shapes = [net.input_size, *chain_shapes(net.layers, net.input_size)]
     dropout_sizes = [math.prod(shapes[i]) for i, s in enumerate(net.layers) if isinstance(s, Dropout)]
-    rngs = [None if rng is None else _Drawn([rng.random((p.stop - p.start) * size)
-                                            for size in dropout_sizes])
-            for p in parts]
+    rngs = [_Drawn([rng.random(len(p) * size) for size in dropout_sizes]) for p in parts]
 
     def run(i, into=None):
-        p = parts[i]
-        r = p if rows is None else rows[p]
-        return _slice_grads(net, x[r], targets[r], masks[r], rngs[i], (p.stop - p.start) / n, into)
+        r = parts[i]
+        return _slice_grads(net, x[r], targets[r], masks[r], rngs[i], len(r) / n, into)
 
     summed, total = None, 0.0
     for i in range(0, len(parts), 2):
@@ -821,7 +814,7 @@ def train_epochs(
             total = 0.0
             for lo in range(0, n, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
-                total += train_step(net, state, inputs, targets, masks, rng, worker, idx) * len(idx)
+                total += train_step(net, state, inputs, targets, masks, idx, rng, worker) * len(idx)
             if progress is not None:
                 progress(epoch, total / n)
     return net

@@ -16,6 +16,8 @@ from posecascade.geometry import PoseTree
 from conftest import file_with_param
 from fdcheck import max_rel_error
 
+LR = nn.TrainConfig(1).learning_rate  # the default rate of a training run
+
 
 def fc_net(din, dout, seed=0):
     return nn.init_network([nn.FullyConnected(dout)], (din,), dout, seed)
@@ -385,7 +387,7 @@ def test_backward_linear_layer_gradient():
 def test_backward_stale_cache_rejected():
     net = fc_net(3, 2)
     out, cache = nn.forward(net, np.ones(3)[None], train_mode=True)
-    state = nn.OptimizerState.for_network(net)
+    state = nn.OptimizerState.for_network(net, LR)
     grads = nn.backward(net, cache, np.ones(2)[None])
     nn.adagrad_step(net, grads, state)
     with pytest.raises(ContractViolationError):
@@ -799,13 +801,13 @@ def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
     masks = rng.random((37, 2)) < 0.8
 
     whole = nn.init_network(layers, (10, 10, 2), 4, seed=3)
-    whole_state = nn.OptimizerState.for_network(whole)
+    whole_state = nn.OptimizerState.for_network(whole, LR)
     out, cache = nn.forward(whole, x, train_mode=True, rng=np.random.default_rng(5))
     whole_loss, grad = nn.l2_loss_batch(out, targets, masks)
     nn.adagrad_step(whole, nn.backward(whole, cache, grad), whole_state)
 
     sliced = nn.init_network(layers, (10, 10, 2), 4, seed=3)
-    state = nn.OptimizerState.for_network(sliced)
+    state = nn.OptimizerState.for_network(sliced, LR)
     monkeypatch.setattr(nn, "SLICE_BYTES", 8 * 3 * 3 * 2 * 8 * 8 * 8)  # 8 examples
     slice_grads, sizes = nn._slice_grads, []
 
@@ -814,7 +816,7 @@ def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
         return slice_grads(net, xs, *args)
 
     monkeypatch.setattr(nn, "_slice_grads", counting_slice_grads)
-    loss = nn.train_step(sliced, state, x, targets, masks, np.random.default_rng(5))
+    loss = nn.train_step(sliced, state, x, targets, masks, np.arange(37), np.random.default_rng(5))
 
     assert sizes == [8, 8, 8, 8, 5]
     assert loss == pytest.approx(whole_loss, rel=1e-12)
@@ -840,7 +842,7 @@ def _two_dropout_step(monkeypatch):
 
     def fresh():
         net = nn.init_network(layers, (10, 10, 2), 4, seed=3, dtype=np.float32)
-        return net, nn.OptimizerState.for_network(net)
+        return net, nn.OptimizerState.for_network(net, LR)
 
     return fresh, x, targets, masks
 
@@ -858,8 +860,9 @@ def test_paired_slices_equal_serial_slices(monkeypatch):
     fresh, x, targets, masks = _two_dropout_step(monkeypatch)
     serial, paired = fresh(), fresh()
     with nn.slice_worker() as worker:
-        serial_loss = nn.train_step(*serial, x, targets, masks, np.random.default_rng(5))
-        paired_loss = nn.train_step(*paired, x, targets, masks, np.random.default_rng(5), worker)
+        serial_loss = nn.train_step(*serial, x, targets, masks, np.arange(37), np.random.default_rng(5))
+        paired_loss = nn.train_step(*paired, x, targets, masks, np.arange(37),
+                                    np.random.default_rng(5), worker)
     assert paired_loss == serial_loss
     _assert_same_state(paired, serial)
 
@@ -880,7 +883,8 @@ def test_paired_slices_draw_the_stream_of_slices_run_one_by_one(monkeypatch):
                 None if a is None else {k: a[k] + g[k] for k in a} for a, g in zip(summed, grads)]
             total += loss * len(out)
         nn.adagrad_step(net, summed, state)
-        paired_loss = nn.train_step(*paired, x, targets, masks, np.random.default_rng(5), worker)
+        paired_loss = nn.train_step(*paired, x, targets, masks, np.arange(37),
+                                    np.random.default_rng(5), worker)
     assert paired_loss == total / 37
     _assert_same_state(paired, (net, state))
 
@@ -892,8 +896,8 @@ def test_train_step_rows_pick_the_batch(monkeypatch):
     copied, picked = fresh(), fresh()
     with nn.slice_worker() as worker:
         copied_loss = nn.train_step(*copied, x[rows], targets[rows], masks[rows],
-                                    np.random.default_rng(5), worker)
-        picked_loss = nn.train_step(*picked, x, targets, masks, np.random.default_rng(5), worker, rows)
+                                    np.arange(len(rows)), np.random.default_rng(5), worker)
+        picked_loss = nn.train_step(*picked, x, targets, masks, rows, np.random.default_rng(5), worker)
     assert picked_loss == copied_loss
     _assert_same_state(picked, copied)
 
@@ -1007,7 +1011,7 @@ def test_float32_kept_end_to_end(name):
     assert all(v.dtype == np.float32 for c in cache.layer_caches if c for v in c.values()
                if isinstance(v, np.ndarray) and v.dtype.kind == "f")
     grads = nn.backward(net, cache, rng.standard_normal(out.shape))  # float64 grad too
-    state = nn.OptimizerState.for_network(net)
+    state = nn.OptimizerState.for_network(net, LR)
     nn.adagrad_step(net, grads, state)
     for g, p, a in zip(grads, net.params, state.accum):
         if p is not None:

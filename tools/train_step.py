@@ -49,13 +49,14 @@ def main(argv=None) -> int:
     x = (rng.random((BATCH,) + config.input_size) - 0.5).astype(np.float32)
     target = rng.uniform(-0.5, 0.5, (BATCH, 2 * k))
     mask = np.ones((BATCH, k), dtype=bool)
-    state = nn.OptimizerState.for_network(net)
+    state = nn.OptimizerState.for_network(net, config.train.learning_rate)
+    rows = np.arange(BATCH)
 
     with nn.one_blas_thread() as pinned, nn.slice_worker() as worker:
 
         def step() -> float:
             t0 = time.perf_counter()
-            nn.train_step(net, state, x, target, mask, rng, worker)
+            nn.train_step(net, state, x, target, mask, rows, rng, worker)
             return time.perf_counter() - t0
 
         step()
