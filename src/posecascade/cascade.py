@@ -278,6 +278,14 @@ def train_stage1(
     return _train_stage(views, tree.k, config, progress, "no usable training examples")
 
 
+def _check_matches_model(config: StageConfig, model) -> None:
+    """Raise unless config has the sigma and input size of model, a CascadeModel or its stage-1 config."""
+    got, want = (config.sigma, tuple(config.input_size)), (model.sigma, tuple(model.input_size))
+    if got != want:
+        raise InvalidArgumentError(f"stage config (sigma {got[0]}, input {got[1]}) does not match "
+                                   f"the model (sigma {want[0]}, input {want[1]})")
+
+
 def train_refinement_stage(
     examples: list[LoadedExample],
     model: CascadeModel,
@@ -290,11 +298,7 @@ def train_refinement_stage(
     config must carry the model's sigma and input_size, the box side and
     crop size predict serves the stage with.
     """
-    if config.sigma != model.sigma or tuple(config.input_size) != tuple(model.input_size):
-        raise InvalidArgumentError(
-            f"stage config (sigma {config.sigma}, input {tuple(config.input_size)}) does not "
-            f"match the model (sigma {model.sigma}, input {tuple(model.input_size)})"
-        )
+    _check_matches_model(config, model)
     views = refinement_views(examples, model.tree, stats, config, np.random.default_rng(config.seed))
     net = _train_stage(views, model.tree.k, config, progress, REFINE_EMPTY)
     model.stages.append(net)
@@ -311,14 +315,18 @@ def train_cascade(examples: list[LoadedExample], tree: PoseTree, stage_configs: 
     far and trains on them with train_refinement_stage. Every yield is the same
     CascadeModel object, one stage longer: a caller that keeps a stage's model
     must write or copy it before asking for the next. progress(stage, epoch,
-    loss) gets the 1-based stage number. Raises InvalidArgumentError before
-    any stage trains when there is more than one config and either the tree
-    has no torso pair or no example or mirror has a refinement view: a
-    labeled joint whose joint_box at the model's sigma is accepted. The box
-    sides come from the true poses, so that is known before stage 1 trains.
+    loss) gets the 1-based stage number. Before any stage trains, raises
+    InvalidArgumentError on no config, on a later config whose sigma or input
+    size is not the first's, and, given a later config, on a tree without a
+    torso pair or on examples whose true poses give no refinement view (no
+    labeled joint whose joint_box at the model's sigma is accepted).
     """
-    first = stage_configs[0]
-    if len(stage_configs) > 1:
+    if not stage_configs:
+        raise InvalidArgumentError("a cascade needs at least one stage config")
+    first, *later = stage_configs
+    for config in later:
+        _check_matches_model(config, first)
+    if later:
         if not tree.torso_pairs:
             raise InvalidArgumentError(REFINE_NEEDS_TORSO)
         if not any(_has_joint_box(pose, first.sigma, tree)
@@ -331,7 +339,7 @@ def train_cascade(examples: list[LoadedExample], tree: PoseTree, stage_configs: 
     net = train_stage1(examples, tree, first, stage_progress(1))
     model = CascadeModel([net], [None], first.sigma, tree, first.input_size)
     yield model
-    for stage, config in enumerate(stage_configs[1:], start=2):
+    for stage, config in enumerate(later, start=2):
         stats = fit_displacement_stats(model, examples)
         train_refinement_stage(examples, model, stats, config, stage_progress(stage))
         yield model
@@ -506,8 +514,10 @@ def cascade_from_bytes(data: bytes) -> CascadeModel:
 
 
 def save_cascade(model: CascadeModel, path) -> None:
-    """Write the model file; a model cascade_to_bytes refuses leaves no file."""
-    Path(path).write_bytes(cascade_to_bytes(model))
+    """Write the model file; a model cascade_to_bytes refuses leaves no file,
+    and a path that cannot be written is bad input."""
+    with file_access("write model file", path):
+        Path(path).write_bytes(cascade_to_bytes(model))
 
 
 def load_cascade(path) -> CascadeModel:

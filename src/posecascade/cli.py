@@ -167,10 +167,10 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _write(path, content: str | bytes) -> None:
-    """Write one output file; a path that cannot be written is a data error."""
+def _write(path, text: str) -> None:
+    """Write one UTF-8 output file; a path that cannot be written is a data error."""
     with file_access("write", path):
-        Path(path).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        Path(path).write_bytes(text.encode("utf-8"))
 
 
 def cmd_train(args) -> int:
@@ -206,12 +206,12 @@ def cmd_train(args) -> int:
     report_lines = [f"# held-out set: {held_name}", "stage mean_pdj@0.2 mean_px_error"]
     for model in casc.train_cascade(examples, manifest.tree, stage_configs, progress):
         stage = model.num_stages
-        _write(out / f"cascade_stage{stage}.model", casc.cascade_to_bytes(model))
+        casc.save_cascade(model, out / f"cascade_stage{stage}.model")
         mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
         report_lines.append(f"{stage} {mean_pdj:.4f} {mean_err:.4f}")
         _write(out / "heldout_report.txt", "\n".join(report_lines) + "\n")
 
-    _write(out / "cascade.model", casc.cascade_to_bytes(model))
+    casc.save_cascade(model, out / "cascade.model")
     print(f"trained {model.num_stages} stage(s); model at {out / 'cascade.model'}")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -694,22 +694,10 @@ class _Drawn:
         return next(self._draws)
 
 
-# The slice work calls these through names bound here, once at import: the
+# The slices call these through names bound here, once at import: the
 # benchmark's tracer swaps the module attributes for wrappers that assume one
 # thread, and a worker thread must not run them.
 _FORWARD, _BACKWARD, _LOSS = forward, backward, l2_loss_batch
-
-
-def _slice_grads(net: Network, x: np.ndarray, targets: np.ndarray, masks: np.ndarray,
-                 rng: _Drawn, scale: float, into: list[dict | None] | None = None
-                 ) -> tuple[float, list[dict | None]]:
-    """The summed loss and the parameter gradients of one training slice,
-    its loss gradient scaled by scale; with into, the gradients are added
-    into it (see backward)."""
-    out, cache = _FORWARD(net, x, train_mode=True, rng=rng)
-    loss, grad = _LOSS(out, targets, masks)
-    grad *= scale
-    return loss * len(out), _BACKWARD(net, cache, grad, into)
 
 
 def train_step(
@@ -720,7 +708,7 @@ def train_step(
     masks: np.ndarray,
     rows: np.ndarray,
     rng: np.random.Generator,
-    worker: ThreadPoolExecutor | None = None,
+    worker: Executor,
 ) -> float:
     """One adaptive-gradient update from a mini-batch; returns its mean loss.
 
@@ -730,17 +718,15 @@ def train_step(
     The batch runs forward, loss and backward in consecutive slices of a
     few rows, each slice's loss gradient scaled by len(slice) / n, and one
     adagrad_step applies the sum of the slices' parameter gradients: the
-    update of the whole batch, up to float rounding. The slices' gradients
-    and losses are summed in slice order. Before any slice runs, every
-    slice's dropout uniforms are drawn from rng, slice by slice and dropout
-    layer by dropout layer: the stream the slices would draw one after
-    another, which for one dropout layer is a whole-batch forward's.
+    update of the whole batch, up to float rounding. Before any slice runs,
+    every slice's dropout uniforms are drawn from rng, slice by slice and
+    dropout layer by dropout layer: the stream the slices would draw one
+    after another, which for one dropout layer is a whole-batch forward's.
 
-    With a worker (see slice_worker), slices run in pairs: the worker runs
-    slice 2i + 1 while the calling thread runs slice 2i and adds its
-    gradients into the running sum as backward computes them. Without one,
-    they run one after another on the calling thread, the reference the
-    pairs are tested against. Both give the same bits.
+    Slices run in pairs: worker (see slice_worker) runs slice 2i + 1 while
+    the calling thread runs slice 2i, adding its gradients into the running
+    sum as backward computes them. Gradients and losses are summed in slice
+    order, so the bits do not depend on which thread finishes first.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
@@ -761,17 +747,20 @@ def train_step(
     rngs = [_Drawn([rng.random(len(p) * size) for size in dropout_sizes]) for p in parts]
 
     def run(i, into=None):
+        """Slice i's summed loss and its parameter gradients, added into into when given."""
         r = parts[i]
-        return _slice_grads(net, x[r], targets[r], masks[r], rngs[i], len(r) / n, into)
+        out, cache = _FORWARD(net, x[r], train_mode=True, rng=rngs[i])
+        loss, grad = _LOSS(out, targets[r], masks[r])
+        grad *= len(r) / n
+        return loss * len(r), _BACKWARD(net, cache, grad, into)
 
     summed, total = None, 0.0
     for i in range(0, len(parts), 2):
-        paired = i + 1 < len(parts)
-        odd = worker.submit(run, i + 1) if paired and worker is not None else None
+        odd = worker.submit(run, i + 1) if i + 1 < len(parts) else None
         loss, summed = run(i, summed)
         total += loss
-        if paired:
-            loss, grads = odd.result() if odd is not None else run(i + 1)
+        if odd is not None:
+            loss, grads = odd.result()
             total += loss
             for acc, g in zip(summed, grads):
                 if acc is not None:

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -540,6 +541,21 @@ def test_train_cascade_without_torso_pair_raises_before_training(monkeypatch):
     assert model.num_stages == 1
 
 
+@pytest.mark.parametrize("configs, match", [
+    ([], "at least one stage config"),
+    ([tiny_stage_config(), tiny_stage_config(sigma=1.5)], "does not match the model"),
+    ([tiny_stage_config(), tiny_stage_config(input_size=(10, 10, 1))], "does not match the model"),
+], ids=["no_config", "other_sigma", "other_input_size"])
+def test_train_cascade_rejects_configs_before_training(monkeypatch, configs, match):
+    # no config, or a later stage whose boxes or crops predict would not serve
+    def no_training(*args, **kwargs):
+        pytest.fail("stage 1 trained before the stage configs were rejected")
+
+    monkeypatch.setattr(cascade, "train_stage1", no_training)
+    with pytest.raises(InvalidArgumentError, match=match):
+        next(cascade.train_cascade([example_with_pose(spread_pose())], TREE, configs))
+
+
 # --- cascade inference ----------------------------------------------------------------
 
 
@@ -793,6 +809,11 @@ def test_non_finite_parameter_is_not_written(tmp_path, bad):
     with pytest.raises(InvalidArgumentError, match="non-finite"):
         cascade.save_cascade(model, tmp_path / "model.bin")
     assert not (tmp_path / "model.bin").exists()
+
+
+def test_save_to_a_directory_is_bad_input_naming_it(tmp_path):
+    with pytest.raises(InvalidArgumentError, match=f"cannot write model file {re.escape(str(tmp_path))}: "):
+        cascade.save_cascade(_two_stage_model(random_net(6)), tmp_path)
 
 
 def _header(data_):

@@ -684,6 +684,11 @@ def _unreadable_input(case, tmp_path, synth_dir, trained_dir):
         return ["synth", "--out", str(path / "sub"), "--count", "1"], path / "sub"
     if case == "train_out_is_a_file":
         return ["train", "--train", str(synth_dir / "manifest.txt"), "--out", str(path)], path
+    if case == "train_model_is_a_directory":
+        path = tmp_path / "out" / "cascade_stage1.model"
+        path.mkdir(parents=True)
+        return ["train", "--train", str(synth_dir / "manifest.txt"), "--out", out, "--stages", "1",
+                "--epochs", "1", "--stage1-crops", "0", "--input-size", "24"], path
     assert case == "eval_out_is_a_file"
     return ["eval", "--model", model, "--manifest", str(synth_dir / "manifest.txt"),
             "--out", str(path)], path
@@ -691,6 +696,7 @@ def _unreadable_input(case, tmp_path, synth_dir, trained_dir):
 
 @pytest.mark.parametrize("case", ["model_is_a_directory", "config_not_utf8", "manifest_not_utf8",
                                   "record_is_a_directory", "train_out_is_a_file",
+                                  "train_model_is_a_directory",
                                   "eval_out_is_a_file", "synth_out_is_a_file",
                                   "synth_out_under_a_file", "render_is_a_directory",
                                   "render_dir_missing", "eval_report_is_a_directory",
