@@ -31,7 +31,7 @@ from .geometry import PoseTree, PoseVector, crop_resample, full_image_box, joint
 log = logging.getLogger(__name__)
 
 CASCADE_MAGIC = b"PCCAS\n"
-CASCADE_FORMAT_VERSION = 2  # 2 put every stage into the one header
+CASCADE_FORMAT_VERSION = 2
 JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
 REFINE_NEEDS_TORSO = "refinement stages need a torso pair, whose diameter sizes their crops"
 REFINE_EMPTY = "refinement training set is empty"
@@ -394,29 +394,34 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
     cascade stops at the previous pose and the result is flagged truncated.
     A non-finite stage-1 output raises InvalidArgumentError, since there is
     no earlier pose to keep.
+
+    The stages run with BLAS pinned to one thread (nn.one_blas_thread); code
+    that runs two predictions at once on two threads must hold the pin
+    around the pair, as nn.train_step does around its slices.
     """
     k = model.tree.k
     if b0 is None:
         b0 = full_image_box(image.shape[1], image.shape[0])
     boxes, rows = np.asarray(b0, dtype=np.float64).reshape(1, 4), np.zeros(k, dtype=int)
     poses: list[PoseVector] = []
-    for s, net in enumerate(model.stages):
-        if s > 0:
-            try:
-                boxes = joint_box(poses[-1], model.sigma, model.tree)
-            except InvalidArgumentError:  # every joint is present: the side is degenerate
+    with nn.one_blas_thread():
+        for s, net in enumerate(model.stages):
+            if s > 0:
+                try:
+                    boxes = joint_box(poses[-1], model.sigma, model.tree)
+                except InvalidArgumentError:  # every joint is present: the side is degenerate
+                    return CascadePrediction(poses, truncated=True)
+                rows = np.arange(k)
+            crops = net_input(image, boxes, model.input_size)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                outs, _ = nn.forward(net, crops)
+            v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]
+            joints = v * boxes[rows, 2:] + boxes[rows, :2]
+            if not np.isfinite(joints).all():
+                if s == 0:
+                    raise InvalidArgumentError("stage 1 produced a non-finite output")
                 return CascadePrediction(poses, truncated=True)
-            rows = np.arange(k)
-        crops = net_input(image, boxes, model.input_size)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            outs, _ = nn.forward(net, crops)
-        v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]
-        joints = v * boxes[rows, 2:] + boxes[rows, :2]
-        if not np.isfinite(joints).all():
-            if s == 0:
-                raise InvalidArgumentError("stage 1 produced a non-finite output")
-            return CascadePrediction(poses, truncated=True)
-        poses.append(PoseVector(joints, np.ones(k, dtype=bool)))
+            poses.append(PoseVector(joints, np.ones(k, dtype=bool)))
     return CascadePrediction(poses)
 
 

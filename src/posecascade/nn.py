@@ -645,12 +645,22 @@ def _slice_size(net: Network) -> int:
     return max(1, SLICE_BYTES // per_example) if per_example else 0
 
 
-try:  # the thread-count calls of the OpenBLAS numpy bundles, found through the module that links it
+try:  # the OpenBLAS numpy bundles and its thread-count calls, found through the module that links it
     _OPENBLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
     _BLAS_THREADS = (_OPENBLAS.scipy_openblas_get_num_threads64_,
                      _OPENBLAS.scipy_openblas_set_num_threads64_)
 except (AttributeError, OSError):  # another BLAS, or another numpy layout
-    _BLAS_THREADS = None
+    _OPENBLAS = _BLAS_THREADS = None
+
+
+def blas_kernel() -> str:
+    """The CPU kernel numpy's OpenBLAS runs (SkylakeX, say), or "unknown" where
+    it exports no call naming it; another kernel can round a GEMM differently."""
+    corename = getattr(_OPENBLAS, "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 @contextmanager
@@ -672,15 +682,6 @@ def one_blas_thread():
         yield True
     finally:
         put(before)
-
-
-@contextmanager
-def slice_worker():
-    """A worker thread for train_step to run every other slice on, yielded
-    with BLAS pinned to one thread, so that the two slices in flight use
-    one core each."""
-    with one_blas_thread(), ThreadPoolExecutor(1) as pool:
-        yield pool
 
 
 class _Drawn:
@@ -723,17 +724,15 @@ def train_step(
     dropout layer by dropout layer: the stream the slices would draw one
     after another, which for one dropout layer is a whole-batch forward's.
 
-    Slices run in pairs: worker (see slice_worker) runs slice 2i + 1 while
-    the calling thread runs slice 2i, adding its gradients into the running
-    sum as backward computes them. Gradients and losses are summed in slice
-    order, so the bits do not depend on which thread finishes first.
+    Slices run in pairs: worker, an executor such as ThreadPoolExecutor(1),
+    runs slice 2i + 1 while the calling thread runs slice 2i, adding its
+    gradients into the running sum as backward computes them. The step sums
+    in slice order and pins BLAS to one thread (one_blas_thread) until it
+    returns, so its bits depend on neither thread timing nor thread count.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
-    get smaller slices. Its temporaries then fit in cache, and the allocator
-    reuses their memory from slice to slice; a whole batch of 128 default
-    crops allocated tens of MB afresh (conv1's im2col matrix alone is 40 MB)
-    and faulted them in from the kernel every batch.
+    get smaller slices.
     """
     n = len(rows)
     if n == 0:
@@ -755,19 +754,20 @@ def train_step(
         return loss * len(r), _BACKWARD(net, cache, grad, into)
 
     summed, total = None, 0.0
-    for i in range(0, len(parts), 2):
-        odd = worker.submit(run, i + 1) if i + 1 < len(parts) else None
-        loss, summed = run(i, summed)
-        total += loss
-        if odd is not None:
-            loss, grads = odd.result()
+    with one_blas_thread():
+        for i in range(0, len(parts), 2):
+            odd = worker.submit(run, i + 1) if i + 1 < len(parts) else None
+            loss, summed = run(i, summed)
             total += loss
-            for acc, g in zip(summed, grads):
-                if acc is not None:
-                    acc["w"] += g["w"]
-                    acc["b"] += g["b"]
-            del odd, grads  # free this slice's gradients before the next pair runs
-    adagrad_step(net, summed, state)
+            if odd is not None:
+                loss, grads = odd.result()
+                total += loss
+                for acc, g in zip(summed, grads):
+                    if acc is not None:
+                        acc["w"] += g["w"]
+                        acc["b"] += g["b"]
+                del odd, grads  # free this slice's gradients before the next pair runs
+        adagrad_step(net, summed, state)
     return total / n
 
 
@@ -784,11 +784,10 @@ def train_epochs(
     inputs is (n, ...) matching the net input, targets (n, 2k), masks (n, k).
     Each mini-batch is one train_step: one update from the mean gradient over
     the batch's examples, computed in slices of a few examples whose size
-    follows the SLICE_BYTES budget, two slices at a time on two threads
-    while BLAS is pinned to one thread (see train_step and slice_worker).
+    follows the SLICE_BYTES budget, two slices at a time on two threads.
     progress, when given, is called as progress(epoch_index, mean_epoch_loss).
     Deterministic for a fixed seed, whatever the BLAS thread count where
-    BLAS can be pinned.
+    BLAS can be pinned (see train_step).
     """
     n = len(inputs)
     if n == 0:
@@ -797,7 +796,7 @@ def train_epochs(
         raise ShapeError("inputs, targets and masks must have equal length")
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_network(net, config.learning_rate)
-    with slice_worker() as worker:
+    with ThreadPoolExecutor(1) as worker:
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             total = 0.0

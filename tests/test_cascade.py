@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,6 +558,43 @@ def test_train_cascade_rejects_configs_before_training(monkeypatch, configs, mat
     monkeypatch.setattr(cascade, "train_stage1", no_training)
     with pytest.raises(InvalidArgumentError, match=match):
         next(cascade.train_cascade([example_with_pose(spread_pose())], TREE, configs))
+
+
+# A three-stage cascade of the default stack on the synth set in argv[1], its
+# model files after each stage and its predictions written into argv[2].
+_LIBRARY_RUN = """
+import sys
+from pathlib import Path
+import numpy as np
+from posecascade import cascade, data, nn
+examples = data.load_examples(data.load_manifest(Path(sys.argv[1]) / "manifest.txt"))
+out = Path(sys.argv[2])
+configs = [cascade.StageConfig(sigma=1.0, crops_per_joint=1, stage1_jitter_crops=0,
+                               train=nn.TrainConfig(epochs=1, seed=s), seed=s) for s in (1, 2, 3)]
+for stage, model in enumerate(cascade.train_cascade(examples, data.default_tree(), configs), start=1):
+    cascade.save_cascade(model, out / f"stage{stage}.model")
+np.save(out / "poses.npy", [p.final.joints for p in cascade.predict_many(model, examples)])
+"""
+
+
+def test_library_cascade_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS can round a float32 GEMM differently at 2 threads than at 1. The
+    # stats fitted from stage 1's predictions feed stage 2's training set, so a
+    # library caller gets the same bytes only because train_step and predict pin
+    data.synth_generate(data.SynthConfig(4, seed=7), tmp_path / "d")
+    src = str(Path(cascade.__file__).resolve().parents[1])
+    written = []
+    for threads in ("2", "1"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _LIBRARY_RUN, str(tmp_path / "d"), str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["poses.npy", "stage1.model", "stage2.model", "stage3.model"]
+    assert written[0] == written[1]
 
 
 # --- cascade inference ----------------------------------------------------------------

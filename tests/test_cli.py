@@ -710,25 +710,34 @@ def test_unusable_path_is_data_error_naming_it(tmp_path, synth_dir, trained_dir,
 
 def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # OpenBLAS can round a float32 GEMM differently at 2 threads than at 1;
-    # training and the stats fitting that feeds stage 3 pin BLAS to one thread
+    # every training step and every prediction (the stats fitting that feeds
+    # stage 3, the held-out report, eval and predict) pins BLAS to one thread
+    manifest = str(tmp_path / "d" / "manifest.txt")
     assert run("synth", "--out", str(tmp_path / "d"), "--count", "4", "--seed", "7") == 0
     src = str(Path(cli.__file__).resolve().parents[1])
-    written = []
+    written, printed = [], []
     for threads in ("2", "1"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = tmp_path / threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "posecascade.cli", "train", "--train",
-             str(tmp_path / "d" / "manifest.txt"), "--out", str(out), "--stages", "3",
-             "--epochs", "1", "--refine-epochs", "1", "--stage1-crops", "0",
-             "--crops-per-joint", "1", "--seed", "1"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert "cascade.model" in written[0]
+        model = str(out / "train" / "cascade.model")
+
+        def command(*args):
+            proc = subprocess.run([sys.executable, "-m", "posecascade.cli", *args],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        command("train", "--train", manifest, "--out", str(out / "train"),
+                "--stages", "3", "--epochs", "1", "--refine-epochs", "1", "--stage1-crops", "0",
+                "--crops-per-joint", "1", "--seed", "1")
+        printed.append([command("eval", "--model", model, "--manifest", manifest, "--out", str(out / "eval")),
+                        command("predict", "--model", model, "--image", str(tmp_path / "d" / "fig_00000.pgm"))])
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert {"train/cascade.model", "train/heldout_report.txt", "eval/eval_stage3.json"} <= set(written[0])
     assert written[0] == written[1]
+    assert printed[0] == printed[1]
 
 
 def test_module_entry_point_runs_without_runtime_warning():

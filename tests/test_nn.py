@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -862,7 +868,7 @@ def test_paired_slices_draw_the_stream_of_slices_run_one_by_one(monkeypatch):
     fresh, x, targets, masks = _two_dropout_step(monkeypatch)
     (net, state), paired = fresh(), fresh()
     rng, summed, total = np.random.default_rng(5), None, 0.0
-    with nn.slice_worker() as worker:  # BLAS pinned, as for the paired step
+    with nn.one_blas_thread():  # BLAS pinned, as for the paired step
         for lo in range(0, 37, 8):
             out, cache = nn.forward(net, x[lo : lo + 8], train_mode=True, rng=rng)
             loss, grad = nn.l2_loss_batch(out, targets[lo : lo + 8], masks[lo : lo + 8])
@@ -872,6 +878,7 @@ def test_paired_slices_draw_the_stream_of_slices_run_one_by_one(monkeypatch):
                 None if a is None else {k: a[k] + g[k] for k in a} for a, g in zip(summed, grads)]
             total += loss * len(out)
         nn.adagrad_step(net, summed, state)
+    with ThreadPoolExecutor(1) as worker:
         paired_loss = nn.train_step(*paired, x, targets, masks, np.arange(37),
                                     np.random.default_rng(5), worker)
     assert paired_loss == total / 37
@@ -883,7 +890,7 @@ def test_train_step_rows_pick_the_batch(monkeypatch):
     fresh, x, targets, masks = _two_dropout_step(monkeypatch)
     rows = np.random.default_rng(9).permutation(37)[:29]
     copied, picked = fresh(), fresh()
-    with nn.slice_worker() as worker:
+    with ThreadPoolExecutor(1) as worker:
         copied_loss = nn.train_step(*copied, x[rows], targets[rows], masks[rows],
                                     np.arange(len(rows)), np.random.default_rng(5), worker)
         picked_loss = nn.train_step(*picked, x, targets, masks, rows, np.random.default_rng(5), worker)
@@ -914,20 +921,49 @@ def test_backward_into_adds_the_same_bits_as_summing_after():
 def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
     if nn._BLAS_THREADS is not None:
         get, put = nn._BLAS_THREADS
+        fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+        model = cascade.CascadeModel([nn.init_network([nn.FullyConnected(4)], (6, 6, 1), 4, seed=5,
+                                                      dtype=np.float32)],
+                                     [None], 1.0, PoseTree(2, [], []), (6, 6, 1))
+        seen, forward = [], nn.forward  # (thread, BLAS threads) per forward
+
+        def counting(*args, **kwargs):
+            seen.append((threading.get_ident(), get()))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "_FORWARD", counting)  # train_step's slices
+        monkeypatch.setattr(nn, "forward", counting)  # cascade.predict
         before = get()
         put(2)
         try:
             with nn.one_blas_thread() as pinned:
                 assert pinned and get() == 1
-            with nn.slice_worker():
-                assert get() == 1
             assert get() == 2
+            with ThreadPoolExecutor(1) as worker:
+                nn.train_step(*fresh(), x, targets, masks, np.arange(37), np.random.default_rng(5), worker)
+            assert len(seen) == 5 and len({thread for thread, _ in seen}) == 2 and get() == 2
+            cascade.predict(model, np.zeros((8, 8, 1)))
+            assert len(seen) == 6 and get() == 2
+            assert all(threads == 1 for _, threads in seen)
         finally:
             put(before)
     # a BLAS without the thread-count calls is left as it is
     monkeypatch.setattr(nn, "_BLAS_THREADS", None)
     with nn.one_blas_thread() as pinned:
         assert not pinned
+
+
+def test_blas_kernel_names_the_kernel_openblas_runs(monkeypatch):
+    if "DYNAMIC_ARCH" in str(np.show_config(mode="dicts")) and nn.blas_kernel() != "unknown":
+        # a DYNAMIC_ARCH OpenBLAS takes the kernel OPENBLAS_CORETYPE names when it loads
+        src = str(Path(nn.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", "from posecascade import nn; print(nn.blas_kernel())"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "Sandybridge\n", proc.stderr
+    monkeypatch.setattr(nn, "_OPENBLAS", None)  # another BLAS, or another numpy layout
+    assert nn.blas_kernel() == "unknown"
 
 
 def test_train_step_memory_does_not_grow_with_the_batch():
@@ -948,7 +984,7 @@ def test_train_step_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
 
-    with nn.slice_worker() as worker:
+    with ThreadPoolExecutor(1) as worker:
         inline = {n: peak(n, InlineExecutor()) for n in (8, 16, 128)}
         assert inline[128] < 1.3 * inline[16]
         assert peak(128, worker) < inline[128] + inline[8]  # 8 examples: one slice

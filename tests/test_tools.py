@@ -26,6 +26,7 @@ def test_model_bytes_lists_a_sha256_per_written_file():
     proc = subprocess.run([sys.executable, str(TOOLS / "model_bytes.py")],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"BLAS kernel {nn.blas_kernel()}\n"  # bytes hold for one kernel
     lines = proc.stdout.splitlines()
     assert lines and all(re.fullmatch(r"[0-9a-f]{64}  [^/\s]\S*", line) for line in lines)
     paths = {line.split("  ", 1)[1] for line in lines}

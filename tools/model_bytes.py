@@ -5,13 +5,18 @@ The run synthesises 40 training figures (seed 11) and 20 held-out figures
 --refine-epochs 1 --crops-per-joint 3 --seed 1`) and evaluates it on the
 held-out set, all in a temporary directory with BLAS pinned to one thread
 (OpenBLAS can round float32 sums differently at other thread counts).
-Every `posecascade` command pins numpy's OpenBLAS to one thread itself
-through its thread-count call; the environment pin covers a BLAS whose
-thread count `nn` cannot set, which reads the count from the environment
-when it loads. A change that keeps model bytes prints the same lines as
-its parent; run it in both checkouts and compare:
+Every training step and prediction pins numpy's OpenBLAS to one thread
+itself through its thread-count call; the environment pin covers a BLAS
+whose thread count `nn` cannot set, which reads the count from the
+environment when it loads. A change that keeps model bytes prints the same
+lines as its parent; run it in both checkouts and compare:
 
     python3 tools/model_bytes.py > after.txt
+
+The bytes hold for one BLAS kernel, which OpenBLAS picks for the CPU (or
+`OPENBLAS_CORETYPE` names): another kernel can round a GEMM differently.
+So the script names the kernel on stderr (`BLAS kernel SkylakeX`, say), and
+its stdout stays the sha256 lines alone.
 
 It runs the `posecascade` package under `src/` next to this file.
 """
@@ -40,6 +45,10 @@ def _cli(cwd: Path, *args: str) -> None:
 
 
 def main() -> int:
+    sys.path.insert(0, str(SRC))
+    from posecascade import nn
+
+    print(f"BLAS kernel {nn.blas_kernel()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _cli(root, "synth", "--out", "train", "--count", "40", "--seed", "11")
