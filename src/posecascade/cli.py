@@ -151,13 +151,6 @@ def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
     )
 
 
-def _heldout_row(model, examples, truths):
-    preds = [p.final for p in casc.predict_many(model, examples)]
-    mean_pdj = float(met.pdj_curve(preds, truths, model.tree, [0.2]).mean_rates()[0])
-    err, labeled = met.joint_errors(preds, truths, model.tree)
-    return mean_pdj, float(err[labeled].mean()) if labeled.any() else float("nan")
-
-
 def _out_dir(path: str) -> Path:
     """The output directory at path, made if missing; a path that cannot be
     one is a data error."""
@@ -207,8 +200,9 @@ def cmd_train(args) -> int:
     for model in casc.train_cascade(examples, manifest.tree, stage_configs, progress):
         stage = model.num_stages
         casc.save_cascade(model, out / f"cascade_stage{stage}.model")
-        mean_pdj, mean_err = _heldout_row(model, held_examples, held_truths)
-        report_lines.append(f"{stage} {mean_pdj:.4f} {mean_err:.4f}")
+        preds = [p.final for p in casc.predict_many(model, held_examples)]
+        curve = met.pdj_curve(preds, held_truths, model.tree, [0.2])
+        report_lines.append(f"{stage} {curve.mean_rates()[0]:.4f} {curve.mean_px_error:.4f}")
         _write(out / "heldout_report.txt", "\n".join(report_lines) + "\n")
 
     casc.save_cascade(model, out / "cascade.model")
@@ -217,14 +211,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:  # the settings are checked before any file is read
+        fractions = met.check_scales("fractions", *args.fractions.split(","))
+    except ValueError:
+        raise InvalidArgumentError(f"bad --fractions value {args.fractions!r}") from None
+    met.check_scales("PCP threshold", args.pcp_threshold)
     model = casc.load_cascade(args.model)
     manifest = dat.load_manifest(args.manifest)
     if manifest.k != model.tree.k:
         raise InvalidArgumentError(f"manifest k={manifest.k} does not match model k={model.tree.k}")
-    try:
-        fractions = [float(f) for f in args.fractions.split(",")]
-    except ValueError:
-        raise InvalidArgumentError(f"bad --fractions value {args.fractions!r}") from None
     examples = dat.load_examples(manifest)
     truths = [ex.pose for ex in examples]
     preds = casc.predict_many(model, examples)
@@ -237,8 +232,7 @@ def cmd_eval(args) -> int:
         )
         _write(out / f"eval_stage{s + 1}.txt", report.text_table())
         _write(out / f"eval_stage{s + 1}.json", json.dumps(report.json_dict(), indent=1))
-        mean = report.pdj.mean_rates()
-        summary = " ".join(f"pdj@{f:g}={m:.4f}" for f, m in zip(fractions, mean))
+        summary = " ".join(f"pdj@{f:g}={m:.4f}" for f, m in zip(fractions, report.pdj.mean_rates()))
         print(f"stage {s + 1}: {summary}")
     return EXIT_OK
 

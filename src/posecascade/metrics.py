@@ -45,6 +45,7 @@ class PdjCurve:
     detected: np.ndarray  # (len(fractions), k) int
     valid: np.ndarray  # per joint
     excluded_examples: int  # no labeled torso pair or zero diameter
+    mean_px_error: float  # over every labeled joint, excluded examples too; NaN (JSON null) if none
 
     def mean_rates(self) -> np.ndarray:
         """Average at each fraction over the joints some example labels (0.0 if none)."""
@@ -62,12 +63,6 @@ def _stack(preds, truths, tree: PoseTree):
     return truth, np.linalg.norm(pred - truth, axis=2), labeled
 
 
-def joint_errors(preds, truths, tree: PoseTree) -> tuple[np.ndarray, np.ndarray]:
-    """(err, labeled): the (n, k) distances from each predicted joint to its
-    truth, and the (n, k) mask of the joints the truths label."""
-    return _stack(preds, truths, tree)[1:]
-
-
 def _rates(hit: np.ndarray, counted: np.ndarray):
     """(rates, detected, valid) per column of the (n, m) mask `counted`, where
     `hit` is (n, m) or a stack (..., n, m) of such masks."""
@@ -76,14 +71,22 @@ def _rates(hit: np.ndarray, counted: np.ndarray):
     return np.divide(detected, valid, out=np.zeros(detected.shape), where=valid > 0), detected, valid
 
 
+def check_scales(name: str, *values) -> list[float]:
+    """The values as floats, each a PCP threshold or PDJ fraction (a multiple
+    of a length); InvalidArgumentError naming `name` if one is negative or not finite."""
+    values = [float(v) for v in values]
+    if not all(0 <= v < np.inf for v in values):  # False for NaN
+        raise InvalidArgumentError(f"{name} must be finite and >= 0, got {values}")
+    return values
+
+
 def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> tuple[LimbRates, LimbRates]:
     """Percentage of correct parts, (strict, loose), from one error pass.
 
     Strict: both endpoint errors <= threshold * limb length. Loose: the mean
     of the two endpoint errors <= threshold * limb length.
     """
-    if not 0 <= threshold < np.inf:  # False for NaN
-        raise InvalidArgumentError(f"PCP threshold must be finite and >= 0, got {threshold}")
+    check_scales("PCP threshold", threshold)
     truth, err, labeled = _stack(preds, truths, tree)
     a, b = np.array(tree.limbs, dtype=int).reshape(-1, 2).T
     length = np.linalg.norm(truth[:, a] - truth[:, b], axis=2)
@@ -107,16 +110,16 @@ def _diameter(truth, tree: PoseTree) -> float:
 def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
     """Percent of detected joints, per joint, at every fraction: a joint is
     detected when its error is <= fraction * torso diameter. Rates are
-    non-decreasing in the fraction."""
-    fractions = [float(f) for f in fractions]
-    if not all(0 <= f < np.inf for f in fractions):  # False for NaN
-        raise InvalidArgumentError(f"fractions must be finite and >= 0, got {fractions}")
-    err, labeled = joint_errors(preds, truths, tree)
+    non-decreasing in the fraction. The same error pass gives the mean pixel
+    error of every labeled joint, which needs no diameter."""
+    fractions = check_scales("fractions", *fractions)
+    err, labeled = _stack(preds, truths, tree)[1:]
+    mean_px_error = float(err[labeled].mean()) if labeled.any() else np.nan
     diam = np.array([_diameter(t, tree) for t in truths], dtype=float)
     scaled = err / diam[:, None]
     counted = labeled & ~np.isnan(scaled)  # NaN: no usable diameter
     rates, detected, valid = _rates(scaled <= np.array(fractions)[:, None, None], counted)
-    return PdjCurve(fractions, rates, detected, valid, int(np.isnan(diam).sum()))
+    return PdjCurve(fractions, rates, detected, valid, int(np.isnan(diam).sum()), mean_px_error)
 
 
 @dataclass
@@ -152,6 +155,7 @@ class EvalReport:
         mean_row = " ".join(f"{m:.4f}" for m in self.pdj.mean_rates())
         lines.append(f"average {mean_row}")
         lines.append(f"excluded_examples {self.pdj.excluded_examples}")
+        lines.append(f"mean_px_error {self.pdj.mean_px_error:.4f}")
         return "\n".join(lines) + "\n"
 
     def json_dict(self) -> dict:
@@ -169,6 +173,7 @@ class EvalReport:
             "pdj_mean": self.pdj.mean_rates().tolist(),
             "pdj_valid": self.pdj.valid.tolist(),
             "pdj_excluded_examples": self.pdj.excluded_examples,
+            "mean_px_error": None if np.isnan(self.pdj.mean_px_error) else self.pdj.mean_px_error,
         }
 
 

@@ -406,13 +406,19 @@ def test_eval_writes_reports(tmp_path, synth_dir, trained_dir):
     ("--pcp-threshold", "inf", "threshold"),
 ], ids=["fraction_nan", "fraction_inf", "fraction_negative", "threshold_nan",
         "threshold_negative", "threshold_inf"])
-def test_eval_bad_option_is_data_error(tmp_path, synth_dir, trained_dir, capsys, option, value,
-                                       message):
+def test_eval_bad_option_is_data_error(tmp_path, synth_dir, trained_dir, monkeypatch, capsys,
+                                       option, value, message):
+    # checked with the rule pcp and pdj_curve apply, before eval predicts or makes --out
+    def no_prediction(*args, **kwargs):
+        pytest.fail("eval predicted before its settings were checked")
+
+    monkeypatch.setattr(cli.casc, "predict_many", no_prediction)
+    out = tmp_path / "o"
     code = run("eval", "--model", str(trained_dir / "cascade.model"),
-               "--manifest", str(synth_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
-               option, value)
+               "--manifest", str(synth_dir / "manifest.txt"), "--out", str(out), option, value)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -476,17 +482,23 @@ def test_eval_perfect_prediction_fixture(tmp_path, trained_dir, synth_dir, monke
     assert all(r == 1.0 for row in d["pdj_rates"] for r in row)
 
 
-def test_mean_pdj_skips_joints_no_example_labels(tmp_path, synth_dir, trained_dir):
-    # no example labels the head: eval's pdj_mean, its average row and the
-    # held-out report all average the other joints
+def _headless_manifest(tmp_path, synth_dir):
+    """synth_dir's manifest with absolute image paths and no head labeled."""
     m = data.load_manifest(synth_dir / "manifest.txt")
     for ex in m.examples:
         ex.image_path = str(synth_dir / ex.image_path)
         ex.pose.mask[0] = False
     data.save_manifest(m, tmp_path / "headless.txt")
+    return tmp_path / "headless.txt"
+
+
+def test_mean_pdj_skips_joints_no_example_labels(tmp_path, synth_dir, trained_dir):
+    # no example labels the head: eval's pdj_mean and its average row average
+    # the other joints (the held-out report's rows are eval's, see below)
+    headless = _headless_manifest(tmp_path, synth_dir)
     out = tmp_path / "eval"
     code = run("eval", "--model", str(trained_dir / "cascade.model"),
-               "--manifest", str(tmp_path / "headless.txt"), "--out", str(out),
+               "--manifest", str(headless), "--out", str(out),
                "--fractions", "0.1,0.2,0.3")
     assert code == 0
     d = json.loads((out / "eval_stage2.json").read_text())
@@ -496,10 +508,27 @@ def test_mean_pdj_skips_joints_no_example_labels(tmp_path, synth_dir, trained_di
     average = (out / "eval_stage2.txt").read_text().split("# PDJ")[1].split("\naverage ")[1]
     assert average.split("\n")[0] == " ".join(f"{r:.4f}" for r in d["pdj_mean"])
 
-    model = load_cascade(trained_dir / "cascade.model")
-    held = data.load_examples(data.load_manifest(tmp_path / "headless.txt"))
-    mean_pdj, _ = cli._heldout_row(model, held, [ex.pose for ex in held])
-    assert mean_pdj == d["pdj_mean"][1]
+
+@pytest.mark.parametrize("headless", [False, True], ids=["all_joints", "headless"])
+def test_heldout_report_rows_match_eval(tmp_path, synth_dir, headless):
+    # one PDJ pass scores both: the row of stage N, from the N-stage model
+    # train has just fitted, is eval's stage-N pdj_mean at 0.2 and
+    # mean_px_error, which eval reads from the last stage's model
+    held = _headless_manifest(tmp_path, synth_dir) if headless else synth_dir / "manifest.txt"
+    out = tmp_path / "run"
+    assert run("train", "--train", str(synth_dir / "manifest.txt"), "--heldout", str(held),
+               "--out", str(out), "--stages", "3", "--epochs", "1", "--batch", "16",
+               "--crops-per-joint", "1", "--stage1-crops", "1", "--input-size", "24",
+               "--seed", "6") == 0
+    assert run("eval", "--model", str(out / "cascade.model"), "--manifest", str(held),
+               "--out", str(out / "eval")) == 0
+    rows = (out / "heldout_report.txt").read_text().splitlines()[2:]
+    expected = []
+    for s in (1, 2, 3):
+        d = json.loads((out / "eval" / f"eval_stage{s}.json").read_text())
+        pdj02 = d["pdj_mean"][d["pdj_fractions"].index(0.2)]
+        expected.append(f"{s} {pdj02:.4f} {d['mean_px_error']:.4f}")
+    assert rows == expected
 
 
 # --- predict ----------------------------------------------------------------------

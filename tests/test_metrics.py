@@ -148,6 +148,22 @@ def test_pdj_mean_rates_skip_joints_without_labels():
     assert metrics.pdj_curve([pred], [gt], TREE, []).mean_rates().shape == (0,)
 
 
+def test_mean_px_error_counts_every_labeled_joint():
+    # the zero-diameter example, which PDJ excludes, still counts its labeled
+    # joints; its unlabeled joint 1 does not
+    zero_diam = make_pose([(5.0, 5.0), (9.0, 0.0), (0.0, 20.0), (5.0, 5.0)], [True, False, True, True])
+    preds = [_shift_pose(GT, [(3.0, 4.0)] * 4), _shift_pose(zero_diam, [(0.0, 1.0)] * 4)]
+    curve = metrics.pdj_curve(preds, [GT, zero_diam], TREE, [0.2])
+    assert curve.excluded_examples == 1
+    assert curve.valid.tolist() == [1, 1, 1, 1]
+    assert curve.mean_px_error == (4 * 5.0 + 3 * 1.0) / 7
+    unlabeled = make_pose(GT.joints, [False] * 4)  # no torso pair, no joint
+    report = metrics.make_report([GT], [unlabeled], TREE, ["a", "b", "c", "d"], fractions=[0.2])
+    assert np.isnan(report.pdj.mean_px_error)
+    assert report.json_dict()["mean_px_error"] is None
+    assert "mean_px_error nan\n" in report.text_table()
+
+
 # --- invariants ------------------------------------------------------------------
 
 
@@ -234,3 +250,5 @@ def test_report_tables():
     assert d["pdj_rates"] == [[1.0] * 4, [1.0] * 4]
     assert d["pcp_strict"] == [1.0, 1.0]
     assert all(0.0 <= r <= 1.0 for row in d["pdj_rates"] for r in row)
+    assert d["mean_px_error"] == 0.0
+    assert text.endswith("excluded_examples 0\nmean_px_error 0.0000\n")
