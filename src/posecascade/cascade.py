@@ -26,7 +26,8 @@ from . import container, nn
 from .data import LoadedExample, mirror_example
 from .errors import InvalidArgumentError, file_access
 # pose_diameter is unused here; the benchmark tracer (perfbench/spans.py) patches it by name
-from .geometry import PoseTree, PoseVector, crop_resample, full_image_box, joint_box, pose_diameter
+from .geometry import (ImageStore, PoseTree, PoseVector, crop_resample, full_image_box, joint_box,
+                       pose_diameter)
 
 log = logging.getLogger(__name__)
 
@@ -58,19 +59,56 @@ def _check_input_size(size) -> None:
         raise InvalidArgumentError(f"input size must be >= 1 in every dimension, got {tuple(size)}")
 
 
+def _adapt_channels(crops: np.ndarray, c: int) -> np.ndarray:
+    """(n, h, w, C) crops with c channels: the mean over C for one, C
+    repeated where C is one."""
+    if crops.shape[3] == c:
+        return crops
+    if c == 1:
+        return crops.mean(axis=3, keepdims=True)
+    if crops.shape[3] == 1:
+        return np.repeat(crops, c, axis=3)
+    raise InvalidArgumentError(f"cannot adapt {crops.shape[3]} channels to {c}")
+
+
 def net_input(image: np.ndarray, boxes: np.ndarray, input_size: tuple[int, int, int]) -> np.ndarray:
     """Crop image at each row of the (n, 4) box array, resample to the net
     input, adapt channels, and center pixel values; returns (n, h, w, c)."""
     h, w, c = input_size
-    crops = crop_resample(image, boxes, (w, h))
-    if crops.shape[3] != c:
-        if c == 1:
-            crops = crops.mean(axis=3, keepdims=True)
-        elif crops.shape[3] == 1:
-            crops = np.repeat(crops, c, axis=3)
-        else:
-            raise InvalidArgumentError(f"cannot adapt {crops.shape[3]} channels to {c}")
-    return crops - 0.5
+    return _adapt_channels(crop_resample(image, boxes, (w, h)), c) - 0.5
+
+
+class StoreInputs:
+    """A stage's training inputs, cropped when rows are asked for.
+
+    Row i is net_input of image which[i] of the store at row i of the (m, 4)
+    box array, as float32. len() is m, and indexing by an int array crops
+    those rows, so nn.train_epochs takes it as it takes an array of every
+    crop, without one being made. A store of color and gray images keeps a
+    gray image's crop as it is for a gray net.
+    """
+
+    def __init__(self, store: ImageStore, which: np.ndarray, boxes: np.ndarray,
+                 input_size: tuple[int, int, int]):
+        self.store, self.which, self.boxes = store, which, boxes
+        self.input_size = tuple(input_size)
+        self._gray = None  # rows of gray images, where a gray net reads a color store
+        if self.input_size[2] == 1 < store.channels:
+            self._gray = store.layout[which, 1] == 0  # a plane step of 0: one plane
+        self[np.arange(0)]  # raises now on channels the net cannot take
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        h, w, c = self.input_size
+        crops = self.store.crop(self.which[rows], self.boxes[rows], (w, h))
+        adapted = _adapt_channels(crops, c)
+        if self._gray is not None:
+            gray = self._gray[rows]
+            adapted[gray] = crops[gray, ..., :1]
+        # float64 - 0.5 rounded to float32 in one pass: the bits of net_input cast
+        return np.subtract(adapted, 0.5, out=np.empty(adapted.shape, np.float32), casting="unsafe")
 
 
 def default_hidden(dropout_keep: float = 0.6, use_lrn: bool = False) -> list[nn.LayerSpec]:
@@ -189,21 +227,16 @@ def view_targets(boxes: np.ndarray, offsets: np.ndarray, masks: np.ndarray) -> n
 
 
 def _train_stage(records, k: int, config: StageConfig, progress, empty_message: str) -> nn.Network:
-    records = list(records)
-    if not any(len(r.boxes) for r in records):
+    records = [r for r in records if len(r.boxes)]
+    if not records:
         raise InvalidArgumentError(empty_message)
     boxes, offsets, masks = (np.concatenate(parts) for parts in list(zip(*records))[1:])
-    inputs = np.empty((len(boxes), *config.input_size), dtype=np.float32)
-    lo, step = 0, config.train.batch_size
-    for r in records:
-        # at most a mini-batch per crop call keeps its float64 temporaries small
-        for i in range(0, len(r.boxes), step):
-            part = r.boxes[i : i + step]
-            inputs[lo : lo + len(part)] = net_input(r.image, part, config.input_size)
-            lo += len(part)
+    which = np.repeat(np.arange(len(records)), [len(r.boxes) for r in records])
+    inputs = StoreInputs(ImageStore([r.image for r in records]), which, boxes, config.input_size)
+    targets = view_targets(boxes, offsets, masks)
+    del records, offsets  # the store holds the images
     net = config.build_network(2 * k)
-    nn.train_epochs(net, inputs, view_targets(boxes, offsets, masks), masks, config.train,
-                    progress=progress)
+    nn.train_epochs(net, inputs, targets, masks, config.train, progress=progress)
     return net
 
 

@@ -151,73 +151,114 @@ def joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> np.ndarray:
     return np.hstack([pose.joints, np.full((pose.k, 2), side)])
 
 
+class ImageStore:
+    """The channel planes of some images in one float64 array, to crop from.
+
+    Every plane is padded once with a two-pixel CROP_FILL border, and every
+    padded row has one pitch, the widest image's, so the four bilinear taps
+    of a crop are four offset views of the one array whatever image a row
+    reads. Images are (H, W) or (H, W, C); the store has the most channels
+    of any image, and each image must have that many or one, which crops to
+    that many equal channels. layout holds, per image, the flat index of its
+    pixel (0, 0), the flat distance between its planes (0 for one plane),
+    its height and its width.
+    """
+
+    def __init__(self, images):
+        images = [np.asarray(img, dtype=np.float64) for img in images]
+        images = [img[:, :, None] if img.ndim == 2 else img for img in images]
+        for img in images:
+            if img.ndim != 3:
+                raise ShapeError(f"image must be (H, W) or (H, W, C), got {img.shape}")
+        counts = {img.shape[2] for img in images}
+        self.channels = max(counts, default=1)
+        if counts - {1, self.channels}:
+            raise ShapeError(f"images of {sorted(counts)} channels cannot share a store")
+        self.pitch = max((img.shape[1] for img in images), default=0) + 4
+        layout, starts, rows = [], [], 0
+        for h, w, c in (img.shape for img in images):
+            # its planes one under another, h + 4 rows each
+            layout.append(((rows + 2) * self.pitch + 2, 0 if c == 1 else (h + 4) * self.pitch, h, w))
+            starts.append(rows)
+            rows += (h + 4) * c
+        self.layout = np.array(layout, dtype=np.int64).reshape(-1, 4)
+        self.flat = np.full(rows * self.pitch, CROP_FILL)
+        grid = self.flat.reshape(rows, self.pitch)
+        for img, row in zip(images, starts):
+            h, w, c = img.shape
+            planes = grid[row : row + (h + 4) * c].reshape(c, h + 4, self.pitch)
+            planes[:, 2:-2, 2 : w + 2] = np.moveaxis(img, 2, 0)
+
+    def crop(self, which, boxes, out_size: tuple[int, int]) -> np.ndarray:
+        """Crop image which[i] by row i (cx, cy, w, h) of the (n, 4) box array
+        and bilinearly resample to out_size (width, height); returns (n,
+        out_h, out_w, C) for the store's C channels.
+
+        Sample positions are the centers of the output pixel grid mapped into
+        the box span [center - size/2, center + size/2]. Taps outside the
+        image contribute CROP_FILL, so a box with empty image overlap yields
+        a uniform fill image rather than an error, however far away a finite
+        box lies; a box with an infinite or NaN value raises
+        InvalidArgumentError. A crop depends on its image and box alone, not
+        on the other rows of the call or the other images of the store:
+        every output pixel is (tap00 * wy0) * wx0 + (tap01 * wy0) * wx1 +
+        (tap10 * wy1) * wx0 + (tap11 * wy1) * wx1, summed left to right.
+        """
+        out_w, out_h = int(out_size[0]), int(out_size[1])
+        if out_w <= 0 or out_h <= 0:
+            raise InvalidArgumentError(f"out_size must be positive, got {out_size}")
+        geom = np.asarray(boxes, dtype=np.float64)
+        if len(geom) == 0:
+            return np.empty((0, out_h, out_w, self.channels))
+        bad = np.flatnonzero(~np.isfinite(geom).all(axis=1))
+        if len(bad):
+            raise InvalidArgumentError(f"box row {bad[0]} is not finite: {geom[bad[0]].tolist()}")
+        cx, cy, bw, bh = geom.T[:, :, None]
+
+        # output pixel centers in source pixel coordinates, one row per box; a
+        # box near the float range can overflow them to +-inf, whose taps are
+        # fill anyway, so their weights are zeroed rather than left NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sx = (cx - bw / 2.0) + (np.arange(out_w) + 0.5) * (bw / out_w) - 0.5
+            sy = (cy - bh / 2.0) + (np.arange(out_h) + 0.5) * (bh / out_h) - 0.5
+            x0, y0 = np.floor(sx), np.floor(sy)
+            fx, fy = sx - x0, sy - y0
+        fx = np.where(np.isfinite(fx), fx, 0.0)
+        fy = np.where(np.isfinite(fy), fy, 0.0)
+
+        # Clipping the top tap row y0 into [-2, h] changes it only where both
+        # tap rows lie outside the image, and the clipped rows are its fill
+        # rows (likewise columns); clipping before the int cast keeps far-away
+        # rows in range. So one flat index per output pixel and channel
+        # addresses all four taps: tap (dy, dx) is the store read at offset
+        # dy * pitch + dx from the top-left one.
+        origin, step, h, w = self.layout[which].T[:, :, None]
+        y0 = np.clip(y0, -2, h).astype(np.int64)
+        x0 = np.clip(x0, -2, w).astype(np.int64)
+        at = (origin + y0 * self.pitch)[:, :, None, None] + x0[:, None, :, None]
+        if self.channels > 1:
+            at = at + step[:, :, None, None] * np.arange(self.channels)
+
+        wx = ((1.0 - fx)[:, None, :, None], fx[:, None, :, None])
+        wy = ((1.0 - fy)[:, :, None, None], fy[:, :, None, None])
+
+        def tap(dy, dx):
+            # (n, out_h, out_w, C) weighted tap, multiplied in place
+            t = np.take(self.flat[dy * self.pitch + dx :], at)
+            t *= wy[dy]
+            t *= wx[dx]
+            return t
+
+        out = tap(0, 0)
+        out += tap(0, 1)
+        out += tap(1, 0)
+        out += tap(1, 1)
+        return out
+
+
 def crop_resample(img: np.ndarray, boxes, out_size: tuple[int, int]) -> np.ndarray:
     """Crop img by each row (cx, cy, w, h) of the (n, 4) box array and
-    bilinearly resample to out_size (width, height); returns (n, out_h, out_w, C).
-
-    Sample positions are the centers of the output pixel grid mapped into the
-    box span [center - size/2, center + size/2]. Taps outside the source image
-    contribute CROP_FILL, so a box with empty image overlap yields a uniform
-    fill image rather than an error, however far away a finite box lies; a
-    box with an infinite or NaN value raises InvalidArgumentError. A crop
-    does not depend on the other boxes of its call: every output pixel is
-    (tap00 * wy0) * wx0 + (tap01 * wy0) * wx1 + (tap10 * wy1) * wx0 +
-    (tap11 * wy1) * wx1, summed left to right.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    if img.ndim != 3:
-        raise ShapeError(f"image must be (H, W) or (H, W, C), got {img.shape}")
-    out_w, out_h = int(out_size[0]), int(out_size[1])
-    if out_w <= 0 or out_h <= 0:
-        raise InvalidArgumentError(f"out_size must be positive, got {out_size}")
-    h, w, ch = img.shape
-    geom = np.asarray(boxes, dtype=np.float64)
-    if len(geom) == 0:
-        return np.empty((0, out_h, out_w, ch))
-    bad = np.flatnonzero(~np.isfinite(geom).all(axis=1))
-    if len(bad):
-        raise InvalidArgumentError(f"box row {bad[0]} is not finite: {geom[bad[0]].tolist()}")
-    cx, cy, bw, bh = geom.T[:, :, None]
-
-    # output pixel centers in source pixel coordinates, one row per box; a
-    # box near the float range can overflow them to +-inf, whose taps are
-    # fill anyway, so their weights are zeroed rather than left NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        sx = (cx - bw / 2.0) + (np.arange(out_w) + 0.5) * (bw / out_w) - 0.5
-        sy = (cy - bh / 2.0) + (np.arange(out_h) + 0.5) * (bh / out_h) - 0.5
-        x0, y0 = np.floor(sx), np.floor(sy)
-        fx, fy = sx - x0, sy - y0
-    fx = np.where(np.isfinite(fx), fx, 0.0)
-    fy = np.where(np.isfinite(fy), fy, 0.0)
-
-    # Channel planes padded with a two-pixel fill border. Clipping the top
-    # tap row y0 into [-2, h] changes it only where both tap rows lie
-    # outside the image, and the clipped rows are fill rows (likewise
-    # columns); clipping before the int cast keeps far-away rows in range.
-    # So one flat index per output pixel addresses all four taps: tap
-    # (dy, dx) is the plane read at offset dy * pw + dx from the top-left one.
-    pw = w + 4
-    planes = np.full((ch, h + 4, pw), CROP_FILL)
-    planes[:, 2:-2, 2:-2] = np.moveaxis(img, 2, 0)
-    planes = planes.reshape(ch, -1)
-    y0 = np.clip(y0, -2, h).astype(np.int64)
-    x0 = np.clip(x0, -2, w).astype(np.int64)
-    at = ((y0 + 2) * pw)[:, :, None] + (x0 + 2)[:, None, :]
-
-    wx = ((1.0 - fx)[:, None, :], fx[:, None, :])
-    wy = ((1.0 - fy)[:, :, None], fy[:, :, None])
-
-    def tap(dy, dx):
-        # (C, n, out_h, out_w) weighted tap, multiplied in place
-        t = np.take(planes[:, dy * pw + dx :], at, axis=1)
-        t *= wy[dy]
-        t *= wx[dx]
-        return t
-
-    out = tap(0, 0)
-    out += tap(0, 1)
-    out += tap(1, 0)
-    out += tap(1, 1)
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    bilinearly resample to out_size (width, height); returns (n, out_h,
+    out_w, C). The one-image case of ImageStore.crop, which documents the
+    sampling."""
+    return ImageStore([img]).crop(np.zeros(len(boxes), dtype=np.intp), boxes, out_size)

@@ -704,7 +704,7 @@ _FORWARD, _BACKWARD, _LOSS = forward, backward, l2_loss_batch
 def train_step(
     net: Network,
     state: OptimizerState,
-    x: np.ndarray,
+    x,
     targets: np.ndarray,
     masks: np.ndarray,
     rows: np.ndarray,
@@ -713,16 +713,21 @@ def train_step(
 ) -> float:
     """One adaptive-gradient update from a mini-batch; returns its mean loss.
 
-    targets is (m, 2k) and masks (m, k) for the m examples of x. The batch
-    is the n examples that the index array rows picks from them, and each
-    slice gathers its own rows, so the step never copies the whole batch.
-    The batch runs forward, loss and backward in consecutive slices of a
-    few rows, each slice's loss gradient scaled by len(slice) / n, and one
-    adagrad_step applies the sum of the slices' parameter gradients: the
-    update of the whole batch, up to float rounding. Before any slice runs,
-    every slice's dropout uniforms are drawn from rng, slice by slice and
-    dropout layer by dropout layer: the stream the slices would draw one
-    after another, which for one dropout layer is a whole-batch forward's.
+    x is a row source of m examples: anything whose len() is m and whose
+    x[idx], for an int index array idx, is those rows as an (len(idx),
+    *input_size) array, such as the array of every example or a
+    cascade.StoreInputs that crops them when asked. targets is (m, 2k) and
+    masks (m, k). The batch is the n examples that the index array rows
+    picks from them. Each slice's rows are gathered from x on the calling
+    thread just before its pair runs, so the step holds at most a pair of
+    slices' inputs, never the whole batch's. The batch runs forward, loss
+    and backward in consecutive slices of a few rows, each slice's loss
+    gradient scaled by len(slice) / n, and one adagrad_step applies the sum
+    of the slices' parameter gradients: the update of the whole batch, up
+    to float rounding. Before any slice runs, every slice's dropout
+    uniforms are drawn from rng, slice by slice and dropout layer by
+    dropout layer: the stream the slices would draw one after another,
+    which for one dropout layer is a whole-batch forward's.
 
     Slices run in pairs: worker, an executor such as ThreadPoolExecutor(1),
     runs slice 2i + 1 while the calling thread runs slice 2i, adding its
@@ -745,10 +750,11 @@ def train_step(
     dropout_sizes = [math.prod(shapes[i]) for i, s in enumerate(net.layers) if isinstance(s, Dropout)]
     rngs = [_Drawn([rng.random(len(p) * size) for size in dropout_sizes]) for p in parts]
 
-    def run(i, into=None):
-        """Slice i's summed loss and its parameter gradients, added into into when given."""
+    def run(i, xs, into=None):
+        """Slice i's summed loss and its parameter gradients from its inputs xs,
+        added into into when given."""
         r = parts[i]
-        out, cache = _FORWARD(net, x[r], train_mode=True, rng=rngs[i])
+        out, cache = _FORWARD(net, xs, train_mode=True, rng=rngs[i])
         loss, grad = _LOSS(out, targets[r], masks[r])
         grad *= len(r) / n
         return loss * len(r), _BACKWARD(net, cache, grad, into)
@@ -756,8 +762,9 @@ def train_step(
     summed, total = None, 0.0
     with one_blas_thread():
         for i in range(0, len(parts), 2):
-            odd = worker.submit(run, i + 1) if i + 1 < len(parts) else None
-            loss, summed = run(i, summed)
+            xs = [x[r] for r in parts[i : i + 2]]  # the pair's inputs, gathered on this thread
+            odd = worker.submit(run, i + 1, xs[1]) if len(xs) > 1 else None
+            loss, summed = run(i, xs[0], summed)
             total += loss
             if odd is not None:
                 loss, grads = odd.result()
@@ -767,13 +774,14 @@ def train_step(
                         acc["w"] += g["w"]
                         acc["b"] += g["b"]
                 del odd, grads  # free this slice's gradients before the next pair runs
+            del xs
         adagrad_step(net, summed, state)
     return total / n
 
 
 def train_epochs(
     net: Network,
-    inputs: np.ndarray,
+    inputs,
     targets: np.ndarray,
     masks: np.ndarray,
     config: TrainConfig,
@@ -781,7 +789,9 @@ def train_epochs(
 ) -> Network:
     """Shuffled mini-batch SGD with adaptive-gradient updates.
 
-    inputs is (n, ...) matching the net input, targets (n, 2k), masks (n, k).
+    inputs is a row source of n examples matching the net input (see
+    train_step): an (n, *input_size) array, or an object that makes the
+    rows a slice asks for. targets is (n, 2k) and masks (n, k).
     Each mini-batch is one train_step: one update from the mean gradient over
     the batch's examples, computed in slices of a few examples whose size
     follows the SLICE_BYTES budget, two slices at a time on two threads.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from posecascade import cascade, container, data, nn
 from posecascade.errors import InvalidArgumentError
-from posecascade.geometry import PoseTree, crop_resample, full_image_box, parse_box, pose_diameter
+from posecascade.geometry import (ImageStore, PoseTree, crop_resample, full_image_box, parse_box,
+                                  pose_diameter)
 
 from conftest import make_pose, wrapping_size_model
 
@@ -107,8 +109,9 @@ def test_net_input_rejects_unadaptable_channels():
 
 
 def test_training_inputs_are_the_per_view_crops(monkeypatch):
-    # each record is cropped in calls of at most batch_size boxes; the inputs
-    # must be the per-view crops, the targets and masks the views', in order
+    # the inputs are cropped from one store when rows are asked for; read
+    # through the source they must be the per-view crops, the targets and
+    # masks the views', in order
     examples = [example_with_pose(spread_pose(), seed=s) for s in range(2)]
     stats = _delta_stats((1.0, -0.5))
     cfg = tiny_stage_config(crops_per_joint=3)  # 27 views per image, batch_size 8
@@ -120,11 +123,59 @@ def test_training_inputs_are_the_per_view_crops(monkeypatch):
                                             np.random.default_rng(cfg.seed)))
     want = np.stack([cascade.net_input(r.image, r.boxes[j : j + 1], INPUT)[0]
                      for r in records for j in range(len(r.boxes))]).astype(np.float32)
-    assert len(records) == 4 and seen["x"].dtype == np.float32
-    assert np.array_equal(seen["x"], want)
+    x = seen["x"][np.arange(len(seen["x"]))]
+    assert len(records) == 4 and x.dtype == np.float32
+    assert np.array_equal(x, want)
     assert np.array_equal(seen["y"], np.concatenate(
         [cascade.view_targets(r.boxes, r.offsets, r.masks) for r in records]))
     assert np.array_equal(seen["m"], np.concatenate([r.masks for r in records]))
+
+
+@pytest.mark.parametrize("input_size", [(12, 12, 1), (10, 14, 3)])
+def test_store_inputs_are_each_views_net_input(input_size):
+    # gray and color images in one store: every row is its own image's
+    # net_input, whichever way its channels adapt to the net's
+    rng = np.random.default_rng(5)
+    images = [rng.random(shape) for shape in [(20, 24, 3), (16, 9, 1), (7, 30, 3), (12, 12, 1)]]
+    boxes = [_some_boxes(img.shape[1], img.shape[0]) for img in images]
+    which = np.repeat(np.arange(len(images)), [len(b) for b in boxes])
+    source = cascade.StoreInputs(ImageStore(images), which, np.concatenate(boxes), input_size)
+    rows = rng.permutation(len(which))
+    want = np.concatenate([cascade.net_input(img, b, input_size) for img, b in zip(images, boxes)])
+    assert len(source) == len(which)
+    got = source[rows]
+    assert got.dtype == np.float32 and np.array_equal(got, want[rows].astype(np.float32))
+
+
+def test_store_inputs_reject_unadaptable_channels_when_made():
+    store = ImageStore([np.zeros((8, 8, 3))])
+    with pytest.raises(InvalidArgumentError, match="cannot adapt 3 channels to 2"):
+        cascade.StoreInputs(store, np.zeros(1, int), full_image_box(8, 8)[None], (6, 6, 2))
+
+
+def test_refinement_training_memory_does_not_grow_with_crops_per_joint():
+    # the crops are made a slice at a time from one store of the images, so
+    # 8x the views add only their plan rows (boxes, targets, masks: a few
+    # hundred bytes each), never a net input (14 KB at 60x60) per view. A
+    # batch of 8 is one slice here, so the peak does not depend on threads.
+    size = (60, 60, 1)
+    examples = [example_with_pose(spread_pose(), seed=s) for s in range(2)]
+    model = cascade.CascadeModel([cascade.StageConfig(sigma=1.0, input_size=size).build_network(2 * K)],
+                                 [None], 1.0, TREE, size)
+
+    def peak(crops_per_joint):
+        cfg = tiny_stage_config(input_size=size, hidden=[nn.Conv(2, 3), nn.ReLU()],
+                                crops_per_joint=crops_per_joint)
+        tracemalloc.start()
+        try:
+            cascade.train_refinement_stage(examples, model, _delta_stats((1.0, -0.5)), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    views = {c: 2 * len(examples) * K * c for c in (2, 16)}  # each example and its mirror
+    grown = peak(16) - peak(2)
+    assert grown < (views[16] - views[2]) * math.prod(size) * 4 / 8, grown
 
 
 # --- stage 1 ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from posecascade.errors import InvalidArgumentError, MissingTorsoError
+from posecascade.data import mirror_example
+from posecascade.errors import InvalidArgumentError, MissingTorsoError, ShapeError
 from posecascade.geometry import (
     CROP_FILL,
     MAX_COORD,
+    ImageStore,
     PoseTree,
     crop_resample,
     full_image_box,
@@ -338,3 +340,40 @@ def test_batched_crop_of_2d_image_matches_reference():
 def test_crop_of_zero_boxes_is_empty_batch(shape):
     out = crop_resample(np.zeros(shape), np.empty((0, 4)), (4, 3))
     assert out.shape == (0, 3, 4, shape[2] if len(shape) == 3 else 1)
+
+
+# far enough that the reference's int cast would overflow: the crop is fill
+FAR_BOXES = np.array([(1e300, 4.0, 4.0, 4.0), (4.0, -1e300, 4.0, 4.0), (1.5e308, 4.0, 1e308, 4.0)])
+
+
+def test_store_crops_each_row_from_its_own_image_alone():
+    # rows of images of different sizes, gray and color, and of their
+    # mirrors, interleaved in one call: each is the per-box reference crop of
+    # its own image (a gray one's repeated over the store's three channels),
+    # whatever image lies next to it in the store
+    rng = np.random.default_rng(21)
+    tree = PoseTree(2, [(0, 1)], [(0, 1)], [(0, 1)])
+    pose = make_pose([(1.0, 1.0), (3.0, 4.0)])
+    images = [rng.random(shape) for shape in [(9, 13, 3), (12, 7, 1), (5, 16, 3), (8, 8, 1), (6, 4, 3)]]
+    images += [mirror_example(pose, img, tree)[1] for img in images]
+    store = ImageStore(images)
+    per_image = [_mixed_boxes(rng, *img.shape[:2]) for img in images]
+    which = np.repeat(np.arange(len(images)), [len(b) for b in per_image])
+    boxes = np.concatenate(per_image)
+    order = rng.permutation(len(boxes))
+    got = store.crop(which[order], boxes[order], (7, 5))
+    assert store.channels == 3 and got.shape == (len(boxes), 5, 7, 3)
+    for crop, i, box in zip(got, which[order], boxes[order]):
+        want = _crop_reference(images[i], box, (7, 5))
+        assert np.array_equal(crop, np.broadcast_to(want, crop.shape))
+    far = store.crop(np.arange(len(FAR_BOXES)), FAR_BOXES, (4, 3))
+    assert np.all(far == CROP_FILL)
+
+
+def test_store_takes_gray_or_one_channel_count():
+    assert ImageStore([np.zeros((4, 5)), np.zeros((3, 3, 1))]).channels == 1
+    assert ImageStore([]).crop([], np.empty((0, 4)), (4, 3)).shape == (0, 3, 4, 1)
+    with pytest.raises(ShapeError, match=r"\[2, 3\] channels"):
+        ImageStore([np.zeros((4, 4, 2)), np.zeros((4, 4, 3))])
+    with pytest.raises(ShapeError, match="image must be"):
+        ImageStore([np.zeros((4, 4, 1, 1))])
