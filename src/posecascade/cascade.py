@@ -25,7 +25,8 @@ import numpy as np
 from . import container, nn
 from .data import LoadedExample, mirror_example
 from .errors import InvalidArgumentError, file_access
-# pose_diameter is unused here; the benchmark tracer (perfbench/spans.py) patches it by name
+# crop_resample and pose_diameter are unused here; the benchmark tracer
+# (perfbench/spans.py) patches them by name
 from .geometry import (ImageStore, PoseTree, PoseVector, crop_resample, full_image_box, joint_box,
                        pose_diameter)
 
@@ -59,56 +60,50 @@ def _check_input_size(size) -> None:
         raise InvalidArgumentError(f"input size must be >= 1 in every dimension, got {tuple(size)}")
 
 
-def _adapt_channels(crops: np.ndarray, c: int) -> np.ndarray:
-    """(n, h, w, C) crops with c channels: the mean over C for one, C
-    repeated where C is one."""
-    if crops.shape[3] == c:
-        return crops
-    if c == 1:
-        return crops.mean(axis=3, keepdims=True)
-    if crops.shape[3] == 1:
-        return np.repeat(crops, c, axis=3)
-    raise InvalidArgumentError(f"cannot adapt {crops.shape[3]} channels to {c}")
+def net_input(store: ImageStore, which: np.ndarray, boxes: np.ndarray,
+              input_size: tuple[int, int, int]) -> np.ndarray:
+    """The net inputs of image which[i] of the store cropped at row i of the
+    (n, 4) box array: each crop resampled to the (h, w, c) input_size, its
+    channels adapted and its pixel values centered; returns (n, h, w, c)
+    float32.
 
-
-def net_input(image: np.ndarray, boxes: np.ndarray, input_size: tuple[int, int, int]) -> np.ndarray:
-    """Crop image at each row of the (n, 4) box array, resample to the net
-    input, adapt channels, and center pixel values; returns (n, h, w, c)."""
+    A gray net takes a color image's crop as the mean of its channels and a
+    gray image's crop as it is; a net of c channels takes a gray crop's one
+    channel c times. The float64 crop - 0.5 is rounded to float32 in one
+    pass.
+    """
     h, w, c = input_size
-    return _adapt_channels(crop_resample(image, boxes, (w, h)), c) - 0.5
+    crops = store.crop(which, boxes, (w, h))
+    if c == 1 < store.channels:
+        mean = crops.mean(axis=3, keepdims=True)
+        gray = store.gray[which]
+        mean[gray] = crops[gray, ..., :1]
+        crops = mean
+    elif store.channels not in (1, c):
+        raise InvalidArgumentError(f"cannot adapt {store.channels} channels to {c}")
+    # a gray crop broadcasts to the c channels of out
+    return np.subtract(crops, 0.5, out=np.empty((len(crops), h, w, c), np.float32), casting="unsafe")
 
 
 class StoreInputs:
     """A stage's training inputs, cropped when rows are asked for.
 
     Row i is net_input of image which[i] of the store at row i of the (m, 4)
-    box array, as float32. len() is m, and indexing by an int array crops
-    those rows, so nn.train_epochs takes it as it takes an array of every
-    crop, without one being made. A store of color and gray images keeps a
-    gray image's crop as it is for a gray net.
+    box array. len() is m, and indexing by an int array crops those rows, so
+    nn.train_epochs takes it as it takes an array of every crop, without
+    one being made.
     """
 
     def __init__(self, store: ImageStore, which: np.ndarray, boxes: np.ndarray,
                  input_size: tuple[int, int, int]):
-        self.store, self.which, self.boxes = store, which, boxes
-        self.input_size = tuple(input_size)
-        self._gray = None  # rows of gray images, where a gray net reads a color store
-        if self.input_size[2] == 1 < store.channels:
-            self._gray = store.layout[which, 1] == 0  # a plane step of 0: one plane
+        self.store, self.which, self.boxes, self.input_size = store, which, boxes, tuple(input_size)
         self[np.arange(0)]  # raises now on channels the net cannot take
 
     def __len__(self) -> int:
         return len(self.boxes)
 
     def __getitem__(self, rows) -> np.ndarray:
-        h, w, c = self.input_size
-        crops = self.store.crop(self.which[rows], self.boxes[rows], (w, h))
-        adapted = _adapt_channels(crops, c)
-        if self._gray is not None:
-            gray = self._gray[rows]
-            adapted[gray] = crops[gray, ..., :1]
-        # float64 - 0.5 rounded to float32 in one pass: the bits of net_input cast
-        return np.subtract(adapted, 0.5, out=np.empty(adapted.shape, np.float32), casting="unsafe")
+        return net_input(self.store, self.which[rows], self.boxes[rows], self.input_size)
 
 
 def default_hidden(dropout_keep: float = 0.6, use_lrn: bool = False) -> list[nn.LayerSpec]:
@@ -432,7 +427,7 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
     that runs two predictions at once on two threads must hold the pin
     around the pair, as nn.train_step does around its slices.
     """
-    k = model.tree.k
+    k, store = model.tree.k, ImageStore([image])
     if b0 is None:
         b0 = full_image_box(image.shape[1], image.shape[0])
     boxes, rows = np.asarray(b0, dtype=np.float64).reshape(1, 4), np.zeros(k, dtype=int)
@@ -445,7 +440,7 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
                 except InvalidArgumentError:  # every joint is present: the side is degenerate
                     return CascadePrediction(poses, truncated=True)
                 rows = np.arange(k)
-            crops = net_input(image, boxes, model.input_size)
+            crops = net_input(store, np.zeros(len(boxes), np.intp), boxes, model.input_size)
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 outs, _ = nn.forward(net, crops)
             v = outs.reshape(len(boxes), k, 2)[rows, np.arange(k)]

@@ -154,14 +154,16 @@ def joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> np.ndarray:
 class ImageStore:
     """The channel planes of some images in one float64 array, to crop from.
 
-    Every plane is padded once with a two-pixel CROP_FILL border, and every
-    padded row has one pitch, the widest image's, so the four bilinear taps
-    of a crop are four offset views of the one array whatever image a row
-    reads. Images are (H, W) or (H, W, C); the store has the most channels
-    of any image, and each image must have that many or one, which crops to
-    that many equal channels. layout holds, per image, the flat index of its
-    pixel (0, 0), the flat distance between its planes (0 for one plane),
-    its height and its width.
+    Every plane is padded once with a two-pixel CROP_FILL border, and its
+    padded rows lie one after another at its own pitch, w + 4, so the four
+    bilinear taps of a crop are the store read at one flat index, one to its
+    right, one pitch below and one below and to the right, whatever image a
+    row reads. Images are (H, W) or (H, W, C); the store has the most
+    channels of any image, and each image must have that many or one, which
+    crops to that many equal channels. gray marks the images of one
+    channel. layout holds, per image, the flat index of its pixel (0, 0),
+    the flat distance between its planes (0 for one plane), its height, its
+    width and its pitch.
     """
 
     def __init__(self, images):
@@ -174,20 +176,20 @@ class ImageStore:
         self.channels = max(counts, default=1)
         if counts - {1, self.channels}:
             raise ShapeError(f"images of {sorted(counts)} channels cannot share a store")
-        self.pitch = max((img.shape[1] for img in images), default=0) + 4
-        layout, starts, rows = [], [], 0
+        layout, size = [], 0
         for h, w, c in (img.shape for img in images):
-            # its planes one under another, h + 4 rows each
-            layout.append(((rows + 2) * self.pitch + 2, 0 if c == 1 else (h + 4) * self.pitch, h, w))
-            starts.append(rows)
-            rows += (h + 4) * c
-        self.layout = np.array(layout, dtype=np.int64).reshape(-1, 4)
-        self.flat = np.full(rows * self.pitch, CROP_FILL)
-        grid = self.flat.reshape(rows, self.pitch)
-        for img, row in zip(images, starts):
-            h, w, c = img.shape
-            planes = grid[row : row + (h + 4) * c].reshape(c, h + 4, self.pitch)
-            planes[:, 2:-2, 2 : w + 2] = np.moveaxis(img, 2, 0)
+            # its planes one after another, h + 4 rows of w + 4 each
+            pitch = w + 4
+            plane = (h + 4) * pitch
+            layout.append((size + 2 * pitch + 2, 0 if c == 1 else plane, h, w, pitch))
+            size += plane * c
+        self.layout = np.array(layout, dtype=np.int64).reshape(-1, 5)
+        self.gray = self.layout[:, 1] == 0
+        self.flat = np.full(size, CROP_FILL)
+        for img, (origin, _, h, w, pitch) in zip(images, layout):
+            start = origin - 2 * pitch - 2
+            planes = self.flat[start : start + (h + 4) * pitch * img.shape[2]]
+            planes.reshape(-1, h + 4, pitch)[:, 2:-2, 2 : w + 2] = np.moveaxis(img, 2, 0)
 
     def crop(self, which, boxes, out_size: tuple[int, int]) -> np.ndarray:
         """Crop image which[i] by row i (cx, cy, w, h) of the (n, 4) box array
@@ -232,10 +234,10 @@ class ImageStore:
         # rows in range. So one flat index per output pixel and channel
         # addresses all four taps: tap (dy, dx) is the store read at offset
         # dy * pitch + dx from the top-left one.
-        origin, step, h, w = self.layout[which].T[:, :, None]
+        origin, step, h, w, pitch = self.layout[which].T[:, :, None]
         y0 = np.clip(y0, -2, h).astype(np.int64)
         x0 = np.clip(x0, -2, w).astype(np.int64)
-        at = (origin + y0 * self.pitch)[:, :, None, None] + x0[:, None, :, None]
+        at = (origin + y0 * pitch)[:, :, None, None] + x0[:, None, :, None]
         if self.channels > 1:
             at = at + step[:, :, None, None] * np.arange(self.channels)
 
@@ -243,14 +245,15 @@ class ImageStore:
         wy = ((1.0 - fy)[:, :, None, None], fy[:, :, None, None])
 
         def tap(dy, dx):
-            # (n, out_h, out_w, C) weighted tap, multiplied in place
-            t = np.take(self.flat[dy * self.pitch + dx :], at)
+            # (n, out_h, out_w, C) weighted tap of the row at, multiplied in place
+            t = np.take(self.flat[dx:], at)
             t *= wy[dy]
             t *= wx[dx]
             return t
 
         out = tap(0, 0)
         out += tap(0, 1)
+        at += pitch[:, :, None, None]  # the row below
         out += tap(1, 0)
         out += tap(1, 1)
         return out

@@ -716,18 +716,18 @@ def train_step(
     x is a row source of m examples: anything whose len() is m and whose
     x[idx], for an int index array idx, is those rows as an (len(idx),
     *input_size) array, such as the array of every example or a
-    cascade.StoreInputs that crops them when asked. targets is (m, 2k) and
-    masks (m, k). The batch is the n examples that the index array rows
-    picks from them. Each slice's rows are gathered from x on the calling
-    thread just before its pair runs, so the step holds at most a pair of
-    slices' inputs, never the whole batch's. The batch runs forward, loss
-    and backward in consecutive slices of a few rows, each slice's loss
-    gradient scaled by len(slice) / n, and one adagrad_step applies the sum
-    of the slices' parameter gradients: the update of the whole batch, up
-    to float rounding. Before any slice runs, every slice's dropout
-    uniforms are drawn from rng, slice by slice and dropout layer by
-    dropout layer: the stream the slices would draw one after another,
-    which for one dropout layer is a whole-batch forward's.
+    cascade.StoreInputs, which crops them with cascade.net_input when asked.
+    targets is (m, 2k) and masks (m, k). The batch is the n examples that
+    the index array rows picks from them. Each slice's rows are gathered
+    from x on the calling thread just before its pair runs, so the step
+    holds at most a pair of slices' inputs, never the whole batch's. The
+    batch runs forward, loss and backward in consecutive slices of a few
+    rows, each slice's loss gradient scaled by len(slice) / n, and one
+    adagrad_step applies the sum of the slices' parameter gradients: the
+    update of the whole batch, up to float rounding. Before any slice runs,
+    every slice's dropout uniforms are drawn from rng, slice by slice and
+    dropout layer by dropout layer: the stream the slices would draw one
+    after another, which for one dropout layer is a whole-batch forward's.
 
     Slices run in pairs: worker, an executor such as ThreadPoolExecutor(1),
     runs slice 2i + 1 while the calling thread runs slice 2i, adding its

@@ -83,6 +83,11 @@ def _some_boxes(w, h):
     ])
 
 
+def _one_image_input(img, boxes, input_size):
+    """net_input of every box of the array on the one-image store of img."""
+    return cascade.net_input(ImageStore([img]), np.zeros(len(boxes), int), boxes, input_size)
+
+
 @pytest.mark.parametrize("img_ch, input_size", [
     (1, (12, 12, 1)),
     (3, (12, 12, 1)),  # a color image into a gray net
@@ -92,20 +97,20 @@ def _some_boxes(w, h):
 def test_net_input_of_many_boxes_stacks_per_box_inputs(img_ch, input_size):
     img = np.random.default_rng(img_ch).random((20, 24, img_ch))
     boxes = _some_boxes(24, 20)
-    got = cascade.net_input(img, boxes, input_size)
-    want = np.stack([cascade.net_input(img, boxes[j : j + 1], input_size)[0] for j in range(len(boxes))])
-    assert got.shape == (len(boxes),) + tuple(input_size)
+    got = _one_image_input(img, boxes, input_size)
+    want = np.stack([_one_image_input(img, boxes[j : j + 1], input_size)[0] for j in range(len(boxes))])
+    assert got.shape == (len(boxes),) + tuple(input_size) and got.dtype == np.float32
     assert np.array_equal(got, want)
+    # the float64 crop, its channels adapted, - 0.5, rounded to float32
     crops = crop_resample(img, boxes, input_size[1::-1])
     if img_ch == 3 and input_size[2] == 1:
-        assert np.allclose(got[..., 0], crops.mean(axis=3) - 0.5, atol=1e-12)
-    elif img_ch == 1 and input_size[2] == 3:
-        assert all(np.array_equal(got[..., c], crops[..., 0] - 0.5) for c in range(3))
+        crops = crops.mean(axis=3, keepdims=True)
+    assert np.array_equal(got, np.broadcast_to((crops - 0.5).astype(np.float32), got.shape))
 
 
 def test_net_input_rejects_unadaptable_channels():
-    with pytest.raises(InvalidArgumentError):
-        cascade.net_input(np.zeros((8, 8, 3)), full_image_box(8, 8)[None], (6, 6, 2))
+    with pytest.raises(InvalidArgumentError, match="cannot adapt 3 channels to 2"):
+        _one_image_input(np.zeros((8, 8, 3)), full_image_box(8, 8)[None], (6, 6, 2))
 
 
 def test_training_inputs_are_the_per_view_crops(monkeypatch):
@@ -121,8 +126,7 @@ def test_training_inputs_are_the_per_view_crops(monkeypatch):
     cascade.train_refinement_stage(examples, _constant_model(), stats, cfg)
     records = list(cascade.refinement_views(examples, TREE, stats, cfg,
                                             np.random.default_rng(cfg.seed)))
-    want = np.stack([cascade.net_input(r.image, r.boxes[j : j + 1], INPUT)[0]
-                     for r in records for j in range(len(r.boxes))]).astype(np.float32)
+    want = np.concatenate([_one_image_input(r.image, r.boxes, INPUT) for r in records])
     x = seen["x"][np.arange(len(seen["x"]))]
     assert len(records) == 4 and x.dtype == np.float32
     assert np.array_equal(x, want)
@@ -133,18 +137,18 @@ def test_training_inputs_are_the_per_view_crops(monkeypatch):
 
 @pytest.mark.parametrize("input_size", [(12, 12, 1), (10, 14, 3)])
 def test_store_inputs_are_each_views_net_input(input_size):
-    # gray and color images in one store: every row is its own image's
-    # net_input, whichever way its channels adapt to the net's
+    # gray and color images in one store: every row is the net_input of its
+    # own image's one-image store, whichever way its channels adapt to the net's
     rng = np.random.default_rng(5)
     images = [rng.random(shape) for shape in [(20, 24, 3), (16, 9, 1), (7, 30, 3), (12, 12, 1)]]
     boxes = [_some_boxes(img.shape[1], img.shape[0]) for img in images]
     which = np.repeat(np.arange(len(images)), [len(b) for b in boxes])
     source = cascade.StoreInputs(ImageStore(images), which, np.concatenate(boxes), input_size)
     rows = rng.permutation(len(which))
-    want = np.concatenate([cascade.net_input(img, b, input_size) for img, b in zip(images, boxes)])
+    want = np.concatenate([_one_image_input(img, b, input_size) for img, b in zip(images, boxes)])
     assert len(source) == len(which)
     got = source[rows]
-    assert got.dtype == np.float32 and np.array_equal(got, want[rows].astype(np.float32))
+    assert got.dtype == np.float32 and np.array_equal(got, want[rows])
 
 
 def test_store_inputs_reject_unadaptable_channels_when_made():
@@ -694,11 +698,31 @@ def test_refinement_locality_bound():
     diam = pose_diameter(result.poses[0], TREE)
     outs, _ = nn.forward(
         model.stages[1],
-        cascade.net_input(img, cascade.joint_box(result.poses[0], 1.0, TREE), INPUT),
+        _one_image_input(img, cascade.joint_box(result.poses[0], 1.0, TREE), INPUT),
     )
     bound = np.abs(outs).max() * 1.0 * diam
     moved = np.abs(result.poses[1].joints - result.poses[0].joints)
     assert np.all(moved <= bound + 1e-9)
+
+
+def test_predict_feeds_every_stage_the_training_inputs_of_its_boxes(monkeypatch):
+    # predict crops each stage from the one store of its image, to the
+    # float32 rows a StoreInputs of that image and those boxes gives training
+    model = _two_stage_model(random_net(9))
+    img = np.random.default_rng(4).random((40, 36, 3))
+    seen, forward = [], nn.forward
+
+    def recording_forward(net, x, *args, **kwargs):
+        seen.append(x)
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    result = cascade.predict(model, img)
+    boxes = [full_image_box(36, 40)[None], cascade.joint_box(result.poses[0], 1.0, TREE)]
+    assert len(seen) == model.num_stages == len(result.poses)
+    for x, b in zip(seen, boxes):
+        rows = cascade.StoreInputs(ImageStore([img]), np.zeros(len(b), int), b, INPUT)
+        assert x.dtype == np.float32 and np.array_equal(x, rows[np.arange(len(b))])
 
 
 def test_truncation_on_degenerate_diameter():

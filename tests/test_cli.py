@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from posecascade import cli, data, nn
+from posecascade import cascade, cli, data, nn
 from posecascade.cascade import load_cascade, save_cascade
 from posecascade.errors import InvalidArgumentError
 
@@ -644,6 +644,36 @@ def test_predict_non_finite_stage_output(tmp_path, synth_dir, trained_dir, capsy
     else:  # the cascade stops at the stage-1 pose
         assert code == 0 and "truncated" in err
         assert {line.split()[0] for line in out.splitlines()} == {"1"}
+
+
+def test_train_eval_predict_on_gray_and_color_images(tmp_path, synth_dir, capsys):
+    # every other figure rewritten as a P6 image with three distinct channels:
+    # the gray net's training store mixes gray and color images
+    text = (synth_dir / "manifest.txt").read_text()
+    for j, ex in enumerate(data.load_manifest(synth_dir / "manifest.txt").examples):
+        image, name = data.load_image(synth_dir / ex.image_path), ex.image_path
+        if j % 2:
+            name = Path(name).with_suffix(".ppm").name
+            text = text.replace(ex.image_path, name)
+            image = np.concatenate([image, 1.0 - image, 0.5 * image], axis=2)
+        data.save_image(image, tmp_path / name)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(text)
+    out = tmp_path / "run"
+    assert run("train", "--train", str(manifest), "--out", str(out), "--stages", "2",
+               "--epochs", "1", "--batch", "16", "--crops-per-joint", "1", "--stage1-crops", "1",
+               "--input-size", "24", "--seed", "3") == 0
+    model_path = out / "cascade.model"
+    assert run("eval", "--model", str(model_path), "--manifest", str(manifest),
+               "--out", str(tmp_path / "eval")) == 0
+    color = data.load_image(tmp_path / name)  # the last figure, made color when count is even
+    assert color.shape[2] == 3
+    capsys.readouterr()
+    assert run("predict", "--model", str(model_path), "--image", str(tmp_path / name)) == 0
+    result = cascade.predict(load_cascade(model_path), color)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{s} {i} {x:.3f} {y:.3f}"
+        for s, pose in enumerate(result.poses, start=1) for i, (x, y) in enumerate(pose.joints)]
 
 
 def test_predict_bad_image_is_data_error(tmp_path, trained_dir):

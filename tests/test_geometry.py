@@ -370,6 +370,22 @@ def test_store_crops_each_row_from_its_own_image_alone():
     assert np.all(far == CROP_FILL)
 
 
+def test_store_memory_is_its_padded_images_when_one_is_wide():
+    # each image is padded at its own pitch: one wide image does not widen
+    # the rows of the others, and its rows still crop as its own
+    rng = np.random.default_rng(3)
+    images = [rng.random((16, 16)) for _ in range(20)] + [rng.random((4, 1000, 3))]
+    store = ImageStore(images)
+    padded = sum((h + 4) * (w + 4) * c for h, w, c in (np.atleast_3d(img).shape for img in images))
+    assert store.flat.nbytes <= 8 * padded
+    assert list(store.gray) == [True] * 20 + [False]
+    for i in (0, 20):
+        boxes = _mixed_boxes(rng, *images[i].shape[:2])
+        got = store.crop(np.full(len(boxes), i), boxes, (5, 4))
+        want = crop_resample(images[i], boxes, (5, 4))
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
 def test_store_takes_gray_or_one_channel_count():
     assert ImageStore([np.zeros((4, 5)), np.zeros((3, 3, 1))]).channels == 1
     assert ImageStore([]).crop([], np.empty((0, 4)), (4, 3)).shape == (0, 3, 4, 1)
