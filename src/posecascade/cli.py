@@ -78,6 +78,27 @@ class RunConfig:
         except ValueError:
             raise InvalidArgumentError(f"bad value {value!r} for config key {key!r}") from None
 
+    def stage_configs(self) -> list[casc.StageConfig]:
+        """One StageConfig per stage. Stage s seeds its weights, sampling and
+        dropout with seed * 1000 + s; a refinement stage trains refine_epochs
+        epochs, or epochs when that is 0. Fewer than one stage or a negative
+        seed, named as given, raise InvalidArgumentError."""
+        if self.stages < 1:
+            raise InvalidArgumentError(f"stages must be >= 1, got {self.stages}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        configs = []
+        for s in range(1, self.stages + 1):
+            seed = self.seed * 1000 + s
+            epochs = self.epochs if s == 1 else self.refine_epochs or self.epochs
+            configs.append(casc.StageConfig(
+                sigma=self.sigma, crops_per_joint=self.crops_per_joint,
+                stage1_jitter_crops=self.stage1_crops,
+                input_size=(self.input_size, self.input_size, 1),
+                hidden=casc.default_hidden(self.dropout, self.use_lrn),
+                train=nn.TrainConfig(epochs, self.batch, self.lr, seed), seed=seed))
+        return configs
+
 
 # text-to-value converter of each RunConfig field, shared by argparse and apply
 _CONVERTERS = {
@@ -133,24 +154,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _stage_config(cfg: RunConfig, stage: int) -> casc.StageConfig:
-    epochs = cfg.epochs if stage == 1 or cfg.refine_epochs == 0 else cfg.refine_epochs
-    return casc.StageConfig(
-        sigma=cfg.sigma,
-        crops_per_joint=cfg.crops_per_joint,
-        stage1_jitter_crops=cfg.stage1_crops,
-        input_size=(cfg.input_size, cfg.input_size, 1),
-        hidden=casc.default_hidden(cfg.dropout, cfg.use_lrn),
-        train=nn.TrainConfig(
-            epochs=epochs,
-            batch_size=cfg.batch,
-            learning_rate=cfg.lr,
-            seed=cfg.seed * 1000 + stage,
-        ),
-        seed=cfg.seed * 1000 + stage,
-    )
-
-
 def _out_dir(path: str) -> Path:
     """The output directory at path, made if missing; a path that cannot be
     one is a data error."""
@@ -172,12 +175,7 @@ def cmd_train(args) -> int:
         print("train: error: --train and --out are required (flag or config file)",
               file=sys.stderr)
         return EXIT_USAGE
-    # every stage's settings are checked before any data is read
-    if cfg.stages < 1:
-        raise InvalidArgumentError(f"stages must be >= 1, got {cfg.stages}")
-    if cfg.seed < 0:  # named as given, not as the per-stage seed derived from it
-        raise InvalidArgumentError(f"seed must be >= 0, got {cfg.seed}")
-    stage_configs = [_stage_config(cfg, s) for s in range(1, cfg.stages + 1)]
+    stage_configs = cfg.stage_configs()  # every stage is checked before any data is read
 
     manifest = dat.load_manifest(cfg.train)
     examples = dat.load_examples(manifest)

@@ -253,12 +253,13 @@ def mirror_example(pose: PoseVector, image: np.ndarray, tree: PoseTree,
     """Horizontal flip of an (image, pose[, box]) triple.
 
     x coordinates map to (width - 1) - x, left/right joints (and their mask
-    bits) trade places per the tree's swap pairs. An involution.
+    bits) trade places per the tree's swap pairs. An involution. The flipped
+    image is a view of `image`, not a copy.
     """
     if image.ndim == 2:
         image = image[:, :, None]
     width = image.shape[1]
-    flipped = image[:, ::-1, :].copy()
+    flipped = image[:, ::-1, :]
     joints = pose.joints.copy()
     joints[:, 0] = (width - 1) - joints[:, 0]
     mask = pose.mask.copy()

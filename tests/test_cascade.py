@@ -222,6 +222,13 @@ def test_stage1_sample_counts():
         assert cascade.view_targets(r.boxes, r.offsets, r.masks).shape == (3, 2 * K)
 
 
+def test_stage1_mirror_view_shares_its_example_image():
+    # the mirror's pixels are copied only into the training store, not before
+    ex = example_with_pose(spread_pose(), seed=1)
+    records = list(cascade.stage1_views([ex], TREE, tiny_stage_config(), np.random.default_rng(0)))
+    assert np.shares_memory(records[1].image, ex.image)
+
+
 def test_stage1_skips_fully_unlabeled(caplog):
     good = example_with_pose(spread_pose(), seed=1)
     bad = data.LoadedExample(

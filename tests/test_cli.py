@@ -206,6 +206,37 @@ def test_train_nonpositive_stages_is_data_error(tmp_path, synth_dir, monkeypatch
     assert not (out / "cascade.model").exists()
 
 
+def test_stage_configs_seed_each_stage_from_the_run_seed():
+    configs = cli.RunConfig(seed=3, stages=3, epochs=5).stage_configs()
+    assert [c.seed for c in configs] == [3001, 3002, 3003]
+    assert [c.train.seed for c in configs] == [3001, 3002, 3003]
+    assert [c.train.epochs for c in configs] == [5, 5, 5]
+
+
+def test_stage_configs_refine_epochs_set_only_the_refinement_stages():
+    configs = cli.RunConfig(seed=3, stages=3, epochs=5, refine_epochs=2).stage_configs()
+    assert [c.train.epochs for c in configs] == [5, 2, 2]
+
+
+def test_stage_configs_carry_every_stage_setting():
+    run = cli.RunConfig(stages=2, sigma=1.5, crops_per_joint=7, stage1_crops=2, batch=16,
+                        lr=0.01, dropout=0.5, input_size=30, use_lrn=True)
+    for config in run.stage_configs():
+        assert (config.sigma, config.crops_per_joint, config.stage1_jitter_crops) == (1.5, 7, 2)
+        assert (config.train.batch_size, config.train.learning_rate) == (16, 0.01)
+        assert config.input_size == (30, 30, 1)
+        assert config.hidden == cascade.default_hidden(0.5, use_lrn=True)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"stages": 0}, "stages must be >= 1, got 0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),  # as given, not the per-stage -999
+])
+def test_stage_configs_reject_a_bad_stage_count_or_seed(settings, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        cli.RunConfig(**settings).stage_configs()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--input-size", "-5", "input size must be >= 1 in every dimension"),
     ("--input-size", "0", "input size must be >= 1 in every dimension"),
