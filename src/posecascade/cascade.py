@@ -425,7 +425,7 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
 
     The stages run with BLAS pinned to one thread (nn.one_blas_thread); code
     that runs two predictions at once on two threads must hold the pin
-    around the pair, as nn.train_step does around its slices.
+    around the pair.
     """
     k, store = model.tree.k, ImageStore([image])
     if b0 is None:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MissingTorsoError, ShapeError
+from .errors import InvalidArgumentError, ShapeError
+# pose_diameter is unused here; the benchmark tracer (perfbench/spans.py)
+# patches it by name
 from .geometry import PoseTree, pose_diameter
 
 
@@ -98,13 +100,19 @@ def pcp(preds, truths, tree: PoseTree, threshold: float = 0.5) -> tuple[LimbRate
             LimbRates(*_rates(0.5 * (err_a + err_b) <= bound, counted), zero_len.sum(axis=0)))
 
 
-def _diameter(truth, tree: PoseTree) -> float:
-    """The truth's torso diameter, NaN when it has no labeled torso pair or is zero."""
-    try:
-        diam = pose_diameter(truth, tree)
-    except MissingTorsoError:
-        return np.nan
-    return diam if diam > 0.0 else np.nan
+def _diameters(truth: np.ndarray, labeled: np.ndarray, tree: PoseTree) -> np.ndarray:
+    """The (n,) torso diameters of the stacked truths, as geometry.pose_diameter
+    computes them, NaN where a truth has no labeled torso pair or a zero
+    diameter. Each pair's length is the same BLAS dot np.linalg.norm takes of
+    one 2-vector, so the diameters are pose_diameter's to the bit."""
+    a, b = np.array(tree.torso_pairs, dtype=int).reshape(-1, 2).T
+    d = truth[:, a] - truth[:, b]
+    both = labeled[:, a] & labeled[:, b]
+    with np.errstate(over="ignore"):  # an inf length, as np.linalg.norm gives without a warning
+        length = np.where(both, np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]), 0.0)
+    count = both.sum(axis=1)
+    diam = np.divide(length.sum(axis=1), count, out=np.full(len(count), np.nan), where=count > 0)
+    return np.where(diam > 0.0, diam, np.nan)
 
 
 def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
@@ -113,9 +121,9 @@ def pdj_curve(preds, truths, tree: PoseTree, fractions) -> PdjCurve:
     non-decreasing in the fraction. The same error pass gives the mean pixel
     error of every labeled joint, which needs no diameter."""
     fractions = check_scales("fractions", *fractions)
-    err, labeled = _stack(preds, truths, tree)[1:]
+    truth, err, labeled = _stack(preds, truths, tree)
     mean_px_error = float(err[labeled].mean()) if labeled.any() else np.nan
-    diam = np.array([_diameter(t, tree) for t in truths], dtype=float)
+    diam = _diameters(truth, labeled, tree)
     scaled = err / diam[:, None]
     counted = labeled & ~np.isnan(scaled)  # NaN: no usable diameter
     rates, detected, valid = _rates(scaled <= np.array(fractions)[:, None, None], counted)

@@ -17,14 +17,22 @@ and a conv's GEMM output is already the next activation. For one channel the
 conversion at entry is a free view. Weights keep the callers' layout: conv
 filters are (kh, kw, c, f) and fully-connected weights read features in
 (h, w, c) order.
+
+Training (train_epochs) runs each mini-batch in slices of a few examples,
+two at a time: the calling process runs one slice of each pair and a worker
+process, forked once per train_epochs call, the other. The two share the
+parameters and the worker's gradients through memory mapped before the
+fork; the step sums the gradients in slice order, so the update has the
+bits of the slices run one after another on one thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
+import os
+import pickle
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -684,6 +692,8 @@ def one_blas_thread():
         put(before)
 
 
+
+
 class _Drawn:
     """The rng of one slice's forward: hands back, call by call, the dropout
     uniforms train_step drew for the slice before any slice ran."""
@@ -696,9 +706,212 @@ class _Drawn:
 
 
 # The slices call these through names bound here, once at import: the
-# benchmark's tracer swaps the module attributes for wrappers that assume one
-# thread, and a worker thread must not run them.
+# benchmark's tracer swaps the module attributes for wrappers that record
+# spans in the process that calls them, and half of a step's slices run in
+# the worker process, whose spans no one reads.
 _FORWARD, _BACKWARD, _LOSS = forward, backward, l2_loss_batch
+
+
+def _run_slice(net, x, targets, masks, rows, draws, n, into=None):
+    """The summed loss and the parameter gradients, added into into when
+    given, of slice rows of a batch of n examples: its inputs x[rows] taken
+    from the row source x, its dropout layers reading draws and its loss
+    gradient scaled by len(rows) / n."""
+    out, cache = _FORWARD(net, x[rows], train_mode=True, rng=_Drawn(draws))
+    loss, grad = _LOSS(out, targets[rows], masks[rows])
+    grad *= len(rows) / n
+    return loss * len(rows), _BACKWARD(net, cache, grad, into)
+
+
+class InlineWorker:
+    """A train_step worker that runs each slice on the calling thread as it
+    is submitted, so a step's slices run one after another on one thread.
+    train_epochs trains on it where os.fork does not exist."""
+
+    _done = None
+
+    def submit(self, net, x, targets, masks, rows, draws, n) -> None:
+        self._done = _run_slice(net, x, targets, masks, rows, draws, n)
+
+    def result(self) -> tuple[float, list[dict | None]]:
+        """The summed loss and the gradients of the slice last submitted."""
+        done, self._done = self._done, None
+        return done
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep what this process frees and serve blocks of
+    up to 32 MiB (its largest threshold) from the heap. A worker's slices free
+    all they allocate, so glibc would hand it back to the kernel and fault it
+    in again every slice: about 15k minor faults per step at batch 128. A
+    no-op where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+def _serve(requests, replies, net, x, targets, masks, slot) -> None:
+    """A forked worker's loop: run each slice read from requests, copy its
+    gradients into slot and write back its summed loss, or the exception it
+    raised; return at the end of requests, when the caller closes them or
+    dies."""
+    with one_blas_thread():
+        while True:
+            try:
+                rows, draws, n = pickle.load(requests)
+            except EOFError:
+                return
+            try:
+                reply, grads = _run_slice(net, x, targets, masks, rows, draws, n)
+                for dst, g in zip(slot, grads):
+                    if dst is not None:
+                        np.copyto(dst["w"], g["w"])
+                        np.copyto(dst["b"], g["b"])
+                del grads
+            except Exception as e:
+                reply = e
+            try:
+                data = pickle.dumps(reply)
+            except Exception:  # an exception that does not pickle
+                data = pickle.dumps(ContractViolationError(f"{type(reply).__name__}: {reply}"))
+            replies.write(data)
+            replies.flush()
+
+
+class _ForkedWorker:
+    """A train_step worker in a process forked from the caller. It runs each
+    submitted slice of the net, row source, targets and masks it inherited,
+    under its own BLAS pin, and leaves the slice's gradients in slot, arrays
+    it shares with the caller. The net's params must be shared arrays too
+    (see slice_worker), so that the worker reads each step's weights.
+
+    One pipe carries each slice's rows and dropout uniforms to the worker,
+    another its loss or exception back. The worker ignores SIGINT, which
+    Ctrl-C sends the caller as well, and exits at the end of its request
+    pipe, so also when the caller dies; the caller raises
+    ContractViolationError when the reply pipe ends, as when the worker dies.
+    """
+
+    def __init__(self, net, x, targets, masks, slot):
+        import signal  # here, so a process that never trains does not load it
+
+        self._bound, self._slot, self._pending = (net, x, targets, masks), slot, False
+        requests, replies = os.pipe(), os.pipe()  # (read fd, write fd) each
+        self._pid = os.fork()
+        if self._pid == 0:  # the worker, which never returns from here
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _keep_freed_memory()
+                os.close(requests[1])
+                os.close(replies[0])
+                _serve(open(requests[0], "rb"), open(replies[1], "wb"), net, x, targets, masks, slot)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests[0])
+        os.close(replies[1])
+        self._requests, self._replies = open(requests[1], "wb"), open(replies[0], "rb")
+
+    def submit(self, net, x, targets, masks, rows, draws, n) -> None:
+        if any(a is not b for a, b in zip((net, x, targets, masks), self._bound)):
+            raise ContractViolationError("a forked worker runs slices of the net and rows it was forked with")
+        if self._pending:  # the reply to a slice whose result was never asked for
+            self._receive()
+        try:
+            pickle.dump((rows, draws, n), self._requests)
+            self._requests.flush()
+        except BrokenPipeError:
+            self._died()
+        self._pending = True
+
+    def result(self) -> tuple[float, list[dict | None]]:
+        """The summed loss of the slice last submitted and its gradients, in
+        the shared slot until the next submit; raises what the slice raised."""
+        reply = self._receive()
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply, self._slot
+
+    def _receive(self):
+        self._pending = False
+        try:
+            return pickle.load(self._replies)
+        except EOFError:
+            self._died()
+
+    def _died(self):
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        raise ContractViolationError(
+            f"the training worker process ended with exit code {os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        """Close the pipes, kill the worker and wait for it to end."""
+        from signal import SIGKILL
+
+        for f in (self._requests, self._replies):
+            try:
+                f.close()
+            except OSError:  # a request the dead worker never read
+                pass
+        if self._pid is not None:
+            os.kill(self._pid, SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _shared_like(params: list[dict | None], buf, at: int) -> tuple[list[dict | None], int]:
+    """Arrays shaped like params' in buf, one after another from byte at,
+    each at a 64-byte boundary, and the byte after the last."""
+    views: list[dict | None] = []
+    for p in params:
+        views.append(None if p is None else {})
+        for key in () if p is None else ("w", "b"):
+            views[-1][key] = np.frombuffer(buf, p[key].dtype, p[key].size, at).reshape(p[key].shape)
+            at += -(-p[key].nbytes // 64) * 64
+    return views, at
+
+
+@contextmanager
+def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
+    """The worker that train_step runs the odd slices of net on, for the row
+    source x with its targets and masks: a process forked on entry (see
+    _ForkedWorker), or an InlineWorker where os.fork does not exist.
+
+    While the block runs, net.params are arrays of the same values in one
+    anonymous shared mapping, made before the fork, which train_step's
+    in-place updates keep current for the worker; on exit the net's own
+    arrays, the same objects as before, take the trained values back. Every
+    exit from the block, an exception or Ctrl-C included, kills the worker
+    and waits for it.
+    """
+    if not hasattr(os, "fork"):
+        yield InlineWorker()
+        return
+    import mmap  # here, so a process that never trains does not load it
+
+    own = net.params
+    size = sum(p[key].nbytes + 64 for p in own if p is not None for key in ("w", "b"))
+    buf = mmap.mmap(-1, 2 * size + 1)  # the parameters, then one slice's gradients
+    shared, end = _shared_like(own, buf, 0)
+    slot = _shared_like(own, buf, end)[0]
+    for p, s in zip(own, shared):
+        if p is not None:
+            s["w"][...], s["b"][...] = p["w"], p["b"]
+    net.params, worker = shared, None
+    try:
+        worker = _ForkedWorker(net, x, targets, masks, slot)
+        yield worker
+    finally:
+        if worker is not None:
+            worker.close()
+        for p, s in zip(own, shared):
+            if p is not None:
+                p["w"][...], p["b"][...] = s["w"], s["b"]
+        net.params = own
 
 
 def train_step(
@@ -709,7 +922,7 @@ def train_step(
     masks: np.ndarray,
     rows: np.ndarray,
     rng: np.random.Generator,
-    worker: Executor,
+    worker,
 ) -> float:
     """One adaptive-gradient update from a mini-batch; returns its mean loss.
 
@@ -718,22 +931,25 @@ def train_step(
     *input_size) array, such as the array of every example or a
     cascade.StoreInputs, which crops them with cascade.net_input when asked.
     targets is (m, 2k) and masks (m, k). The batch is the n examples that
-    the index array rows picks from them. Each slice's rows are gathered
-    from x on the calling thread just before its pair runs, so the step
-    holds at most a pair of slices' inputs, never the whole batch's. The
-    batch runs forward, loss and backward in consecutive slices of a few
-    rows, each slice's loss gradient scaled by len(slice) / n, and one
-    adagrad_step applies the sum of the slices' parameter gradients: the
-    update of the whole batch, up to float rounding. Before any slice runs,
-    every slice's dropout uniforms are drawn from rng, slice by slice and
-    dropout layer by dropout layer: the stream the slices would draw one
-    after another, which for one dropout layer is a whole-batch forward's.
+    the index array rows picks from them. The batch runs forward, loss and
+    backward in consecutive slices of a few rows, each slice's loss
+    gradient scaled by len(slice) / n, and one adagrad_step applies the sum
+    of the slices' parameter gradients: the update of the whole batch, up to
+    float rounding. Each slice's rows are taken from x just before the slice
+    runs, by whoever runs it, so the step never holds the whole batch's
+    inputs. Before any slice runs, every slice's dropout uniforms are drawn
+    from rng, slice by slice and dropout layer by dropout layer: the stream
+    the slices would draw one after another, which for one dropout layer is
+    a whole-batch forward's.
 
-    Slices run in pairs: worker, an executor such as ThreadPoolExecutor(1),
-    runs slice 2i + 1 while the calling thread runs slice 2i, adding its
-    gradients into the running sum as backward computes them. The step sums
-    in slice order and pins BLAS to one thread (one_blas_thread) until it
-    returns, so its bits depend on neither thread timing nor thread count.
+    Slices run in pairs: slice 2i + 1 is submitted to worker, which
+    slice_worker made for this net, x, targets and masks, while the calling
+    thread runs slice 2i and adds its gradients into the running sum as
+    backward computes them; then the worker's gradients are added. A forked
+    worker runs its slice in another process, an InlineWorker at once on the
+    calling thread. The step sums in slice order and runs every slice with
+    BLAS pinned to one thread (one_blas_thread), so its bits depend on
+    neither the worker nor the thread count.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
@@ -748,33 +964,24 @@ def train_step(
     parts = [rows[lo : lo + step] for lo in range(0, n, step)]
     shapes = [net.input_size, *chain_shapes(net.layers, net.input_size)]
     dropout_sizes = [math.prod(shapes[i]) for i, s in enumerate(net.layers) if isinstance(s, Dropout)]
-    rngs = [_Drawn([rng.random(len(p) * size) for size in dropout_sizes]) for p in parts]
-
-    def run(i, xs, into=None):
-        """Slice i's summed loss and its parameter gradients from its inputs xs,
-        added into into when given."""
-        r = parts[i]
-        out, cache = _FORWARD(net, xs, train_mode=True, rng=rngs[i])
-        loss, grad = _LOSS(out, targets[r], masks[r])
-        grad *= len(r) / n
-        return loss * len(r), _BACKWARD(net, cache, grad, into)
+    draws = [[rng.random(len(p) * size) for size in dropout_sizes] for p in parts]
 
     summed, total = None, 0.0
     with one_blas_thread():
         for i in range(0, len(parts), 2):
-            xs = [x[r] for r in parts[i : i + 2]]  # the pair's inputs, gathered on this thread
-            odd = worker.submit(run, i + 1, xs[1]) if len(xs) > 1 else None
-            loss, summed = run(i, xs[0], summed)
+            paired = i + 1 < len(parts)
+            if paired:
+                worker.submit(net, x, targets, masks, parts[i + 1], draws[i + 1], n)
+            loss, summed = _run_slice(net, x, targets, masks, parts[i], draws[i], n, summed)
             total += loss
-            if odd is not None:
-                loss, grads = odd.result()
+            if paired:
+                loss, grads = worker.result()
                 total += loss
                 for acc, g in zip(summed, grads):
                     if acc is not None:
                         acc["w"] += g["w"]
                         acc["b"] += g["b"]
-                del odd, grads  # free this slice's gradients before the next pair runs
-            del xs
+                del grads  # free this slice's gradients before the next pair runs
         adagrad_step(net, summed, state)
     return total / n
 
@@ -794,7 +1001,10 @@ def train_epochs(
     rows a slice asks for. targets is (n, 2k) and masks (n, k).
     Each mini-batch is one train_step: one update from the mean gradient over
     the batch's examples, computed in slices of a few examples whose size
-    follows the SLICE_BYTES budget, two slices at a time on two threads.
+    follows the SLICE_BYTES budget, two slices at a time: the calling
+    process runs one and a worker process, forked once per call (see
+    slice_worker), the other. Where a batch is never more than one slice,
+    no worker is forked.
     progress, when given, is called as progress(epoch_index, mean_epoch_loss).
     Deterministic for a fixed seed, whatever the BLAS thread count where
     BLAS can be pinned (see train_step).
@@ -806,7 +1016,8 @@ def train_epochs(
         raise ShapeError("inputs, targets and masks must have equal length")
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_network(net, config.learning_rate)
-    with ThreadPoolExecutor(1) as worker:
+    paired = 0 < _slice_size(net) < min(n, config.batch_size)
+    with slice_worker(net, inputs, targets, masks) if paired else nullcontext(InlineWorker()) as worker:
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             total = 0.0

@@ -1,5 +1,4 @@
 import warnings
-from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -9,17 +8,6 @@ from posecascade import cascade, container
 from posecascade.data import default_tree
 from posecascade.errors import InvalidArgumentError
 from posecascade.geometry import PoseTree, PoseVector
-
-
-class InlineExecutor(Executor):
-    """An executor that runs each submitted call at once, on the calling
-    thread, and returns its finished future: handed to nn.train_step as the
-    worker, it runs every slice one after another on one thread."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
 
 
 @pytest.fixture

@@ -51,6 +51,30 @@ def trained_dir(tmp_path_factory, synth_dir):
 # --- synth ------------------------------------------------------------------------
 
 
+def test_serving_loads_no_module_of_the_training_worker():
+    # the worker's modules load when training forks it, not on import, so a
+    # process that only serves keeps its RSS
+    script = """if True:
+        import sys
+        import numpy as np
+        from posecascade import cascade, cli, nn
+
+        def loaded():
+            print(*(m for m in ("mmap", "signal", "multiprocessing", "concurrent.futures") if m in sys.modules))
+
+        loaded()
+        net, rng = cascade.StageConfig(sigma=1.0).build_network(4), np.random.default_rng(0)
+        nn.train_epochs(net, rng.random((16, 60, 60, 1), np.float32), rng.random((16, 4)),
+                        np.ones((16, 2), bool), nn.TrainConfig(epochs=1))  # two slices: a pair
+        loaded()
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\nmmap signal\n"
+
+
 def test_synth_writes_dataset(synth_dir):
     m = data.load_manifest(synth_dir / "manifest.txt")
     assert len(m.examples) == 6

@@ -1,10 +1,10 @@
 import os
+import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from posecascade.errors import (
 )
 from posecascade.geometry import PoseTree
 
-from conftest import InlineExecutor, file_with_param
+from conftest import file_with_param
 from fdcheck import max_rel_error
 
 LR = nn.TrainConfig(1).learning_rate  # the default rate of a training run
@@ -822,7 +822,7 @@ def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
 
     monkeypatch.setattr(nn, "_FORWARD", counting_forward)
     loss = nn.train_step(sliced, state, x, targets, masks, np.arange(37), np.random.default_rng(5),
-                         InlineExecutor())
+                         nn.InlineWorker())
 
     assert sizes == [8, 8, 8, 8, 5]
     assert loss == pytest.approx(whole_loss, rel=1e-12)
@@ -878,7 +878,7 @@ def test_paired_slices_draw_the_stream_of_slices_run_one_by_one(monkeypatch):
                 None if a is None else {k: a[k] + g[k] for k in a} for a, g in zip(summed, grads)]
             total += loss * len(out)
         nn.adagrad_step(net, summed, state)
-    with ThreadPoolExecutor(1) as worker:
+    with nn.slice_worker(paired[0], x, targets, masks) as worker:  # the worker process
         paired_loss = nn.train_step(*paired, x, targets, masks, np.arange(37),
                                     np.random.default_rng(5), worker)
     assert paired_loss == total / 37
@@ -890,9 +890,10 @@ def test_train_step_rows_pick_the_batch(monkeypatch):
     fresh, x, targets, masks = _two_dropout_step(monkeypatch)
     rows = np.random.default_rng(9).permutation(37)[:29]
     copied, picked = fresh(), fresh()
-    with ThreadPoolExecutor(1) as worker:
-        copied_loss = nn.train_step(*copied, x[rows], targets[rows], masks[rows],
-                                    np.arange(len(rows)), np.random.default_rng(5), worker)
+    batch = x[rows], targets[rows], masks[rows]
+    with nn.slice_worker(copied[0], *batch) as worker:
+        copied_loss = nn.train_step(*copied, *batch, np.arange(len(rows)), np.random.default_rng(5), worker)
+    with nn.slice_worker(picked[0], x, targets, masks) as worker:
         picked_loss = nn.train_step(*picked, x, targets, masks, rows, np.random.default_rng(5), worker)
     assert picked_loss == copied_loss
     _assert_same_state(picked, copied)
@@ -918,20 +919,24 @@ def test_backward_into_adds_the_same_bits_as_summing_after():
             assert np.array_equal(acc["w"], g["w"]) and np.array_equal(acc["b"], g["b"])
 
 
-def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
+def test_one_blas_thread_pins_and_restores_the_count(monkeypatch, tmp_path):
     if nn._BLAS_THREADS is not None:
         get, put = nn._BLAS_THREADS
         fresh, x, targets, masks = _two_dropout_step(monkeypatch)
         model = cascade.CascadeModel([nn.init_network([nn.FullyConnected(4)], (6, 6, 1), 4, seed=5,
                                                       dtype=np.float32)],
                                      [None], 1.0, PoseTree(2, [], []), (6, 6, 1))
-        seen, forward = [], nn.forward  # (thread, BLAS threads) per forward
+        log, forward = tmp_path / "forwards", nn.forward
 
-        def counting(*args, **kwargs):
-            seen.append((threading.get_ident(), get()))
+        def counting(*args, **kwargs):  # each process appends its (pid, BLAS threads) per forward
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {get()}\n")
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(nn, "_FORWARD", counting)  # train_step's slices
+        def seen():
+            return [tuple(int(v) for v in line.split()) for line in log.read_text().splitlines()]
+
+        monkeypatch.setattr(nn, "_FORWARD", counting)  # train_step's slices, in both processes
         monkeypatch.setattr(nn, "forward", counting)  # cascade.predict
         before = get()
         put(2)
@@ -939,12 +944,13 @@ def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
             with nn.one_blas_thread() as pinned:
                 assert pinned and get() == 1
             assert get() == 2
-            with ThreadPoolExecutor(1) as worker:
-                nn.train_step(*fresh(), x, targets, masks, np.arange(37), np.random.default_rng(5), worker)
-            assert len(seen) == 5 and len({thread for thread, _ in seen}) == 2 and get() == 2
+            net, state = fresh()
+            with nn.slice_worker(net, x, targets, masks) as worker:  # forked at 2 BLAS threads
+                nn.train_step(net, state, x, targets, masks, np.arange(37), np.random.default_rng(5), worker)
+            assert len(seen()) == 5 and len({pid for pid, _ in seen()}) == 2 and get() == 2
             cascade.predict(model, np.zeros((8, 8, 1)))
-            assert len(seen) == 6 and get() == 2
-            assert all(threads == 1 for _, threads in seen)
+            assert len(seen()) == 6 and get() == 2
+            assert all(threads == 1 for _, threads in seen())
         finally:
             put(before)
     # a BLAS without the thread-count calls is left as it is
@@ -966,10 +972,11 @@ def test_blas_kernel_names_the_kernel_openblas_runs(monkeypatch):
     assert nn.blas_kernel() == "unknown"
 
 
-def test_train_step_memory_does_not_grow_with_the_batch():
+def test_train_step_memory_does_not_grow_with_the_batch(monkeypatch, tmp_path):
     # a batch of 128 runs in slices, so it peaks little above a batch of 16.
     # Run inline, one slice after another, the peaks do not depend on how the
-    # threads are scheduled; paired, at most one more slice is in flight.
+    # processes are scheduled; paired, the caller runs half the slices, and
+    # the worker process holds one slice at a time.
     net = _default_stack_net()
     rng = np.random.default_rng(43)
     x = rng.random((128, 60, 60, 1)).astype(np.float32)
@@ -984,10 +991,182 @@ def test_train_step_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
 
-    with ThreadPoolExecutor(1) as worker:
-        inline = {n: peak(n, InlineExecutor()) for n in (8, 16, 128)}
-        assert inline[128] < 1.3 * inline[16]
+    inline = {n: peak(n, nn.InlineWorker()) for n in (8, 16, 128)}
+    assert inline[128] < 1.3 * inline[16]
+
+    # the worker traces from its first forward on and logs its peak after each backward
+    parent, log, forward, backward = os.getpid(), tmp_path / "worker_peaks", nn._FORWARD, nn._BACKWARD
+
+    def traced_forward(*args, **kwargs):
+        if os.getpid() != parent and not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return forward(*args, **kwargs)
+
+    def logged_backward(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        if os.getpid() != parent:
+            with open(log, "a") as f:
+                f.write(f"{tracemalloc.get_traced_memory()[1]}\n")
+        return grads
+
+    monkeypatch.setattr(nn, "_FORWARD", traced_forward)
+    monkeypatch.setattr(nn, "_BACKWARD", logged_backward)
+    with nn.slice_worker(net, x, targets, masks) as worker:
         assert peak(128, worker) < inline[128] + inline[8]  # 8 examples: one slice
+    worker_peaks = [int(v) for v in log.read_text().split()]
+    # a one-slice step's peak, as run here, and below a two-slice step's: one slice at a time
+    assert len(worker_peaks) == 8 and max(worker_peaks) < inline[16]
+
+
+# --- the worker process ----------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork makes during the test."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def time_bound():
+    """Fails the test with TimeoutError if it runs for more than 60 s, where
+    a worker that never answers would hang it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, before)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _reaped(pid: int) -> bool:
+    """Whether pid is no process, not even a zombie left to wait for."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class _FailsInWorker:
+    """A row source that raises on every row asked for by another process."""
+
+    def __init__(self, x):
+        self.x, self.pid = x, os.getpid()
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, rows):
+        if os.getpid() != self.pid:
+            raise InvalidArgumentError("no rows for the worker")
+        return self.x[rows]
+
+
+def test_train_epochs_on_the_worker_process_gives_the_bits_of_one_thread(monkeypatch, forks, time_bound):
+    # batches of 16 in slices of 8 pair every batch but the last; without
+    # os.fork the same run goes inline, one slice after another
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    config = nn.TrainConfig(epochs=2, batch_size=16, seed=3)
+    (net, _), (inline, _) = fresh(), fresh()
+    own = [p["w"] for p in net.params if p is not None]
+    nn.train_epochs(net, x, targets, masks, config)
+    assert len(forks) == 1 and [p["w"] for p in net.params if p is not None] == own  # the same arrays
+    monkeypatch.delattr(os, "fork")
+    nn.train_epochs(inline, x, targets, masks, config)
+    assert len(forks) == 1
+    for p, q in zip(net.params, inline.params):
+        if p is not None:
+            assert np.array_equal(p["w"], q["w"]) and np.array_equal(p["b"], q["b"])
+
+
+@pytest.mark.parametrize("end", ["return", "worker killed", "worker raises", "Ctrl-C"])
+def test_every_end_of_training_leaves_no_worker_and_no_fd(monkeypatch, forks, time_bound, end):
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    fds, forward, parent = _open_fds(), nn._FORWARD, os.getpid()
+    calls = []
+
+    def killing_forward(*args, **kwargs):  # the caller's second slice kills the worker mid-pair
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 2:
+                os.kill(forks[0], signal.SIGKILL)
+        return forward(*args, **kwargs)
+
+    def interrupt(epoch, loss):
+        raise KeyboardInterrupt
+
+    progress, raised = None, None
+    if end == "worker killed":
+        monkeypatch.setattr(nn, "_FORWARD", killing_forward)
+        raised = pytest.raises(ContractViolationError, match="training worker process ended with exit code -9")
+    elif end == "worker raises":
+        x = _FailsInWorker(x)
+        raised = pytest.raises(InvalidArgumentError, match="no rows for the worker")
+    elif end == "Ctrl-C":
+        progress, raised = interrupt, pytest.raises(KeyboardInterrupt)
+    t0 = time.monotonic()
+    with raised or nullcontext():
+        nn.train_epochs(fresh()[0], x, targets, masks, nn.TrainConfig(epochs=2, batch_size=16), progress)
+    assert time.monotonic() - t0 < 10
+    assert len(forks) == 1 and _reaped(forks[0])
+    assert _open_fds() == fds
+
+
+def test_a_forked_worker_runs_only_what_it_was_forked_with(monkeypatch, time_bound):
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    (net, state), (other, _) = fresh(), fresh()
+    with nn.slice_worker(net, x, targets, masks) as worker:
+        with pytest.raises(ContractViolationError, match="forked with"):
+            nn.train_step(other, state, x, targets, masks, np.arange(37), np.random.default_rng(5), worker)
+        with pytest.raises(ContractViolationError, match="forked with"):
+            nn.train_step(net, state, x.copy(), targets, masks, np.arange(37), np.random.default_rng(5), worker)
+
+
+def test_a_step_that_raises_on_the_caller_leaves_the_worker_in_step(monkeypatch, time_bound):
+    # the first step raises on the caller's first slice, after the worker got
+    # slice 1: the next step must not take that slice's reply for its own
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+
+    class FailsOnce:
+        def __init__(self):
+            self.pid, self.calls = os.getpid(), 0
+
+        def __len__(self):
+            return len(x)
+
+        def __getitem__(self, rows):
+            if os.getpid() == self.pid:
+                self.calls += 1
+                if self.calls == 1:
+                    raise InvalidArgumentError("the caller's first crop")
+            return x[rows]
+
+    source, (net, state), (serial, serial_state) = FailsOnce(), fresh(), fresh()
+    with nn.slice_worker(net, source, targets, masks) as worker:
+        with pytest.raises(InvalidArgumentError, match="first crop"):
+            nn.train_step(net, state, source, targets, masks, np.arange(37), np.random.default_rng(5), worker)
+        loss = nn.train_step(net, state, source, targets, masks, np.arange(37), np.random.default_rng(5), worker)
+    serial_loss = nn.train_step(serial, serial_state, x, targets, masks, np.arange(37),
+                                np.random.default_rng(5), nn.InlineWorker())
+    assert loss == serial_loss
+    _assert_same_state((net, state), (serial, serial_state))
 
 
 # --- loading -------------------------------------------------------------------

@@ -16,10 +16,12 @@ def test_train_step_prints_its_medians_and_faults():
     assert proc.returncode == 0, proc.stderr
     # the header names the path that ran and whether nn could pin numpy's OpenBLAS
     pin = "pinned by nn" if nn._BLAS_THREADS else "environment only"
-    assert proc.stdout.splitlines()[0].endswith(f"BLAS threads 1 ({pin})  slices in pairs on 2 threads")
+    assert proc.stdout.splitlines()[0].endswith(f"BLAS threads 1 ({pin})  slices in pairs with a worker process")
     values = dict(re.findall(r"^(\w+) ([0-9.]+)$", proc.stdout, re.MULTILINE))
-    assert set(values) == {"step_ms", "minor_faults_per_step"}
+    assert set(values) == {"step_ms", "minor_faults_per_step", "maxrss_mb",
+                           "worker_minor_faults_per_step", "worker_maxrss_mb"}
     assert float(values["step_ms"]) > 0
+    assert float(values["worker_maxrss_mb"]) > 0  # the worker ran and was waited for
 
 
 def test_model_bytes_lists_a_sha256_per_written_file():

@@ -5,11 +5,16 @@ mini-batch, on a batch of 128 random 60x60x1 float32 crops through the
 cascade's default layers (the stage networks' stack, 9 joints): forward, loss
 and backward in slices of the batch, then one adaptive-gradient update. BLAS
 is pinned to one thread before numpy loads. The steps run as `nn.train_epochs`
-runs them: slices in pairs on two threads, the odd ones on a one-thread
-executor, each step pinning BLAS through numpy's OpenBLAS thread-count call
-where `nn` finds one; the header line names the path and whether it does.
-After one untimed warm-up step it runs `--steps` steps and prints the median
-milliseconds per step and the minor page faults per step:
+runs them: slices in pairs, the odd ones on a worker process forked by
+`nn.slice_worker` (inline, one after another, where there is no fork), each
+step pinning BLAS through numpy's OpenBLAS thread-count call where `nn`
+finds one; the header line names the path and whether it does. After one
+untimed warm-up step it runs `--steps` steps and prints the median
+milliseconds per step, the minor page faults per step and the peak RSS of
+this process, then the same two figures of the worker, read with
+RUSAGE_CHILDREN once it has been waited for. So the worker's faults are per
+step over every step it ran, the warm-up and its start after the fork
+included, and its peak RSS counts the pages it shares with this process:
 
     python3 tools/train_step.py --steps 50
 
@@ -23,7 +28,6 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,7 +57,7 @@ def main(argv=None) -> int:
     state = nn.OptimizerState.for_network(net, config.train.learning_rate)
     rows = np.arange(BATCH)
 
-    with ThreadPoolExecutor(1) as worker:
+    with nn.slice_worker(net, x, target, mask) as worker:
 
         def step() -> float:
             t0 = time.perf_counter()
@@ -64,10 +68,15 @@ def main(argv=None) -> int:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         times = [step() for _ in range(args.steps)]
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    own, worker_use = (resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     pin = "pinned by nn" if nn._BLAS_THREADS else "environment only"
-    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1 ({pin})  slices in pairs on 2 threads")
+    path = "one after another" if isinstance(worker, nn.InlineWorker) else "in pairs with a worker process"
+    print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1 ({pin})  slices {path}")
     print(f"step_ms {np.median(times) * 1e3:.1f}")
     print(f"minor_faults_per_step {faults / args.steps:.0f}")
+    print(f"maxrss_mb {own.ru_maxrss / 1024:.1f}")
+    print(f"worker_minor_faults_per_step {worker_use.ru_minflt / (args.steps + 1):.0f}")
+    print(f"worker_maxrss_mb {worker_use.ru_maxrss / 1024:.1f}")
     return 0
 
 
