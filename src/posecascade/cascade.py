@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -37,6 +38,7 @@ CASCADE_FORMAT_VERSION = 2
 JITTER_FRAC = 0.05  # stage-1 translation, fraction of box size
 REFINE_NEEDS_TORSO = "refinement stages need a torso pair, whose diameter sizes their crops"
 REFINE_EMPTY = "refinement training set is empty"
+PREDICT_FORK_MIN = 10  # predict_many forks a worker from this many examples on
 
 
 def _check_sigma(sigma) -> None:
@@ -423,9 +425,9 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
     A non-finite stage-1 output raises InvalidArgumentError, since there is
     no earlier pose to keep.
 
-    The stages run with BLAS pinned to one thread (nn.one_blas_thread); code
-    that runs two predictions at once on two threads must hold the pin
-    around the pair.
+    The stages run with BLAS pinned to one thread (nn.one_blas_thread), so a
+    prediction has the same bits at any thread count, whichever process
+    runs it.
     """
     k, store = model.tree.k, ImageStore([image])
     if b0 is None:
@@ -454,8 +456,35 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
 
 
 def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
-    """predict() on each example's image and initial box, serially, in order."""
-    return [predict(model, ex.image, ex.box0) for ex in examples]
+    """predict() on each example's image and initial box, in order: the list
+    a loop of predict calls returns, or the exception of the first example
+    that raised, as that loop raises it.
+
+    From PREDICT_FORK_MIN examples on, the call forks one worker process
+    (nn._forked), which predicts the odd-indexed examples, inherited through
+    the fork, while the caller predicts the even ones; the predictions come
+    back pickled and are merged in example order. Below it, or where
+    os.fork does not exist, the caller predicts every example.
+    """
+    examples = list(examples)
+    n = len(examples)
+
+    def one(i: int) -> CascadePrediction:
+        return predict(model, examples[i].image, examples[i].box0)
+
+    if n < PREDICT_FORK_MIN or not hasattr(os, "fork"):
+        return [one(i) for i in range(n)]
+    preds = []
+    with nn._forked(one, "prediction") as worker:
+        for i in range(1, min(n, 5), 2):  # two requests ahead: one runs, one waits queued
+            worker.send(i)
+        for i in range(0, n, 2):
+            preds.append(one(i))  # every example before i is merged, so a raise here is the loop's first
+            if i + 1 < n:
+                preds.append(worker.receive())
+            if i + 5 < n:
+                worker.send(i + 5)
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ two at a time: the calling process runs one slice of each pair and a worker
 process, forked once per train_epochs call, the other. The two share the
 parameters and the worker's gradients through memory mapped before the
 fork; the step sums the gradients in slice order, so the update has the
-bits of the slices run one after another on one thread.
+bits of the slices run one after another on one thread. One primitive,
+_forked, makes every worker process, training's and cascade.predict_many's:
+the fork, the pipes, the handling of a worker that raises or dies, and the
+kill on every way out.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import os
 import pickle
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -692,8 +696,6 @@ def one_blas_thread():
         put(before)
 
 
-
-
 class _Drawn:
     """The rng of one slice's forward: hands back, call by call, the dropout
     uniforms train_step drew for the slice before any slice ran."""
@@ -752,91 +754,60 @@ def _keep_freed_memory() -> None:
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _serve(requests, replies, net, x, targets, masks, slot) -> None:
-    """A forked worker's loop: run each slice read from requests, copy its
-    gradients into slot and write back its summed loss, or the exception it
-    raised; return at the end of requests, when the caller closes them or
-    dies."""
+def _answer(serve, requests, replies) -> None:
+    """A forked child's loop: write back serve(request), or the exception it
+    raised, for each request read from requests; return at their end, when
+    the caller closes them or dies."""
     with one_blas_thread():
         while True:
             try:
-                rows, draws, n = pickle.load(requests)
+                request = pickle.load(requests)
             except EOFError:
                 return
             try:
-                reply, grads = _run_slice(net, x, targets, masks, rows, draws, n)
-                for dst, g in zip(slot, grads):
-                    if dst is not None:
-                        np.copyto(dst["w"], g["w"])
-                        np.copyto(dst["b"], g["b"])
-                del grads
+                reply = False, serve(request)
             except Exception as e:
-                reply = e
+                reply = True, e
             try:
                 data = pickle.dumps(reply)
             except Exception:  # an exception that does not pickle
-                data = pickle.dumps(ContractViolationError(f"{type(reply).__name__}: {reply}"))
+                data = pickle.dumps((True, ContractViolationError(f"{type(reply[1]).__name__}: {reply[1]}")))
             replies.write(data)
             replies.flush()
 
 
-class _ForkedWorker:
-    """A train_step worker in a process forked from the caller. It runs each
-    submitted slice of the net, row source, targets and masks it inherited,
-    under its own BLAS pin, and leaves the slice's gradients in slot, arrays
-    it shares with the caller. The net's params must be shared arrays too
-    (see slice_worker), so that the worker reads each step's weights.
+class _Child:
+    """The caller's end of a process that _forked made: requests go down one
+    pipe, and the replies come back up another, in the order of the
+    requests."""
 
-    One pipe carries each slice's rows and dropout uniforms to the worker,
-    another its loss or exception back. The worker ignores SIGINT, which
-    Ctrl-C sends the caller as well, and exits at the end of its request
-    pipe, so also when the caller dies; the caller raises
-    ContractViolationError when the reply pipe ends, as when the worker dies.
-    """
+    def __init__(self, pid: int, requests, replies, name: str):
+        self._pid, self._requests, self._replies, self._name = pid, requests, replies, name
+        self._pending = 0  # requests sent whose replies were not received
 
-    def __init__(self, net, x, targets, masks, slot):
-        import signal  # here, so a process that never trains does not load it
-
-        self._bound, self._slot, self._pending = (net, x, targets, masks), slot, False
-        requests, replies = os.pipe(), os.pipe()  # (read fd, write fd) each
-        self._pid = os.fork()
-        if self._pid == 0:  # the worker, which never returns from here
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _keep_freed_memory()
-                os.close(requests[1])
-                os.close(replies[0])
-                _serve(open(requests[0], "rb"), open(replies[1], "wb"), net, x, targets, masks, slot)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(requests[0])
-        os.close(replies[1])
-        self._requests, self._replies = open(requests[1], "wb"), open(replies[0], "rb")
-
-    def submit(self, net, x, targets, masks, rows, draws, n) -> None:
-        if any(a is not b for a, b in zip((net, x, targets, masks), self._bound)):
-            raise ContractViolationError("a forked worker runs slices of the net and rows it was forked with")
-        if self._pending:  # the reply to a slice whose result was never asked for
-            self._receive()
+    def send(self, request) -> None:
         try:
-            pickle.dump((rows, draws, n), self._requests)
+            pickle.dump(request, self._requests)
             self._requests.flush()
         except BrokenPipeError:
             self._died()
-        self._pending = True
+        self._pending += 1
 
-    def result(self) -> tuple[float, list[dict | None]]:
-        """The summed loss of the slice last submitted and its gradients, in
-        the shared slot until the next submit; raises what the slice raised."""
-        reply = self._receive()
-        if isinstance(reply, BaseException):
+    def receive(self):
+        """The reply to the oldest request not yet received; raises, with its
+        type, the exception that serving the request raised."""
+        raised, reply = self._next()
+        if raised:
             raise reply
-        return reply, self._slot
+        return reply
 
-    def _receive(self):
-        self._pending = False
+    def drain(self) -> None:
+        """Read and drop the replies to every request not yet received."""
+        while self._pending:
+            self._next()
+
+    def _next(self) -> tuple[bool, object]:
+        self._pending -= 1
         try:
             return pickle.load(self._replies)
         except EOFError:
@@ -846,21 +817,119 @@ class _ForkedWorker:
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         raise ContractViolationError(
-            f"the training worker process ended with exit code {os.waitstatus_to_exitcode(status)}")
+            f"the {self._name} worker process ended with exit code {os.waitstatus_to_exitcode(status)}")
 
     def close(self) -> None:
-        """Close the pipes, kill the worker and wait for it to end."""
+        """Close the pipes, kill the child and wait for it to end."""
         from signal import SIGKILL
 
         for f in (self._requests, self._replies):
             try:
                 f.close()
-            except OSError:  # a request the dead worker never read
+            except OSError:  # a request the dead child never read
                 pass
         if self._pid is not None:
             os.kill(self._pid, SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
+
+
+def _cpu_split() -> tuple[int, set[int]] | None:
+    """The CPU the calling thread runs on and the set it may run on, where
+    that set holds another CPU too; None where it does not, or where the
+    platform cannot tell."""
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is None or not hasattr(os, "sched_setaffinity"):
+        return None
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    here, allowed = getcpu(), os.sched_getaffinity(0)
+    return (here, allowed) if here in allowed and len(allowed) > 1 else None
+
+
+@contextmanager
+def _forked(serve, name: str):
+    """A child process forked from the caller that answers each request sent
+    to the _Child yielded with serve(request), in order, under its own BLAS
+    pin (one_blas_thread). serve and what it reads come to the child through
+    the fork; the requests and replies are pickled.
+
+    While the block runs, the calling thread stays on the CPU it ran on and
+    the child runs on the caller's other CPUs (_cpu_split). Unpinned, the
+    wake-up on a reply could move the caller to the child's CPU, so it left
+    the block on either CPU, while a process that never forks stays on one;
+    where one CPU runs slower, as a vCPU with a busy neighbour does, the
+    caller's later work slowed with it.
+    The child ignores SIGINT, which Ctrl-C sends the caller as well, keeps
+    the memory it frees (_keep_freed_memory) and exits at the end of its
+    request pipe, so also when the caller dies. Sending to or receiving from
+    a child that died raises ContractViolationError: "the <name> worker
+    process ended with exit code <code>". Every exit from the block, an
+    exception or Ctrl-C included, closes the pipes, kills the child, waits
+    for it and gives the caller back the CPUs it had.
+    """
+    import signal  # here, so a process that never forks does not load it
+
+    split = _cpu_split()
+    requests, replies = os.pipe(), os.pipe()  # (read fd, write fd) each
+    pid = os.fork()
+    if pid == 0:  # the child, which never returns from here
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            if split:
+                os.sched_setaffinity(0, split[1] - {split[0]})
+            _keep_freed_memory()
+            os.close(requests[1])
+            os.close(replies[0])
+            _answer(serve, open(requests[0], "rb"), open(replies[1], "wb"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(requests[0])
+    os.close(replies[1])
+    child = _Child(pid, open(requests[1], "wb"), open(replies[0], "rb"), name)
+    try:
+        if split:
+            os.sched_setaffinity(0, {split[0]})
+        yield child
+    finally:
+        child.close()
+        if split:
+            os.sched_setaffinity(0, split[1])
+
+
+def _serve_slice(net, x, targets, masks, slot, request) -> float:
+    """Run the slice of request in a training worker: copy its gradients into
+    slot and return its summed loss."""
+    rows, draws, n = request
+    loss, grads = _run_slice(net, x, targets, masks, rows, draws, n)
+    for dst, g in zip(slot, grads):
+        if dst is not None:
+            np.copyto(dst["w"], g["w"])
+            np.copyto(dst["b"], g["b"])
+    return loss
+
+
+class _ForkedWorker:
+    """A train_step worker on a child process that slice_worker forked with
+    the net, row source, targets and masks, which runs each submitted slice
+    of them and leaves its gradients in slot, arrays it shares with the
+    caller. The net's params are shared arrays too, so that the child reads
+    each step's weights."""
+
+    def __init__(self, child: _Child, bound: tuple, slot: list[dict | None]):
+        self._child, self._bound, self._slot = child, bound, slot
+
+    def submit(self, net, x, targets, masks, rows, draws, n) -> None:
+        if any(a is not b for a, b in zip((net, x, targets, masks), self._bound)):
+            raise ContractViolationError("a forked worker runs slices of the net and rows it was forked with")
+        self._child.drain()  # the reply to a slice whose result was never asked for
+        self._child.send((rows, draws, n))
+
+    def result(self) -> tuple[float, list[dict | None]]:
+        """The summed loss of the slice last submitted and its gradients, in
+        the shared slot until the next submit; raises what the slice raised."""
+        return self._child.receive(), self._slot
 
 
 def _shared_like(params: list[dict | None], buf, at: int) -> tuple[list[dict | None], int]:
@@ -879,14 +948,14 @@ def _shared_like(params: list[dict | None], buf, at: int) -> tuple[list[dict | N
 def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
     """The worker that train_step runs the odd slices of net on, for the row
     source x with its targets and masks: a process forked on entry (see
-    _ForkedWorker), or an InlineWorker where os.fork does not exist.
+    _forked and _ForkedWorker), or an InlineWorker where os.fork does not
+    exist.
 
     While the block runs, net.params are arrays of the same values in one
     anonymous shared mapping, made before the fork, which train_step's
     in-place updates keep current for the worker; on exit the net's own
-    arrays, the same objects as before, take the trained values back. Every
-    exit from the block, an exception or Ctrl-C included, kills the worker
-    and waits for it.
+    arrays, the same objects as before, take the trained values back, after
+    the worker has been killed and waited for.
     """
     if not hasattr(os, "fork"):
         yield InlineWorker()
@@ -901,13 +970,11 @@ def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
     for p, s in zip(own, shared):
         if p is not None:
             s["w"][...], s["b"][...] = p["w"], p["b"]
-    net.params, worker = shared, None
+    net.params = shared
     try:
-        worker = _ForkedWorker(net, x, targets, masks, slot)
-        yield worker
+        with _forked(partial(_serve_slice, net, x, targets, masks, slot), "training") as child:
+            yield _ForkedWorker(child, (net, x, targets, masks), slot)
     finally:
-        if worker is not None:
-            worker.close()
         for p, s in zip(own, shared):
             if p is not None:
                 p["w"][...], p["b"][...] = s["w"], s["b"]

@@ -1,3 +1,5 @@
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -79,3 +81,33 @@ def loads_or_is_rejected(load, path, content: bytes) -> None:
             load(path)
         except InvalidArgumentError:
             pass
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork makes during the test."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def time_bound():
+    """Fails the test with TimeoutError if it runs for more than 60 s, where
+    a worker that never answers would hang it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, before)

@@ -785,6 +785,66 @@ def test_predict_on_box_text_equals_predict_on_row():
             == cascade.predict(model, img, full_image_box(40, 40)).final.joints.tobytes())
 
 
+def _examples(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [data.LoadedExample(rng.random((40, 40, 1)), None, None, f"mem_{i}") for i in range(count)]
+
+
+def _same_predictions(a, b):
+    return len(a) == len(b) and all(
+        p.truncated == q.truncated and len(p.poses) == len(q.poses)
+        and all(u.joints.tobytes() == v.joints.tobytes() for u, v in zip(p.poses, q.poses))
+        for p, q in zip(a, b))
+
+
+def test_predict_many_on_a_worker_process_gives_the_bits_of_the_predict_loop(monkeypatch, forks, time_bound):
+    # the caller predicts the even examples and the forked worker the odd
+    # ones; without os.fork the caller predicts them all
+    model = _two_stage_model(random_net(9))
+    examples = _examples(2 * cascade.PREDICT_FORK_MIN + 1)
+    examples[5].box0 = np.array([20.0, 20.0, 1e-3, 1e-3])  # a box too small to refine in
+    loop = [cascade.predict(model, ex.image, ex.box0) for ex in examples]
+    assert [p.truncated for p in loop].count(True) == 1
+    forked = cascade.predict_many(model, examples)
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    unforked = cascade.predict_many(model, examples)
+    assert _same_predictions(forked, loop) and _same_predictions(unforked, loop)
+
+
+def test_predict_many_forks_from_its_minimum_on(forks):
+    model = _two_stage_model(random_net(9))
+    for count, forked in ((cascade.PREDICT_FORK_MIN - 1, 0), (cascade.PREDICT_FORK_MIN, 1)):
+        examples = _examples(count, seed=count)
+        preds = cascade.predict_many(model, examples)
+        assert len(forks) == forked
+        assert _same_predictions(preds, [cascade.predict(model, ex.image, ex.box0) for ex in examples])
+
+
+@pytest.mark.parametrize("first, second", [(2, 5), (3, 6), (2, 4), (3, 5)],
+                         ids=["caller, then worker", "worker, then caller", "caller, then caller",
+                              "worker, then worker"])
+@pytest.mark.parametrize("first_error", ["non-finite", "bad box"])
+def test_predict_many_raises_what_the_first_failing_example_raised(forks, time_bound, first, second, first_error):
+    # the caller runs the even examples, the worker the odd ones; a NaN image
+    # makes stage 1 non-finite, a box of three values does not reshape
+    stage1 = zeroed_net()
+    stage1.params[-1]["w"][:] = 1 / 144  # the mean of the input
+    model = cascade.CascadeModel([stage1], [None], 1.0, TREE, INPUT)
+    examples = _examples(2 * cascade.PREDICT_FORK_MIN)
+    errors = {"non-finite": (InvalidArgumentError, "stage 1 produced a non-finite output"),
+              "bad box": (ValueError, "cannot reshape")}
+    second_error = next(e for e in errors if e != first_error)
+    for i, error in ((first, first_error), (second, second_error)):
+        if error == "non-finite":
+            examples[i].image = np.full((40, 40, 1), np.nan)
+        else:
+            examples[i].box0 = np.array([20.0, 20.0, 10.0])
+    with pytest.raises(errors[first_error][0], match=errors[first_error][1]):
+        cascade.predict_many(model, examples)
+    assert len(forks) == 1
+
+
 @pytest.mark.parametrize("sigma", [0, 0.0, -1.0, np.nan, np.inf, "1.0", True, None, 10**400],
                          ids=["int_zero", "zero", "negative", "nan", "inf", "text", "bool", "none",
                               "huge_int"])

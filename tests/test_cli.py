@@ -52,18 +52,25 @@ def trained_dir(tmp_path_factory, synth_dir):
 
 
 def test_serving_loads_no_module_of_the_training_worker():
-    # the worker's modules load when training forks it, not on import, so a
-    # process that only serves keeps its RSS
+    # a worker's modules load when a fork makes it, not on import: a process
+    # that serves one image at a time loads none, a forking predict_many only
+    # the fork's (signal), and training's paired slices their shared mapping
     script = """if True:
         import sys
         import numpy as np
-        from posecascade import cascade, cli, nn
+        from posecascade import cascade, cli, data, geometry, nn
 
         def loaded():
             print(*(m for m in ("mmap", "signal", "multiprocessing", "concurrent.futures") if m in sys.modules))
 
         loaded()
         net, rng = cascade.StageConfig(sigma=1.0).build_network(4), np.random.default_rng(0)
+        model = cascade.CascadeModel([net], [None], 1.0, geometry.PoseTree(2, [], []), (60, 60, 1))
+        cascade.predict(model, rng.random((64, 64, 1)))
+        loaded()
+        examples = [data.LoadedExample(rng.random((64, 64, 1)), None, None, "")] * cascade.PREDICT_FORK_MIN
+        cascade.predict_many(model, examples)  # forks
+        loaded()
         nn.train_epochs(net, rng.random((16, 60, 60, 1), np.float32), rng.random((16, 4)),
                         np.ones((16, 2), bool), nn.TrainConfig(epochs=1))  # two slices: a pair
         loaded()
@@ -72,7 +79,7 @@ def test_serving_loads_no_module_of_the_training_worker():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\nmmap signal\n"
+    assert proc.stdout == "\n\nsignal\nmmap signal\n"
 
 
 def test_synth_writes_dataset(synth_dir):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posecascade import cascade, nn
+from posecascade import cascade, data, nn
 from posecascade.errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -1021,36 +1021,6 @@ def test_train_step_memory_does_not_grow_with_the_batch(monkeypatch, tmp_path):
 # --- the worker process ----------------------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes os.fork makes during the test."""
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-@pytest.fixture
-def time_bound():
-    """Fails the test with TimeoutError if it runs for more than 60 s, where
-    a worker that never answers would hang it."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the test ran for more than 60 s")
-
-    before = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, before)
-
-
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -1062,21 +1032,6 @@ def _reaped(pid: int) -> bool:
     except ProcessLookupError:
         return True
     return False
-
-
-class _FailsInWorker:
-    """A row source that raises on every row asked for by another process."""
-
-    def __init__(self, x):
-        self.x, self.pid = x, os.getpid()
-
-    def __len__(self):
-        return len(self.x)
-
-    def __getitem__(self, rows):
-        if os.getpid() != self.pid:
-            raise InvalidArgumentError("no rows for the worker")
-        return self.x[rows]
 
 
 def test_train_epochs_on_the_worker_process_gives_the_bits_of_one_thread(monkeypatch, forks, time_bound):
@@ -1096,37 +1051,73 @@ def test_train_epochs_on_the_worker_process_gives_the_bits_of_one_thread(monkeyp
             assert np.array_equal(p["w"], q["w"]) and np.array_equal(p["b"], q["b"])
 
 
+def _prediction_set():
+    """A one-stage cascade and twice PREDICT_FORK_MIN examples, enough that
+    predict_many forks."""
+    model = cascade.CascadeModel([nn.init_network([nn.FullyConnected(4)], (6, 6, 1), 4, seed=5,
+                                                  dtype=np.float32)],
+                                 [None], 1.0, PoseTree(2, [], []), (6, 6, 1))
+    rng = np.random.default_rng(8)
+    return model, [data.LoadedExample(rng.random((8, 8, 1)), None, None, f"mem_{i}")
+                   for i in range(2 * cascade.PREDICT_FORK_MIN)]
+
+
 @pytest.mark.parametrize("end", ["return", "worker killed", "worker raises", "Ctrl-C"])
-def test_every_end_of_training_leaves_no_worker_and_no_fd(monkeypatch, forks, time_bound, end):
-    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
-    fds, forward, parent = _open_fds(), nn._FORWARD, os.getpid()
-    calls = []
+@pytest.mark.parametrize("job", ["training", "prediction"])
+def test_every_end_of_a_worker_leaves_no_process_and_no_fd(monkeypatch, forks, time_bound, job, end):
+    # the function wrapped runs a training slice or one prediction, in both
+    # processes: the caller's second call kills the worker or raises Ctrl-C in
+    # mid-pair, and every call in the worker raises
+    fds, cpus, parent, calls = _open_fds(), os.sched_getaffinity(0), os.getpid(), []
 
-    def killing_forward(*args, **kwargs):  # the caller's second slice kills the worker mid-pair
-        if os.getpid() == parent:
-            calls.append(1)
-            if len(calls) == 2:
-                os.kill(forks[0], signal.SIGKILL)
-        return forward(*args, **kwargs)
+    def ending(run):
+        def wrapped(*args, **kwargs):
+            if os.getpid() != parent and end == "worker raises":
+                raise InvalidArgumentError("fails in the worker")
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) == 2 and end == "worker killed":
+                    os.kill(forks[0], signal.SIGKILL)
+                if len(calls) == 2 and end == "Ctrl-C":
+                    raise KeyboardInterrupt
+            return run(*args, **kwargs)
 
-    def interrupt(epoch, loss):
-        raise KeyboardInterrupt
+        return wrapped
 
-    progress, raised = None, None
-    if end == "worker killed":
-        monkeypatch.setattr(nn, "_FORWARD", killing_forward)
-        raised = pytest.raises(ContractViolationError, match="training worker process ended with exit code -9")
-    elif end == "worker raises":
-        x = _FailsInWorker(x)
-        raised = pytest.raises(InvalidArgumentError, match="no rows for the worker")
-    elif end == "Ctrl-C":
-        progress, raised = interrupt, pytest.raises(KeyboardInterrupt)
+    if job == "training":
+        fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+        monkeypatch.setattr(nn, "_FORWARD", ending(nn._FORWARD))
+
+        def run():
+            nn.train_epochs(fresh()[0], x, targets, masks, nn.TrainConfig(epochs=2, batch_size=16))
+    else:
+        model, examples = _prediction_set()
+        monkeypatch.setattr(cascade, "predict", ending(cascade.predict))
+
+        def run():
+            cascade.predict_many(model, examples)
+    raised = {"return": nullcontext(),
+              "worker killed": pytest.raises(ContractViolationError,
+                                             match=f"{job} worker process ended with exit code -9"),
+              "worker raises": pytest.raises(InvalidArgumentError, match="fails in the worker"),
+              "Ctrl-C": pytest.raises(KeyboardInterrupt)}[end]
     t0 = time.monotonic()
-    with raised or nullcontext():
-        nn.train_epochs(fresh()[0], x, targets, masks, nn.TrainConfig(epochs=2, batch_size=16), progress)
+    with raised:
+        run()
     assert time.monotonic() - t0 < 10
     assert len(forks) == 1 and _reaped(forks[0])
-    assert _open_fds() == fds
+    assert _open_fds() == fds and os.sched_getaffinity(0) == cpus
+
+
+def test_a_forked_child_runs_on_the_other_cpus_of_the_caller(time_bound):
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one CPU, which the caller and the child share")
+    with nn._forked(lambda request: os.sched_getaffinity(0), "test") as child:
+        child.send(None)
+        (here,) = os.sched_getaffinity(0)
+        assert child.receive() == cpus - {here}
+    assert os.sched_getaffinity(0) == cpus
 
 
 def test_a_forked_worker_runs_only_what_it_was_forked_with(monkeypatch, time_bound):
