@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -461,30 +460,22 @@ def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
     that raised, as that loop raises it.
 
     From PREDICT_FORK_MIN examples on, the call forks one worker process
-    (nn._forked), which predicts the odd-indexed examples, inherited through
-    the fork, while the caller predicts the even ones; the predictions come
-    back pickled and are merged in example order. Below it, or where
-    os.fork does not exist, the caller predicts every example.
+    (nn._forked) and runs the examples in pairs (nn._pairs), as training
+    runs its slices: the worker predicts each odd-indexed example, inherited
+    through the fork, while the caller predicts the even one before it; the
+    predictions come back pickled in example order. Below it, the caller
+    predicts every example; where os.fork does not exist, the same pairs run
+    one after another on the calling thread.
     """
     examples = list(examples)
-    n = len(examples)
 
     def one(i: int) -> CascadePrediction:
         return predict(model, examples[i].image, examples[i].box0)
 
-    if n < PREDICT_FORK_MIN or not hasattr(os, "fork"):
-        return [one(i) for i in range(n)]
-    preds = []
+    if len(examples) < PREDICT_FORK_MIN:
+        return [one(i) for i in range(len(examples))]
     with nn._forked(one, "prediction") as worker:
-        for i in range(1, min(n, 5), 2):  # two requests ahead: one runs, one waits queued
-            worker.send(i)
-        for i in range(0, n, 2):
-            preds.append(one(i))  # every example before i is merged, so a raise here is the loop's first
-            if i + 1 < n:
-                preds.append(worker.receive())
-            if i + 5 < n:
-                worker.send(i + 5)
-    return preds
+        return list(nn._pairs(worker, one, range(len(examples))))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ two at a time: the calling process runs one slice of each pair and a worker
 process, forked once per train_epochs call, the other. The two share the
 parameters and the worker's gradients through memory mapped before the
 fork; the step sums the gradients in slice order, so the update has the
-bits of the slices run one after another on one thread. One primitive,
-_forked, makes every worker process, training's and cascade.predict_many's:
-the fork, the pipes, the handling of a worker that raises or dies, and the
-kill on every way out.
+bits of the slices run one after another on one thread. Both worker jobs,
+training's slices and cascade.predict_many's examples, run on one schedule,
+_pairs, with one request in flight, on a worker that one primitive, _forked,
+makes: the fork, the pipes, the handling of a worker that raises or dies,
+the kill on every way out, and the in-process stand-in where os.fork does
+not exist.
 """
 
 from __future__ import annotations
@@ -725,22 +727,6 @@ def _run_slice(net, x, targets, masks, rows, draws, n, into=None):
     return loss * len(rows), _BACKWARD(net, cache, grad, into)
 
 
-class InlineWorker:
-    """A train_step worker that runs each slice on the calling thread as it
-    is submitted, so a step's slices run one after another on one thread.
-    train_epochs trains on it where os.fork does not exist."""
-
-    _done = None
-
-    def submit(self, net, x, targets, masks, rows, draws, n) -> None:
-        self._done = _run_slice(net, x, targets, masks, rows, draws, n)
-
-    def result(self) -> tuple[float, list[dict | None]]:
-        """The summed loss and the gradients of the slice last submitted."""
-        done, self._done = self._done, None
-        return done
-
-
 def _keep_freed_memory() -> None:
     """Have glibc's malloc keep what this process frees and serve blocks of
     up to 32 MiB (its largest threshold) from the heap. A worker's slices free
@@ -777,47 +763,49 @@ def _answer(serve, requests, replies) -> None:
 
 
 class _Child:
-    """The caller's end of a process that _forked made: requests go down one
-    pipe, and the replies come back up another, in the order of the
-    requests."""
+    """The caller's end of a process that _forked made: a request goes down
+    one pipe, and its reply comes back up another. One request is in flight
+    at a time: send, then receive its reply."""
 
     def __init__(self, pid: int, requests, replies, name: str):
         self._pid, self._requests, self._replies, self._name = pid, requests, replies, name
-        self._pending = 0  # requests sent whose replies were not received
+        self._waiting = False  # a request was sent whose reply was not received
+        self._code = None  # the exit code of the child, once it died and was waited for
 
     def send(self, request) -> None:
+        """Send request, first reading and dropping the reply to the request
+        before it where that reply was never received (a pair that raised)."""
+        if self._waiting:
+            self._next()
         try:
             pickle.dump(request, self._requests)
             self._requests.flush()
         except BrokenPipeError:
             self._died()
-        self._pending += 1
+        self._waiting = True
 
     def receive(self):
-        """The reply to the oldest request not yet received; raises, with its
-        type, the exception that serving the request raised."""
+        """The reply to the request sent last; raises, with its type, the
+        exception that serving the request raised."""
         raised, reply = self._next()
         if raised:
             raise reply
         return reply
 
-    def drain(self) -> None:
-        """Read and drop the replies to every request not yet received."""
-        while self._pending:
-            self._next()
-
     def _next(self) -> tuple[bool, object]:
-        self._pending -= 1
+        self._waiting = False
         try:
             return pickle.load(self._replies)
         except EOFError:
             self._died()
 
     def _died(self):
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        raise ContractViolationError(
-            f"the {self._name} worker process ended with exit code {os.waitstatus_to_exitcode(status)}")
+        """Raise ContractViolationError naming the exit code of the child,
+        which ended; the first call waits for it."""
+        if self._code is None:
+            _, status = os.waitpid(self._pid, 0)
+            self._pid, self._code = None, os.waitstatus_to_exitcode(status)
+        raise ContractViolationError(f"the {self._name} worker process ended with exit code {self._code}")
 
     def close(self) -> None:
         """Close the pipes, kill the child and wait for it to end."""
@@ -846,12 +834,29 @@ def _cpu_split() -> tuple[int, set[int]] | None:
     return (here, allowed) if here in allowed and len(allowed) > 1 else None
 
 
+class _Inline:
+    """What _forked yields where os.fork does not exist: a _Child's send and
+    receive on the calling thread, where receive runs serve on the request
+    sent last and raises what serve raised."""
+
+    def __init__(self, serve):
+        self._serve, self._request = serve, None
+
+    def send(self, request) -> None:
+        self._request = request  # a request whose reply was never received is dropped unserved
+
+    def receive(self):
+        return self._serve(self._request)
+
+
 @contextmanager
 def _forked(serve, name: str):
     """A child process forked from the caller that answers each request sent
     to the _Child yielded with serve(request), in order, under its own BLAS
     pin (one_blas_thread). serve and what it reads come to the child through
-    the fork; the requests and replies are pickled.
+    the fork; the requests and replies are pickled. Where os.fork does not
+    exist, the block gets an _Inline of serve instead: the same requests and
+    replies, served one after another on the calling thread.
 
     While the block runs, the calling thread stays on the CPU it ran on and
     the child runs on the caller's other CPUs (_cpu_split). Unpinned, the
@@ -867,6 +872,9 @@ def _forked(serve, name: str):
     exception or Ctrl-C included, closes the pipes, kills the child, waits
     for it and gives the caller back the CPUs it had.
     """
+    if not hasattr(os, "fork"):
+        yield _Inline(serve)
+        return
     import signal  # here, so a process that never forks does not load it
 
     split = _cpu_split()
@@ -898,38 +906,31 @@ def _forked(serve, name: str):
             os.sched_setaffinity(0, split[1])
 
 
+def _pairs(worker, run, requests):
+    """The results of every request, in order: for each pair, request 2i + 1
+    goes to worker (a _Child or an _Inline), the calling thread runs run on
+    request 2i, and then the worker's reply to 2i + 1 is received. Whoever
+    ran it, the first request that raises raises here, before any later
+    result; a pair that raises on the calling thread leaves its reply for
+    the worker's next send to drop."""
+    for i in range(0, len(requests), 2):
+        paired = i + 1 < len(requests)
+        if paired:
+            worker.send(requests[i + 1])
+        yield run(requests[i])
+        if paired:
+            yield worker.receive()
+
+
 def _serve_slice(net, x, targets, masks, slot, request) -> float:
-    """Run the slice of request in a training worker: copy its gradients into
-    slot and return its summed loss."""
-    rows, draws, n = request
-    loss, grads = _run_slice(net, x, targets, masks, rows, draws, n)
+    """Run the slice (rows, draws, n) of request for a training worker: copy
+    its gradients into slot and return its summed loss."""
+    loss, grads = _run_slice(net, x, targets, masks, *request)
     for dst, g in zip(slot, grads):
         if dst is not None:
             np.copyto(dst["w"], g["w"])
             np.copyto(dst["b"], g["b"])
     return loss
-
-
-class _ForkedWorker:
-    """A train_step worker on a child process that slice_worker forked with
-    the net, row source, targets and masks, which runs each submitted slice
-    of them and leaves its gradients in slot, arrays it shares with the
-    caller. The net's params are shared arrays too, so that the child reads
-    each step's weights."""
-
-    def __init__(self, child: _Child, bound: tuple, slot: list[dict | None]):
-        self._child, self._bound, self._slot = child, bound, slot
-
-    def submit(self, net, x, targets, masks, rows, draws, n) -> None:
-        if any(a is not b for a, b in zip((net, x, targets, masks), self._bound)):
-            raise ContractViolationError("a forked worker runs slices of the net and rows it was forked with")
-        self._child.drain()  # the reply to a slice whose result was never asked for
-        self._child.send((rows, draws, n))
-
-    def result(self) -> tuple[float, list[dict | None]]:
-        """The summed loss of the slice last submitted and its gradients, in
-        the shared slot until the next submit; raises what the slice raised."""
-        return self._child.receive(), self._slot
 
 
 def _shared_like(params: list[dict | None], buf, at: int) -> tuple[list[dict | None], int]:
@@ -947,9 +948,11 @@ def _shared_like(params: list[dict | None], buf, at: int) -> tuple[list[dict | N
 @contextmanager
 def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
     """The worker that train_step runs the odd slices of net on, for the row
-    source x with its targets and masks: a process forked on entry (see
-    _forked and _ForkedWorker), or an InlineWorker where os.fork does not
-    exist.
+    source x with its targets and masks: the triple (child, slot,
+    forked_with). child is what _forked yields on entry; it runs each slice
+    (rows, draws, n) sent to it, replies with its summed loss and leaves its
+    gradients in slot, arrays shared with the caller. forked_with is (net,
+    x, targets, masks), the only arguments whose slices child can run.
 
     While the block runs, net.params are arrays of the same values in one
     anonymous shared mapping, made before the fork, which train_step's
@@ -957,9 +960,6 @@ def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
     arrays, the same objects as before, take the trained values back, after
     the worker has been killed and waited for.
     """
-    if not hasattr(os, "fork"):
-        yield InlineWorker()
-        return
     import mmap  # here, so a process that never trains does not load it
 
     own = net.params
@@ -973,7 +973,7 @@ def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
     net.params = shared
     try:
         with _forked(partial(_serve_slice, net, x, targets, masks, slot), "training") as child:
-            yield _ForkedWorker(child, (net, x, targets, masks), slot)
+            yield child, slot, (net, x, targets, masks)
     finally:
         for p, s in zip(own, shared):
             if p is not None:
@@ -1009,14 +1009,14 @@ def train_step(
     the slices would draw one after another, which for one dropout layer is
     a whole-batch forward's.
 
-    Slices run in pairs: slice 2i + 1 is submitted to worker, which
-    slice_worker made for this net, x, targets and masks, while the calling
-    thread runs slice 2i and adds its gradients into the running sum as
-    backward computes them; then the worker's gradients are added. A forked
-    worker runs its slice in another process, an InlineWorker at once on the
-    calling thread. The step sums in slice order and runs every slice with
-    BLAS pinned to one thread (one_blas_thread), so its bits depend on
-    neither the worker nor the thread count.
+    Slices run in pairs (_pairs): slice 2i + 1 is sent to the child of
+    worker, which slice_worker made for this net, x, targets and masks,
+    while the calling thread runs slice 2i and adds its gradients into the
+    running sum as backward computes them; then the gradients the child
+    left in the slot are added. worker may be None for a batch of one
+    slice. The step sums in slice order and runs every slice with BLAS
+    pinned to one thread (one_blas_thread), so its bits depend on neither
+    the worker nor the thread count.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
@@ -1031,24 +1031,26 @@ def train_step(
     parts = [rows[lo : lo + step] for lo in range(0, n, step)]
     shapes = [net.input_size, *chain_shapes(net.layers, net.input_size)]
     dropout_sizes = [math.prod(shapes[i]) for i, s in enumerate(net.layers) if isinstance(s, Dropout)]
-    draws = [[rng.random(len(p) * size) for size in dropout_sizes] for p in parts]
+    requests = [(p, [rng.random(len(p) * size) for size in dropout_sizes], n) for p in parts]
+    child, slot, forked_with = worker if len(parts) > 1 else (None, None, ())
+    if any(a is not b for a, b in zip((net, x, targets, masks), forked_with)):
+        raise ContractViolationError("a forked worker runs slices of the net and rows it was forked with")
 
     summed, total = None, 0.0
+
+    def run(request) -> float:
+        nonlocal summed
+        loss, summed = _run_slice(net, x, targets, masks, *request, summed)
+        return loss
+
     with one_blas_thread():
-        for i in range(0, len(parts), 2):
-            paired = i + 1 < len(parts)
-            if paired:
-                worker.submit(net, x, targets, masks, parts[i + 1], draws[i + 1], n)
-            loss, summed = _run_slice(net, x, targets, masks, parts[i], draws[i], n, summed)
+        for i, loss in enumerate(_pairs(child, run, requests)):
             total += loss
-            if paired:
-                loss, grads = worker.result()
-                total += loss
-                for acc, g in zip(summed, grads):
+            if i % 2:  # the worker's slice: its gradients are in the slot until the next send
+                for acc, g in zip(summed, slot):
                     if acc is not None:
                         acc["w"] += g["w"]
                         acc["b"] += g["b"]
-                del grads  # free this slice's gradients before the next pair runs
         adagrad_step(net, summed, state)
     return total / n
 
@@ -1071,7 +1073,7 @@ def train_epochs(
     follows the SLICE_BYTES budget, two slices at a time: the calling
     process runs one and a worker process, forked once per call (see
     slice_worker), the other. Where a batch is never more than one slice,
-    no worker is forked.
+    or no epoch runs, no worker is forked.
     progress, when given, is called as progress(epoch_index, mean_epoch_loss).
     Deterministic for a fixed seed, whatever the BLAS thread count where
     BLAS can be pinned (see train_step).
@@ -1083,8 +1085,8 @@ def train_epochs(
         raise ShapeError("inputs, targets and masks must have equal length")
     rng = np.random.default_rng(config.seed)
     state = OptimizerState.for_network(net, config.learning_rate)
-    paired = 0 < _slice_size(net) < min(n, config.batch_size)
-    with slice_worker(net, inputs, targets, masks) if paired else nullcontext(InlineWorker()) as worker:
+    paired = config.epochs > 0 and 0 < _slice_size(net) < min(n, config.batch_size)
+    with slice_worker(net, inputs, targets, masks) if paired else nullcontext() as worker:
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             total = 0.0

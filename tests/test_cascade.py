@@ -821,13 +821,17 @@ def test_predict_many_forks_from_its_minimum_on(forks):
         assert _same_predictions(preds, [cascade.predict(model, ex.image, ex.box0) for ex in examples])
 
 
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "no fork"])
 @pytest.mark.parametrize("first, second", [(2, 5), (3, 6), (2, 4), (3, 5)],
                          ids=["caller, then worker", "worker, then caller", "caller, then caller",
                               "worker, then worker"])
 @pytest.mark.parametrize("first_error", ["non-finite", "bad box"])
-def test_predict_many_raises_what_the_first_failing_example_raised(forks, time_bound, first, second, first_error):
+def test_predict_many_raises_what_the_first_failing_example_raised(monkeypatch, forks, time_bound, forked, first,
+                                                                   second, first_error):
     # the caller runs the even examples, the worker the odd ones; a NaN image
     # makes stage 1 non-finite, a box of three values does not reshape
+    if not forked:
+        monkeypatch.delattr(os, "fork")
     stage1 = zeroed_net()
     stage1.params[-1]["w"][:] = 1 / 144  # the mean of the input
     model = cascade.CascadeModel([stage1], [None], 1.0, TREE, INPUT)
@@ -842,7 +846,7 @@ def test_predict_many_raises_what_the_first_failing_example_raised(forks, time_b
             examples[i].box0 = np.array([20.0, 20.0, 10.0])
     with pytest.raises(errors[first_error][0], match=errors[first_error][1]):
         cascade.predict_many(model, examples)
-    assert len(forks) == 1
+    assert len(forks) == forked
 
 
 @pytest.mark.parametrize("sigma", [0, 0.0, -1.0, np.nan, np.inf, "1.0", True, None, 10**400],

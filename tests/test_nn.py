@@ -821,8 +821,9 @@ def test_train_step_in_slices_matches_whole_batch_update(monkeypatch):
         return forward(net, xs, **kwargs)
 
     monkeypatch.setattr(nn, "_FORWARD", counting_forward)
-    loss = nn.train_step(sliced, state, x, targets, masks, np.arange(37), np.random.default_rng(5),
-                         nn.InlineWorker())
+    monkeypatch.delattr(os, "fork")  # every slice runs here, one after another
+    with nn.slice_worker(sliced, x, targets, masks) as worker:
+        loss = nn.train_step(sliced, state, x, targets, masks, np.arange(37), np.random.default_rng(5), worker)
 
     assert sizes == [8, 8, 8, 8, 5]
     assert loss == pytest.approx(whole_loss, rel=1e-12)
@@ -974,9 +975,9 @@ def test_blas_kernel_names_the_kernel_openblas_runs(monkeypatch):
 
 def test_train_step_memory_does_not_grow_with_the_batch(monkeypatch, tmp_path):
     # a batch of 128 runs in slices, so it peaks little above a batch of 16.
-    # Run inline, one slice after another, the peaks do not depend on how the
-    # processes are scheduled; paired, the caller runs half the slices, and
-    # the worker process holds one slice at a time.
+    # Run without a fork, one slice after another on this thread, the peaks
+    # do not depend on how the processes are scheduled; paired, the caller
+    # runs half the slices, and the worker process holds one slice at a time.
     net = _default_stack_net()
     rng = np.random.default_rng(43)
     x = rng.random((128, 60, 60, 1)).astype(np.float32)
@@ -991,7 +992,10 @@ def test_train_step_memory_does_not_grow_with_the_batch(monkeypatch, tmp_path):
         finally:
             tracemalloc.stop()
 
-    inline = {n: peak(n, nn.InlineWorker()) for n in (8, 16, 128)}
+    with monkeypatch.context() as no_fork:
+        no_fork.delattr(os, "fork")
+        with nn.slice_worker(net, x, targets, masks) as worker:
+            inline = {n: peak(n, worker) for n in (8, 16, 128)}
     assert inline[128] < 1.3 * inline[16]
 
     # the worker traces from its first forward on and logs its peak after each backward
@@ -1041,6 +1045,8 @@ def test_train_epochs_on_the_worker_process_gives_the_bits_of_one_thread(monkeyp
     config = nn.TrainConfig(epochs=2, batch_size=16, seed=3)
     (net, _), (inline, _) = fresh(), fresh()
     own = [p["w"] for p in net.params if p is not None]
+    nn.train_epochs(net, x, targets, masks, nn.TrainConfig(epochs=0, batch_size=16, seed=3))
+    assert not forks  # no step to run
     nn.train_epochs(net, x, targets, masks, config)
     assert len(forks) == 1 and [p["w"] for p in net.params if p is not None] == own  # the same arrays
     monkeypatch.delattr(os, "fork")
@@ -1109,6 +1115,17 @@ def test_every_end_of_a_worker_leaves_no_process_and_no_fd(monkeypatch, forks, t
     assert _open_fds() == fds and os.sched_getaffinity(0) == cpus
 
 
+def test_a_dead_worker_raises_on_every_later_step(monkeypatch, forks, time_bound):
+    fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    net, state = fresh()
+    with nn.slice_worker(net, x, targets, masks) as worker:
+        os.kill(forks[0], signal.SIGKILL)
+        for _ in range(3):
+            with pytest.raises(ContractViolationError, match="training worker process ended with exit code -9"):
+                nn.train_step(net, state, x, targets, masks, np.arange(37), np.random.default_rng(5), worker)
+    assert len(forks) == 1 and _reaped(forks[0])
+
+
 def test_a_forked_child_runs_on_the_other_cpus_of_the_caller(time_bound):
     cpus = os.sched_getaffinity(0)
     if len(cpus) < 2:
@@ -1130,10 +1147,13 @@ def test_a_forked_worker_runs_only_what_it_was_forked_with(monkeypatch, time_bou
             nn.train_step(net, state, x.copy(), targets, masks, np.arange(37), np.random.default_rng(5), worker)
 
 
-def test_a_step_that_raises_on_the_caller_leaves_the_worker_in_step(monkeypatch, time_bound):
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "no fork"])
+def test_a_step_that_raises_on_the_caller_leaves_the_worker_in_step(monkeypatch, time_bound, forked):
     # the first step raises on the caller's first slice, after the worker got
     # slice 1: the next step must not take that slice's reply for its own
     fresh, x, targets, masks = _two_dropout_step(monkeypatch)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
 
     class FailsOnce:
         def __init__(self):
@@ -1154,8 +1174,10 @@ def test_a_step_that_raises_on_the_caller_leaves_the_worker_in_step(monkeypatch,
         with pytest.raises(InvalidArgumentError, match="first crop"):
             nn.train_step(net, state, source, targets, masks, np.arange(37), np.random.default_rng(5), worker)
         loss = nn.train_step(net, state, source, targets, masks, np.arange(37), np.random.default_rng(5), worker)
-    serial_loss = nn.train_step(serial, serial_state, x, targets, masks, np.arange(37),
-                                np.random.default_rng(5), nn.InlineWorker())
+    monkeypatch.delattr(os, "fork", raising=False)  # the reference runs every slice here, one after another
+    with nn.slice_worker(serial, x, targets, masks) as worker:
+        serial_loss = nn.train_step(serial, serial_state, x, targets, masks, np.arange(37),
+                                    np.random.default_rng(5), worker)
     assert loss == serial_loss
     _assert_same_state((net, state), (serial, serial_state))
 

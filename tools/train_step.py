@@ -6,12 +6,13 @@ cascade's default layers (the stage networks' stack, 9 joints): forward, loss
 and backward in slices of the batch, then one adaptive-gradient update. BLAS
 is pinned to one thread before numpy loads. The steps run as `nn.train_epochs`
 runs them: slices in pairs, the odd ones on a worker process forked by
-`nn.slice_worker` (inline, one after another, where there is no fork), each
-step pinning BLAS through numpy's OpenBLAS thread-count call where `nn`
-finds one; the header line names the path and whether it does. After one
-untimed warm-up step it runs `--steps` steps and prints the median
-milliseconds per step, the minor page faults per step and the peak RSS of
-this process, then the same two figures of the worker, read with
+`nn.slice_worker` (on the calling thread, one after another, where there is
+no fork), each step pinning BLAS through numpy's OpenBLAS thread-count call
+where `nn` finds one. The header line names the path that ran, read from
+whether a worker process ended and was waited for, and whether `nn` pins
+BLAS. After one untimed warm-up step it runs `--steps` steps and prints the
+median milliseconds per step, the minor page faults per step and the peak
+RSS of this process, then the same two figures of the worker, read with
 RUSAGE_CHILDREN once it has been waited for. So the worker's faults are per
 step over every step it ran, the warm-up and its start after the fork
 included, and its peak RSS counts the pages it shares with this process:
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     own, worker_use = (resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     pin = "pinned by nn" if nn._BLAS_THREADS else "environment only"
-    path = "one after another" if isinstance(worker, nn.InlineWorker) else "in pairs with a worker process"
+    path = "in pairs with a worker process" if worker_use.ru_maxrss else "one after another"
     print(f"steps {args.steps}  batch {BATCH}  float32  BLAS threads 1 ({pin})  slices {path}")
     print(f"step_ms {np.median(times) * 1e3:.1f}")
     print(f"minor_faults_per_step {faults / args.steps:.0f}")
