@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import container, nn
+from . import container, nn, workers
 from .data import LoadedExample, mirror_example
 from .errors import InvalidArgumentError, file_access
 # crop_resample and pose_diameter are unused here; the benchmark tracer
@@ -460,12 +460,12 @@ def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
     that raised, as that loop raises it.
 
     From PREDICT_FORK_MIN examples on, the call forks one worker process
-    (nn._forked) and runs the examples in pairs (nn._pairs), as training
-    runs its slices: the worker predicts each odd-indexed example, inherited
-    through the fork, while the caller predicts the even one before it; the
-    predictions come back pickled in example order. Below it, the caller
-    predicts every example; where os.fork does not exist, the same pairs run
-    one after another on the calling thread.
+    (workers.forked) and runs the examples in pairs (workers.pairs), as
+    training runs its slices: the worker predicts each odd-indexed example,
+    inherited through the fork, while the caller predicts the even one
+    before it; the predictions come back pickled in example order. Below
+    it, the caller predicts every example; where os.fork does not exist,
+    the same pairs run one after another on the calling thread.
     """
     examples = list(examples)
 
@@ -474,8 +474,8 @@ def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
 
     if len(examples) < PREDICT_FORK_MIN:
         return [one(i) for i in range(len(examples))]
-    with nn._forked(one, "prediction") as worker:
-        return list(nn._pairs(worker, one, range(len(examples))))
+    with workers.forked(one, "prediction") as worker:
+        return list(workers.pairs(worker, one, range(len(examples))))
 
 
 # ---------------------------------------------------------------------------

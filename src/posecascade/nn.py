@@ -22,27 +22,23 @@ Training (train_epochs) runs each mini-batch in slices of a few examples,
 two at a time: the calling process runs one slice of each pair and a worker
 process, forked once per train_epochs call, the other. The two share the
 parameters and the worker's gradients through memory mapped before the
-fork; the step sums the gradients in slice order, so the update has the
-bits of the slices run one after another on one thread. Both worker jobs,
-training's slices and cascade.predict_many's examples, run on one schedule,
-_pairs, with one request in flight, on a worker that one primitive, _forked,
-makes: the fork, the pipes, the handling of a worker that raises or dies,
-the kill on every way out, and the in-process stand-in where os.fork does
-not exist.
+fork; the step sums the gradients in slice order, and each slice pins BLAS
+to one thread, so the update has the bits of the slices run one after
+another on one thread. The fork and the pair schedule are the workers
+module's, which cascade.predict_many's examples run on too.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
-import pickle
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
+from . import workers
 from .errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -720,206 +716,13 @@ def _run_slice(net, x, targets, masks, rows, draws, n, into=None):
     """The summed loss and the parameter gradients, added into into when
     given, of slice rows of a batch of n examples: its inputs x[rows] taken
     from the row source x, its dropout layers reading draws and its loss
-    gradient scaled by len(rows) / n."""
-    out, cache = _FORWARD(net, x[rows], train_mode=True, rng=_Drawn(draws))
-    loss, grad = _LOSS(out, targets[rows], masks[rows])
-    grad *= len(rows) / n
-    return loss * len(rows), _BACKWARD(net, cache, grad, into)
-
-
-def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep what this process frees and serve blocks of
-    up to 32 MiB (its largest threshold) from the heap. A worker's slices free
-    all they allocate, so glibc would hand it back to the kernel and fault it
-    in again every slice: about 15k minor faults per step at batch 128. A
-    no-op where libc has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
-def _answer(serve, requests, replies) -> None:
-    """A forked child's loop: write back serve(request), or the exception it
-    raised, for each request read from requests; return at their end, when
-    the caller closes them or dies."""
+    gradient scaled by len(rows) / n. BLAS is pinned to one thread
+    (one_blas_thread) throughout, in whichever process runs the slice."""
     with one_blas_thread():
-        while True:
-            try:
-                request = pickle.load(requests)
-            except EOFError:
-                return
-            try:
-                reply = False, serve(request)
-            except Exception as e:
-                reply = True, e
-            try:
-                data = pickle.dumps(reply)
-            except Exception:  # an exception that does not pickle
-                data = pickle.dumps((True, ContractViolationError(f"{type(reply[1]).__name__}: {reply[1]}")))
-            replies.write(data)
-            replies.flush()
-
-
-class _Child:
-    """The caller's end of a process that _forked made: a request goes down
-    one pipe, and its reply comes back up another. One request is in flight
-    at a time: send, then receive its reply."""
-
-    def __init__(self, pid: int, requests, replies, name: str):
-        self._pid, self._requests, self._replies, self._name = pid, requests, replies, name
-        self._waiting = False  # a request was sent whose reply was not received
-        self._code = None  # the exit code of the child, once it died and was waited for
-
-    def send(self, request) -> None:
-        """Send request, first reading and dropping the reply to the request
-        before it where that reply was never received (a pair that raised)."""
-        if self._waiting:
-            self._next()
-        try:
-            pickle.dump(request, self._requests)
-            self._requests.flush()
-        except BrokenPipeError:
-            self._died()
-        self._waiting = True
-
-    def receive(self):
-        """The reply to the request sent last; raises, with its type, the
-        exception that serving the request raised."""
-        raised, reply = self._next()
-        if raised:
-            raise reply
-        return reply
-
-    def _next(self) -> tuple[bool, object]:
-        self._waiting = False
-        try:
-            return pickle.load(self._replies)
-        except EOFError:
-            self._died()
-
-    def _died(self):
-        """Raise ContractViolationError naming the exit code of the child,
-        which ended; the first call waits for it."""
-        if self._code is None:
-            _, status = os.waitpid(self._pid, 0)
-            self._pid, self._code = None, os.waitstatus_to_exitcode(status)
-        raise ContractViolationError(f"the {self._name} worker process ended with exit code {self._code}")
-
-    def close(self) -> None:
-        """Close the pipes, kill the child and wait for it to end."""
-        from signal import SIGKILL
-
-        for f in (self._requests, self._replies):
-            try:
-                f.close()
-            except OSError:  # a request the dead child never read
-                pass
-        if self._pid is not None:
-            os.kill(self._pid, SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-
-
-def _cpu_split() -> tuple[int, set[int]] | None:
-    """The CPU the calling thread runs on and the set it may run on, where
-    that set holds another CPU too; None where it does not, or where the
-    platform cannot tell."""
-    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
-    if getcpu is None or not hasattr(os, "sched_setaffinity"):
-        return None
-    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
-    here, allowed = getcpu(), os.sched_getaffinity(0)
-    return (here, allowed) if here in allowed and len(allowed) > 1 else None
-
-
-class _Inline:
-    """What _forked yields where os.fork does not exist: a _Child's send and
-    receive on the calling thread, where receive runs serve on the request
-    sent last and raises what serve raised."""
-
-    def __init__(self, serve):
-        self._serve, self._request = serve, None
-
-    def send(self, request) -> None:
-        self._request = request  # a request whose reply was never received is dropped unserved
-
-    def receive(self):
-        return self._serve(self._request)
-
-
-@contextmanager
-def _forked(serve, name: str):
-    """A child process forked from the caller that answers each request sent
-    to the _Child yielded with serve(request), in order, under its own BLAS
-    pin (one_blas_thread). serve and what it reads come to the child through
-    the fork; the requests and replies are pickled. Where os.fork does not
-    exist, the block gets an _Inline of serve instead: the same requests and
-    replies, served one after another on the calling thread.
-
-    While the block runs, the calling thread stays on the CPU it ran on and
-    the child runs on the caller's other CPUs (_cpu_split). Unpinned, the
-    wake-up on a reply could move the caller to the child's CPU, so it left
-    the block on either CPU, while a process that never forks stays on one;
-    where one CPU runs slower, as a vCPU with a busy neighbour does, the
-    caller's later work slowed with it.
-    The child ignores SIGINT, which Ctrl-C sends the caller as well, keeps
-    the memory it frees (_keep_freed_memory) and exits at the end of its
-    request pipe, so also when the caller dies. Sending to or receiving from
-    a child that died raises ContractViolationError: "the <name> worker
-    process ended with exit code <code>". Every exit from the block, an
-    exception or Ctrl-C included, closes the pipes, kills the child, waits
-    for it and gives the caller back the CPUs it had.
-    """
-    if not hasattr(os, "fork"):
-        yield _Inline(serve)
-        return
-    import signal  # here, so a process that never forks does not load it
-
-    split = _cpu_split()
-    requests, replies = os.pipe(), os.pipe()  # (read fd, write fd) each
-    pid = os.fork()
-    if pid == 0:  # the child, which never returns from here
-        code = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            if split:
-                os.sched_setaffinity(0, split[1] - {split[0]})
-            _keep_freed_memory()
-            os.close(requests[1])
-            os.close(replies[0])
-            _answer(serve, open(requests[0], "rb"), open(replies[1], "wb"))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(requests[0])
-    os.close(replies[1])
-    child = _Child(pid, open(requests[1], "wb"), open(replies[0], "rb"), name)
-    try:
-        if split:
-            os.sched_setaffinity(0, {split[0]})
-        yield child
-    finally:
-        child.close()
-        if split:
-            os.sched_setaffinity(0, split[1])
-
-
-def _pairs(worker, run, requests):
-    """The results of every request, in order: for each pair, request 2i + 1
-    goes to worker (a _Child or an _Inline), the calling thread runs run on
-    request 2i, and then the worker's reply to 2i + 1 is received. Whoever
-    ran it, the first request that raises raises here, before any later
-    result; a pair that raises on the calling thread leaves its reply for
-    the worker's next send to drop."""
-    for i in range(0, len(requests), 2):
-        paired = i + 1 < len(requests)
-        if paired:
-            worker.send(requests[i + 1])
-        yield run(requests[i])
-        if paired:
-            yield worker.receive()
+        out, cache = _FORWARD(net, x[rows], train_mode=True, rng=_Drawn(draws))
+        loss, grad = _LOSS(out, targets[rows], masks[rows])
+        grad *= len(rows) / n
+        return loss * len(rows), _BACKWARD(net, cache, grad, into)
 
 
 def _serve_slice(net, x, targets, masks, slot, request) -> float:
@@ -949,10 +752,11 @@ def _shared_like(params: list[dict | None], buf, at: int) -> tuple[list[dict | N
 def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
     """The worker that train_step runs the odd slices of net on, for the row
     source x with its targets and masks: the triple (child, slot,
-    forked_with). child is what _forked yields on entry; it runs each slice
-    (rows, draws, n) sent to it, replies with its summed loss and leaves its
-    gradients in slot, arrays shared with the caller. forked_with is (net,
-    x, targets, masks), the only arguments whose slices child can run.
+    forked_with). child is what workers.forked yields on entry; it runs
+    each slice (rows, draws, n) sent to it, replies with its summed loss
+    and leaves its gradients in slot, arrays shared with the caller.
+    forked_with is (net, x, targets, masks), the only arguments whose
+    slices child can run.
 
     While the block runs, net.params are arrays of the same values in one
     anonymous shared mapping, made before the fork, which train_step's
@@ -972,7 +776,7 @@ def slice_worker(net: Network, x, targets: np.ndarray, masks: np.ndarray):
             s["w"][...], s["b"][...] = p["w"], p["b"]
     net.params = shared
     try:
-        with _forked(partial(_serve_slice, net, x, targets, masks, slot), "training") as child:
+        with workers.forked(partial(_serve_slice, net, x, targets, masks, slot), "training") as child:
             yield child, slot, (net, x, targets, masks)
     finally:
         for p, s in zip(own, shared):
@@ -1009,14 +813,14 @@ def train_step(
     the slices would draw one after another, which for one dropout layer is
     a whole-batch forward's.
 
-    Slices run in pairs (_pairs): slice 2i + 1 is sent to the child of
-    worker, which slice_worker made for this net, x, targets and masks,
+    Slices run in pairs (workers.pairs): slice 2i + 1 is sent to the child
+    of worker, which slice_worker made for this net, x, targets and masks,
     while the calling thread runs slice 2i and adds its gradients into the
     running sum as backward computes them; then the gradients the child
     left in the slot are added. worker may be None for a batch of one
-    slice. The step sums in slice order and runs every slice with BLAS
-    pinned to one thread (one_blas_thread), so its bits depend on neither
-    the worker nor the thread count.
+    slice. The step sums in slice order and every slice pins BLAS to one
+    thread (see _run_slice), so its bits depend on neither the worker nor
+    the thread count.
 
     A slice holds as many examples as keep its largest conv im2col matrix
     within SLICE_BYTES (see _slice_size), so bigger inputs and float64 nets
@@ -1043,15 +847,14 @@ def train_step(
         loss, summed = _run_slice(net, x, targets, masks, *request, summed)
         return loss
 
-    with one_blas_thread():
-        for i, loss in enumerate(_pairs(child, run, requests)):
-            total += loss
-            if i % 2:  # the worker's slice: its gradients are in the slot until the next send
-                for acc, g in zip(summed, slot):
-                    if acc is not None:
-                        acc["w"] += g["w"]
-                        acc["b"] += g["b"]
-        adagrad_step(net, summed, state)
+    for i, loss in enumerate(workers.pairs(child, run, requests)):
+        total += loss
+        if i % 2:  # the worker's slice: its gradients are in the slot until the next send
+            for acc, g in zip(summed, slot):
+                if acc is not None:
+                    acc["w"] += g["w"]
+                    acc["b"] += g["b"]
+    adagrad_step(net, summed, state)
     return total / n
 
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posecascade import cascade, data, nn
+from posecascade import cascade, data, nn, workers
 from posecascade.errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -1068,13 +1069,19 @@ def _prediction_set():
                    for i in range(2 * cascade.PREDICT_FORK_MIN)]
 
 
-@pytest.mark.parametrize("end", ["return", "worker killed", "worker raises", "Ctrl-C"])
+@pytest.mark.parametrize("end", ["return", "worker killed", "worker raises", "Ctrl-C", "fork fails"])
 @pytest.mark.parametrize("job", ["training", "prediction"])
 def test_every_end_of_a_worker_leaves_no_process_and_no_fd(monkeypatch, forks, time_bound, job, end):
     # the function wrapped runs a training slice or one prediction, in both
     # processes: the caller's second call kills the worker or raises Ctrl-C in
-    # mid-pair, and every call in the worker raises
+    # mid-pair, and every call in the worker raises; or the fork itself fails
     fds, cpus, parent, calls = _open_fds(), os.sched_getaffinity(0), os.getpid(), []
+    if end == "fork fails":
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
 
     def ending(run):
         def wrapped(*args, **kwargs):
@@ -1093,9 +1100,12 @@ def test_every_end_of_a_worker_leaves_no_process_and_no_fd(monkeypatch, forks, t
     if job == "training":
         fresh, x, targets, masks = _two_dropout_step(monkeypatch)
         monkeypatch.setattr(nn, "_FORWARD", ending(nn._FORWARD))
+        net = fresh()[0]
+        own = [p[key] for p in net.params if p is not None for key in ("w", "b")]
+        values = [a.copy() for a in own]
 
         def run():
-            nn.train_epochs(fresh()[0], x, targets, masks, nn.TrainConfig(epochs=2, batch_size=16))
+            nn.train_epochs(net, x, targets, masks, nn.TrainConfig(epochs=2, batch_size=16))
     else:
         model, examples = _prediction_set()
         monkeypatch.setattr(cascade, "predict", ending(cascade.predict))
@@ -1106,13 +1116,22 @@ def test_every_end_of_a_worker_leaves_no_process_and_no_fd(monkeypatch, forks, t
               "worker killed": pytest.raises(ContractViolationError,
                                              match=f"{job} worker process ended with exit code -9"),
               "worker raises": pytest.raises(InvalidArgumentError, match="fails in the worker"),
-              "Ctrl-C": pytest.raises(KeyboardInterrupt)}[end]
+              "Ctrl-C": pytest.raises(KeyboardInterrupt),
+              "fork fails": pytest.raises(OSError, match=os.strerror(errno.EAGAIN))}[end]
     t0 = time.monotonic()
     with raised:
         run()
     assert time.monotonic() - t0 < 10
-    assert len(forks) == 1 and _reaped(forks[0])
+    if end == "fork fails":
+        assert not forks and not calls  # nothing ran
+    else:
+        assert len(forks) == 1 and _reaped(forks[0])
     assert _open_fds() == fds and os.sched_getaffinity(0) == cpus
+    if job == "training":  # the net holds its own arrays again, untrained where no step ran
+        assert all(a is b for a, b in zip(own, (p[key] for p in net.params if p is not None
+                                                  for key in ("w", "b"))))
+        if end == "fork fails":
+            assert all(np.array_equal(a, v) for a, v in zip(own, values))
 
 
 def test_a_dead_worker_raises_on_every_later_step(monkeypatch, forks, time_bound):
@@ -1130,7 +1149,7 @@ def test_a_forked_child_runs_on_the_other_cpus_of_the_caller(time_bound):
     cpus = os.sched_getaffinity(0)
     if len(cpus) < 2:
         pytest.skip("one CPU, which the caller and the child share")
-    with nn._forked(lambda request: os.sched_getaffinity(0), "test") as child:
+    with workers.forked(lambda request: os.sched_getaffinity(0), "test") as child:
         child.send(None)
         (here,) = os.sched_getaffinity(0)
         assert child.receive() == cpus - {here}

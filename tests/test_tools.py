@@ -24,6 +24,20 @@ def test_train_step_prints_its_medians_and_faults():
     assert float(values["worker_maxrss_mb"]) > 0  # the worker ran and was waited for
 
 
+def test_train_step_reads_its_path_after_a_launcher_exec():
+    # a launcher that runs a command and then execs the interpreter, as a
+    # version manager's shim does, leaves that command's usage in
+    # RUSAGE_CHILDREN; with os.fork deleted no worker runs
+    script = ("import os, runpy, sys; del os.fork; sys.argv = [sys.argv[1], '--steps', '1']; "
+              "runpy.run_path(sys.argv[0], run_name='__main__')")
+    proc = subprocess.run(["sh", "-c", '"$0" -c pass && exec "$0" -c "$1" "$2"',
+                           sys.executable, script, str(TOOLS / "train_step.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].endswith("  slices one after another")
+    assert re.search(r"^worker_minor_faults_per_step 0$", proc.stdout, re.MULTILINE)
+
+
 def test_model_bytes_lists_a_sha256_per_written_file():
     proc = subprocess.run([sys.executable, str(TOOLS / "model_bytes.py")],
                           capture_output=True, text=True, timeout=300)
