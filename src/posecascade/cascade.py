@@ -207,11 +207,13 @@ class CascadeModel:
 
 
 class ImageViews(NamedTuple):
-    """The training views of one image: the net sees `image` cropped at each
-    row of `boxes` and regresses, on the joints in that row of `masks`, that
-    row of `offsets` scaled by the box size."""
+    """The training views of one image, pixels / scale as in a LoadedExample:
+    the net sees the image cropped at each row of `boxes` and regresses, on
+    the joints in that row of `masks`, that row of `offsets` scaled by the
+    box size."""
 
-    image: np.ndarray
+    pixels: np.ndarray
+    scale: int | float
     boxes: np.ndarray  # (m, 4) rows of cx, cy, w, h
     offsets: np.ndarray  # (m, k, 2) truth - box center, in pixels
     masks: np.ndarray  # (m, k) bool
@@ -226,9 +228,10 @@ def _train_stage(records, k: int, config: StageConfig, progress, empty_message: 
     records = [r for r in records if len(r.boxes)]
     if not records:
         raise InvalidArgumentError(empty_message)
-    boxes, offsets, masks = (np.concatenate(parts) for parts in list(zip(*records))[1:])
+    boxes, offsets, masks = (np.concatenate(parts) for parts in list(zip(*records))[2:])
     which = np.repeat(np.arange(len(records)), [len(r.boxes) for r in records])
-    inputs = StoreInputs(ImageStore([r.image for r in records]), which, boxes, config.input_size)
+    store = ImageStore([r.pixels for r in records], [r.scale for r in records])
+    inputs = StoreInputs(store, which, boxes, config.input_size)
     targets = view_targets(boxes, offsets, masks)
     del records, offsets  # the store holds the images
     net = config.build_network(2 * k)
@@ -237,9 +240,10 @@ def _train_stage(records, k: int, config: StageConfig, progress, empty_message: 
 
 
 def _with_mirror(ex: LoadedExample, tree: PoseTree):
-    """(pose, image, initial box) of the example and of its left/right mirror."""
-    b0 = ex.box0 if ex.box0 is not None else full_image_box(ex.image.shape[1], ex.image.shape[0])
-    return [(ex.pose, ex.image, b0), mirror_example(ex.pose, ex.image, tree, b0)]
+    """(pose, pixels, initial box) of the example and of its left/right
+    mirror, whose pixels are a view of the example's."""
+    b0 = ex.box0 if ex.box0 is not None else full_image_box(ex.pixels.shape[1], ex.pixels.shape[0])
+    return [(ex.pose, ex.pixels, b0), mirror_example(ex.pose, ex.pixels, tree, b0)]
 
 
 def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.Generator):
@@ -249,12 +253,12 @@ def stage1_views(examples, tree: PoseTree, config: StageConfig, rng: np.random.G
         if not ex.pose.mask.any():
             log.warning("skipping %s: no labeled joints", ex.image_path)
             continue
-        for pose, img, box in _with_mirror(ex, tree):
+        for pose, pixels, box in _with_mirror(ex, tree):
             size = box[2:]
             shifts = rng.uniform(-JITTER_FRAC, JITTER_FRAC, size=(config.stage1_jitter_crops, 2))
             centers = np.vstack([box[:2], box[:2] + shifts * size])
             boxes = np.hstack([centers, np.broadcast_to(size, centers.shape)])
-            yield ImageViews(img, boxes, pose.joints - centers[:, None],
+            yield ImageViews(pixels, ex.scale, boxes, pose.joints - centers[:, None],
                              np.tile(pose.mask, (len(centers), 1)))
 
 
@@ -278,7 +282,7 @@ def refinement_views(
     row at truth + delta, delta drawn from its displacement Gaussian; only joint i is unmasked."""
     k = tree.k
     for ex in examples:
-        for pose, img, _ in _with_mirror(ex, tree):
+        for pose, pixels, _ in _with_mirror(ex, tree):
             try:
                 rows = joint_box(pose, config.sigma, tree)
             except InvalidArgumentError:
@@ -290,7 +294,7 @@ def refinement_views(
             boxes[:, :2] += delta
             offsets = np.zeros((len(joints), k, 2))
             offsets[np.arange(len(joints)), joints] = -delta
-            yield ImageViews(img, boxes, offsets, joints[:, None] == np.arange(k))
+            yield ImageViews(pixels, ex.scale, boxes, offsets, joints[:, None] == np.arange(k))
 
 
 def train_stage1(
@@ -410,8 +414,11 @@ def sample_displacement(stats: DisplacementStats, joints: np.ndarray, rng: np.ra
 # inference
 
 
-def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None) -> CascadePrediction:
-    """Run every stage; returns all intermediate poses for diagnostics.
+def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None,
+            scale: int | float = 1) -> CascadePrediction:
+    """Run every stage on image / scale, a float image with scale 1 or an
+    8-bit raster and its maxval; returns all intermediate poses for
+    diagnostics.
 
     Stage 1 reads every joint from the one initial box; a later stage reads
     joint i from row i of its output on the box around joint i's previous
@@ -428,7 +435,7 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
     prediction has the same bits at any thread count, whichever process
     runs it.
     """
-    k, store = model.tree.k, ImageStore([image])
+    k, store = model.tree.k, ImageStore([image], [scale])
     if b0 is None:
         b0 = full_image_box(image.shape[1], image.shape[0])
     boxes, rows = np.asarray(b0, dtype=np.float64).reshape(1, 4), np.zeros(k, dtype=int)
@@ -455,9 +462,9 @@ def predict(model: CascadeModel, image: np.ndarray, b0: np.ndarray | None = None
 
 
 def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
-    """predict() on each example's image and initial box, in order: the list
-    a loop of predict calls returns, or the exception of the first example
-    that raised, as that loop raises it.
+    """predict() on each example's pixels, scale and initial box, in order:
+    the list a loop of predict calls returns, or the exception of the first
+    example that raised, as that loop raises it.
 
     From PREDICT_FORK_MIN examples on, the call forks one worker process
     (workers.forked) and runs the examples in pairs (workers.pairs), as
@@ -470,7 +477,8 @@ def predict_many(model: CascadeModel, examples) -> list[CascadePrediction]:
     examples = list(examples)
 
     def one(i: int) -> CascadePrediction:
-        return predict(model, examples[i].image, examples[i].box0)
+        ex = examples[i]
+        return predict(model, ex.pixels, ex.box0, ex.scale)
 
     if len(examples) < PREDICT_FORK_MIN:
         return [one(i) for i in range(len(examples))]

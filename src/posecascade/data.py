@@ -57,12 +57,25 @@ class DatasetManifest:
 
 @dataclass
 class LoadedExample:
-    """An AnnotatedExample with its image decoded into memory."""
+    """An AnnotatedExample with its image in memory as pixels / scale.
 
-    image: np.ndarray  # (H, W, C) float64 in [0, 1]
+    An image decoded from a file keeps its (H, W, C) uint8 raster as pixels
+    and its maxval as scale: one byte per pixel and channel. An image made in
+    memory is its float array, of values in [0, 1], with scale 1. The float
+    image is made only where it is read, by .image.
+    """
+
+    pixels: np.ndarray  # (H, W, C) uint8 raster, or (H, W[, C]) floats
     pose: PoseVector
     box0: np.ndarray | None
     image_path: str
+    scale: int | float = 1  # maxval of a raster
+
+    @property
+    def image(self) -> np.ndarray:
+        """pixels / scale, as float64: for a decoded file, bit for bit what
+        load_image returns."""
+        return np.divide(self.pixels, self.scale, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +190,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_examples(manifest: DatasetManifest) -> list[LoadedExample]:
-    """Decode every referenced image, resolving paths against manifest.root."""
+    """Decode every referenced image, resolving paths against manifest.root,
+    and keep each as its 8-bit raster and maxval."""
     out = []
     for ex in manifest.examples:
-        img = load_image(Path(manifest.root) / ex.image_path)
-        out.append(LoadedExample(img, ex.pose, ex.box0, ex.image_path))
+        raster, maxval = _decode_image(Path(manifest.root) / ex.image_path)
+        out.append(LoadedExample(raster, ex.pose, ex.box0, ex.image_path, maxval))
     return out
 
 
@@ -191,6 +205,14 @@ def load_examples(manifest: DatasetManifest) -> list[LoadedExample]:
 
 def load_image(path) -> np.ndarray:
     """Decode a binary graymap/pixmap into (H, W, C) float64 scaled to [0, 1]."""
+    raster, maxval = _decode_image(path)
+    return raster / maxval
+
+
+def _decode_image(path) -> tuple[np.ndarray, int]:
+    """The (H, W, C) uint8 raster of a binary graymap/pixmap and its maxval.
+    A malformed file, or a sample above maxval, raises InvalidArgumentError
+    naming the file."""
     with file_access("read image", path):
         data = Path(path).read_bytes()
     magic = data[:2]
@@ -226,7 +248,9 @@ def load_image(path) -> np.ndarray:
     if len(raster) < n:
         raise InvalidArgumentError(f"{path}: raster truncated ({len(raster)} of {n} bytes)")
     img = np.frombuffer(raster, dtype=np.uint8, count=n).reshape(height, width, channels)
-    return img.astype(np.float64) / maxval
+    if maxval < 255 and img.max() > maxval:
+        raise InvalidArgumentError(f"{path}: sample {img.max()} above maxval {maxval}")
+    return img, maxval
 
 
 def save_image(img: np.ndarray, path) -> None:

@@ -1,5 +1,9 @@
 """Poses, boxes and the bilinear crop everything else builds on.
 
+Every crop reads an ImageStore, which keeps 8-bit rasters at 2 bytes per
+pixel and channel and makes a value float only at a crop's taps, with the
+bits that cropping the float image would give.
+
 Coordinates are pixels, x to the right and y down. A box is a float64 row
 (cx, cy, w, h) of center and size; n boxes stack as an (n, 4) array.
 
@@ -152,7 +156,17 @@ def joint_box(pose: PoseVector, sigma: float, tree: PoseTree) -> np.ndarray:
 
 
 class ImageStore:
-    """The channel planes of some images in one float64 array, to crop from.
+    """The channel planes of some images in one flat array, to crop from.
+
+    Image i is pixels[i] / scales[i] (scale 1 where none is given): an
+    8-bit raster and its maxval, or a float array. When every image is a
+    uint8 raster with an integer scale of at most 255, the store holds
+    uint16 codes 2v of its samples v, 2 bytes per padded pixel and channel,
+    with the CROP_FILL border at code maxval and the image's scale 2 *
+    maxval. Float division is correctly rounded, so a tap's code / scale is
+    the double v / maxval, and the fill's maxval / (2 * maxval) is exactly
+    0.5. A store with any other image holds every value as float64, with
+    scale 1.
 
     Every plane is padded once with a two-pixel CROP_FILL border, and its
     padded rows lie one after another at its own pitch, w + 4, so the four
@@ -163,12 +177,13 @@ class ImageStore:
     crops to that many equal channels. gray marks the images of one
     channel. layout holds, per image, the flat index of its pixel (0, 0),
     the flat distance between its planes (0 for one plane), its height, its
-    width and its pitch.
+    width and its pitch; scale holds, per image, what its codes are divided by.
     """
 
-    def __init__(self, images):
-        images = [np.asarray(img, dtype=np.float64) for img in images]
+    def __init__(self, pixels, scales=None):
+        images = [np.asarray(img) for img in pixels]
         images = [img[:, :, None] if img.ndim == 2 else img for img in images]
+        scales = [1] * len(images) if scales is None else list(scales)
         for img in images:
             if img.ndim != 3:
                 raise ShapeError(f"image must be (H, W) or (H, W, C), got {img.shape}")
@@ -176,6 +191,8 @@ class ImageStore:
         self.channels = max(counts, default=1)
         if counts - {1, self.channels}:
             raise ShapeError(f"images of {sorted(counts)} channels cannot share a store")
+        coded = all(img.dtype == np.uint8 and s in range(1, 256) for img, s in zip(images, scales))
+        self.scale = np.array([2 * s if coded else 1 for s in scales], dtype=np.float64)
         layout, size = [], 0
         for h, w, c in (img.shape for img in images):
             # its planes one after another, h + 4 rows of w + 4 each
@@ -185,11 +202,16 @@ class ImageStore:
             size += plane * c
         self.layout = np.array(layout, dtype=np.int64).reshape(-1, 5)
         self.gray = self.layout[:, 1] == 0
-        self.flat = np.full(size, CROP_FILL)
-        for img, (origin, _, h, w, pitch) in zip(images, layout):
+        self.flat = np.empty(size, dtype=np.uint16 if coded else np.float64)
+        for img, s, code_scale, (origin, _, h, w, pitch) in zip(images, scales, self.scale, layout):
             start = origin - 2 * pitch - 2
-            planes = self.flat[start : start + (h + 4) * pitch * img.shape[2]]
-            planes.reshape(-1, h + 4, pitch)[:, 2:-2, 2 : w + 2] = np.moveaxis(img, 2, 0)
+            planes = self.flat[start : start + (h + 4) * pitch * img.shape[2]].reshape(-1, h + 4, pitch)
+            planes[:] = CROP_FILL * code_scale  # the border, and the inside until written
+            inside, channels = planes[:, 2:-2, 2 : w + 2], np.moveaxis(img, 2, 0)
+            if coded:
+                np.multiply(channels, 2, out=inside, dtype=np.uint16)
+            else:
+                np.divide(channels, s, out=inside, dtype=np.float64)
 
     def crop(self, which, boxes, out_size: tuple[int, int]) -> np.ndarray:
         """Crop image which[i] by row i (cx, cy, w, h) of the (n, 4) box array
@@ -243,10 +265,13 @@ class ImageStore:
 
         wx = ((1.0 - fx)[:, None, :, None], fx[:, None, :, None])
         wy = ((1.0 - fy)[:, :, None, None], fy[:, :, None, None])
+        scale = self.scale[which][:, None, None, None]
 
         def tap(dy, dx):
-            # (n, out_h, out_w, C) weighted tap of the row at, multiplied in place
-            t = np.take(self.flat[dx:], at)
+            # (n, out_h, out_w, C) weighted tap of the row at: its codes over
+            # the row's scale, then the weights, all in place
+            t = np.take(self.flat[dx:], at).astype(np.float64, copy=False)
+            t /= scale
             t *= wy[dy]
             t *= wx[dx]
             return t

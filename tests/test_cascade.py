@@ -126,7 +126,7 @@ def test_training_inputs_are_the_per_view_crops(monkeypatch):
     cascade.train_refinement_stage(examples, _constant_model(), stats, cfg)
     records = list(cascade.refinement_views(examples, TREE, stats, cfg,
                                             np.random.default_rng(cfg.seed)))
-    want = np.concatenate([_one_image_input(r.image, r.boxes, INPUT) for r in records])
+    want = np.concatenate([_one_image_input(r.pixels / r.scale, r.boxes, INPUT) for r in records])
     x = seen["x"][np.arange(len(seen["x"]))]
     assert len(records) == 4 and x.dtype == np.float32
     assert np.array_equal(x, want)
@@ -226,17 +226,17 @@ def test_stage1_mirror_view_shares_its_example_image():
     # the mirror's pixels are copied only into the training store, not before
     ex = example_with_pose(spread_pose(), seed=1)
     records = list(cascade.stage1_views([ex], TREE, tiny_stage_config(), np.random.default_rng(0)))
-    assert np.shares_memory(records[1].image, ex.image)
+    assert np.shares_memory(records[1].pixels, ex.pixels)
 
 
 def test_stage1_skips_fully_unlabeled(caplog):
     good = example_with_pose(spread_pose(), seed=1)
     bad = data.LoadedExample(
-        good.image, make_pose(np.zeros((K, 2)), mask=np.zeros(K, bool)), None, "empty"
+        good.pixels, make_pose(np.zeros((K, 2)), mask=np.zeros(K, bool)), None, "empty"
     )
     cfg = tiny_stage_config(stage1_jitter_crops=0)
     records = list(cascade.stage1_views([good, bad], TREE, cfg, np.random.default_rng(0)))
-    assert [r.image is good.image for r in records] == [True, False]  # only good and its mirror
+    assert [r.pixels is good.pixels for r in records] == [True, False]  # only good and its mirror
     assert [len(r.boxes) for r in records] == [1, 1]
 
 
@@ -423,7 +423,7 @@ def test_refinement_skips_a_pose_whose_side_is_not_finite(caplog):
     with caplog.at_level("WARNING", logger="posecascade"):
         records = list(cascade.refinement_views([wide, narrow], TREE, _delta_stats((1.0, 0.0)),
                                                 cfg, np.random.default_rng(0)))
-    assert len(records) == 2 and records[0].image is narrow.image  # narrow and its mirror
+    assert len(records) == 2 and records[0].pixels is narrow.pixels  # narrow and its mirror
     assert caplog.messages == ["skipping mem_1: degenerate joint box"] * 2
     side = 1e307 * pose_diameter(narrow.pose, TREE)
     assert all(np.array_equal(r.boxes[:, 2:], np.full((K, 2), side)) for r in records)
@@ -530,7 +530,7 @@ def test_view_records_equal_per_crop_views_bit_for_bit():
     want = _per_crop_views(examples, stats, cfg, loop_rng)
     records = (list(cascade.stage1_views(examples, TREE, cfg, array_rng))
                + list(cascade.refinement_views(examples, TREE, stats, cfg, array_rng)))
-    got = [(r.image, r.boxes[j], r.offsets[j], r.masks[j], t)
+    got = [(r.pixels / r.scale, r.boxes[j], r.offsets[j], r.masks[j], t)
            for r in records for j, t in enumerate(cascade.view_targets(r.boxes, r.offsets, r.masks))]
     assert len(got) == len(want) == 4 * 4 + (2 * (K - 1) + 2 * (K - 2)) * 4
     for (img, box, off, m, t), (img0, b0, off0, m0, t0) in zip(got, want):
@@ -841,7 +841,7 @@ def test_predict_many_raises_what_the_first_failing_example_raised(monkeypatch, 
     second_error = next(e for e in errors if e != first_error)
     for i, error in ((first, first_error), (second, second_error)):
         if error == "non-finite":
-            examples[i].image = np.full((40, 40, 1), np.nan)
+            examples[i].pixels = np.full((40, 40, 1), np.nan)
         else:
             examples[i].box0 = np.array([20.0, 20.0, 10.0])
     with pytest.raises(errors[first_error][0], match=errors[first_error][1]):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -459,6 +460,31 @@ def test_eval_writes_reports(tmp_path, synth_dir, trained_dir):
         assert all(0.0 <= r <= 1.0 for r in d["pcp_strict"])
 
 
+def test_eval_memory_grows_by_at_most_two_bytes_per_added_pixel(tmp_path, trained_dir):
+    # eval holds each image as its 8-bit raster, 1 byte per pixel and
+    # channel. Per example it also keeps a few objects: its manifest line and
+    # record, its LoadedExample, the truth and one pose per stage (a
+    # PoseVector is two small arrays, about 0.6 KiB) in a CascadePrediction,
+    # and its rows of the per-stage reports. On 64x64 figures and this
+    # 2-stage model they measure about 2.2 KiB; 8 KiB is allowed. A float64
+    # image held per example would add 8 bytes per pixel, 32 KiB here.
+    side, n, per_example = 64, 10, 8192
+
+    def peak(count):
+        d = tmp_path / f"set{count}"
+        data.synth_generate(data.SynthConfig(count=count, seed=5, image_size=(side, side)), d)
+        tracemalloc.start()
+        try:
+            assert run("eval", "--model", str(trained_dir / "cascade.model"), "--manifest",
+                       str(d / "manifest.txt"), "--out", str(tmp_path / f"eval{count}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = peak(4 * n) - peak(n)
+    assert grown <= 3 * n * (2 * side * side + per_example), grown
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--fractions", "nan,0.2", "fractions"),
     ("--fractions", "0.1,inf", "fractions"),
@@ -743,6 +769,14 @@ def test_predict_bad_image_is_data_error(tmp_path, trained_dir):
     bad.write_bytes(b"garbage")
     code = run("predict", "--model", str(trained_dir / "cascade.model"), "--image", str(bad))
     assert code == 2
+
+
+def test_predict_sample_above_maxval_is_data_error(tmp_path, trained_dir, capsys):
+    # a byte of 200 in a maxval-15 graymap would read as 13.3, outside [0, 1]
+    bad = tmp_path / "bright.pgm"
+    bad.write_bytes(b"P5\n4 4\n15\n" + bytes([3] * 15 + [200]))
+    assert run("predict", "--model", str(trained_dir / "cascade.model"), "--image", str(bad)) == 2
+    assert "bright.pgm: sample 200 above maxval 15" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mangle", [

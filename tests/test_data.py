@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from posecascade import data
 from posecascade.errors import InvalidArgumentError
-from posecascade.geometry import MAX_COORD
+from posecascade.geometry import MAX_COORD, PoseTree
 
 from conftest import loads_or_is_rejected, make_pose, mutated
 
@@ -258,6 +259,55 @@ def test_ppm_round_trip(tmp_path):
     back = data.load_image(p)
     assert back.shape == (4, 3, 3)
     assert np.array_equal(back, img)
+
+
+def _image_file(path, magic: bytes, raster: np.ndarray, maxval: int) -> None:
+    h, w, _ = raster.shape
+    path.write_bytes(magic + b"\n%d %d\n%d\n" % (w, h, maxval) + raster.tobytes())
+
+
+@pytest.mark.parametrize("maxval", [1, 15, 255])
+@pytest.mark.parametrize("magic, channels", [(b"P5", 1), (b"P6", 3)], ids=["pgm", "ppm"])
+def test_loaded_example_image_is_load_image(tmp_path, magic, channels, maxval):
+    # load_examples keeps the raster and maxval; .image is what load_image
+    # returns, the float64 raster / maxval, bit for bit
+    rng = np.random.default_rng(maxval)
+    raster = rng.integers(0, maxval + 1, size=(5, 7, channels), dtype=np.uint8)
+    _image_file(tmp_path / "a.img", magic, raster, maxval)
+    manifest = data.DatasetManifest(2, PoseTree(2, [(0, 1)], [(0, 1)]), ["a", "b"],
+                                    [data.AnnotatedExample("a.img", make_pose([(1, 1), (2, 3)]))],
+                                    root=str(tmp_path))
+    (ex,) = data.load_examples(manifest)
+    assert ex.pixels.dtype == np.uint8 and ex.scale == maxval
+    assert np.array_equal(ex.pixels, raster)
+    img = data.load_image(tmp_path / "a.img")
+    assert img.dtype == ex.image.dtype == np.float64
+    assert img.tobytes() == ex.image.tobytes() == (raster.astype(np.float64) / maxval).tobytes()
+
+
+def test_loaded_examples_hold_one_byte_per_pixel_and_channel(tmp_path):
+    # the rasters, 1 byte per pixel and channel, and per example about 0.5
+    # KiB of objects (the bytes and array headers, the LoadedExample and its
+    # attribute dict), allowed 1 KiB: a float64 image would add 8 bytes per pixel
+    count, (w, h) = 8, (48, 40)
+    manifest = data.synth_generate(data.SynthConfig(count=count, seed=3, image_size=(w, h)), tmp_path)
+    tracemalloc.start()
+    try:
+        examples = data.load_examples(manifest)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= count * (w * h + 1024), held
+    assert all(ex.pixels.dtype == np.uint8 and ex.pixels.shape == (h, w, 1) for ex in examples)
+
+
+def test_decode_rejects_a_sample_above_maxval(tmp_path):
+    p = tmp_path / "t.pgm"
+    p.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 200]))
+    with pytest.raises(InvalidArgumentError, match=r"t\.pgm: sample 200 above maxval 15"):
+        data.load_image(p)
+    p.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 0]))
+    assert np.array_equal(data.load_image(p).reshape(-1), [1.0, 0.0])
 
 
 # --- mirroring -------------------------------------------------------------------

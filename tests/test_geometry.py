@@ -346,17 +346,39 @@ def test_crop_of_zero_boxes_is_empty_batch(shape):
 FAR_BOXES = np.array([(1e300, 4.0, 4.0, 4.0), (4.0, -1e300, 4.0, 4.0), (1.5e308, 4.0, 1e308, 4.0)])
 
 
-def test_store_crops_each_row_from_its_own_image_alone():
+def _store_images(rng, shapes, maxvals):
+    """(pixels, scales, images): float images of the shapes with scale 1
+    when maxvals is empty, else 8-bit rasters whose maxvals cycle through
+    maxvals; images[i] is pixels[i] / scales[i], the float image each
+    crops as."""
+    if not maxvals:
+        images = [rng.random(shape) for shape in shapes]
+        return list(images), [1] * len(shapes), images
+    scales = [maxvals[i % len(maxvals)] for i in range(len(shapes))]
+    pixels = [rng.integers(0, m + 1, size=shape, dtype=np.uint8) for shape, m in zip(shapes, scales)]
+    return pixels, scales, [p / m for p, m in zip(pixels, scales)]
+
+
+STORE_PIXELS = pytest.mark.parametrize("maxvals", [(), (255,), (15,), (255, 15)],
+                                       ids=["float", "raster 255", "raster 15", "rasters 255 and 15"])
+
+
+@STORE_PIXELS
+def test_store_crops_each_row_from_its_own_image_alone(maxvals):
     # rows of images of different sizes, gray and color, and of their
     # mirrors, interleaved in one call: each is the per-box reference crop of
-    # its own image (a gray one's repeated over the store's three channels),
-    # whatever image lies next to it in the store
+    # its own float image (a gray one's repeated over the store's three
+    # channels), whatever image lies next to it in the store; a raster's
+    # crop is that of raster / maxval, bit for bit
     rng = np.random.default_rng(21)
     tree = PoseTree(2, [(0, 1)], [(0, 1)], [(0, 1)])
     pose = make_pose([(1.0, 1.0), (3.0, 4.0)])
-    images = [rng.random(shape) for shape in [(9, 13, 3), (12, 7, 1), (5, 16, 3), (8, 8, 1), (6, 4, 3)]]
+    pixels, scales, images = _store_images(
+        rng, [(9, 13, 3), (12, 7, 1), (5, 16, 3), (8, 8, 1), (6, 4, 3)], maxvals)
+    pixels += [mirror_example(pose, img, tree)[1] for img in pixels]
     images += [mirror_example(pose, img, tree)[1] for img in images]
-    store = ImageStore(images)
+    store = ImageStore(pixels, scales * 2)
+    assert store.flat.dtype == (np.uint16 if maxvals else np.float64)
     per_image = [_mixed_boxes(rng, *img.shape[:2]) for img in images]
     which = np.repeat(np.arange(len(images)), [len(b) for b in per_image])
     boxes = np.concatenate(per_image)
@@ -370,20 +392,33 @@ def test_store_crops_each_row_from_its_own_image_alone():
     assert np.all(far == CROP_FILL)
 
 
-def test_store_memory_is_its_padded_images_when_one_is_wide():
+@pytest.mark.parametrize("maxvals, bytes_per_value", [((), 8), ((255,), 2)], ids=["float", "raster"])
+def test_store_memory_is_its_padded_images_when_one_is_wide(maxvals, bytes_per_value):
     # each image is padded at its own pitch: one wide image does not widen
-    # the rows of the others, and its rows still crop as its own
+    # the rows of the others, and its rows still crop as its own; a store of
+    # rasters holds 2 bytes per padded pixel and channel, a float store 8
     rng = np.random.default_rng(3)
-    images = [rng.random((16, 16)) for _ in range(20)] + [rng.random((4, 1000, 3))]
-    store = ImageStore(images)
+    pixels, scales, images = _store_images(rng, [(16, 16)] * 20 + [(4, 1000, 3)], maxvals)
+    store = ImageStore(pixels, scales)
     padded = sum((h + 4) * (w + 4) * c for h, w, c in (np.atleast_3d(img).shape for img in images))
-    assert store.flat.nbytes <= 8 * padded
+    assert store.flat.nbytes <= bytes_per_value * padded
     assert list(store.gray) == [True] * 20 + [False]
     for i in (0, 20):
         boxes = _mixed_boxes(rng, *images[i].shape[:2])
         got = store.crop(np.full(len(boxes), i), boxes, (5, 4))
         want = crop_resample(images[i], boxes, (5, 4))
         assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
+def test_store_holds_floats_when_any_image_is_not_a_raster():
+    # one float image, or a raster whose scale is no 8-bit maxval, and every
+    # image is held as its float64 values, with scale 1
+    raster = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    for pixels, scales in [([raster, np.full((2, 2), 0.25)], [15, 1]), ([raster], [2.5]), ([raster], [256])]:
+        store = ImageStore(pixels, scales)
+        assert store.flat.dtype == np.float64 and np.all(store.scale == 1)
+        got = store.crop([0], full_image_box(4, 3)[None], (4, 3))
+        assert np.array_equal(got[0], raster[:, :, None] / scales[0])
 
 
 def test_store_takes_gray_or_one_channel_count():

@@ -1,20 +1,24 @@
 """Time one float32 training step of the default stack at batch 128.
 
 A step is one `nn.train_step`, the call `nn.train_epochs` makes per
-mini-batch, on a batch of 128 random 60x60x1 float32 crops through the
-cascade's default layers (the stage networks' stack, 9 joints): forward, loss
-and backward in slices of the batch, then one adaptive-gradient update. BLAS
-is pinned to one thread before numpy loads. The steps run as `nn.train_epochs`
-runs them: slices in pairs, the odd ones on a worker process forked by
-`nn.slice_worker` (on the calling thread, one after another, where there is
-no fork), each slice pinning BLAS through numpy's OpenBLAS thread-count call
-where `nn` finds one. The header line names the path that ran and whether
-`nn` pins BLAS. The path is read from the change in RUSAGE_CHILDREN's minor
-faults across the worker's block: whether a worker process ended and was
-waited for. RUSAGE_CHILDREN survives `exec`, so it is read before the block,
-not taken as zero: a launcher (a version manager's shim, say) that runs
-commands and then `exec`s the interpreter leaves its children's usage in it.
-After one untimed warm-up step it runs `--steps` steps and prints the
+mini-batch, through the cascade's default layers (the stage networks' stack,
+9 joints): each slice's 60x60x1 inputs cropped from the training store,
+then forward, loss and backward, and one adaptive-gradient update for the
+batch of 128. As in `posecascade train`, the rows come from a
+`cascade.StoreInputs` over an `ImageStore` of 8-bit rasters: 32 random
+64x64 gray rasters (maxval 255), 4 rows each, at the full-image box
+translated by up to `cascade.JITTER_FRAC` of its size, as stage 1 draws
+them. BLAS is pinned to one thread before numpy loads. The steps run as
+`nn.train_epochs` runs them: slices in pairs, the odd ones on a worker
+process forked by `nn.slice_worker` (on the calling thread, one after
+another, where there is no fork), each slice pinning BLAS through numpy's
+OpenBLAS thread-count call where `nn` finds one. The header line names the
+path that ran and whether `nn` pins BLAS. The path is read from the change
+in RUSAGE_CHILDREN's minor faults across the worker's block: whether a
+worker process ended and was waited for. RUSAGE_CHILDREN survives
+`exec`, so it is read before the block, not taken as zero: a launcher (a
+version manager's shim, say) that runs commands and then `exec`s the
+interpreter leaves its children's usage in it. After one untimed warm-up step it runs `--steps` steps and prints the
 median milliseconds per step, the minor page faults per step and the peak
 RSS of this process, then the same two figures of the worker. Its faults
 are that change, per step over every step it ran, the warm-up and its
@@ -39,6 +43,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BATCH = 128
+IMAGES, SIDE, MAXVAL = 32, 64, 255
 
 
 def main(argv=None) -> int:
@@ -52,13 +57,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     import numpy as np
 
-    from posecascade import cascade, data, nn
+    from posecascade import cascade, data, geometry, nn
 
     k = len(data.JOINT_NAMES)
     config = cascade.StageConfig(sigma=1.0)
     net = config.build_network(2 * k)
     rng = np.random.default_rng(0)
-    x = (rng.random((BATCH,) + config.input_size) - 0.5).astype(np.float32)
+    rasters = [rng.integers(0, MAXVAL + 1, (SIDE, SIDE, 1), np.uint8) for _ in range(IMAGES)]
+    which = np.arange(BATCH) % IMAGES
+    boxes = np.tile(geometry.full_image_box(SIDE, SIDE), (BATCH, 1))
+    boxes[:, :2] += rng.uniform(-cascade.JITTER_FRAC, cascade.JITTER_FRAC, (BATCH, 2)) * SIDE
+    x = cascade.StoreInputs(geometry.ImageStore(rasters, [MAXVAL] * IMAGES), which, boxes,
+                            config.input_size)
     target = rng.uniform(-0.5, 0.5, (BATCH, 2 * k))
     mask = np.ones((BATCH, k), dtype=bool)
     state = nn.OptimizerState.for_network(net, config.train.learning_rate)
